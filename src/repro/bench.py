@@ -118,20 +118,6 @@ def _single_process() -> Iterator[None]:
             os.environ["REPRO_JOBS"] = previous
 
 
-@contextmanager
-def _scheduler_env(name: str) -> Iterator[None]:
-    """Pin the event-kernel scheduler for one benchmark run."""
-    previous = os.environ.get("REPRO_SCHEDULER")
-    os.environ["REPRO_SCHEDULER"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = previous
-
-
 def _peak_rss_kb(ru_maxrss: Optional[int] = None) -> int:
     """This process's peak RSS in KiB, normalized per platform.
 
@@ -244,15 +230,15 @@ def bench_spatial_index(quick: bool) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
     from repro.obs.fingerprint import configured_fingerprint
-    from repro.obs.profile import RunProfiler
+    from repro.obs.kernelprof import KernelProfiler
     from repro.obs.recorder import configured_recording
 
-    profiler = RunProfiler()
+    profiler = KernelProfiler(handlers=False)
     with _single_process(), profiler.activate():
         start = time.perf_counter()
         rows = run()
         wall = time.perf_counter() - start
-    summary = profiler.summary()
+    summary = profiler.runs_summary()
     meta: Dict[str, object] = {
         "runs": int(summary["runs"]),
         "digest": _digest(json.loads(json.dumps(rows))),
@@ -305,22 +291,14 @@ _SCALING_GRIDS_FULL = (
 )
 
 
-#: Event-kernel schedulers the scaling benchmark compares.  The
-#: deterministic outputs of every grid must be identical across them
-#: (they are order-identical by contract); the digest covers every
-#: scheduler's outputs so any divergence fails ``--check`` loudly.
-_SCALING_SCHEDULERS = ("heap", "calendar")
-
-
 @_bench("scaling", repeats=1)
 def bench_scaling(quick: bool) -> Dict[str, object]:
-    """Events/s vs node count per scheduler: the kernel's scaling curve."""
+    """Events/s vs node count: the kernel's scaling curve."""
     import gc
 
     from repro.core.rounds import RoundConfig
     from repro.experiments.figures.common import pdd_experiment
     from repro.obs.kernelprof import KernelProfiler
-    from repro.obs.profile import RunProfiler
 
     grids = _SCALING_GRIDS_QUICK if quick else _SCALING_GRIDS_FULL
     curve: List[Dict[str, object]] = []
@@ -330,120 +308,72 @@ def bench_scaling(quick: bool) -> Dict[str, object]:
     peak_queue = 0
     for rows, cols in grids:
         nodes = rows * cols
-        point_outputs: List[List[object]] = []
-        for scheduler in _SCALING_SCHEDULERS:
-            gc.collect()
-            profiler = RunProfiler()
-            kernel = KernelProfiler()
-            with _single_process(), _scheduler_env(scheduler), \
-                    profiler.activate(), kernel.activate():
-                start = time.perf_counter()
-                outcome = pdd_experiment(
-                    seed=1,
-                    rows=rows,
-                    cols=cols,
-                    metadata_count=2 * nodes,
-                    # Two rounds bound convergence so the curve measures
-                    # kernel throughput, not per-size protocol behaviour.
-                    round_config=RoundConfig(max_rounds=2),
-                    sim_cap_s=120.0,
-                )
-                wall = time.perf_counter() - start
-            summary = profiler.summary()
-            events = int(summary["events"])
-            point_peak = int(summary["peak_queue_depth"])
-            kernel_ns = kernel.kernel_ns
-            subsystems = sorted(
-                kernel.subsystem_totals().items(), key=lambda item: -item[1][1]
+        gc.collect()
+        kernel = KernelProfiler()
+        with _single_process(), kernel.activate():
+            start = time.perf_counter()
+            outcome = pdd_experiment(
+                seed=1,
+                rows=rows,
+                cols=cols,
+                metadata_count=2 * nodes,
+                # Two rounds bound convergence so the curve measures
+                # kernel throughput, not per-size protocol behaviour.
+                round_config=RoundConfig(max_rounds=2),
+                sim_cap_s=120.0,
             )
-            # The process-wide RSS high-water mark, so the curve is
-            # monotonic by construction: each point reports the peak up to
-            # and including its own run.
-            peak_rss_kb = _peak_rss_kb()
-            first = outcome.first
-            point_outputs.append(
-                [
-                    events,
-                    point_peak,
-                    round(first.recall, 6),
-                    first.result.rounds,
-                    outcome.total_overhead_bytes,
-                ]
-            )
-            curve.append(
-                {
-                    "nodes": nodes,
-                    "rows": rows,
-                    "cols": cols,
-                    "scheduler": scheduler,
-                    "wall_s": round(wall, 6),
-                    "events": events,
-                    "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-                    "peak_queue_depth": point_peak,
-                    "peak_rss_kb": peak_rss_kb,
-                    "kernel_share": round(kernel_ns / kernel.wall_ns, 4)
-                    if kernel.wall_ns > 0
-                    else 0.0,
-                    "subsystems": {
-                        name: round(ns / kernel_ns, 4) if kernel_ns else 0.0
-                        for name, (_, ns) in subsystems[:4]
-                    },
-                    "recall": round(first.recall, 3),
-                }
-            )
-            print(
-                f"    {nodes:5d} nodes  {scheduler:>8s}  wall {wall:7.3f}s  "
-                f"{events:8d} events  {events / wall if wall > 0 else 0:9.0f} ev/s  "
-                f"rss {peak_rss_kb / 1024:.0f} MiB",
-                flush=True,
-            )
-            total_wall += wall
-            total_events += events
-            peak_queue = max(peak_queue, point_peak)
-        # Every scheduler's deterministic outputs enter the digest, so a
-        # kernel that drifts from the heap reference — event counts, peak
-        # depth, recall, anything — fails --check, not just the oracle
-        # tests.  Identical kernels contribute identical sublists.
-        deterministic.append([nodes] + point_outputs)
-        if any(output != point_outputs[0] for output in point_outputs[1:]):
-            # Name exactly which deterministic outputs drifted instead of
-            # dumping every field of every scheduler, and hand the reader
-            # the command that bisects the runs to the first divergent
-            # event.
-            labels = (
-                "events",
-                "peak_queue_depth",
-                "recall",
-                "rounds",
-                "overhead_bytes",
-            )
-            print(
-                f"    WARNING: schedulers disagree at {nodes} nodes:",
-                file=sys.stderr,
-                flush=True,
-            )
-            reference = point_outputs[0]
-            for scheduler, outputs in zip(
-                _SCALING_SCHEDULERS[1:], point_outputs[1:]
-            ):
-                for label, ref_value, value in zip(labels, reference, outputs):
-                    if value != ref_value:
-                        print(
-                            f"      {label}: {_SCALING_SCHEDULERS[0]}="
-                            f"{ref_value} {scheduler}={value}",
-                            file=sys.stderr,
-                            flush=True,
-                        )
-            print(
-                "      bisect to the first divergent event with:\n"
-                f"        python -m repro diverge "
-                f"--a scheduler={_SCALING_SCHEDULERS[0]} "
-                f"--b scheduler={_SCALING_SCHEDULERS[1]} "
-                f"--rows {rows} --cols {cols} "
-                f"--metadata-count {2 * nodes} --max-rounds 2",
-                file=sys.stderr,
-                flush=True,
-            )
+            wall = time.perf_counter() - start
+        summary = kernel.runs_summary()
+        events = int(summary["events"])
+        point_peak = int(summary["peak_queue_depth"])
+        kernel_ns = kernel.kernel_ns
+        subsystems = sorted(
+            kernel.subsystem_totals().items(), key=lambda item: -item[1][1]
+        )
+        # The process-wide RSS high-water mark, so the curve is monotonic
+        # by construction: each point reports the peak up to and
+        # including its own run.
+        peak_rss_kb = _peak_rss_kb()
+        first = outcome.first
+        deterministic.append(
+            [
+                nodes,
+                events,
+                point_peak,
+                round(first.recall, 6),
+                first.result.rounds,
+                outcome.total_overhead_bytes,
+            ]
+        )
+        curve.append(
+            {
+                "nodes": nodes,
+                "rows": rows,
+                "cols": cols,
+                "wall_s": round(wall, 6),
+                "events": events,
+                "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
+                "peak_queue_depth": point_peak,
+                "peak_rss_kb": peak_rss_kb,
+                "kernel_share": round(kernel_ns / kernel.wall_ns, 4)
+                if kernel.wall_ns > 0
+                else 0.0,
+                "subsystems": {
+                    name: round(ns / kernel_ns, 4) if kernel_ns else 0.0
+                    for name, (_, ns) in subsystems[:4]
+                },
+                "recall": round(first.recall, 3),
+            }
+        )
+        print(
+            f"    {nodes:5d} nodes  wall {wall:7.3f}s  "
+            f"{events:8d} events  {events / wall if wall > 0 else 0:9.0f} ev/s  "
+            f"rss {peak_rss_kb / 1024:.0f} MiB",
+            flush=True,
+        )
+        total_wall += wall
+        total_events += events
+        peak_queue = max(peak_queue, point_peak)
     result = _result(
         total_wall,
         events=total_events,
@@ -517,10 +447,10 @@ def _check_one(
             f"baseline {base_digest} != current {cur_digest}\n"
             "  the simulation now produces different deterministic output; "
             "bisect to the first divergent event with e.g.\n"
-            "    python -m repro diverge --a scheduler=heap "
-            "--b scheduler=calendar\n"
-            "  (swap a side for jobs=2 / profile=on / perturb=stream:index "
-            "or file=<fingerprint.jsonl> to compare against a recorded run)"
+            "    python -m repro diverge --a '' --b file=<fingerprint.jsonl>\n"
+            "  (a fingerprint recorded at the baseline revision; swap a "
+            "side for jobs=2 / profile=on / perturb=stream:index to "
+            "compare configurations)"
         )
     # Normalize for machine speed: scale the baseline by the ratio of
     # calibration-loop timings taken on each machine.
@@ -544,23 +474,19 @@ def _check_one(
             )
     # Scaling-curve benchmarks gate per point too, so a regression that
     # only bites at large node counts cannot hide inside the total.
-    # Points are keyed by (nodes, scheduler): the curve carries one entry
-    # per event-kernel scheduler per grid size.
     base_curve = baseline.get("curve")
     cur_curve = current.get("curve")
     if isinstance(base_curve, list) and isinstance(cur_curve, list):
-        cur_by_key = {
-            (point.get("nodes"), point.get("scheduler")): point
+        cur_by_nodes = {
+            point.get("nodes"): point
             for point in cur_curve
             if isinstance(point, dict)
         }
         for base_point in base_curve:
             if not isinstance(base_point, dict):
                 continue
-            nodes = base_point.get("nodes")
-            scheduler = base_point.get("scheduler")
-            label = f"{nodes} nodes" + (f" [{scheduler}]" if scheduler else "")
-            point = cur_by_key.get((nodes, scheduler))
+            label = f"{base_point.get('nodes')} nodes"
+            point = cur_by_nodes.get(base_point.get("nodes"))
             if point is None:
                 failures.append(
                     f"{name}: curve point for {label} missing "
@@ -626,15 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: REPRO_BENCH_TOLERANCE or {DEFAULT_TOLERANCE})",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-kernel scheduler for the figure benchmarks (sets "
-        "REPRO_SCHEDULER; the scaling benchmark always runs both). "
-        "Schedulers are order-identical, so --check digests must pass "
-        "under either.",
-    )
-    parser.add_argument(
         "--fingerprint",
         metavar="FILE",
         default=None,
@@ -690,8 +607,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    if args.scheduler is not None:
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
     if args.fingerprint is not None:
         os.environ["REPRO_FINGERPRINT"] = args.fingerprint
 

@@ -18,10 +18,9 @@ killed) resumes with ``repro campaign resume fig12 --store runs/store``
 table is bit-identical to an uninterrupted run.
 
 ``resume`` accepts the same knobs as a figure run (``--seeds``,
-``--scale``, ``--jobs``, ``--scheduler`` and the observability flags);
-they are forwarded verbatim to the figure runner.  Keep them identical
-to the original invocation: the store key includes the scheduler and
-observability profile, and ``--seeds``/``--scale`` shape the trial
+``--scale``, ``--jobs`` and the observability flags); they are forwarded
+verbatim to the figure runner.  Keep them identical to the original
+invocation: the store key includes the observability profile, and ``--seeds``/``--scale`` shape the trial
 parameters, so changed knobs simply miss the cache (sound, just not a
 resume).
 """

@@ -7,7 +7,6 @@ Usage::
     python -m repro fig13_14 --seeds 5 --scale 1.0
     python -m repro all --seeds 2 --scale 0.25
     python -m repro fig4 --jobs 4          # 4 worker processes per sweep
-    python -m repro fig4 --scheduler calendar   # calendar-queue event kernel
 
 Observability::
 
@@ -25,8 +24,7 @@ Determinism observatory::
                                                # JSONL provenance header
     python -m repro fig4 --fingerprint fp.jsonl   # chained event digests
                                                   # + checkpoint stream
-    python -m repro diverge --a scheduler=heap --b scheduler=calendar
-                                               # bisect two configs to the
+    python -m repro diverge --a '' --b jobs=2  # bisect two configs to the
                                                # first divergent event
     python -m repro diverge --a file=fp.jsonl --b ''   # vs recorded stream
 
@@ -104,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes per sweep (0 = one per CPU; default: "
         "REPRO_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-kernel scheduler (sets REPRO_SCHEDULER; both are "
-        "order-identical — outputs never change, only kernel speed)",
     )
     parser.add_argument(
         "--store",
@@ -230,8 +221,8 @@ def _run_figures(args: argparse.Namespace) -> int:
 
     from repro.experiments.runner import configured_jobs
     from repro.obs.fingerprint import DEFAULT_CHECKPOINT_EVERY, fingerprinting
+    from repro.obs.kernelprof import KernelProfiler
     from repro.obs.metrics import MetricsRegistry, collect_registries
-    from repro.obs.profile import RunProfiler
     from repro.obs.recorder import (
         DEFAULT_INTERVAL_S,
         DEFAULT_KEYFRAME_EVERY,
@@ -246,7 +237,7 @@ def _run_figures(args: argparse.Namespace) -> int:
         )
         return 2
 
-    profiler = RunProfiler() if args.metrics else None
+    profiler = KernelProfiler(handlers=False) if args.metrics else None
     registries: List[MetricsRegistry] = []
     with ExitStack() as stack:
         if args.trace:
@@ -322,7 +313,7 @@ def _run_figures(args: argparse.Namespace) -> int:
             print(f"timeline written to {args.timeline}", file=sys.stderr)
     if profiler is not None:
         print()
-        print(profiler.render())
+        print(profiler.render_runs())
         if registries:
             merged = MetricsRegistry()
             for registry in registries:
@@ -360,8 +351,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_SCALE"] = str(args.scale)
     if args.jobs is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.scheduler is not None:
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
     if args.store is not None:
         os.environ["REPRO_STORE"] = args.store
 

@@ -26,12 +26,11 @@ everything on the caller's thread, exactly as before.  With ``jobs>1``:
   the campaign.  After a worker *process* death the retry round runs
   each remaining trial in its own single-worker pool, so a
   deterministically crashing trial only takes itself down;
-* observability survives the fan-out: workers return their
-  :class:`~repro.obs.profile.RunProfiler` records, merged
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshots, and (when
-  profiling is configured) :class:`~repro.obs.kernelprof.KernelProfiler`
-  snapshots, which the parent folds into its active profiler(s) /
-  registry collector;
+* observability survives the fan-out: workers return merged
+  :class:`~repro.obs.metrics.MetricsRegistry` snapshots and
+  :class:`~repro.obs.kernelprof.KernelProfiler` snapshots (run records,
+  plus handler stats when profiling is configured), which the parent
+  folds into its active profiler / registry collector;
 * process-wide JSONL trace sinks are sharded — worker ``k`` writes
   ``trace.k.jsonl`` next to the parent's ``trace.jsonl``.  Other sink
   types cannot cross a process boundary and raise
@@ -95,7 +94,6 @@ from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.audit import audit_extras
 from repro.obs.metrics import MetricsRegistry, _clear_collectors, collect_registries
-from repro.obs.profile import RunProfiler, _clear_active, active_profiler
 
 #: Per the paper: "results are averaged over 5 runs".
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -230,7 +228,7 @@ def _worker_init(
 
     Forked workers inherit the parent's process-wide observability state:
     global trace sinks (whose file handles are shared with the parent),
-    the active profiler (run and kernel), memory telemetry, open registry
+    the active profiler and its labels, memory telemetry, open registry
     collectors, and open recorder collectors.  All of it belongs to the
     parent, so drop it — workers report back through their return values
     instead — then open this worker's own JSONL trace shards and re-point
@@ -245,7 +243,6 @@ def _worker_init(
         # Remove without closing: under fork the file object is shared
         # with the parent, and closing here would flush its buffer twice.
         obs_trace.remove_global_sink(sink)
-    _clear_active()
     obs_kernelprof._clear_active()
     obs_kernelprof.request_profiling(profile_trials)
     obs_memprof._clear_active()
@@ -286,11 +283,11 @@ def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
     trial's scenarios attach are collected and their merged series summary
     lands in ``TrialMetrics.extras["timeline"]``.  When kernel profiling
     is configured (``repro profile``, ``REPRO_PROFILE``, or an active
-    :class:`~repro.obs.kernelprof.KernelProfiler`), the trial runs under
-    its own profiler; the per-trial summary lands in
+    handler-attributing :class:`~repro.obs.kernelprof.KernelProfiler`),
+    the trial runs under its own profiler; the per-trial summary lands in
     ``extras["profile"]`` (the ``hot_subsystem`` / ``kernel_share``
-    columns) and the handler stats fold into the enclosing profiler.
-    Campaigns with none of these skip all of this.
+    columns) and its handler stats and run records fold into the
+    enclosing profiler.  Campaigns with none of these skip all of this.
     """
     tracing = bool(obs_trace.global_sinks())
     recording = obs_recorder.configured_recording() is not None
@@ -406,35 +403,23 @@ def _run_task_in_worker(
     args: Tuple[Any, ...],
     label: str,
     timeout_s: Optional[float],
-) -> Tuple[
-    Any,
-    Tuple[Any, ...],
-    Dict[str, Dict[str, object]],
-    Optional[Dict[str, object]],
-]:
+) -> Tuple[Any, Dict[str, Dict[str, object]], Dict[str, object]]:
     """Execute one trial out-of-process and package its observability.
 
-    Returns ``(value, profiler_records, metrics_snapshot,
-    kernel_snapshot)`` where the metrics snapshot merges every registry
-    the trial's simulators created and the kernel snapshot (or ``None``
-    when profiling is off) carries this trial's handler stats for the
-    parent to fold into its own :class:`KernelProfiler`.
+    Returns ``(value, metrics_snapshot, kernel_snapshot)`` where the
+    metrics snapshot merges every registry the trial's simulators created
+    and the kernel snapshot carries this trial's labelled run records
+    (plus handler stats when profiling is configured) for the parent to
+    fold into its own :class:`KernelProfiler`.
     """
-    profiler = RunProfiler()
-    kernel = (
-        obs_kernelprof.KernelProfiler()
-        if obs_kernelprof.configured_profiling()
-        else None
+    kernel = obs_kernelprof.KernelProfiler(
+        handlers=obs_kernelprof.configured_profiling()
     )
     try:
         with collect_registries() as registries:
-            with profiler.activate(), profiler.label(label):
+            with kernel.activate(), obs_kernelprof.label(label):
                 with _trial_deadline(timeout_s, label):
-                    if kernel is not None:
-                        with kernel.activate():
-                            value = _audited_call(trial, args)
-                    else:
-                        value = _audited_call(trial, args)
+                    value = _audited_call(trial, args)
     except BaseException:
         # The attempt's partial shard events must not survive the merge;
         # a killed worker writes no marker, leaving an unterminated tail
@@ -445,12 +430,7 @@ def _run_task_in_worker(
     merged = MetricsRegistry()
     for registry in registries:
         merged.merge_snapshot(registry.snapshot())
-    return (
-        value,
-        tuple(profiler.records),
-        merged.snapshot(),
-        kernel.snapshot() if kernel is not None else None,
-    )
+    return value, merged.snapshot(), kernel.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -661,7 +641,7 @@ def _execute_parallel(
 
     Returns ``(values_by_key, failures_by_key, snapshots_by_key)`` —
     the last carries each successful trial's merged metrics snapshot so a
-    campaign store can record it.  Worker profiler records are folded
+    campaign store can record it.  Worker profiler snapshots are folded
     into the parent's active profiler and worker metric snapshots into a
     registry that joins any open :func:`collect_registries` block.
 
@@ -682,7 +662,6 @@ def _execute_parallel(
         if (shard_bases or timeline_shards or fingerprint_shards)
         else None
     )
-    profiler = active_profiler()
     kernel = obs_kernelprof.active_kernel_profiler()
     profile_trials = obs_kernelprof.configured_profiling()
     # Created here so it registers with the caller's collector (if any);
@@ -736,7 +715,7 @@ def _execute_parallel(
                 broken: List[Tuple[_Task, BaseException]] = []
                 for future, task in futures.items():
                     try:
-                        value, records, snapshot, kernel_snap = future.result()
+                        value, snapshot, kernel_snap = future.result()
                     except BaseException as error:  # noqa: BLE001 — recorded
                         if isinstance(error, BrokenProcessPool):
                             # A worker death poisons every pending future
@@ -755,9 +734,7 @@ def _execute_parallel(
                     else:
                         values[task.key] = value
                         snapshots[task.key] = snapshot
-                        if profiler is not None:
-                            profiler.extend(records)
-                        if kernel is not None and kernel_snap is not None:
+                        if kernel is not None:
                             kernel.merge_snapshot(kernel_snap)
                         campaign_metrics.merge_snapshot(snapshot)
             if len(broken) == 1:
@@ -821,7 +798,7 @@ def _campaign_artifacts() -> Dict[str, Any]:
 
 
 def _run_task_serial(
-    trial: Callable[..., Any], task: _Task, profiler: Optional[RunProfiler]
+    trial: Callable[..., Any], task: _Task
 ) -> Tuple[Any, Dict[str, Dict[str, object]]]:
     """One in-process trial plus its metrics snapshot (for the store).
 
@@ -829,12 +806,8 @@ def _run_task_serial(
     already joined any open collector, so a registered merge target would
     double every instrument in the caller's campaign view.
     """
-    with collect_registries() as registries:
-        if profiler is not None:
-            with profiler.label(task.label):
-                value = _audited_call(trial, task.args)
-        else:
-            value = _audited_call(trial, task.args)
+    with collect_registries() as registries, obs_kernelprof.label(task.label):
+        value = _audited_call(trial, task.args)
     scratch = MetricsRegistry(register=False)
     for registry in registries:
         scratch.merge_snapshot(registry.snapshot())
@@ -887,9 +860,8 @@ def _run_stored_campaign(
         # Serial contract unchanged: exceptions propagate.  Completed
         # trials are already durably stored, so a crashed serial campaign
         # resumes from the trial it died in.
-        profiler = active_profiler()
         for task in misses:
-            value, snapshot = _run_task_serial(trial, task, profiler)
+            value, snapshot = _run_task_serial(trial, task)
             store.put_value(
                 digests[task.key],
                 name,
@@ -961,7 +933,7 @@ def run_trials(
     time, mean airtime utilization) lands on each trial's
     ``TrialMetrics.extras["timeline"]`` and surfaces as table columns.
 
-    When a :class:`repro.obs.profile.RunProfiler` is active (CLI
+    When a :class:`repro.obs.kernelprof.KernelProfiler` is active (CLI
     ``--metrics``), each trial's simulator runs are labelled with its seed
     so the profile reads per-trial — including trials that ran in workers.
     """
@@ -988,13 +960,9 @@ def run_trials(
 
     if campaign_store is None:
         if jobs == 1:
-            profiler = active_profiler()
             results = []
             for seed in seeds:
-                if profiler is not None:
-                    with profiler.label(f"seed {seed}"):
-                        results.append(_audited_call(trial, (seed,)))
-                else:
+                with obs_kernelprof.label(f"seed {seed}"):
                     results.append(_audited_call(trial, (seed,)))
             return AggregateMetrics.from_trials(results)
         tasks = [
@@ -1123,15 +1091,11 @@ def run_sweep(
     campaign_store = resolve_store(store)
 
     if campaign_store is None and jobs == 1:
-        profiler = active_profiler()
         sweep = []
         for index, point in enumerate(points):
             results = []
             for seed in seeds:
-                if profiler is not None:
-                    with profiler.label(f"{labels[index]} seed {seed}"):
-                        results.append(_audited_call(trial, (point, seed)))
-                else:
+                with obs_kernelprof.label(f"{labels[index]} seed {seed}"):
                     results.append(_audited_call(trial, (point, seed)))
             sweep.append(
                 SweepPoint(

@@ -2,9 +2,9 @@
 
 The determinism substrate (exact digests, fingerprints, ``repro
 diverge``) guarantees that a trial is a pure function of its inputs: the
-trial function, its parameter point, its seed, the package version, the
-event-kernel scheduler, and the observability profile (tracing attaches
-``extras["audit"]`` to results, so it is an input too).  That makes
+trial function, its parameter point, its seed, the package version, and
+the observability profile (tracing attaches ``extras["audit"]`` to
+results, so it is an input too).  That makes
 caching sound — a trial keyed by the canonical digest of those inputs
 has exactly one correct result, so a crashed 10⁶-trial sweep can resume
 from what it already computed instead of starting over, and results are
@@ -49,7 +49,7 @@ from repro.obs.durable import provenance_doc, repro_version, write_json_atomic
 
 #: Bump when the entry document schema changes incompatibly; entries
 #: written under another schema version read as misses, not crashes.
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 
 #: Separator between key-material fields (same as the fingerprint
 #: encoding's field separator — it cannot appear in canonical text).
@@ -149,18 +149,15 @@ def task_digest(trial: Callable[..., Any], args: Tuple[Any, ...]) -> str:
     """Content address of one trial execution.
 
     Canonical digest of ``(trial qualname, args, repro version,
-    scheduler, observability profile)``.  The seed is part of ``args``
-    for both campaign shapes (``(seed,)`` and ``(point, seed)``).
+    observability profile)``.  The seed is part of ``args`` for both
+    campaign shapes (``(seed,)`` and ``(point, seed)``).
     """
-    from repro.sim.scheduler import configured_scheduler
-
     material = _SEP.join(
         (
             "repro-store-v%d" % STORE_SCHEMA,
             trial_id(trial),
             canonical_params(tuple(args)),
             repro_version(),
-            configured_scheduler(),
             ",".join(observability_tags()),
         )
     )

@@ -8,8 +8,9 @@ Three complementary views into a running simulation, all designed to cost
   with pluggable sinks (in-memory ring buffer, JSONL file writer);
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
   behind :class:`repro.net.stats.NetworkStats` and the round machinery;
-* :mod:`repro.obs.profile` — wall-time / events-per-second / queue-depth
-  profiles of whole experiment runs, surfaced by the runner and the CLI.
+* :mod:`repro.obs.kernelprof` — wall-time / events-per-second / queue-depth
+  records of whole simulator runs plus per-handler hotspot attribution,
+  surfaced by the runner, ``--metrics`` and ``repro profile``.
 
 :mod:`repro.obs.inspect` turns a trace file back into per-node and
 per-message-kind summaries (``python -m repro inspect out.jsonl``);
@@ -25,8 +26,8 @@ renders per-node sparkline series.
 """
 
 from repro.obs.audit import AuditReport, Violation, audit_events, audit_extras
+from repro.obs.kernelprof import KernelProfiler, RunRecord, active_kernel_profiler
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import RunProfiler, RunRecord, active_profiler
 from repro.obs.recorder import (
     FlightRecorder,
     RecordingConfig,
@@ -103,9 +104,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RunProfiler",
+    "KernelProfiler",
     "RunRecord",
-    "active_profiler",
+    "active_kernel_profiler",
     "JsonlSink",
     "ListSink",
     "RingBufferSink",

@@ -4,8 +4,7 @@
 open: two runs disagree — *at which event*?  Each **side** of the
 comparison is either
 
-* a configuration to execute (event-kernel scheduler, worker count,
-  kernel profiling on/off, an injected ``REPRO_RNG_PERTURB`` draw flip),
+* a configuration to execute (worker count, kernel profiling on/off, an injected ``REPRO_RNG_PERTURB`` draw flip),
   run here on the canonical PDD scenario under a fingerprint; or
 * a pre-recorded fingerprint checkpoint file (``file=...``) from any
   earlier run — e.g. a baseline built from another git revision.
@@ -58,18 +57,17 @@ class SideSpec:
     """One side of the comparison: a config to run, or a recorded file.
 
     Parsed from a comma-separated ``key=value`` string
-    (:meth:`parse`), e.g. ``"scheduler=calendar"``, ``"jobs=8"``,
-    ``"perturb=medium:40,scheduler=heap"``, or ``"file=fp_base.jsonl"``.
+    (:meth:`parse`), e.g. ``"jobs=8"``, ``"profile=on"``,
+    ``"perturb=medium:40,jobs=2"``, or ``"file=fp_base.jsonl"``.
     """
 
     label: str
-    scheduler: Optional[str] = None
     jobs: int = 1
     profile: bool = False
     perturb: Optional[str] = None
     file: Optional[str] = None
 
-    _KEYS = ("scheduler", "jobs", "profile", "perturb", "file")
+    _KEYS = ("jobs", "profile", "perturb", "file")
 
     @classmethod
     def parse(cls, label: str, raw: str) -> "SideSpec":
@@ -101,9 +99,7 @@ class SideSpec:
                 spec.profile = value.lower() in ("1", "true", "yes", "on")
             else:
                 setattr(spec, key, value)
-        if spec.file is not None and (
-            spec.scheduler or spec.perturb or spec.profile or spec.jobs != 1
-        ):
+        if spec.file is not None and (spec.perturb or spec.profile or spec.jobs != 1):
             raise ConfigurationError(
                 f"side {label}: file= is a recorded checkpoint stream; it "
                 f"cannot be combined with run options"
@@ -113,7 +109,7 @@ class SideSpec:
     def describe(self) -> str:
         if self.file is not None:
             return f"file={self.file}"
-        parts = [f"scheduler={self.scheduler or 'default'}", f"jobs={self.jobs}"]
+        parts = [f"jobs={self.jobs}"]
         if self.profile:
             parts.append("profile=on")
         if self.perturb:
@@ -217,7 +213,6 @@ def run_side(
     suffix = "" if detail is None else ".detail"
     path = os.path.join(workdir, f"side_{spec.label}{suffix}.jsonl")
     overrides: Dict[str, Optional[str]] = {
-        "REPRO_SCHEDULER": spec.scheduler,
         "REPRO_RNG_PERTURB": spec.perturb,
         "REPRO_JOBS": str(spec.jobs),
         "REPRO_PROFILE": "1" if spec.profile else None,

@@ -47,20 +47,18 @@ def repro_version() -> str:
 def provenance_doc() -> Dict[str, Any]:
     """The provenance header every JSONL artifact leads with.
 
-    Records what produced the file — package version, the event-kernel
-    scheduler in effect, and the fingerprint configuration (if any) — so a
-    shard dug out of a CI artifact months later still says which build and
-    which kernel wrote it.  The single ``"provenance"`` marker key is what
-    every loader (traces, timelines, fingerprints) skips on.
+    Records what produced the file — package version and the fingerprint
+    configuration (if any) — so a shard dug out of a CI artifact months
+    later still says which build wrote it.  The single ``"provenance"``
+    marker key is what every loader (traces, timelines, fingerprints)
+    skips on.
     """
     from repro.obs.fingerprint import configured_fingerprint
-    from repro.sim.scheduler import configured_scheduler
 
     fp = configured_fingerprint()
     doc: Dict[str, Any] = {
         "provenance": 1,
         "repro_version": repro_version(),
-        "scheduler": configured_scheduler(),
     }
     if fp is not None:
         doc["fingerprint"] = {

@@ -1,8 +1,8 @@
 """Event-stream fingerprinting: chained digests with checkpoint records.
 
-Every determinism gate in this repo (parallel-vs-serial parity, scheduler
-order-identity, the ``bench --check`` digest gate) compares whole-run
-outputs — which says *that* two runs diverged, never *where*.  A
+Every determinism gate in this repo (parallel-vs-serial parity,
+profile-on-vs-off parity, the ``bench --check`` digest gate) compares
+whole-run outputs — which says *that* two runs diverged, never *where*.  A
 :class:`FingerprintConfig` closes that gap: while one is installed, the
 simulator dispatch loop canonically encodes every fired event — virtual
 time, priority, sequence number, handler key, and scalar payload fields —
@@ -402,7 +402,6 @@ class EventFingerprinter:
                 "fp": "meta",
                 "run": self.run_id,
                 "every": self._every,
-                "scheduler": sim.scheduler_name,
             }
         )
         self.note = self._make_note()

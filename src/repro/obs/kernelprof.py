@@ -1,10 +1,13 @@
-"""Kernel hotspot attribution: where the simulator's wall time goes.
+"""Kernel profiling: per-run totals and per-handler hotspot attribution.
 
-The :class:`~repro.sim.simulator.Simulator` dispatch loop fires opaque
-callbacks; :class:`RunProfiler <repro.obs.profile.RunProfiler>` can say
-how *fast* a run was, but not *why*.  A :class:`KernelProfiler` closes
-that gap: while one is active, the dispatch loop wraps every
-``event.fire()`` in a ``perf_counter_ns`` delta and reports it here,
+While a :class:`KernelProfiler` is active, every :meth:`Simulator.run()
+<repro.sim.simulator.Simulator.run>` call reports a :class:`RunRecord`
+here — wall-clock duration, processed events, final virtual time and peak
+event-queue depth, labelled by the enclosing :func:`label` blocks so the
+profile reads "seed 3 → 1.2 s wall, 410k events, 340k ev/s".  That says
+how *fast* a run was.  With ``handlers=True`` (the default) the profiler
+also says *why*: the simulator switches to its observed dispatch loop,
+which wraps every ``event.fire()`` in a ``perf_counter_ns`` delta
 attributed to the event's handler function.  Aggregation is designed for
 the hot path:
 
@@ -20,56 +23,61 @@ the hot path:
 Zero-cost / determinism contract
 --------------------------------
 
-With no profiler active the dispatch loop takes its original branch —
-the only cost is one ``active_kernel_profiler()`` call per ``run()``,
-and event execution is byte-for-byte the code that shipped before the
-profiler existed, so profiler-off runs are bit-identical to seed.  With
-a profiler active, timing wraps *around* ``event.fire()`` without
-touching event order, RNG draws, or virtual time, so profiler-on runs
-keep exact output digests; only wall time changes (measured <10% on the
-mobility workload).
+With no profiler active (or one with ``handlers=False``) the simulator
+runs its plain dispatch loop — the only cost is one
+``active_kernel_profiler()`` call per ``run()`` plus, for a run-only
+profiler, two clock reads per ``run()``.  With handler attribution on,
+timing wraps *around* ``event.fire()`` without touching event order, RNG
+draws, or virtual time, so profiled runs keep exact output digests; only
+wall time changes (measured <10% on the mobility workload).
 
 Exports
 -------
 
-Reports come in three shapes: :meth:`KernelProfiler.render` (top-N
-hotspot tables for the ``repro profile`` CLI),
+Reports come in four shapes: :meth:`KernelProfiler.render_runs` (the
+per-run table printed under ``--metrics``), :meth:`KernelProfiler.render`
+(top-N hotspot tables for the ``repro profile`` CLI),
 :meth:`KernelProfiler.collapsed_stacks` (FlameGraph/speedscope-
 compatible collapsed-stack text, one ``frame;frame value`` line per
 handler, values in microseconds), and :meth:`KernelProfiler.summary` /
 :meth:`KernelProfiler.trial_summary` (flat dicts for campaign columns —
 ``hot_subsystem`` / ``kernel_share`` in ``as_row()``).
 
-Multi-process campaigns mirror the :class:`RunProfiler` pattern: each
-worker runs its own :class:`KernelProfiler` (the parent's fan-out
-requests it via :func:`request_profiling` in the worker initializer, or
-the ``REPRO_PROFILE`` env knob), ships :meth:`snapshot` back with the
-trial result, and the parent folds it into its own profiler with
-:meth:`merge_snapshot`.
+Multi-process campaigns: each worker runs its own :class:`KernelProfiler`
+(handler attribution travels via :func:`request_profiling` in the worker
+initializer, or the ``REPRO_PROFILE`` env knob), ships :meth:`snapshot`
+back with the trial result, and the parent folds it — run records
+included — into its own profiler with :meth:`merge_snapshot`.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Collapsed-stack root frame (groups all handlers under one flame base).
 FLAME_ROOT = "repro-sim"
 
-#: Subsystem label of the schedulers' sentinel dispatch handlers (see
-#: :func:`repro.sim.event.scheduler_profile_key`).  The dispatch loop
-#: books per-event peek/pop time under these, so scheduler overhead shows
-#: up as its own subsystem instead of hiding in the profiled wall's idle
-#: remainder.  Entries under this subsystem carry *dispatch* counts, not
-#: fired events, so :attr:`KernelProfiler.events` excludes them — every
-#: simulator event would otherwise be counted twice.
+#: Subsystem label of :func:`dispatch`.  The observed dispatch loop books
+#: per-event peek/pop time there, so event-queue overhead shows up as its
+#: own subsystem instead of hiding in the profiled wall's idle remainder.
+#: Entries under this subsystem carry *dispatch* counts, not fired events,
+#: so :attr:`KernelProfiler.events` excludes them — every simulator event
+#: would otherwise be counted twice.
 SCHEDULER_SUBSYSTEM = "sim.scheduler"
+
+
+def dispatch() -> None:  # pragma: no cover - never called, only keyed
+    """Sentinel handler keying the event queue's peek/pop time."""
 
 
 def _subsystem_of(fn: Any) -> str:
     """Subsystem label for a handler function (module-derived)."""
+    if fn is dispatch:
+        return SCHEDULER_SUBSYSTEM
     module = getattr(fn, "__module__", None) or ""
     if module == "repro" or module.startswith("repro."):
         parts = module.split(".")[1:]
@@ -85,10 +93,33 @@ def _handler_of(fn: Any) -> str:
     return getattr(fn, "__name__", None) or repr(fn)
 
 
+@dataclass(frozen=True)
+class RunRecord:
+    """One ``Simulator.run()`` call observed by the profiler."""
+
+    label: str
+    wall_s: float
+    events: int
+    sim_time_s: float
+    peak_queue_depth: int
+
+    @property
+    def events_per_s(self) -> float:
+        """Processed events per wall-clock second."""
+        return self.events / self.wall_s if self.wall_s > 0 else 0.0
+
+
 class KernelProfiler:
-    """Per-handler wall-time and count attribution for simulator events.
+    """Per-run records plus per-handler wall-time and count attribution.
+
+    Args:
+        handlers: Attribute every fired event to its handler (the
+            simulator's observed loop).  ``False`` keeps the plain loop
+            and records only the per-run :attr:`records`.
 
     Attributes:
+        records: One :class:`RunRecord` per ``Simulator.run()`` call made
+            while this profiler was active (or merged in from another).
         wall_ns: Wall time covered by this profiler's own
             :meth:`activate` spans (merges do **not** add wall — a
             worker's share is judged against *its* wall inside its own
@@ -96,12 +127,14 @@ class KernelProfiler:
             of any profiler nested under it).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, handlers: bool = True) -> None:
+        self.handlers = handlers
         #: handler function -> [count, ns]; hot-path table (see note()).
         self._acc: Dict[Any, List[int]] = {}
         #: (subsystem, handler) -> [count, ns]; merged-in (name-keyed).
         self._named: Dict[Tuple[str, str], List[int]] = {}
         self.wall_ns: int = 0
+        self.records: List[RunRecord] = []
 
     # ------------------------------------------------------------------
     # Hot path
@@ -109,7 +142,7 @@ class KernelProfiler:
     def note(self, callback: Callable[..., Any], ns: int) -> None:
         """Attribute ``ns`` nanoseconds to ``callback``'s handler.
 
-        Called by the simulator dispatch loop once per fired event.
+        The simulator's observed loop inlines this update per fired event.
         """
         key = getattr(callback, "__func__", callback)
         acc = self._acc.get(key)
@@ -117,6 +150,24 @@ class KernelProfiler:
             acc = self._acc[key] = [0, 0]
         acc[0] += 1
         acc[1] += ns
+
+    def record_run(
+        self,
+        wall_s: float,
+        events: int,
+        sim_time_s: float,
+        peak_queue_depth: int,
+    ) -> None:
+        """Called by the simulator at the end of each ``run()``."""
+        self.records.append(
+            RunRecord(
+                label=" / ".join(_LABELS) if _LABELS else "run",
+                wall_s=wall_s,
+                events=events,
+                sim_time_s=sim_time_s,
+                peak_queue_depth=peak_queue_depth,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Activation
@@ -191,11 +242,12 @@ class KernelProfiler:
     # Merging (worker -> parent, trial -> campaign)
     # ------------------------------------------------------------------
     def merge(self, other: "KernelProfiler") -> None:
-        """Fold another profiler's handler stats into this one.
+        """Fold another profiler's handler stats and run records in.
 
         Wall time is *not* folded — see :attr:`wall_ns`.
         """
         self._merge_stats(other.stats())
+        self.records.extend(other.records)
 
     def snapshot(self) -> Dict[str, object]:
         """Picklable/JSON-able form for cross-process return values."""
@@ -204,6 +256,10 @@ class KernelProfiler:
             "handlers": [
                 [subsystem, handler, count, ns]
                 for (subsystem, handler), (count, ns) in sorted(self.stats().items())
+            ],
+            "runs": [
+                [r.label, r.wall_s, r.events, r.sim_time_s, r.peak_queue_depth]
+                for r in self.records
             ],
         }
 
@@ -214,6 +270,10 @@ class KernelProfiler:
                 (str(subsystem), str(handler)): (int(count), int(ns))
                 for subsystem, handler, count, ns in snapshot.get("handlers", [])
             }
+        )
+        self.records.extend(
+            RunRecord(str(label), float(wall), int(events), float(sim), int(peak))
+            for label, wall, events, sim, peak in snapshot.get("runs", [])
         )
 
     def _merge_stats(
@@ -229,6 +289,42 @@ class KernelProfiler:
     # ------------------------------------------------------------------
     # Reports
     # ------------------------------------------------------------------
+    def runs_summary(self) -> Dict[str, float]:
+        """Aggregate totals over all recorded runs."""
+        wall = sum(r.wall_s for r in self.records)
+        events = sum(r.events for r in self.records)
+        return {
+            "runs": len(self.records),
+            "wall_s": wall,
+            "events": events,
+            "events_per_s": events / wall if wall > 0 else 0.0,
+            "peak_queue_depth": max(
+                (r.peak_queue_depth for r in self.records), default=0
+            ),
+        }
+
+    def render_runs(self) -> str:
+        """Per-run table (printed by the CLI under ``--metrics``)."""
+        if not self.records:
+            return "profile: no simulator runs recorded"
+        lines = ["profile:"]
+        for record in self.records:
+            lines.append(
+                f"  {record.label:<28s} wall {record.wall_s:8.3f}s  "
+                f"events {record.events:>9d}  "
+                f"{record.events_per_s:>10.0f} ev/s  "
+                f"sim {record.sim_time_s:8.1f}s  "
+                f"peak queue {record.peak_queue_depth}"
+            )
+        totals = self.runs_summary()
+        lines.append(
+            f"  {'TOTAL':<28s} wall {totals['wall_s']:8.3f}s  "
+            f"events {int(totals['events']):>9d}  "
+            f"{totals['events_per_s']:>10.0f} ev/s  "
+            f"peak queue {int(totals['peak_queue_depth'])}"
+        )
+        return "\n".join(lines)
+
     def summary(self) -> Dict[str, object]:
         """Flat roll-up: totals, share of profiled wall, hottest entries.
 
@@ -363,6 +459,9 @@ class KernelProfiler:
 # ----------------------------------------------------------------------
 _ACTIVE: Optional[KernelProfiler] = None
 
+#: Run-record label stack (see :func:`label`).
+_LABELS: List[str] = []
+
 #: Set in worker processes whose parent campaign requested profiling
 #: (travels through the worker initializer, start-method agnostic).
 _REQUESTED = False
@@ -373,15 +472,28 @@ def active_kernel_profiler() -> Optional[KernelProfiler]:
     return _ACTIVE
 
 
-def configured_profiling() -> bool:
-    """Whether kernel profiling is requested for trials in this process.
+@contextmanager
+def label(text: str) -> Iterator[None]:
+    """Prefix run records emitted inside the block (nestable)."""
+    _LABELS.append(text)
+    try:
+        yield
+    finally:
+        _LABELS.pop()
 
-    True when a profiler is active, when a parent campaign requested it
-    via :func:`request_profiling`, or when the ``REPRO_PROFILE`` env knob
-    is set (how the ``repro profile`` CLI reaches spawned workers).
+
+def configured_profiling() -> bool:
+    """Whether handler attribution is requested for trials in this process.
+
+    True when a handler-attributing profiler is active, when a parent
+    campaign requested it via :func:`request_profiling`, or when the
+    ``REPRO_PROFILE`` env knob is set (how the ``repro profile`` CLI
+    reaches spawned workers).
     """
     return (
-        _ACTIVE is not None or _REQUESTED or bool(os.environ.get("REPRO_PROFILE"))
+        (_ACTIVE is not None and _ACTIVE.handlers)
+        or _REQUESTED
+        or bool(os.environ.get("REPRO_PROFILE"))
     )
 
 
@@ -392,6 +504,7 @@ def request_profiling(flag: bool) -> None:
 
 
 def _clear_active() -> None:
-    """Drop a profiler inherited by a forked worker process."""
+    """Drop a profiler (and labels) inherited by a forked worker process."""
     global _ACTIVE
     _ACTIVE = None
+    _LABELS.clear()

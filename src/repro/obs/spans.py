@@ -148,7 +148,7 @@ def load_trace(path: str) -> TraceLoad:
                     skipped += 1
                     continue
                 if "provenance" in event:
-                    # The file-header provenance record (version, scheduler,
+                    # The file-header provenance record (version,
                     # fingerprint config) — expected, not a skipped line.
                     continue
                 if "attempt" in event:

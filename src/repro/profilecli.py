@@ -10,10 +10,10 @@ Usage::
     python -m repro profile fig5 --json            # machine-readable report
 
 Runs one figure (or ``all``) under the kernel profiler
-(:mod:`repro.obs.kernelprof`) plus the whole-run profiler
-(:mod:`repro.obs.profile`), then renders per-subsystem / per-handler
-hotspot tables and, on request, a collapsed-stack flamegraph file and
-per-phase memory telemetry (:mod:`repro.obs.memprof`).
+(:mod:`repro.obs.kernelprof`), then renders its per-run table,
+per-subsystem / per-handler hotspot tables and, on request, a
+collapsed-stack flamegraph file and per-phase memory telemetry
+(:mod:`repro.obs.memprof`).
 
 Profiling does not perturb simulation outputs — event order, virtual
 time, and RNG draws are untouched (see DESIGN.md §10) — so the figure
@@ -38,7 +38,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.figures import REGISTRY
 from repro.obs.kernelprof import KernelProfiler
 from repro.obs.memprof import MemoryTelemetry
-from repro.obs.profile import RunProfiler
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,13 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes per sweep (0 = one per CPU; default: "
         "REPRO_JOBS or 1; --memory defaults to 1)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-kernel scheduler (sets REPRO_SCHEDULER); dispatch "
-        "time shows up as the sim.scheduler subsystem either way",
     )
     parser.add_argument(
         "--top",
@@ -111,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _json_report(
     figure: str,
     kernel: KernelProfiler,
-    profiler: RunProfiler,
     memory: Optional[MemoryTelemetry],
     top: int,
 ) -> str:
@@ -133,7 +124,7 @@ def _json_report(
             }
             for (subsystem, handler), (count, ns) in handlers
         ],
-        "runs": profiler.summary(),
+        "runs": kernel.runs_summary(),
     }
     if memory is not None:
         report["memory"] = {
@@ -173,8 +164,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_SEEDS"] = str(args.seeds)
     if args.scale is not None:
         os.environ["REPRO_SCALE"] = str(args.scale)
-    if args.scheduler is not None:
-        os.environ["REPRO_SCHEDULER"] = args.scheduler
     if args.jobs is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
     elif args.memory:
@@ -185,12 +174,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     os.environ["REPRO_PROFILE"] = "1"
 
     kernel = KernelProfiler()
-    profiler = RunProfiler()
     memory = MemoryTelemetry() if args.memory else None
     figure_outputs: List[str] = []
     try:
         with ExitStack() as stack:
-            stack.enter_context(profiler.activate())
             stack.enter_context(kernel.activate())
             if memory is not None:
                 stack.enter_context(memory.activate())
@@ -206,12 +193,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if args.as_json:
-        print(_json_report(args.figure, kernel, profiler, memory, args.top))
+        print(_json_report(args.figure, kernel, memory, args.top))
     else:
         for chunk in figure_outputs:
             print(chunk)
         print()
-        print(profiler.render())
+        print(kernel.render_runs())
         print()
         print(kernel.render(top=args.top))
         if memory is not None:

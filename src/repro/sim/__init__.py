@@ -1,35 +1,17 @@
 """Discrete-event simulation kernel used by all PDS experiments."""
 
-from repro.sim.event import (
-    DEFAULT_PRIORITY,
-    Event,
-    EventQueue,
-    HeapScheduler,
-    Scheduler,
-)
+from repro.sim.event import DEFAULT_PRIORITY, Event, EventQueue
 from repro.sim.process import PeriodicTask, Timer
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.scheduler import (
-    SCHEDULER_NAMES,
-    CalendarScheduler,
-    configured_scheduler,
-    resolve_scheduler,
-)
 from repro.sim.simulator import Simulator
 
 __all__ = [
     "DEFAULT_PRIORITY",
-    "CalendarScheduler",
     "Event",
     "EventQueue",
-    "HeapScheduler",
     "PeriodicTask",
     "RngRegistry",
-    "SCHEDULER_NAMES",
-    "Scheduler",
     "Simulator",
     "Timer",
-    "configured_scheduler",
     "derive_seed",
-    "resolve_scheduler",
 ]

@@ -1,24 +1,19 @@
-"""Event objects and the pending-event schedulers of the discrete-event kernel.
+"""Event objects and the pending-event queue of the discrete-event kernel.
 
-Schedulers order events by ``(time, priority, sequence)``.  The
+The queue orders events by ``(time, priority, sequence)``.  The
 monotonically increasing sequence number guarantees a stable FIFO order for
 events scheduled at the same instant with the same priority, which keeps
 simulations fully deterministic for a given seed.
 
-Cancellation is *lazy*: a cancelled event stays in the scheduler's storage
-until popped, but the scheduler's length accounting tracks only live
-events.  Every event holds a back-reference to its scheduler, so
+Cancellation is *lazy*: a cancelled event stays in the queue's storage
+until popped, but the queue's length accounting tracks only live
+events.  Every event holds a back-reference to its queue, so
 :meth:`Event.cancel` keeps the accounting exact no matter which of the two
 cancellation entry points (``event.cancel()`` or ``queue.cancel(event)``) a
 caller uses, and cancelling an event that already fired (or was cleared) is
 a no-op — it must not deflate the live count.  ``Simulator.peak_queue_depth``
 reads ``len(queue)``, so this accounting is what keeps the reported peak
 free of cancelled-but-unpopped ghosts.
-
-This module holds the :class:`Scheduler` contract, the :class:`Event`
-object, and the default binary-heap implementation (:class:`EventQueue`,
-aliased as ``HeapScheduler``).  The calendar-queue implementation and the
-name-based factory live in :mod:`repro.sim.scheduler`.
 """
 
 from __future__ import annotations
@@ -60,9 +55,9 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = cancelled
-        #: The scheduler currently holding this event (None once
+        #: The queue currently holding this event (None once
         #: popped/cleared).
-        self._queue: Optional["Scheduler"] = None
+        self._queue: Optional["EventQueue"] = None
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
@@ -101,119 +96,34 @@ class Event:
         self.callback(*self.args)
 
 
-def scheduler_profile_key(name: str) -> Callable[[], None]:
-    """A sentinel handler under which kernel profilers book scheduler time.
+class EventQueue:
+    """The kernel's pending-event queue: a binary heap of :class:`Event`.
 
-    The kernel profiler attributes time to *handler functions* and derives
-    the subsystem label from the function's module.  Scheduler
-    implementations expose one of these markers as ``profile_key`` so the
-    profiled dispatch loop can attribute peek/pop time to a
-    ``sim.scheduler`` subsystem of its own instead of hiding it in the
-    loop's idle remainder.
-    """
+    O(log n) push/pop via :mod:`heapq`.  Beyond the method signatures:
 
-    def dispatch() -> None:  # pragma: no cover - never called, only keyed
-        pass
-
-    dispatch.__name__ = name
-    dispatch.__qualname__ = f"{name}.dispatch"
-    dispatch.__module__ = "repro.sim.scheduler"
-    return dispatch
-
-
-class Scheduler:
-    """The pending-event scheduler contract of the simulation kernel.
-
-    Implementations are *order-identical*: for any interleaving of pushes,
-    cancellations, clears and pops, every implementation must yield the
-    exact same pop sequence — the total order is ``(time, priority,
-    sequence)`` with sequence numbers handed out in push order, so events
-    scheduled at the same instant with the same priority pop FIFO.  The
-    hypothesis oracle suite (``tests/properties/test_scheduler_oracle.py``)
-    enforces this against the binary heap reference.
-
-    Contract, beyond the method signatures:
-
-    * **Lazy cancellation, exact accounting.** Cancelled events may stay in
-      internal storage until popped (or reorganized away), but ``len()``
-      counts only live events.  :meth:`Event.cancel` decrements the owning
-      scheduler's ``_active`` count directly (a plain attribute, not a
-      method, to keep the timer-heavy cancel path cheap), so every
-      implementation must maintain ``_active`` as *the* live count.
-    * **Back-reference severing.** :meth:`pop` and :meth:`clear` must set
-      ``event._queue = None`` for every event they remove, so a later
-      ``event.cancel()`` on a stale handle is a no-op and cannot deflate
-      the live count of a refilled scheduler.
-    * **Non-negative times.**  Callers only push ``time >= 0`` (the
-      simulator's clock starts at zero and never schedules into the past).
-    * ``pop()`` on a scheduler with no live events raises
+    * **Lazy cancellation, exact accounting.** Cancelled events stay in
+      the heap until popped, but ``len()`` counts only live events.
+      :meth:`Event.cancel` decrements ``_active`` directly (a plain
+      attribute, not a method, to keep the timer-heavy cancel path cheap).
+    * **Back-reference severing.** :meth:`pop`, :meth:`peek_time` and
+      :meth:`clear` set ``event._queue = None`` for every event they
+      remove, so a later ``event.cancel()`` on a stale handle is a no-op
+      and cannot deflate the live count of a refilled queue.
+    * ``pop()`` on a queue with no live events raises
       :class:`~repro.errors.SimulationError`; ``peek_time()`` returns
       ``None`` instead.
-
-    Class attributes:
-        name: Registry name used by ``REPRO_SCHEDULER`` / ``--scheduler``.
-        profile_key: Sentinel handler for kernel-profiler attribution
-            (see :func:`scheduler_profile_key`).
     """
 
-    name = "abstract"
-    profile_key = staticmethod(scheduler_profile_key("Scheduler"))
-
-    _active: int
+    def __init__(self) -> None:
+        self._heap: list[Event] = []
+        self._counter = itertools.count()
+        self._active = 0
 
     def __len__(self) -> int:
         return self._active
 
     def __bool__(self) -> bool:
         return self._active > 0
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = DEFAULT_PRIORITY,
-    ) -> Event:
-        """Insert a new event and return it (so callers may cancel it)."""
-        raise NotImplementedError
-
-    def pop(self) -> Event:
-        """Remove and return the earliest live event (severs its back-ref).
-
-        Raises:
-            SimulationError: if the scheduler holds no live events.
-        """
-        raise NotImplementedError
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously pushed event (idempotent)."""
-        event.cancel()
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next live event, or ``None`` if empty."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Discard all pending events, severing every back-reference."""
-        raise NotImplementedError
-
-
-class EventQueue(Scheduler):
-    """The default scheduler: a binary heap of :class:`Event` objects.
-
-    O(log n) push/pop via :mod:`heapq`; the reference implementation the
-    oracle suite measures every other scheduler against.  Cancelled events
-    are dropped lazily when popped; :meth:`__len__` reports only active
-    events.
-    """
-
-    name = "heap"
-    profile_key = staticmethod(scheduler_profile_key("HeapScheduler"))
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
-        self._active = 0
 
     def push(
         self,
@@ -251,6 +161,10 @@ class EventQueue(Scheduler):
             return event
         raise SimulationError("pop() from an empty event queue")
 
+    def cancel(self, event: Event) -> None:
+        """Cancel a previously pushed event (idempotent)."""
+        event.cancel()
+
     def peek_time(self) -> Optional[float]:
         """Return the time of the next active event, or ``None`` if empty."""
         while self._heap and self._heap[0].cancelled:
@@ -262,15 +176,12 @@ class EventQueue(Scheduler):
     def clear(self) -> None:
         """Discard all pending events.
 
-        Severs each cleared event's back-reference (the scheduler
-        contract), so cancelling a stale handle afterwards cannot deflate
-        the live count of a refilled queue.
+        Severs each cleared event's back-reference, so cancelling a stale
+        handle afterwards cannot deflate the live count of a refilled
+        queue.
         """
         for event in self._heap:
             event._queue = None
         self._heap.clear()
         self._active = 0
 
-
-#: Alias matching the scheduler registry's naming scheme.
-HeapScheduler = EventQueue

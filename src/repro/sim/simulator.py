@@ -9,16 +9,14 @@ with :meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.at`
 from __future__ import annotations
 
 from time import perf_counter, perf_counter_ns
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.fingerprint import EventFingerprinter, configured_fingerprint
-from repro.obs.kernelprof import active_kernel_profiler
+from repro.obs.kernelprof import active_kernel_profiler, dispatch
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import active_profiler
 from repro.obs.trace import TraceBus, global_sinks
-from repro.sim.event import DEFAULT_PRIORITY, Event, Scheduler
-from repro.sim.scheduler import resolve_scheduler
+from repro.sim.event import DEFAULT_PRIORITY, Event, EventQueue
 
 
 class Simulator:
@@ -32,27 +30,16 @@ class Simulator:
             histograms recorded by the stack).
         events_processed: Total events fired over the simulator's life.
         peak_queue_depth: Largest event-queue length observed while running.
-        scheduler_name: Registry name of the pending-event scheduler this
-            simulator runs on (``"heap"`` unless selected otherwise).
         recorder: The attached flight recorder
             (:class:`repro.obs.recorder.FlightRecorder`), or ``None``.
             Left ``None`` unless a recording is configured — the event
             loop itself never consults it, so a disabled recorder adds
             zero per-event cost.
-
-    Args:
-        scheduler: Pending-event scheduler selection — a registry name
-            (``"heap"``/``"calendar"``), a ready
-            :class:`~repro.sim.event.Scheduler` instance, or ``None`` to
-            honour the ``REPRO_SCHEDULER`` env knob (default: heap).  All
-            registered schedulers are order-identical, so the choice
-            affects kernel speed only, never simulation outputs.
     """
 
-    def __init__(self, scheduler: Union[str, Scheduler, None] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue = resolve_scheduler(scheduler)
-        self.scheduler_name: str = self._queue.name
+        self._queue = EventQueue()
         self._running = False
         self._stopped = False
         self.trace = TraceBus(clock=lambda: self.now)
@@ -111,7 +98,8 @@ class Simulator:
             until: Stop once the clock would pass this time.  The clock is
                 advanced to ``until`` when the queue drains earlier, so
                 repeated ``run(until=...)`` calls observe monotonic time.
-            max_events: Safety valve; raise after this many events.
+            max_events: Safety valve; raise when a due event remains after
+                this many have fired.
 
         Returns:
             The number of events processed.
@@ -124,7 +112,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         processed = 0
-        profiler = active_profiler()
         kernel = active_kernel_profiler()
         fp_config = configured_fingerprint()
         fingerprint: Optional[EventFingerprinter] = None
@@ -134,17 +121,24 @@ class Simulator:
                 fingerprint = self._fingerprint = EventFingerprinter(
                     self, fp_config
                 )
-        wall_start = perf_counter() if profiler is not None else 0.0
+        acc_map = kernel._acc if kernel is not None and kernel.handlers else None
+        wall_start = perf_counter() if kernel is not None else 0.0
         queue = self._queue
         peak_depth = len(queue)
         try:
-            if kernel is None and fingerprint is None:
+            if acc_map is None and fingerprint is None:
                 while queue and not self._stopped:
                     next_time = queue.peek_time()
                     if next_time is None:
                         break
                     if until is not None and next_time > until:
                         break
+                    if max_events is not None and processed >= max_events:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events} "
+                            f"(processed={processed}, now={self.now}); "
+                            f"runaway simulation?"
+                        )
                     event = queue.pop()
                     if event.time < self.now:
                         raise SimulationError(
@@ -156,95 +150,42 @@ class Simulator:
                     depth = len(queue)
                     if depth > peak_depth:
                         peak_depth = depth
-                    if max_events is not None and processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(processed={processed}, now={self.now}); "
-                            f"runaway simulation?"
-                        )
-            elif fingerprint is None:
-                # Kernel-profiled variant of the loop above.  Kept as a
-                # separate branch (not per-event `if kernel` checks) so the
-                # unprofiled path is byte-for-byte the original loop and
-                # profiler-off runs stay bit-identical.  Timing wraps only
-                # the scheduler's peek/pop and the fire() call; event
-                # order, clock, and RNG draws are untouched, so profiled
-                # runs keep exact output digests.  The accumulator update
-                # is inlined (rather than calling kernel.note) to keep
-                # profiled overhead under the <10% budget on event-dense
-                # workloads.  Scheduler dispatch time is booked under the
-                # scheduler's own sentinel handler so it surfaces as a
-                # `sim.scheduler` subsystem; push time lands in whichever
-                # handler scheduled the event, like any other work a
-                # handler does.
-                acc_map = kernel._acc
-                sched_key = queue.profile_key
-                sched_acc = acc_map.get(sched_key)
-                if sched_acc is None:
-                    sched_acc = acc_map[sched_key] = [0, 0]
-                while queue and not self._stopped:
-                    sched_start = perf_counter_ns()
-                    next_time = queue.peek_time()
-                    if next_time is None:
-                        break
-                    if until is not None and next_time > until:
-                        break
-                    event = queue.pop()
-                    sched_acc[0] += 1
-                    sched_acc[1] += perf_counter_ns() - sched_start
-                    if event.time < self.now:
-                        raise SimulationError(
-                            f"event queue yielded past event (t={event.time} < now={self.now})"
-                        )
-                    self.now = event.time
-                    fire_start = perf_counter_ns()
-                    event.fire()
-                    elapsed_ns = perf_counter_ns() - fire_start
-                    callback = event.callback
-                    key = getattr(callback, "__func__", callback)
-                    acc = acc_map.get(key)
-                    if acc is None:
-                        acc = acc_map[key] = [0, 0]
-                    acc[0] += 1
-                    acc[1] += elapsed_ns
-                    processed += 1
-                    depth = len(queue)
-                    if depth > peak_depth:
-                        peak_depth = depth
-                    if max_events is not None and processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(processed={processed}, now={self.now}); "
-                            f"runaway simulation?"
-                        )
             else:
-                # Fingerprinting variant.  A third branch for the same
-                # reason kernel profiling gets one: the plain path above
-                # must stay byte-for-byte the original loop so
-                # fingerprint-off runs are bit-identical to seed.  The
-                # event is folded into the chained digest BEFORE fire()
-                # so a handler that raises still leaves the divergent
-                # event on the stream.  Fingerprinting wraps around the
-                # dispatch without touching event order, the clock, or
-                # RNG draws — fingerprinted runs keep exact output
-                # digests.  Kernel accounting is folded in with per-event
-                # None checks (profile+fingerprint together is rare and
-                # already paying the hash cost).
-                acc_map = sched_acc = None
-                if kernel is not None:
-                    acc_map = kernel._acc
-                    sched_key = queue.profile_key
-                    sched_acc = acc_map.get(sched_key)
+                # Observed variant of the loop above, driving whichever of
+                # the two instruments is present.  Kept as a separate
+                # branch (not per-event checks in the plain loop) so
+                # instrument-off runs execute exactly the plain loop.
+                # Neither instrument touches event order, the clock, or
+                # RNG draws, so observed runs keep exact output digests.
+                # The fingerprint folds the event in BEFORE fire(), so a
+                # handler that raises still leaves the divergent event on
+                # the stream.  Kernel timing wraps the queue's peek/pop
+                # (booked under the `dispatch` sentinel, the
+                # `sim.scheduler` subsystem) and the fire() call (booked
+                # under the handler); push time lands in whichever handler
+                # scheduled the event.  The accumulator update is inlined
+                # rather than calling kernel.note() to keep the profiled
+                # overhead small on event-dense workloads.
+                note = fingerprint.note if fingerprint is not None else None
+                sched_acc = None
+                if acc_map is not None:
+                    sched_acc = acc_map.get(dispatch)
                     if sched_acc is None:
-                        sched_acc = acc_map[sched_key] = [0, 0]
-                note = fingerprint.note
+                        sched_acc = acc_map[dispatch] = [0, 0]
                 while queue and not self._stopped:
-                    sched_start = perf_counter_ns() if kernel else 0
+                    if sched_acc is not None:
+                        sched_start = perf_counter_ns()
                     next_time = queue.peek_time()
                     if next_time is None:
                         break
                     if until is not None and next_time > until:
                         break
+                    if max_events is not None and processed >= max_events:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events} "
+                            f"(processed={processed}, now={self.now}); "
+                            f"runaway simulation?"
+                        )
                     event = queue.pop()
                     if sched_acc is not None:
                         sched_acc[0] += 1
@@ -254,10 +195,13 @@ class Simulator:
                             f"event queue yielded past event (t={event.time} < now={self.now})"
                         )
                     self.now = event.time
-                    note(event)
-                    fire_start = perf_counter_ns() if kernel else 0
-                    event.fire()
-                    if acc_map is not None:
+                    if note is not None:
+                        note(event)
+                    if acc_map is None:
+                        event.fire()
+                    else:
+                        fire_start = perf_counter_ns()
+                        event.fire()
                         elapsed_ns = perf_counter_ns() - fire_start
                         callback = event.callback
                         key = getattr(callback, "__func__", callback)
@@ -270,12 +214,6 @@ class Simulator:
                     depth = len(queue)
                     if depth > peak_depth:
                         peak_depth = depth
-                    if max_events is not None and processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(processed={processed}, now={self.now}); "
-                            f"runaway simulation?"
-                        )
         finally:
             self._running = False
             if fingerprint is not None:
@@ -283,8 +221,8 @@ class Simulator:
             self.events_processed += processed
             if peak_depth > self.peak_queue_depth:
                 self.peak_queue_depth = peak_depth
-            if profiler is not None:
-                profiler.record_run(
+            if kernel is not None:
+                kernel.record_run(
                     wall_s=perf_counter() - wall_start,
                     events=processed,
                     sim_time_s=self.now,

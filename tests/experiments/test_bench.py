@@ -260,24 +260,14 @@ def test_scaling_bench_quick_shape(tmp_path):
     result = json.loads((tmp_path / "BENCH_scaling.json").read_text())
     assert result["schema"] == bench.SCHEMA_VERSION
     curve = result["curve"]
-    # One point per (grid, scheduler): the curve carries both kernels.
-    assert [p["nodes"] for p in curve] == [30, 30, 64, 64, 121, 121]
-    assert [p["scheduler"] for p in curve] == ["heap", "calendar"] * 3
+    assert [p["nodes"] for p in curve] == [30, 64, 121]
     for point in curve:
         assert point["events"] > 0
         assert point["events_per_sec"] > 0
         assert point["peak_rss_kb"] > 0
         assert 0.0 < point["kernel_share"] <= 1.0
         assert point["subsystems"]
-    # Order-identity: both kernels must process identical event counts.
-    by_nodes = {}
-    for point in curve:
-        by_nodes.setdefault(point["nodes"], []).append(
-            (point["events"], point["peak_queue_depth"], point["recall"])
-        )
-    for nodes, outputs in by_nodes.items():
-        assert outputs[0] == outputs[1], f"schedulers disagree at {nodes}"
-    assert result["meta"]["points"] == 6
+    assert result["meta"]["points"] == 3
     assert result["events"] == sum(p["events"] for p in curve)
 
 

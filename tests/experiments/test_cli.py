@@ -1,7 +1,5 @@
 """Unit tests for the figure-regeneration CLI."""
 
-import pytest
-
 from repro.cli import build_parser, main
 from repro.experiments.figures import REGISTRY
 
@@ -27,27 +25,6 @@ def test_seeds_and_scale_set_environment(monkeypatch, capsys):
     assert main(["list", "--seeds", "3", "--scale", "0.5"]) == 0
     assert os.environ["REPRO_SEEDS"] == "3"
     assert os.environ["REPRO_SCALE"] == "0.5"
-
-
-def test_scheduler_flag_sets_environment(monkeypatch, capsys):
-    import os
-
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert main(["list", "--scheduler", "calendar"]) == 0
-    assert os.environ["REPRO_SCHEDULER"] == "calendar"
-
-
-def test_scheduler_flag_rejects_unknown():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["list", "--scheduler", "splay"])
-
-
-def test_scheduler_flag_absent_leaves_env_alone(monkeypatch, capsys):
-    import os
-
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    assert main(["list"]) == 0
-    assert os.environ["REPRO_SCHEDULER"] == "calendar"
 
 
 def test_single_figure_runs_table(capsys, monkeypatch):

@@ -219,6 +219,28 @@ def test_foreign_schema_reads_as_miss(tmp_path):
     assert store.get(digest) is None
 
 
+def test_schema_1_entry_is_a_counted_miss_and_reexecutes(tmp_path, monkeypatch):
+    """Entries from before the scheduler left the key (schema 1) re-run."""
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    store = CampaignStore(str(tmp_path))
+    run_trials(_metrics_trial, seeds=[1, 2], jobs=1, store=store)
+    digests = [task_digest(_metrics_trial, (seed,)) for seed in (1, 2)]
+    for digest in digests:
+        path = store._entry_path(digest)
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["store"] = 1
+        doc["provenance"]["scheduler"] = "heap"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    store = CampaignStore(str(tmp_path))
+    again = run_trials(_metrics_trial, seeds=[1, 2], jobs=1, store=store)
+    assert again.cache_hits == 0 and again.executed == 2
+    assert store.corrupt_seen == 2
+    # The re-executed trials are republished under the current schema.
+    assert all(store.get(digest) is not None for digest in digests)
+
+
 # ----------------------------------------------------------------------
 # Resolution
 # ----------------------------------------------------------------------

@@ -30,17 +30,16 @@ from repro.obs.fingerprint import FingerprintRun
 # Side-spec parsing
 # ----------------------------------------------------------------------
 def test_side_spec_parses_run_options():
-    spec = SideSpec.parse("a", "scheduler=calendar,jobs=4,profile=on")
-    assert spec.scheduler == "calendar"
+    spec = SideSpec.parse("a", "jobs=4,profile=on,perturb=medium:40")
     assert spec.jobs == 4
     assert spec.profile is True
-    assert spec.perturb is None
-    assert "scheduler=calendar" in spec.describe()
+    assert spec.perturb == "medium:40"
+    assert spec.describe() == "jobs=4,profile=on,perturb=medium:40"
 
 
 def test_side_spec_empty_means_defaults():
     spec = SideSpec.parse("a", "")
-    assert spec.describe() == "scheduler=default,jobs=1"
+    assert spec.describe() == "jobs=1"
 
 
 def test_side_spec_parses_file():
@@ -55,8 +54,8 @@ def test_side_spec_parses_file():
         "bogus=1",
         "jobs=none",
         "jobs=0",
-        "scheduler",
-        "file=x.jsonl,scheduler=heap",  # recorded stream + run options
+        "scheduler",  # not a side option (one event kernel)
+        "file=x.jsonl,jobs=2",  # recorded stream + run options
     ],
 )
 def test_side_spec_rejects_malformed(raw):
@@ -277,9 +276,9 @@ def test_diverge_against_recorded_file(tmp_path):
 
 
 def test_suggest_command_is_ready_to_paste():
-    command = suggest_command("scheduler=heap", "scheduler=calendar", _SMALL)
+    command = suggest_command("", "profile=on", _SMALL)
     assert command.startswith("python -m repro diverge")
-    assert "--a 'scheduler=heap'" in command
+    assert "--a '' --b 'profile=on'" in command
     assert "--rows 4 --cols 4" in command
 
 

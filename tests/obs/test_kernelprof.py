@@ -79,12 +79,8 @@ def test_events_and_kernel_ns_totals():
 # ----------------------------------------------------------------------
 # Simulator hook
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "scheduler, dispatch_handler",
-    [("heap", "HeapScheduler.dispatch"), ("calendar", "CalendarScheduler.dispatch")],
-)
-def test_simulator_attributes_events_while_active(scheduler, dispatch_handler):
-    sim = Simulator(scheduler=scheduler)
+def test_simulator_attributes_events_while_active():
+    sim = Simulator()
     device = _Device()
     for i in range(7):
         sim.schedule(float(i), device.on_tick)
@@ -92,16 +88,16 @@ def test_simulator_attributes_events_while_active(scheduler, dispatch_handler):
     with profiler.activate():
         sim.run()
     assert device.fired == 7
-    # Scheduler dispatch time is attributed as its own subsystem but
+    # Queue dispatch time is attributed as its own subsystem but
     # excluded from the fired-event total (it would double-count).
     assert profiler.events == 7
     assert profiler.kernel_ns > 0
     stats = profiler.stats()
     assert {handler for _, handler in stats.keys()} == {
         "_Device.on_tick",
-        dispatch_handler,
+        "dispatch",
     }
-    dispatch_count, dispatch_ns = stats[(SCHEDULER_SUBSYSTEM, dispatch_handler)]
+    dispatch_count, dispatch_ns = stats[(SCHEDULER_SUBSYSTEM, "dispatch")]
     assert dispatch_count == 7  # one dispatch per fired event
     assert dispatch_ns > 0
 

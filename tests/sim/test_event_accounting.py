@@ -1,22 +1,21 @@
 """Lazy-cancellation accounting: cancelled-but-unpopped events must not
 inflate ``len(queue)`` — and therefore ``Simulator.peak_queue_depth`` —
-no matter which cancellation entry point is used or which scheduler
-backs the kernel."""
+no matter which cancellation entry point is used."""
 
 import pytest
 
-from repro.sim.scheduler import SCHEDULER_NAMES, SCHEDULERS
+from repro.sim.event import EventQueue
 from repro.sim.simulator import Simulator
 
 
-@pytest.fixture(params=sorted(SCHEDULERS))
+@pytest.fixture(params=[EventQueue], ids=["heap"])
 def queue(request):
-    return SCHEDULERS[request.param]()
+    return request.param()
 
 
-@pytest.fixture(params=sorted(SCHEDULER_NAMES))
+@pytest.fixture(params=[Simulator], ids=["heap"])
 def sim(request):
-    return Simulator(scheduler=request.param)
+    return request.param()
 
 
 def test_len_counts_only_active_events(queue):

@@ -1,27 +1,18 @@
-"""Unit tests for the scheduler contract, run against every scheduler.
+"""Unit tests for the event-queue contract.
 
-Every test here is parametrized over the full scheduler registry (heap
-and calendar), so a new scheduler gets the whole contract suite for
-free by registering itself in ``repro.sim.scheduler.SCHEDULERS``.
+The fixture is parametrized (on :class:`EventQueue` only) so the test ids
+name the queue under test.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.event import DEFAULT_PRIORITY, EventQueue, HeapScheduler
-from repro.sim.scheduler import SCHEDULERS, CalendarScheduler
+from repro.sim.event import DEFAULT_PRIORITY, EventQueue
 
 
-@pytest.fixture(params=sorted(SCHEDULERS))
+@pytest.fixture(params=[EventQueue], ids=["heap"])
 def queue(request):
-    return SCHEDULERS[request.param]()
-
-
-def test_registry_names_match_instances():
-    assert HeapScheduler is EventQueue
-    assert SCHEDULERS["heap"]().name == "heap"
-    assert SCHEDULERS["calendar"]().name == "calendar"
-    assert isinstance(SCHEDULERS["calendar"](), CalendarScheduler)
+    return request.param()
 
 
 def test_empty_queue_is_falsy(queue):

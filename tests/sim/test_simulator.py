@@ -86,6 +86,27 @@ def test_max_events_guard(sim):
         sim.run(max_events=100)
 
 
+@pytest.mark.parametrize("observed", [False, True])
+def test_max_events_allows_exactly_n_events(sim, observed):
+    """A queue holding exactly N events drains under ``max_events=N``."""
+    from repro.obs.kernelprof import KernelProfiler
+
+    fired = []
+    for i in range(3):
+        sim.schedule(float(i), fired.append, i)
+    if observed:
+        with KernelProfiler().activate():
+            assert sim.run(max_events=3) == 3
+    else:
+        assert sim.run(max_events=3) == 3
+    assert fired == [0, 1, 2]
+    sim.schedule(1.0, fired.append, 3)
+    sim.schedule(2.0, fired.append, 4)
+    with pytest.raises(SimulationError, match=r"max_events=1 \(processed=1,"):
+        sim.run(max_events=1)
+    assert fired == [0, 1, 2, 3]
+
+
 def test_cancel_scheduled_event(sim):
     fired = []
     event = sim.schedule(1.0, lambda: fired.append(1))
