@@ -5,7 +5,7 @@ reproduces the effects the evaluation depends on:
 
 * **airtime** — a transmission occupies the channel for
   ``preamble + bits / broadcast_rate`` seconds;
-* **carrier sense** — radios ask :meth:`channel_busy` before transmitting
+* **carrier sense** — radios ask :meth:`busy_until` before transmitting
   and defer with random backoff while any sensed node is on the air.
   Physical carrier sense reaches ``carrier_sense_factor`` × the
   communication range (energy detection works below decoding SNR), which
@@ -22,6 +22,16 @@ reproduces the effects the evaluation depends on:
 Collisions and half-duplex conflicts are detected *event-driven*: each
 transmission start marks the overlapping receptions it ruins, so delivery
 is O(1) instead of scanning transmission history.
+
+Cost model.  The medium keeps one ``sender → latest airtime end`` map of
+the nodes on the air.  A carrier-sense query (:meth:`busy_until`, one per
+CSMA attempt) is a single pass over that map inside
+:meth:`Topology.latest_within`, so it costs O(on-air senders), not
+O(nodes in sense range).  The same map answers :meth:`node_transmitting`
+and the per-frame half-duplex test.  At delivery, a receiver is re-checked
+against the radio range only when the topology's ``version`` moved since
+the frame went on the air: with no mutation in between, the receivers
+``neighbors(sender)`` picked at transmission are still exactly in range.
 """
 
 from __future__ import annotations
@@ -68,6 +78,8 @@ class _Transmission:
     start: float
     end: float
     frame: Frame
+    #: ``Topology.version`` when the receivers were picked.
+    version: int
     receptions: Dict[NodeId, _Reception] = field(default_factory=dict)
 
 
@@ -102,6 +114,8 @@ class BroadcastMedium:
         self._receivers: Dict[NodeId, Callable[[Frame], None]] = {}
         #: Transmissions whose airtime has not ended yet.
         self._active: List[_Transmission] = []
+        #: Sender -> latest end among its ``_active`` transmissions.
+        self._on_air: Dict[NodeId, float] = {}
         #: Earliest end time among ``_active`` — lets carrier-sense calls
         #: skip the prune scan while every transmission is still on the air.
         self._active_min_end: float = math.inf
@@ -134,35 +148,31 @@ class BroadcastMedium:
         active = [tx for tx in self._active if tx.end > now]
         self._active = active
         self._active_min_end = min((tx.end for tx in active), default=math.inf)
-
-    def _senses(self, node_id: NodeId, sender: NodeId) -> bool:
-        """Whether ``node_id``'s carrier sense detects ``sender``."""
-        if node_id == sender:
-            return True
-        topology = self.topology
-        sense_range = topology.radio_range * self.carrier_sense_factor
-        # One distance check, not a range query: same disk-model predicate
-        # as ``nodes_within`` but O(1) and no cache churn under mobility.
-        return topology.within(node_id, sender, sense_range)
+        self._on_air = {sender: end for sender, end in self._on_air.items() if end > now}
 
     def channel_busy(self, node_id: NodeId) -> bool:
         """Carrier sense: is any sensed node (or self) transmitting now?"""
-        self._prune_active()
-        return any(self._senses(node_id, tx.sender) for tx in self._active)
+        return self.busy_until(node_id) > self.sim.now
 
     def busy_until(self, node_id: NodeId) -> float:
-        """Earliest time the channel around ``node_id`` could become free."""
+        """Earliest time the channel around ``node_id`` could become free.
+
+        ``now`` when no sensed node (nor ``node_id`` itself) is on the air,
+        so ``busy_until(n) > now`` is the carrier-sense test.
+        """
         self._prune_active()
-        latest = self.sim.now
-        for tx in self._active:
-            if self._senses(node_id, tx.sender):
-                latest = max(latest, tx.end)
-        return latest
+        topology = self.topology
+        return topology.latest_within(
+            node_id,
+            self._on_air,
+            topology.radio_range * self.carrier_sense_factor,
+            self.sim.now,
+        )
 
     def node_transmitting(self, node_id: NodeId) -> bool:
         """Whether the node itself is currently on the air."""
         self._prune_active()
-        return any(tx.sender == node_id for tx in self._active)
+        return node_id in self._on_air
 
     def observe_state(self) -> Dict[str, float]:
         """Flight-recorder view: channel occupancy, strictly read-only.
@@ -197,7 +207,10 @@ class BroadcastMedium:
         self._prune_active()
         duration = self.airtime(frame.size)
         end = now + duration
-        tx = _Transmission(sender=frame.sender, start=now, end=end, frame=frame)
+        topology = self.topology
+        tx = _Transmission(
+            sender=frame.sender, start=now, end=end, frame=frame, version=topology.version
+        )
         self.stats.record_transmission(frame.kind, frame.size, sender=frame.sender)
         trace = self.sim.trace
         if trace.enabled:
@@ -218,13 +231,11 @@ class BroadcastMedium:
             if reception.end > now:
                 reception.ruined_by_busy = True
 
-        if frame.sender in self.topology:
-            receivers = self.topology.neighbors(frame.sender)
+        on_air = self._on_air
+        if frame.sender in topology:
+            receivers = topology.neighbors(frame.sender)
             if receivers:
                 receiving = self._receiving
-                # Half duplex: precompute who is on the air right now, once
-                # per transmission instead of once per receiver.
-                on_air = {active.sender for active in self._active}
                 for receiver in receivers:
                     reception = _Reception(sender=frame.sender, start=now, end=end)
                     # Collision: another in-range transmission is already
@@ -248,6 +259,8 @@ class BroadcastMedium:
         self._active.append(tx)
         if end < self._active_min_end:
             self._active_min_end = end
+        if end > on_air.get(frame.sender, -math.inf):
+            on_air[frame.sender] = end
         return duration
 
     def _deliver_all(self, tx: _Transmission) -> None:
@@ -271,6 +284,9 @@ class BroadcastMedium:
         frame_size = frame.size
         corr = frame_corr_fields(frame) if trace_enabled else {}
         in_range = self.topology.in_range
+        # Receivers came from ``neighbors(sender)`` at ``tx.version``; the
+        # same disk predicate holds for them until the topology mutates.
+        moved = self.topology.version != tx.version
         receivers = self._receivers
         receiving = self._receiving
         base_loss = self.base_loss
@@ -294,7 +310,7 @@ class BroadcastMedium:
             deliver = receivers.get(receiver)
             # ``in_range`` covers nodes that left or moved apart during the
             # airtime: absent nodes are never in range.
-            if deliver is None or not in_range(receiver, sender):
+            if deliver is None or (moved and not in_range(receiver, sender)):
                 continue
             if reception.ruined_by_busy:
                 record_loss("busy_receiver")

@@ -68,6 +68,8 @@ class Radio:
         self._sending = False
         self._receive_callback: Optional[Callable[[Frame], None]] = None
         self._sent_callback: Optional[Callable[[Frame], None]] = None
+        #: Frames queued across *all* radios of the simulation: every radio
+        #: shares the one registry gauge and moves it by its own changes.
         self._queue_gauge = sim.metrics.gauge("net.radio_queue_frames")
         medium.attach(node_id, self._on_frame)
 
@@ -89,8 +91,7 @@ class Radio:
     def shutdown(self) -> None:
         """Detach from the medium and drop queued frames (node left)."""
         self.medium.detach(self.node_id)
-        self._queue.clear()
-        self._queued_bytes = 0
+        self._drop_queue()
 
     # ------------------------------------------------------------------
     # Sending
@@ -121,9 +122,7 @@ class Radio:
         else:
             self._queue.append(frame)
         self._queued_bytes += frame.size
-        # Timestamped set: the gauge integrates depth over sim time, so
-        # snapshots report a time-weighted mean depth, not just the last.
-        self._queue_gauge.set(len(self._queue), now=self.sim.now)
+        self._count_queued(1)
         self._pump()
         return True
 
@@ -133,12 +132,25 @@ class Radio:
         Returns:
             True if the frame was still in the OS buffer and was removed.
         """
-        for queued in self._queue:
+        for index, queued in enumerate(self._queue):
             if queued is frame:
-                self._queue.remove(queued)
+                del self._queue[index]
                 self._queued_bytes -= frame.size
+                self._count_queued(-1)
                 return True
         return False
+
+    def _count_queued(self, delta: int) -> None:
+        # Timestamped set: the gauge integrates depth over sim time, so
+        # snapshots report a time-weighted mean depth, not just the last.
+        gauge = self._queue_gauge
+        gauge.set(gauge.value + delta, now=self.sim.now)
+
+    def _drop_queue(self) -> None:
+        if self._queue:
+            self._count_queued(-len(self._queue))
+            self._queue.clear()
+        self._queued_bytes = 0
 
     @property
     def queued_bytes(self) -> int:
@@ -166,19 +178,22 @@ class Radio:
             return
         if self.node_id not in self.medium.topology:
             # Node left the area; discard outstanding traffic.
-            self._queue.clear()
-            self._queued_bytes = 0
+            self._drop_queue()
             self._sending = False
             return
-        if self.medium.channel_busy(self.node_id):
-            wait = self.medium.busy_until(self.node_id) - self.sim.now
+        # One carrier-sense query: every transmission still on the air ends
+        # after ``now``, so ``until > now`` exactly when the channel is busy.
+        until = self.medium.busy_until(self.node_id)
+        now = self.sim.now
+        if until > now:
             backoff = self.rng.uniform(
                 self.config.backoff_min_s, self.config.backoff_max_s
             )
-            self.sim.schedule(max(0.0, wait) + backoff, self._attempt)
+            self.sim.schedule((until - now) + backoff, self._attempt)
             return
         frame = self._queue.popleft()
         self._queued_bytes -= frame.size
+        self._count_queued(-1)
         duration = self.medium.transmit(frame)
         self.sim.schedule(duration, self._finished, frame)
 

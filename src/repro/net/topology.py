@@ -229,6 +229,31 @@ class Topology:
             return False
         return math.hypot(pa[0] - pb[0], pa[1] - pb[1]) <= radius
 
+    def latest_within(
+        self, node_id: NodeId, ends: Dict[NodeId, float], radius: float, floor: float
+    ) -> float:
+        """The latest of ``floor`` and the ``ends`` of nodes near ``node_id``.
+
+        ``ends`` maps node ids to times.  An entry counts when its node is
+        ``node_id`` itself, or when :meth:`within` would hold for it at
+        ``radius``.  One pass over ``ends``: the cost is the size of the
+        map, not the population around ``node_id``.
+        """
+        latest = floor
+        positions = self._positions
+        here = positions.get(node_id)
+        if here is None:
+            own = ends.get(node_id)
+            return own if own is not None and own > latest else latest
+        x, y = here
+        hypot = math.hypot
+        for other, end in ends.items():
+            if end > latest:
+                there = positions.get(other)
+                if there is not None and hypot(x - there[0], y - there[1]) <= radius:
+                    latest = end
+        return latest
+
     def nodes_within(self, node_id: NodeId, radius: float) -> List[NodeId]:
         """All other nodes within ``radius`` of ``node_id``.
 

@@ -175,3 +175,37 @@ def test_stats_record_transmissions():
     assert medium.stats.bytes_sent == f.size
     assert medium.stats.frames_by_kind["query"] == 1
     assert medium.stats.frames_delivered == 1
+
+
+def test_receiver_moving_within_range_still_delivered():
+    sim, topo, medium = make_medium({1: (0, 0), 2: (10, 0)})
+    received = attach_sink(medium, 2)
+    medium.transmit(frame(1, size=100_000))
+    topo.move(2, (35, 0))
+    sim.run()
+    assert len(received) == 1
+
+
+def test_unrelated_move_during_airtime_leaves_delivery_unchanged():
+    sim, topo, medium = make_medium({1: (0, 0), 2: (10, 0), 3: (500, 0)})
+    r2 = attach_sink(medium, 2)
+    r3 = attach_sink(medium, 3)
+    medium.transmit(frame(1, size=100_000))
+    version = topo.version
+    topo.move(3, (20, 0))  # into range, but after the receivers were picked
+    assert topo.version != version
+    sim.run()
+    assert len(r2) == 1
+    assert r3 == []
+
+
+@pytest.mark.parametrize("position, delivered", [((20, 0), 1), ((500, 0), 0)])
+def test_receiver_removed_and_readded_during_airtime(position, delivered):
+    """Re-added in range, the pending reception still lands; out of range not."""
+    sim, topo, medium = make_medium({1: (0, 0), 2: (10, 0)})
+    received = attach_sink(medium, 2)
+    medium.transmit(frame(1, size=100_000))
+    topo.remove_node(2)
+    topo.add_node(2, position)
+    sim.run()
+    assert len(received) == delivered

@@ -147,3 +147,74 @@ def test_config_validation():
         RadioConfig(os_buffer_bytes=0)
     with pytest.raises(ConfigurationError):
         RadioConfig(backoff_min_s=0.5, backoff_max_s=0.1)
+
+
+def test_remove_is_by_identity_not_equality():
+    sim, _, tx, rx = make_pair(os_buffer=100_000)
+    received = []
+    rx.on_receive(lambda f: received.append(f))
+    tx.send(Frame(sender=1, payload="airing", payload_size=5000))
+    twin = Frame(sender=1, payload="twin", payload_size=1000, frame_id=7)
+    victim = Frame(sender=1, payload="twin", payload_size=1000, frame_id=7)
+    assert twin == victim and twin is not victim
+    tx.send(twin)
+    tx.send(victim)
+    assert tx.remove(victim) is True
+    assert tx.queued_frames()[0] is twin
+    assert tx.remove(victim) is False
+    sim.run()
+    assert [f.payload for f in received] == ["airing", "twin"]
+    assert received[1] is twin
+
+
+def _isolated_radios(config):
+    """Two radios far beyond each other's carrier-sense range."""
+    sim = Simulator()
+    topo = Topology(40.0)
+    topo.add_node(1, (0, 0))
+    topo.add_node(2, (500, 0))
+    medium = BroadcastMedium(sim, topo, random.Random(3), base_loss=0.0)
+    one = Radio(sim, medium, 1, random.Random(4), config)
+    two = Radio(sim, medium, 2, random.Random(5), config)
+    return sim, medium, one, two
+
+
+def test_queue_gauge_totals_all_radios_over_time():
+    gap = 0.001
+    config = RadioConfig(backoff_min_s=0.0, backoff_max_s=0.0, inter_frame_gap_s=gap)
+    sim, medium, one, two = _isolated_radios(config)
+    gauge = sim.metrics.gauge("net.radio_queue_frames")
+    one.send(Frame(sender=1, payload="a", payload_size=1000))  # airs at once
+    one.send(Frame(sender=1, payload="b", payload_size=1000))
+    two.send(Frame(sender=2, payload="c", payload_size=1000))  # airs at once
+    two.send(Frame(sender=2, payload="d", payload_size=1000))
+    two.send(Frame(sender=2, payload="e", payload_size=1000))
+    assert gauge.value == 3  # b, d, e wait
+    sim.run()
+    # Every frame airs for d; the next leaves the buffer a gap after the
+    # previous one finished: b and d at t1, e at t2.
+    airtime = medium.airtime(Frame(sender=1, payload="x", payload_size=1000).size)
+    t1 = airtime + gap
+    t2 = (t1 + airtime) + gap
+    assert gauge.value == 0
+    assert gauge.max_value == 3
+    assert gauge.elapsed == pytest.approx(t2)
+    assert gauge.time_weighted_mean() == pytest.approx((3 * t1 + 1 * (t2 - t1)) / t2)
+
+
+def test_queue_gauge_follows_remove_and_shutdown():
+    sim, _, one, two = _isolated_radios(RadioConfig())
+    gauge = sim.metrics.gauge("net.radio_queue_frames")
+    one.send(Frame(sender=1, payload="a", payload_size=1000))
+    queued = Frame(sender=1, payload="b", payload_size=1000)
+    one.send(queued)
+    two.send(Frame(sender=2, payload="c", payload_size=1000))
+    two.send(Frame(sender=2, payload="d", payload_size=1000))
+    two.send(Frame(sender=2, payload="e", payload_size=1000))
+    assert gauge.value == 3
+    assert one.remove(queued)
+    assert gauge.value == 2
+    two.shutdown()
+    assert gauge.value == 0
+    sim.run()
+    assert gauge.value == 0
