@@ -233,7 +233,7 @@ def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
     from repro.obs.kernelprof import KernelProfiler
     from repro.obs.recorder import configured_recording
 
-    profiler = KernelProfiler(handlers=False)
+    profiler = KernelProfiler()
     with _single_process(), profiler.activate():
         start = time.perf_counter()
         rows = run()
@@ -326,10 +326,6 @@ def bench_scaling(quick: bool) -> Dict[str, object]:
         summary = kernel.runs_summary()
         events = int(summary["events"])
         point_peak = int(summary["peak_queue_depth"])
-        kernel_ns = kernel.kernel_ns
-        subsystems = sorted(
-            kernel.subsystem_totals().items(), key=lambda item: -item[1][1]
-        )
         # The process-wide RSS high-water mark, so the curve is monotonic
         # by construction: each point reports the peak up to and
         # including its own run.
@@ -355,13 +351,6 @@ def bench_scaling(quick: bool) -> Dict[str, object]:
                 "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
                 "peak_queue_depth": point_peak,
                 "peak_rss_kb": peak_rss_kb,
-                "kernel_share": round(kernel_ns / kernel.wall_ns, 4)
-                if kernel.wall_ns > 0
-                else 0.0,
-                "subsystems": {
-                    name: round(ns / kernel_ns, 4) if kernel_ns else 0.0
-                    for name, (_, ns) in subsystems[:4]
-                },
                 "recall": round(first.recall, 3),
             }
         )
@@ -449,7 +438,7 @@ def _check_one(
             "bisect to the first divergent event with e.g.\n"
             "    python -m repro diverge --a '' --b file=<fingerprint.jsonl>\n"
             "  (a fingerprint recorded at the baseline revision; swap a "
-            "side for jobs=2 / profile=on / perturb=stream:index to "
+            "side for jobs=2 / perturb=stream:index to "
             "compare configurations)"
         )
     # Normalize for machine speed: scale the baseline by the ratio of

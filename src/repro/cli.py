@@ -13,10 +13,9 @@ Observability::
     python -m repro fig4 --trace out.jsonl   # JSONL event trace of the run
     python -m repro fig4 --metrics           # wall-time / events-per-second
                                              # profile after the tables
+    python -m repro fig5 --metrics --memory  # + tracemalloc phase deltas
     python -m repro inspect out.jsonl        # summarize a trace file
     python -m repro bench --quick --check    # perf-regression gate
-    python -m repro profile fig5 --flame out.txt   # kernel hotspots +
-                                                   # flamegraph export
 
 Determinism observatory::
 
@@ -125,6 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the run (wall time, events/sec, peak queue depth)",
     )
     parser.add_argument(
+        "--memory",
+        action="store_true",
+        help="record tracemalloc snapshots at phase boundaries "
+        "(setup / discovery rounds / retrieval) with per-subsystem "
+        "allocator attribution (default --jobs 1: phases are per-process)",
+    )
+    parser.add_argument(
         "--timeline",
         metavar="FILE",
         nargs="?",
@@ -216,12 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_figures(args: argparse.Namespace) -> int:
-    """Run one figure (or all), honouring --trace / --metrics / --jobs."""
+    """Run one figure (or all), honouring the observability flags and --jobs."""
     from contextlib import ExitStack
 
     from repro.experiments.runner import configured_jobs
     from repro.obs.fingerprint import DEFAULT_CHECKPOINT_EVERY, fingerprinting
     from repro.obs.kernelprof import KernelProfiler
+    from repro.obs.memprof import MemoryTelemetry
     from repro.obs.metrics import MetricsRegistry, collect_registries
     from repro.obs.recorder import (
         DEFAULT_INTERVAL_S,
@@ -237,7 +244,8 @@ def _run_figures(args: argparse.Namespace) -> int:
         )
         return 2
 
-    profiler = KernelProfiler(handlers=False) if args.metrics else None
+    profiler = KernelProfiler() if args.metrics else None
+    memory = MemoryTelemetry() if args.memory else None
     registries: List[MetricsRegistry] = []
     with ExitStack() as stack:
         if args.trace:
@@ -279,6 +287,8 @@ def _run_figures(args: argparse.Namespace) -> int:
         if profiler is not None:
             stack.enter_context(profiler.activate())
             registries = stack.enter_context(collect_registries())
+        if memory is not None:
+            stack.enter_context(memory.activate())
         if args.figure == "all":
             for figure_id, module in REGISTRY.items():
                 print(f"== {figure_id} ==")
@@ -320,6 +330,9 @@ def _run_figures(args: argparse.Namespace) -> int:
                 merged.merge_snapshot(registry.snapshot())
             print()
             print(merged.render())
+    if memory is not None:
+        print()
+        print(memory.render())
     return 0
 
 
@@ -331,10 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.bench import main as bench_main
 
         return bench_main(raw_argv[1:])
-    if raw_argv and raw_argv[0] == "profile":
-        from repro.profilecli import main as profile_main
-
-        return profile_main(raw_argv[1:])
     if raw_argv and raw_argv[0] == "diverge":
         from repro.divergecli import main as diverge_main
 
@@ -351,6 +360,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_SCALE"] = str(args.scale)
     if args.jobs is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
+    elif args.memory:
+        # Phase boundaries fire in whichever process crosses them; keep
+        # the whole campaign here so the telemetry sees all of it.
+        os.environ["REPRO_JOBS"] = "1"
     if args.store is not None:
         os.environ["REPRO_STORE"] = args.store
 

@@ -2,9 +2,6 @@
 
 Usage::
 
-    # Profiler parity: does kernel profiling perturb the event stream?
-    python -m repro diverge --a '' --b profile=on
-
     # Parallel parity: serial vs 4 workers
     python -m repro diverge --a jobs=1 --b jobs=4
 
@@ -49,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--a",
         default="",
         metavar="SPEC",
-        help="side A: comma-separated jobs=/profile=/perturb= "
+        help="side A: comma-separated jobs=/perturb= "
         "run options, or file=<recorded fingerprint stream> "
         "(default: the default configuration)",
     )

@@ -86,15 +86,6 @@ class AggregateMetrics:
     timeline: Tuple[Tuple[str, float], ...] = ()
     #: How many trials carried a timeline summary at all.
     timeline_trials: int = 0
-    #: Kernel-profiler stats folded over trials carrying an
-    #: ``extras["profile"]`` summary (profiled trials only):
-    #: ``(kernel_share,)`` — kernel time over trial wall, averaged.
-    profile: Tuple[Tuple[str, float], ...] = ()
-    #: Subsystem with the most attributed kernel time across all
-    #: profiled trials (empty when no trial was profiled).
-    hot_subsystem: str = ""
-    #: How many trials carried a kernel-profile summary at all.
-    profiled_trials: int = 0
     #: Trials satisfied from a campaign store instead of being executed.
     #: ``None`` when the campaign ran without a store (the column stays
     #: out of ``as_row()`` so store-less tables keep their exact shape).
@@ -139,30 +130,6 @@ class AggregateMetrics:
             audited += 1
             for invariant, count in trial_metrics.extras["audit"].items():
                 audit[invariant] = audit.get(invariant, 0) + int(count)
-        profiles = [
-            t.extras["profile"] for t in trials if "profile" in t.extras
-        ]
-        profile: Tuple[Tuple[str, float], ...] = ()
-        hot_subsystem = ""
-        if profiles:
-            # Hottest subsystem over ALL profiled trials (summed ns), not
-            # a per-trial vote — one slow trial should be able to move it.
-            subsystem_ns: Dict[str, int] = {}
-            for summary in profiles:
-                for name, ns in summary.get("subsystem_ns", {}).items():
-                    subsystem_ns[name] = subsystem_ns.get(name, 0) + int(ns)
-            if subsystem_ns:
-                hot_subsystem = max(
-                    subsystem_ns, key=lambda name: subsystem_ns[name]
-                )
-            profile = (
-                (
-                    "kernel_share",
-                    _mean(
-                        [float(s.get("kernel_share", 0.0)) for s in profiles]
-                    ),
-                ),
-            )
         timelines = [
             t.extras["timeline"] for t in trials if "timeline" in t.extras
         ]
@@ -193,9 +160,6 @@ class AggregateMetrics:
             audited_trials=audited,
             timeline=timeline,
             timeline_trials=len(timelines),
-            profile=profile,
-            hot_subsystem=hot_subsystem,
-            profiled_trials=len(profiles),
             cache_hits=cache_hits,
             executed=executed,
         )
@@ -230,10 +194,6 @@ class AggregateMetrics:
                     row[name] = round(value, 4)
                 else:
                     row[name] = round(value, 2)
-        if self.profiled_trials:
-            for name, value in self.profile:
-                row[name] = round(value, 3)
-            row["hot_subsystem"] = self.hot_subsystem
         if self.cache_hits is not None:
             # Store-backed campaigns only: how much of the table came from
             # cached trials vs fresh executions.  Intentionally absent on

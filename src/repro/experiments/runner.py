@@ -28,9 +28,8 @@ everything on the caller's thread, exactly as before.  With ``jobs>1``:
   deterministically crashing trial only takes itself down;
 * observability survives the fan-out: workers return merged
   :class:`~repro.obs.metrics.MetricsRegistry` snapshots and
-  :class:`~repro.obs.kernelprof.KernelProfiler` snapshots (run records,
-  plus handler stats when profiling is configured), which the parent
-  folds into its active profiler / registry collector;
+  :class:`~repro.obs.kernelprof.KernelProfiler` run-record snapshots,
+  which the parent folds into its active profiler / registry collector;
 * process-wide JSONL trace sinks are sharded — worker ``k`` writes
   ``trace.k.jsonl`` next to the parent's ``trace.jsonl``.  Other sink
   types cannot cross a process boundary and raise
@@ -221,7 +220,6 @@ def _worker_init(
     shard_bases: Sequence[str],
     shard_counter: Any,
     timeline_shards: bool = False,
-    profile_trials: bool = False,
     fingerprint_shards: bool = False,
 ) -> None:
     """Per-worker-process setup.
@@ -233,18 +231,12 @@ def _worker_init(
     parent, so drop it — workers report back through their return values
     instead — then open this worker's own JSONL trace shards and re-point
     any configured timeline recording at this worker's shard.
-
-    ``profile_trials`` carries the parent's kernel-profiling request
-    across the process boundary (start-method agnostic, unlike inherited
-    globals): the worker profiles its trials and ships the stats back in
-    its return value.
     """
     for sink in obs_trace.global_sinks():
         # Remove without closing: under fork the file object is shared
         # with the parent, and closing here would flush its buffer twice.
         obs_trace.remove_global_sink(sink)
     obs_kernelprof._clear_active()
-    obs_kernelprof.request_profiling(profile_trials)
     obs_memprof._clear_active()
     _clear_collectors()
     obs_recorder._clear_recorder_collectors()
@@ -281,38 +273,23 @@ def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
     When a timeline recording is configured (``timeline=`` knob, CLI
     ``--timeline`` or ``REPRO_TIMELINE``), the flight recorders the
     trial's scenarios attach are collected and their merged series summary
-    lands in ``TrialMetrics.extras["timeline"]``.  When kernel profiling
-    is configured (``repro profile``, ``REPRO_PROFILE``, or an active
-    handler-attributing :class:`~repro.obs.kernelprof.KernelProfiler`),
-    the trial runs under its own profiler; the per-trial summary lands in
-    ``extras["profile"]`` (the ``hot_subsystem`` / ``kernel_share``
-    columns) and its handler stats and run records fold into the
-    enclosing profiler.  Campaigns with none of these skip all of this.
+    lands in ``TrialMetrics.extras["timeline"]``.  Campaigns with neither
+    skip all of this.
     """
     tracing = bool(obs_trace.global_sinks())
     recording = obs_recorder.configured_recording() is not None
-    profiling = obs_kernelprof.configured_profiling()
-    if not tracing and not recording and not profiling:
+    if not tracing and not recording:
         return trial(*args)
     capture: Optional[obs_trace.ListSink] = None
     if tracing:
         capture = obs_trace.ListSink()
         obs_trace.install_global_sink(capture)
-    kernel = obs_kernelprof.KernelProfiler() if profiling else None
     try:
         with obs_recorder.collect_recorders() as recorders:
-            if kernel is not None:
-                with kernel.activate():
-                    result = trial(*args)
-            else:
-                result = trial(*args)
+            result = trial(*args)
     finally:
         if capture is not None:
             obs_trace.remove_global_sink(capture)
-    if kernel is not None:
-        outer = obs_kernelprof.active_kernel_profiler()
-        if outer is not None:
-            outer.merge(kernel)
     if isinstance(result, TrialMetrics):
         if capture is not None:
             result.extras["audit"] = audit_extras(
@@ -322,8 +299,6 @@ def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
             result.extras["timeline"] = obs_recorder.merge_summaries(
                 [recorder.summary() for recorder in recorders]
             )
-        if kernel is not None:
-            result.extras["profile"] = kernel.trial_summary()
     return result
 
 
@@ -408,13 +383,10 @@ def _run_task_in_worker(
 
     Returns ``(value, metrics_snapshot, kernel_snapshot)`` where the
     metrics snapshot merges every registry the trial's simulators created
-    and the kernel snapshot carries this trial's labelled run records
-    (plus handler stats when profiling is configured) for the parent to
-    fold into its own :class:`KernelProfiler`.
+    and the kernel snapshot carries this trial's labelled run records for
+    the parent to fold into its own :class:`KernelProfiler`.
     """
-    kernel = obs_kernelprof.KernelProfiler(
-        handlers=obs_kernelprof.configured_profiling()
-    )
+    kernel = obs_kernelprof.KernelProfiler()
     try:
         with collect_registries() as registries:
             with kernel.activate(), obs_kernelprof.label(label):
@@ -663,7 +635,6 @@ def _execute_parallel(
         else None
     )
     kernel = obs_kernelprof.active_kernel_profiler()
-    profile_trials = obs_kernelprof.configured_profiling()
     # Created here so it registers with the caller's collector (if any);
     # every worker snapshot is merged into it.
     campaign_metrics = MetricsRegistry()
@@ -702,7 +673,6 @@ def _execute_parallel(
                     shard_bases,
                     shard_counter,
                     timeline_shards,
-                    profile_trials,
                     fingerprint_shards,
                 ),
             ) as pool:

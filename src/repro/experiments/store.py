@@ -124,14 +124,12 @@ def trial_id(trial: Callable[..., Any]) -> str:
 def observability_tags() -> Tuple[str, ...]:
     """The observability profile that shapes a trial's *result*.
 
-    Tracing attaches ``extras["audit"]``, a timeline recording attaches
-    ``extras["timeline"]``, and kernel profiling attaches
-    ``extras["profile"]`` to :class:`TrialMetrics` — so a result cached
-    without them must not satisfy a campaign that expects them (and vice
-    versa).  The core metrics are identical either way (the
+    Tracing attaches ``extras["audit"]`` and a timeline recording
+    attaches ``extras["timeline"]`` to :class:`TrialMetrics` — so a
+    result cached without them must not satisfy a campaign that expects
+    them (and vice versa).  The core metrics are identical either way (the
     zero-perturbation contract), but the extras are part of the value.
     """
-    from repro.obs import kernelprof as obs_kernelprof
     from repro.obs import recorder as obs_recorder
     from repro.obs import trace as obs_trace
 
@@ -140,8 +138,6 @@ def observability_tags() -> Tuple[str, ...]:
         tags.append("trace")
     if obs_recorder.configured_recording() is not None:
         tags.append("timeline")
-    if obs_kernelprof.configured_profiling():
-        tags.append("profile")
     return tuple(tags)
 
 

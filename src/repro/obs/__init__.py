@@ -9,8 +9,14 @@ Three complementary views into a running simulation, all designed to cost
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
   behind :class:`repro.net.stats.NetworkStats` and the round machinery;
 * :mod:`repro.obs.kernelprof` — wall-time / events-per-second / queue-depth
-  records of whole simulator runs plus per-handler hotspot attribution,
-  surfaced by the runner, ``--metrics`` and ``repro profile``.
+  records of whole simulator runs, surfaced by the runner and
+  ``--metrics``;
+* :mod:`repro.obs.memprof` — tracemalloc deltas at experiment phase
+  boundaries (``--memory``).
+
+Which layer of the stack the wall time goes to is answered outside the
+package, by perfbench's per-layer self time
+(``python3 perfbench/run.py --workload W --seed 1 --seconds 10 --trace 1``).
 
 :mod:`repro.obs.inspect` turns a trace file back into per-node and
 per-message-kind summaries (``python -m repro inspect out.jsonl``);

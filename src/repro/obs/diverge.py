@@ -57,17 +57,16 @@ class SideSpec:
     """One side of the comparison: a config to run, or a recorded file.
 
     Parsed from a comma-separated ``key=value`` string
-    (:meth:`parse`), e.g. ``"jobs=8"``, ``"profile=on"``,
-    ``"perturb=medium:40,jobs=2"``, or ``"file=fp_base.jsonl"``.
+    (:meth:`parse`), e.g. ``"jobs=8"``, ``"perturb=medium:40,jobs=2"``,
+    or ``"file=fp_base.jsonl"``.
     """
 
     label: str
     jobs: int = 1
-    profile: bool = False
     perturb: Optional[str] = None
     file: Optional[str] = None
 
-    _KEYS = ("jobs", "profile", "perturb", "file")
+    _KEYS = ("jobs", "perturb", "file")
 
     @classmethod
     def parse(cls, label: str, raw: str) -> "SideSpec":
@@ -95,11 +94,9 @@ class SideSpec:
                     raise ConfigurationError(
                         f"side {label}: jobs must be >= 1, got {value!r}"
                     )
-            elif key == "profile":
-                spec.profile = value.lower() in ("1", "true", "yes", "on")
             else:
                 setattr(spec, key, value)
-        if spec.file is not None and (spec.perturb or spec.profile or spec.jobs != 1):
+        if spec.file is not None and (spec.perturb or spec.jobs != 1):
             raise ConfigurationError(
                 f"side {label}: file= is a recorded checkpoint stream; it "
                 f"cannot be combined with run options"
@@ -110,8 +107,6 @@ class SideSpec:
         if self.file is not None:
             return f"file={self.file}"
         parts = [f"jobs={self.jobs}"]
-        if self.profile:
-            parts.append("profile=on")
         if self.perturb:
             parts.append(f"perturb={self.perturb}")
         return ",".join(parts)
@@ -215,7 +210,6 @@ def run_side(
     overrides: Dict[str, Optional[str]] = {
         "REPRO_RNG_PERTURB": spec.perturb,
         "REPRO_JOBS": str(spec.jobs),
-        "REPRO_PROFILE": "1" if spec.profile else None,
         # Neutralize ambient fingerprint/recorder knobs: the side must
         # observe exactly the configuration the spec names.
         "REPRO_FINGERPRINT": None,
@@ -229,10 +223,6 @@ def run_side(
                 path=path, checkpoint_every=checkpoint_every, detail=detail
             )
         )
-        if spec.profile:
-            from repro.obs.kernelprof import KernelProfiler
-
-            stack.enter_context(KernelProfiler().activate())
         if spec.jobs == 1:
             ledger = stack.enter_context(rng_ledger())
             for seed in scenario.seeds:

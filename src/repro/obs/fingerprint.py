@@ -1,16 +1,16 @@
 """Event-stream fingerprinting: chained digests with checkpoint records.
 
 Every determinism gate in this repo (parallel-vs-serial parity,
-profile-on-vs-off parity, the ``bench --check`` digest gate) compares
-whole-run outputs — which says *that* two runs diverged, never *where*.  A
-:class:`FingerprintConfig` closes that gap: while one is installed, the
-simulator dispatch loop canonically encodes every fired event — virtual
-time, priority, sequence number, handler key, and scalar payload fields —
-into a **rolling chained digest** (one incremental BLAKE2b per simulator
-run), and every ``checkpoint_every`` events emits a compact checkpoint
-record ``{"fp": "ckpt", "i": N, "digest": ..., "t": ..., "seq": ...,
-"h": ...}`` to a JSONL stream that shards per worker exactly like trace
-and timeline files.
+fingerprint-on-vs-off table parity, the ``bench --check`` digest gate)
+compares whole-run outputs — which says *that* two runs diverged, never
+*where*.  A :class:`FingerprintConfig` closes that gap: while one is
+installed, the simulator dispatch loop canonically encodes every fired
+event — virtual time, priority, sequence number, handler key, and scalar
+payload fields — into a **rolling chained digest** (one incremental
+BLAKE2b per simulator run), and every ``checkpoint_every`` events emits a
+compact checkpoint record ``{"fp": "ckpt", "i": N, "digest": ...,
+"t": ..., "seq": ..., "h": ...}`` to a JSONL stream that shards per
+worker exactly like trace and timeline files.
 
 Because the digest is *chained* (checkpoint ``N`` covers events ``1..N``),
 two runs' checkpoint streams agree on every checkpoint before their first

@@ -1,6 +1,6 @@
 """Memory telemetry: tracemalloc snapshots at experiment phase boundaries.
 
-Activated by ``repro profile --memory``, a :class:`MemoryTelemetry`
+Activated by ``repro <figure> --memory``, a :class:`MemoryTelemetry`
 records a tracemalloc snapshot each time the experiment crosses a phase
 boundary — scenario setup, each discovery round, retrieval start — and
 attributes the allocation delta between consecutive snapshots to the

@@ -8,12 +8,12 @@ with :meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.at`
 
 from __future__ import annotations
 
-from time import perf_counter, perf_counter_ns
+from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.fingerprint import EventFingerprinter, configured_fingerprint
-from repro.obs.kernelprof import active_kernel_profiler, dispatch
+from repro.obs.kernelprof import active_kernel_profiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceBus, global_sinks
 from repro.sim.event import DEFAULT_PRIORITY, Event, EventQueue
@@ -121,12 +121,11 @@ class Simulator:
                 fingerprint = self._fingerprint = EventFingerprinter(
                     self, fp_config
                 )
-        acc_map = kernel._acc if kernel is not None and kernel.handlers else None
         wall_start = perf_counter() if kernel is not None else 0.0
         queue = self._queue
         peak_depth = len(queue)
         try:
-            if acc_map is None and fingerprint is None:
+            if fingerprint is None:
                 while queue and not self._stopped:
                     next_time = queue.peek_time()
                     if next_time is None:
@@ -151,30 +150,16 @@ class Simulator:
                     if depth > peak_depth:
                         peak_depth = depth
             else:
-                # Observed variant of the loop above, driving whichever of
-                # the two instruments is present.  Kept as a separate
-                # branch (not per-event checks in the plain loop) so
-                # instrument-off runs execute exactly the plain loop.
-                # Neither instrument touches event order, the clock, or
-                # RNG draws, so observed runs keep exact output digests.
-                # The fingerprint folds the event in BEFORE fire(), so a
+                # Fingerprinted variant of the loop above.  Kept as a
+                # separate branch (not per-event checks in the plain loop)
+                # so fingerprint-off runs execute exactly the plain loop.
+                # The fingerprinter never touches event order, the clock,
+                # or RNG draws, so fingerprinted runs keep exact output
+                # digests.  It folds the event in BEFORE fire(), so a
                 # handler that raises still leaves the divergent event on
-                # the stream.  Kernel timing wraps the queue's peek/pop
-                # (booked under the `dispatch` sentinel, the
-                # `sim.scheduler` subsystem) and the fire() call (booked
-                # under the handler); push time lands in whichever handler
-                # scheduled the event.  The accumulator update is inlined
-                # rather than calling kernel.note() to keep the profiled
-                # overhead small on event-dense workloads.
-                note = fingerprint.note if fingerprint is not None else None
-                sched_acc = None
-                if acc_map is not None:
-                    sched_acc = acc_map.get(dispatch)
-                    if sched_acc is None:
-                        sched_acc = acc_map[dispatch] = [0, 0]
+                # the stream.
+                note = fingerprint.note
                 while queue and not self._stopped:
-                    if sched_acc is not None:
-                        sched_start = perf_counter_ns()
                     next_time = queue.peek_time()
                     if next_time is None:
                         break
@@ -187,29 +172,13 @@ class Simulator:
                             f"runaway simulation?"
                         )
                     event = queue.pop()
-                    if sched_acc is not None:
-                        sched_acc[0] += 1
-                        sched_acc[1] += perf_counter_ns() - sched_start
                     if event.time < self.now:
                         raise SimulationError(
                             f"event queue yielded past event (t={event.time} < now={self.now})"
                         )
                     self.now = event.time
-                    if note is not None:
-                        note(event)
-                    if acc_map is None:
-                        event.fire()
-                    else:
-                        fire_start = perf_counter_ns()
-                        event.fire()
-                        elapsed_ns = perf_counter_ns() - fire_start
-                        callback = event.callback
-                        key = getattr(callback, "__func__", callback)
-                        acc = acc_map.get(key)
-                        if acc is None:
-                            acc = acc_map[key] = [0, 0]
-                        acc[0] += 1
-                        acc[1] += elapsed_ns
+                    note(event)
+                    event.fire()
                     processed += 1
                     depth = len(queue)
                     if depth > peak_depth:
@@ -240,7 +209,11 @@ class Simulator:
         return processed
 
     def stop(self) -> None:
-        """Stop the current (or next) :meth:`run` after the active event."""
+        """Stop the current :meth:`run` after the active event.
+
+        Only a run in progress is stopped: :meth:`run` clears the flag on
+        entry, so a ``stop()`` issued between runs has no effect.
+        """
         self._stopped = True
 
     @property

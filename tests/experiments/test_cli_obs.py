@@ -191,6 +191,21 @@ def test_timeline_flag_records_jsonl(tmp_path, capsys, scenario_fig4):
     assert records[0]["keyframe_every"] == 3
 
 
+def test_metrics_memory_flags_print_profile_and_telemetry(
+    monkeypatch, capsys, scenario_fig4
+):
+    import os
+
+    # --memory keeps the campaign in this process unless --jobs is given.
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    assert main(["fig4", "--metrics", "--memory"]) == 0
+    assert os.environ["REPRO_JOBS"] == "1"
+    out = capsys.readouterr().out
+    assert "profile:" in out
+    assert "memory telemetry" in out
+    assert "setup" in out
+
+
 def test_timeline_recording_removed_after_run(tmp_path, scenario_fig4):
     from repro.obs.recorder import configured_recording
 

@@ -30,11 +30,15 @@ from repro.obs.fingerprint import FingerprintRun
 # Side-spec parsing
 # ----------------------------------------------------------------------
 def test_side_spec_parses_run_options():
-    spec = SideSpec.parse("a", "jobs=4,profile=on,perturb=medium:40")
+    spec = SideSpec.parse("a", "jobs=4,perturb=medium:40")
     assert spec.jobs == 4
-    assert spec.profile is True
     assert spec.perturb == "medium:40"
-    assert spec.describe() == "jobs=4,profile=on,perturb=medium:40"
+    assert spec.describe() == "jobs=4,perturb=medium:40"
+
+
+def test_side_spec_rejects_retired_profile_key():
+    with pytest.raises(ConfigurationError, match="jobs/perturb/file"):
+        SideSpec.parse("a", "profile=1")
 
 
 def test_side_spec_empty_means_defaults():
@@ -276,9 +280,9 @@ def test_diverge_against_recorded_file(tmp_path):
 
 
 def test_suggest_command_is_ready_to_paste():
-    command = suggest_command("", "profile=on", _SMALL)
+    command = suggest_command("", "perturb=medium:40", _SMALL)
     assert command.startswith("python -m repro diverge")
-    assert "--a '' --b 'profile=on'" in command
+    assert "--a '' --b 'perturb=medium:40'" in command
     assert "--rows 4 --cols 4" in command
 
 

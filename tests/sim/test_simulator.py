@@ -77,6 +77,17 @@ def test_stop_halts_processing(sim):
     assert sim.pending_events == 1
 
 
+def test_stop_between_runs_is_dropped(sim):
+    """``stop()`` only stops a run in progress: ``run()`` clears the flag."""
+    fired = []
+    for i in range(3):
+        sim.schedule(float(i), fired.append, i)
+    sim.stop()
+    assert sim.run() == 3
+    assert fired == [0, 1, 2]
+    assert sim.pending_events == 0
+
+
 def test_max_events_guard(sim):
     def forever():
         sim.schedule(0.1, forever)
@@ -89,13 +100,13 @@ def test_max_events_guard(sim):
 @pytest.mark.parametrize("observed", [False, True])
 def test_max_events_allows_exactly_n_events(sim, observed):
     """A queue holding exactly N events drains under ``max_events=N``."""
-    from repro.obs.kernelprof import KernelProfiler
+    from repro.obs.fingerprint import fingerprinting
 
     fired = []
     for i in range(3):
         sim.schedule(float(i), fired.append, i)
     if observed:
-        with KernelProfiler().activate():
+        with fingerprinting():
             assert sim.run(max_events=3) == 3
     else:
         assert sim.run(max_events=3) == 3
