@@ -545,8 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="fingerprint every simulated event into FILE while "
-        "benchmarking (sets REPRO_FINGERPRINT; results must stay "
-        "bit-identical, wall time pays the fingerprint overhead)",
+        "benchmarking (results must stay bit-identical, wall time pays "
+        "the fingerprint overhead)",
+    )
+    parser.add_argument(
+        "--timeline",
+        metavar="FILE",
+        default=None,
+        help="record a flight-recorder timeline of every benchmarked "
+        "scenario into FILE (results must stay bit-identical; the "
+        "recorder's sampling events exempt the event counters)",
     )
     parser.add_argument(
         "--update-baseline",
@@ -577,8 +585,16 @@ def _resolve_tolerance(arg: Optional[float]) -> float:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    from repro.obs.config import ObsConfig
 
+    args = build_parser().parse_args(argv)
+    # Scoped to this call: nothing fingerprints or records once it returns.
+    config = ObsConfig(fingerprint=args.fingerprint, timeline=args.timeline)
+    with config.activate():
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.list:
         print("Available benchmarks:")
         for name, fn in _BENCHMARKS.items():
@@ -595,9 +611,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-
-    if args.fingerprint is not None:
-        os.environ["REPRO_FINGERPRINT"] = args.fingerprint
 
     tolerance = _resolve_tolerance(args.tolerance)
     out_dir = Path(args.out_dir)

@@ -112,13 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store DIR` producing bit-identical tables",
     )
     parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write a JSONL event trace of every simulation to FILE "
-        "(with --jobs N>1, per-worker shards FILE.0, FILE.1, ...)",
-    )
-    parser.add_argument(
         "--metrics",
         action="store_true",
         help="profile the run (wall time, events/sec, peak queue depth)",
@@ -130,7 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(setup / discovery rounds / retrieval) with per-subsystem "
         "allocator attribution (default --jobs 1: phases are per-process)",
     )
-    parser.add_argument(
+    obs = parser.add_argument_group(
+        "observability",
+        "instruments for figure runs; with --jobs N>1 each FILE is "
+        "written as per-worker shards FILE.0, FILE.1, ...",
+    )
+    obs.add_argument(
+        "--trace",
+        metavar="FILE",
+        default=None,
+        help="write a JSONL event trace of every simulation to FILE",
+    )
+    obs.add_argument(
         "--timeline",
         metavar="FILE",
         nargs="?",
@@ -138,38 +142,35 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="figure runs: record a flight-recorder timeline to FILE "
         "(bare --timeline records in memory, attaching summary columns "
-        "only; with --jobs N>1, per-worker shards FILE.0, ...); "
-        "inspect: render per-node sparkline views of a timeline file",
+        "only); inspect: render per-node sparkline views of a timeline file",
     )
-    parser.add_argument(
-        "--fingerprint",
-        metavar="FILE",
-        default=None,
-        help="figure runs: stream a determinism fingerprint (chained "
-        "event digests + checkpoints) to FILE (with --jobs N>1, "
-        "per-worker shards FILE.0, ...); compare streams with "
-        "`repro diverge`",
-    )
-    parser.add_argument(
-        "--fingerprint-every",
-        type=int,
-        default=None,
-        metavar="K",
-        help="events per fingerprint checkpoint (default: 512)",
-    )
-    parser.add_argument(
+    obs.add_argument(
         "--timeline-interval",
         type=float,
         default=None,
         metavar="SECONDS",
         help="sim seconds between timeline samples (default: 1.0)",
     )
-    parser.add_argument(
+    obs.add_argument(
         "--keyframe-every",
         type=int,
         default=None,
         metavar="K",
         help="write a full keyframe every K timeline samples (default: 10)",
+    )
+    obs.add_argument(
+        "--fingerprint",
+        metavar="FILE",
+        default=None,
+        help="stream a determinism fingerprint (chained event digests + "
+        "checkpoints) to FILE; compare streams with `repro diverge`",
+    )
+    obs.add_argument(
+        "--fingerprint-every",
+        type=int,
+        default=None,
+        metavar="K",
+        help="events per fingerprint checkpoint (default: 512)",
     )
     parser.add_argument(
         "--at",
@@ -226,16 +227,10 @@ def _run_figures(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
     from repro.experiments.runner import configured_jobs
-    from repro.obs.fingerprint import DEFAULT_CHECKPOINT_EVERY, fingerprinting
+    from repro.obs.config import ObsConfig
     from repro.obs.kernelprof import KernelProfiler
     from repro.obs.memprof import MemoryTelemetry
     from repro.obs.metrics import MetricsRegistry, collect_registries
-    from repro.obs.recorder import (
-        DEFAULT_INTERVAL_S,
-        DEFAULT_KEYFRAME_EVERY,
-        recording,
-    )
-    from repro.obs.trace import JsonlSink, global_sink
 
     if args.figure != "all" and args.figure not in REGISTRY:
         print(
@@ -244,46 +239,23 @@ def _run_figures(args: argparse.Namespace) -> int:
         )
         return 2
 
+    config = ObsConfig(
+        trace=args.trace,
+        timeline=args.timeline,
+        timeline_interval=args.timeline_interval,
+        keyframe_every=args.keyframe_every,
+        fingerprint=args.fingerprint,
+        fingerprint_every=args.fingerprint_every,
+    )
     profiler = KernelProfiler() if args.metrics else None
     memory = MemoryTelemetry() if args.memory else None
     registries: List[MetricsRegistry] = []
     with ExitStack() as stack:
-        if args.trace:
-            try:
-                sink = JsonlSink(args.trace)
-            except OSError as exc:
-                print(f"cannot write trace file {args.trace}: {exc}", file=sys.stderr)
-                return 2
-            stack.enter_context(global_sink(sink))
-        if args.timeline:
-            timeline_path = (
-                args.timeline if isinstance(args.timeline, str) else None
-            )
-            interval = (
-                args.timeline_interval
-                if args.timeline_interval is not None
-                else DEFAULT_INTERVAL_S
-            )
-            keyframe = (
-                args.keyframe_every
-                if args.keyframe_every is not None
-                else DEFAULT_KEYFRAME_EVERY
-            )
-            stack.enter_context(
-                recording(
-                    path=timeline_path,
-                    interval_s=interval,
-                    keyframe_every=keyframe,
-                )
-            )
-        if args.fingerprint:
-            stack.enter_context(
-                fingerprinting(
-                    path=args.fingerprint,
-                    checkpoint_every=args.fingerprint_every
-                    or DEFAULT_CHECKPOINT_EVERY,
-                )
-            )
+        try:
+            stack.enter_context(config.activate())
+        except OSError as exc:
+            print(f"cannot write trace file {args.trace}: {exc}", file=sys.stderr)
+            return 2
         if profiler is not None:
             stack.enter_context(profiler.activate())
             registries = stack.enter_context(collect_registries())
@@ -296,31 +268,14 @@ def _run_figures(args: argparse.Namespace) -> int:
                 print()
         else:
             print(REGISTRY[args.figure].main())
-    if args.trace:
+    for instrument, path in config.artifacts():
         if configured_jobs() > 1:
             print(
-                f"trace written to per-worker shards next to {args.trace}",
+                f"{instrument} written to per-worker shards next to {path}",
                 file=sys.stderr,
             )
         else:
-            print(f"trace written to {args.trace}", file=sys.stderr)
-    if args.fingerprint:
-        if configured_jobs() > 1:
-            print(
-                f"fingerprint written to per-worker shards next to "
-                f"{args.fingerprint}",
-                file=sys.stderr,
-            )
-        else:
-            print(f"fingerprint written to {args.fingerprint}", file=sys.stderr)
-    if isinstance(args.timeline, str):
-        if configured_jobs() > 1:
-            print(
-                f"timeline written to per-worker shards next to {args.timeline}",
-                file=sys.stderr,
-            )
-        else:
-            print(f"timeline written to {args.timeline}", file=sys.stderr)
+            print(f"{instrument} written to {path}", file=sys.stderr)
     if profiler is not None:
         print()
         print(profiler.render_runs())

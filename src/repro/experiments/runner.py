@@ -30,10 +30,12 @@ everything on the caller's thread, exactly as before.  With ``jobs>1``:
   :class:`~repro.obs.metrics.MetricsRegistry` snapshots and
   :class:`~repro.obs.kernelprof.KernelProfiler` run-record snapshots,
   which the parent folds into its active profiler / registry collector;
-* process-wide JSONL trace sinks are sharded — worker ``k`` writes
-  ``trace.k.jsonl`` next to the parent's ``trace.jsonl``.  Other sink
-  types cannot cross a process boundary and raise
-  :class:`~repro.errors.ConfigurationError` telling you to use
+* the active :class:`~repro.obs.config.ObsConfig` is the pool initarg:
+  worker ``k`` activates it with every trace/timeline/fingerprint file
+  moved to its shard ``k`` (``trace.jsonl`` -> ``trace.k.jsonl``).
+  What cannot cross a process boundary — a trace sink outside the
+  config, an in-memory fingerprint, file shards without ``fork`` —
+  raises :class:`~repro.errors.ConfigurationError` telling you to use
   ``jobs=1``.
 
 Campaign store
@@ -56,12 +58,9 @@ abandoned attempts never double-count in merged spans/timelines.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import multiprocessing.util
 import os
 import signal
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -86,12 +85,14 @@ from repro.experiments.store import (
     task_digest,
     trial_id,
 )
-from repro.obs import fingerprint as obs_fingerprint
+from repro.obs import config as obs_config
 from repro.obs import kernelprof as obs_kernelprof
 from repro.obs import memprof as obs_memprof
 from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
 from repro.obs.audit import audit_extras
+from repro.obs.config import ObsConfig
+from repro.obs.durable import sanitize_shards
 from repro.obs.metrics import MetricsRegistry, _clear_collectors, collect_registries
 
 #: Per the paper: "results are averaged over 5 runs".
@@ -216,21 +217,16 @@ def configured_trial_timeout(default: Optional[float] = None) -> Optional[float]
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_init(
-    shard_bases: Sequence[str],
-    shard_counter: Any,
-    timeline_shards: bool = False,
-    fingerprint_shards: bool = False,
-) -> None:
+def _worker_init(config: Optional[ObsConfig], shard_counter: Any) -> None:
     """Per-worker-process setup.
 
     Forked workers inherit the parent's process-wide observability state:
     global trace sinks (whose file handles are shared with the parent),
-    the active profiler and its labels, memory telemetry, open registry
-    collectors, and open recorder collectors.  All of it belongs to the
-    parent, so drop it — workers report back through their return values
-    instead — then open this worker's own JSONL trace shards and re-point
-    any configured timeline recording at this worker's shard.
+    the active observability config and its open writers, the active
+    profiler and its labels, memory telemetry, open registry collectors,
+    and open recorder collectors.  All of it belongs to the parent, so
+    drop it — workers report back through their return values instead —
+    then activate the campaign's ``config`` on this worker's own shards.
     """
     for sink in obs_trace.global_sinks():
         # Remove without closing: under fork the file object is shared
@@ -240,26 +236,12 @@ def _worker_init(
     obs_memprof._clear_active()
     _clear_collectors()
     obs_recorder._clear_recorder_collectors()
-    if shard_bases or timeline_shards or fingerprint_shards:
+    index = None
+    if shard_counter is not None:
         with shard_counter.get_lock():
             index = shard_counter.value
             shard_counter.value += 1
-        for base in shard_bases:
-            stem, ext = os.path.splitext(base)
-            sink = obs_trace.JsonlSink(f"{stem}.{index}{ext}")
-            obs_trace.install_global_sink(sink)
-            # Workers exit through os._exit (multiprocessing skips normal
-            # interpreter shutdown), so buffered tail events would be lost
-            # without an explicit finalizer.  (TimelineWriter registers its
-            # own finalizer when the recording opens its shard.)
-            multiprocessing.util.Finalize(sink, sink.close, exitpriority=10)
-        if timeline_shards:
-            obs_recorder.reshard_for_worker(index)
-        if fingerprint_shards:
-            # The inherited config's writer (if the parent already opened
-            # one) is dropped, not closed — its buffer belongs to the
-            # parent (pid-guarded, like trace sinks under fork).
-            obs_fingerprint.reshard_for_worker(index)
+    obs_config.enter_worker(config, index)
 
 
 def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
@@ -270,9 +252,9 @@ def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
     :mod:`repro.obs.audit` invariants; the per-invariant violation counts
     land in ``TrialMetrics.extras["audit"]`` so they surface as
     ``violations`` / ``audit_<invariant>`` columns in the figure tables.
-    When a timeline recording is configured (``timeline=`` knob, CLI
-    ``--timeline`` or ``REPRO_TIMELINE``), the flight recorders the
-    trial's scenarios attach are collected and their merged series summary
+    When the active :class:`~repro.obs.config.ObsConfig` records a
+    timeline (CLI ``--timeline``), the flight recorders the trial's
+    scenarios attach are collected and their merged series summary
     lands in ``TrialMetrics.extras["timeline"]``.  Campaigns with neither
     skip all of this.
     """
@@ -305,34 +287,16 @@ def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
 def _mark_attempt(outcome: str, label: str) -> None:
     """End one trial attempt on every open JSONL artifact of this worker.
 
-    Writes ``{"attempt": "commit"|"abort", "label": ...}`` to the
-    worker's trace shards and to the timeline/fingerprint writers *if
-    they are already open* (a marker must never force an idle lazy shard
-    into existence), then flushes — so once an attempt commits, its
-    events survive the worker being killed during a *later* trial.
-    Post-campaign sanitization keeps exactly the committed segments:
-    aborted attempts, duplicate commits of the same label, and the
-    unterminated tail a killed worker leaves are all dropped, which is
-    what stops a retried trial's abandoned first attempt from
-    double-counting in merged spans and timelines.
+    Post-campaign sanitization (:func:`repro.obs.durable.sanitize_shards`)
+    keeps exactly the committed segments: aborted attempts, duplicate
+    commits of the same label, and the unterminated tail a killed worker
+    leaves are all dropped, which is what stops a retried trial's
+    abandoned first attempt from double-counting in merged spans and
+    timelines.
     """
-    doc = {"attempt": outcome, "label": label}
-    for sink in obs_trace.global_sinks():
-        if isinstance(sink, obs_trace.JsonlSink):
-            sink.write_doc(doc)
-            sink.flush()
-    recording = obs_recorder.configured_recording()
-    if recording is not None:
-        writer = recording.current_writer()
-        if writer is not None:
-            writer.write_doc(doc)
-            writer.flush()
-    fingerprint = obs_fingerprint.configured_fingerprint()
-    if fingerprint is not None:
-        writer = fingerprint.current_writer()
-        if writer is not None:
-            writer.write_doc(doc)
-            writer.flush()
+    obs = obs_config.active()
+    if obs is not None:
+        obs.mark_attempt(outcome, label)
 
 
 @contextmanager
@@ -425,74 +389,39 @@ def _pool_context() -> Any:
     return multiprocessing.get_context()
 
 
-def _plan_trace_shards(context: Any) -> List[str]:
-    """Decide how process-wide trace sinks behave under a fan-out.
+def _worker_config(context: Any) -> Optional[ObsConfig]:
+    """The observability config workers activate, or ``None``.
 
-    JSONL sinks shard (worker ``k`` writes ``<stem>.k<ext>``); anything
-    else cannot cross a process boundary, so the campaign must run with
-    ``jobs=1``.
+    Refuses, with a ``jobs=1`` hint, what cannot follow trials into
+    worker processes: trace sinks outside the config (their events would
+    die with the worker), an in-memory fingerprint (likewise), and file
+    shards under a start method other than ``fork``.  Memory-only
+    timelines work anywhere: their summaries travel back inside the
+    pickled trial results.
     """
-    bases: List[str] = []
+    obs = obs_config.active()
     for sink in obs_trace.global_sinks():
-        if isinstance(sink, obs_trace.JsonlSink):
-            bases.append(sink.path)
-        else:
+        if obs is None or sink is not obs.trace_sink:
             raise ConfigurationError(
                 f"trace sink {type(sink).__name__} cannot follow trials into "
                 f"worker processes; run with jobs=1 (--jobs 1) to keep "
-                f"tracing through it"
+                f"tracing through it, or trace through ObsConfig(trace=...)"
             )
-    if bases and context.get_start_method() != "fork":
+    if obs is None:
+        return None
+    if obs.config.fingerprint is True:
         raise ConfigurationError(
-            "per-worker trace shards need the 'fork' start method; run "
-            "with jobs=1 (--jobs 1) to trace on this platform"
-        )
-    return bases
-
-
-def _plan_timeline_shards(context: Any) -> bool:
-    """Whether workers must shard a configured timeline recording.
-
-    Memory-only recordings (no path) still need per-worker recorder
-    collection, but summaries travel back inside the pickled trial
-    results, so they work under any start method.  File-backed timelines
-    shard like trace files and need ``fork``.
-    """
-    config = obs_recorder.configured_recording()
-    if config is None:
-        return False
-    if config.path is not None and context.get_start_method() != "fork":
-        raise ConfigurationError(
-            "per-worker timeline shards need the 'fork' start method; run "
-            "with jobs=1 (--jobs 1) to record a timeline on this platform"
-        )
-    return config.path is not None
-
-
-def _plan_fingerprint_shards(context: Any) -> bool:
-    """Whether workers must shard a configured fingerprint stream.
-
-    File-backed fingerprint streams shard per worker exactly like trace
-    and timeline files (fork only); a memory-only fingerprint config
-    cannot follow trials into worker processes at all — its
-    :class:`~repro.obs.fingerprint.EventFingerprinter` records would die
-    with the worker — so it demands ``jobs=1``.
-    """
-    config = obs_fingerprint.configured_fingerprint()
-    if config is None:
-        return False
-    if config.path is None:
-        raise ConfigurationError(
-            "an in-memory fingerprint (path=None) cannot follow trials "
+            "an in-memory fingerprint (no path) cannot follow trials "
             "into worker processes; give it a path or run with jobs=1 "
             "(--jobs 1)"
         )
-    if context.get_start_method() != "fork":
+    if obs.config.artifacts() and context.get_start_method() != "fork":
         raise ConfigurationError(
-            "per-worker fingerprint shards need the 'fork' start method; "
-            "run with jobs=1 (--jobs 1) to fingerprint on this platform"
+            "per-worker trace/timeline/fingerprint shards need the 'fork' "
+            "start method; run with jobs=1 (--jobs 1) to write them on "
+            "this platform"
         )
-    return True
+    return obs.config
 
 
 def _failure_kind(error: BaseException) -> str:
@@ -501,105 +430,6 @@ def _failure_kind(error: BaseException) -> str:
     if isinstance(error, BrokenProcessPool):
         return "crash"
     return "error"
-
-
-def _sanitize_shard(path: str, committed_labels: set) -> None:
-    """Keep only committed attempt segments of one worker JSONL shard.
-
-    A shard is a sequence of segments, each terminated by an attempt
-    marker (``{"attempt": "commit"|"abort", "label": ...}``).  Aborted
-    segments, the unterminated tail a killed worker leaves, truncated
-    lines, and duplicate commits of a label already committed on an
-    earlier shard (a worker killed between finishing a trial and
-    delivering its result forces a re-run of an already-committed trial)
-    are all dropped; markers themselves are stripped.  Provenance headers
-    always survive.  The rewrite is atomic (temp file + rename), and a
-    shard with nothing to drop is left byte-untouched.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return
-    kept: List[str] = []
-    segment: List[str] = []
-    dirty = False
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            doc = json.loads(stripped)
-        except ValueError:
-            # Truncated tail of a killed writer: part of the unterminated
-            # (dead) attempt — dropped with the rest of its segment.
-            segment.append(line)
-            continue
-        if isinstance(doc, dict) and "provenance" in doc:
-            kept.append(line)
-            continue
-        if isinstance(doc, dict) and "attempt" in doc:
-            label = doc.get("label")
-            if doc.get("attempt") == "commit" and label not in committed_labels:
-                committed_labels.add(label)
-                kept.extend(segment)
-            dirty = True
-            segment = []
-            continue
-        segment.append(line)
-    if segment:
-        dirty = True  # unterminated tail: the attempt died mid-write
-    if not dirty:
-        return
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as out:
-            out.writelines(kept)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def _clean_artifact_shards(base: str, count: int) -> None:
-    """Post-campaign shard hygiene for one sharded JSONL artifact.
-
-    Sanitizes this campaign's shards (``<stem>.0<ext>`` …
-    ``<stem>.<count-1><ext>``) in index order — so a trial committed on
-    two shards (worker killed after commit but before result delivery,
-    then re-run) keeps only its first copy — and deletes shards with
-    index ≥ ``count``: leftovers of an earlier, wider (or killed)
-    campaign that a merged load would otherwise double-count.
-    """
-    stem, ext = os.path.splitext(base)
-    committed_labels: set = set()
-    for index in range(count):
-        path = f"{stem}.{index}{ext}"
-        if os.path.exists(path):
-            _sanitize_shard(path, committed_labels)
-    directory = os.path.dirname(base) or "."
-    prefix = os.path.basename(stem) + "."
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return
-    for name in names:
-        if not (name.startswith(prefix) and name.endswith(ext)):
-            continue
-        middle = name[len(prefix) : len(name) - len(ext)] if ext else name[len(prefix) :]
-        if middle.isdigit() and int(middle) >= count:
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
 
 
 def _execute_parallel(
@@ -626,14 +456,9 @@ def _execute_parallel(
     (crash isolation), where blame is unambiguous.
     """
     context = _pool_context()
-    shard_bases = _plan_trace_shards(context)
-    timeline_shards = _plan_timeline_shards(context)
-    fingerprint_shards = _plan_fingerprint_shards(context)
-    shard_counter = (
-        context.Value("i", 0)
-        if (shard_bases or timeline_shards or fingerprint_shards)
-        else None
-    )
+    config = _worker_config(context)
+    artifacts = config.artifacts() if config is not None else []
+    shard_counter = context.Value("i", 0) if artifacts else None
     kernel = obs_kernelprof.active_kernel_profiler()
     # Created here so it registers with the caller's collector (if any);
     # every worker snapshot is merged into it.
@@ -669,12 +494,7 @@ def _execute_parallel(
                 max_workers=min(jobs, len(group)),
                 mp_context=context,
                 initializer=_worker_init,
-                initargs=(
-                    shard_bases,
-                    shard_counter,
-                    timeline_shards,
-                    fingerprint_shards,
-                ),
+                initargs=(config, shard_counter),
             ) as pool:
                 futures = {
                     pool.submit(
@@ -722,18 +542,8 @@ def _execute_parallel(
         if saw_crash:
             isolate = True
 
-    if shard_counter is not None:
-        bases = list(shard_bases)
-        if timeline_shards:
-            timeline_base = obs_recorder.recording_shard_base()
-            if timeline_base:
-                bases.append(timeline_base)
-        if fingerprint_shards:
-            fingerprint_config = obs_fingerprint.configured_fingerprint()
-            if fingerprint_config is not None and fingerprint_config.path:
-                bases.append(fingerprint_config.path)
-        for base in bases:
-            _clean_artifact_shards(base, shard_counter.value)
+    for _, base in artifacts:
+        sanitize_shards(base, shard_counter.value)
 
     return values, failures, snapshots
 
@@ -741,32 +551,6 @@ def _execute_parallel(
 # ----------------------------------------------------------------------
 # Campaign-store plumbing
 # ----------------------------------------------------------------------
-def _campaign_artifacts() -> Dict[str, Any]:
-    """JSONL artifact base paths recorded on every store entry.
-
-    Points a store entry back at the trace/timeline/fingerprint streams
-    the campaign that executed it was writing (per-worker shards live
-    next to these bases).  Cached trials emit no events in a resumed
-    campaign, so its artifact files cover only the trials it executed —
-    the original campaign's artifacts are named here.
-    """
-    artifacts: Dict[str, Any] = {}
-    trace_paths = [
-        sink.path
-        for sink in obs_trace.global_sinks()
-        if isinstance(sink, obs_trace.JsonlSink)
-    ]
-    if trace_paths:
-        artifacts["trace"] = trace_paths
-    timeline_base = obs_recorder.recording_shard_base()
-    if timeline_base:
-        artifacts["timeline"] = timeline_base
-    fingerprint = obs_fingerprint.configured_fingerprint()
-    if fingerprint is not None and fingerprint.path:
-        artifacts["fingerprint"] = fingerprint.path
-    return artifacts
-
-
 def _run_task_serial(
     trial: Callable[..., Any], task: _Task
 ) -> Tuple[Any, Dict[str, Dict[str, object]]]:
@@ -807,7 +591,12 @@ def _run_stored_campaign(
     """
     name = trial_id(trial)
     digests = {task.key: task_digest(trial, task.args) for task in tasks}
-    artifacts = _campaign_artifacts()
+    # Where the campaign writes its JSONL artifacts (worker shards live
+    # next to these bases).  Cached trials emit nothing in a resumed
+    # campaign, so an entry names the artifacts of the campaign that
+    # executed it.
+    obs = obs_config.active()
+    artifacts = dict(obs.config.artifacts()) if obs is not None else {}
     # Registers with the caller's collector (if any) so cached trials'
     # metrics still reach the campaign-wide view.
     campaign_metrics = MetricsRegistry()
@@ -873,7 +662,6 @@ def run_trials(
     jobs: Optional[int] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
-    timeline: Optional[Any] = None,
     store: Optional[Any] = None,
     resume: bool = True,
 ) -> AggregateMetrics:
@@ -896,29 +684,16 @@ def run_trials(
     The aggregate's ``cache_hits``/``executed`` fields say how much came
     from the store.
 
-    ``timeline=True`` records a flight-recorder timeline of every trial
-    in memory; ``timeline="path.jsonl"`` additionally streams it to a
-    JSONL file (per-worker shards with ``jobs>1``, like trace files).
-    Either way the merged series summary (peak LQT size, CDI convergence
+    Under an active :class:`~repro.obs.config.ObsConfig` that records a
+    timeline, the merged series summary (peak LQT size, CDI convergence
     time, mean airtime utilization) lands on each trial's
-    ``TrialMetrics.extras["timeline"]`` and surfaces as table columns.
+    ``TrialMetrics.extras["timeline"]`` and surfaces as table columns;
+    a trace adds audit columns the same way.
 
     When a :class:`repro.obs.kernelprof.KernelProfiler` is active (CLI
     ``--metrics``), each trial's simulator runs are labelled with its seed
     so the profile reads per-trial — including trials that ran in workers.
     """
-    if timeline:
-        path = timeline if isinstance(timeline, str) else None
-        with obs_recorder.recording(path=path):
-            return run_trials(
-                trial,
-                seeds=seeds,
-                jobs=jobs,
-                timeout_s=timeout_s,
-                retries=retries,
-                store=store,
-                resume=resume,
-            )
     if seeds is None:
         seeds = configured_seeds()
     seeds = list(seeds)
@@ -1002,7 +777,6 @@ def run_sweep(
     timeout_s: Optional[float] = None,
     retries: int = 1,
     label_fn: Optional[Callable[[Any], str]] = None,
-    timeline: Optional[Any] = None,
     store: Optional[Any] = None,
     resume: bool = True,
 ) -> List[SweepPoint]:
@@ -1023,8 +797,6 @@ def run_sweep(
     ``label_fn(point)`` names each point in profiles and failure records
     (trials are labelled ``"<point-label> seed <seed>"``).
 
-    ``timeline`` behaves exactly as in :func:`run_trials`.
-
     ``store``/``resume`` behave exactly as in :func:`run_trials`: with a
     store (or ``REPRO_STORE``), every (point, seed) trial is keyed by its
     content digest, completed trials persist across process restarts, and
@@ -1032,20 +804,6 @@ def run_sweep(
     :class:`SweepPoint` results; each point's ``cache_hits``/``executed``
     fields say how much came from the store.
     """
-    if timeline:
-        path = timeline if isinstance(timeline, str) else None
-        with obs_recorder.recording(path=path):
-            return run_sweep(
-                trial,
-                points,
-                seeds=seeds,
-                jobs=jobs,
-                timeout_s=timeout_s,
-                retries=retries,
-                label_fn=label_fn,
-                store=store,
-                resume=resume,
-            )
     if seeds is None:
         seeds = configured_seeds()
     seeds = list(seeds)

@@ -100,16 +100,16 @@ def _attach_recorder(scenario: Scenario) -> Scenario:
     """
     reset_message_ids()
     reset_frame_ids()
-    config = configured_recording()
-    if config is not None:
+    obs = configured_recording()
+    if obs is not None:
         recorder = FlightRecorder(
             scenario.sim,
             scenario.topology,
             scenario.medium,
             scenario.devices,
-            interval_s=config.interval_s,
-            keyframe_every=config.keyframe_every,
-            writer=config.writer(),
+            interval_s=obs.config.interval_s,
+            keyframe_every=obs.config.keyframe_cadence,
+            writer=obs.writer("timeline"),
         )
         scenario.extras["recorder"] = recorder.start()
     memory_phase("setup")

@@ -129,14 +129,16 @@ def observability_tags() -> Tuple[str, ...]:
     result cached without them must not satisfy a campaign that expects
     them (and vice versa).  The core metrics are identical either way (the
     zero-perturbation contract), but the extras are part of the value.
+    Both are read from the active :class:`~repro.obs.config.ObsConfig`
+    (plus any process-wide trace sink); a fingerprint adds no tag.
     """
-    from repro.obs import recorder as obs_recorder
-    from repro.obs import trace as obs_trace
+    from repro.obs.config import active
+    from repro.obs.trace import global_sinks
 
     tags: List[str] = []
-    if obs_trace.global_sinks():
+    if global_sinks():
         tags.append("trace")
-    if obs_recorder.configured_recording() is not None:
+    if active("timeline") is not None:
         tags.append("timeline")
     return tuple(tags)
 

@@ -29,31 +29,32 @@ per-node protocol state into a keyframe+delta JSONL timeline;
 :mod:`repro.obs.timeline` reconstructs exact state at any sample time
 (``python -m repro inspect tl.jsonl --at 12.5``), diffs instants, and
 renders per-node sparkline series.
+
+:mod:`repro.obs.config` holds :class:`ObsConfig`, the one switch for the
+trace, the timeline and the fingerprint; :mod:`repro.obs.durable` owns
+the JSONL writer, shard naming, attempt markers and the record reader
+all three artifacts share.
 """
 
 from repro.obs.audit import AuditReport, Violation, audit_events, audit_extras
+from repro.obs.config import ActiveObs, ObsConfig
+from repro.obs.durable import (
+    DurableJsonlWriter,
+    JsonlArtifact,
+    JsonlRecords,
+    resolve_trace_paths,
+    shard_path,
+)
 from repro.obs.kernelprof import KernelProfiler, RunRecord, active_kernel_profiler
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.recorder import (
     FlightRecorder,
-    RecordingConfig,
-    TimelineWriter,
     capture_network_state,
     configured_recording,
     flatten_state,
-    install_global_recording,
-    recording,
-    remove_global_recording,
     unflatten_state,
 )
-from repro.obs.spans import (
-    QuerySpan,
-    SpanForest,
-    TraceLoad,
-    build_spans,
-    load_trace,
-    resolve_trace_paths,
-)
+from repro.obs.spans import QuerySpan, SpanForest, TraceLoad, build_spans, load_trace
 from repro.obs.timeline import (
     TimelineError,
     TimelineLoad,
@@ -78,15 +79,18 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "ActiveObs",
     "AuditReport",
+    "DurableJsonlWriter",
     "FlightRecorder",
+    "JsonlArtifact",
+    "JsonlRecords",
+    "ObsConfig",
     "QuerySpan",
-    "RecordingConfig",
     "SpanForest",
     "TimelineError",
     "TimelineLoad",
     "TimelineRun",
-    "TimelineWriter",
     "TraceLoad",
     "Violation",
     "capture_network_state",
@@ -94,11 +98,9 @@ __all__ = [
     "diff_between",
     "flatten_state",
     "inspect_timeline",
-    "install_global_recording",
     "load_timeline",
     "reconstruct_at",
-    "recording",
-    "remove_global_recording",
+    "shard_path",
     "state_at",
     "unflatten_state",
     "audit_events",

@@ -33,12 +33,8 @@ from functools import partial
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.fingerprint import (
-    FingerprintLoad,
-    FingerprintRun,
-    fingerprinting,
-    load_fingerprints,
-)
+from repro.obs.config import ObsConfig
+from repro.obs.fingerprint import FingerprintLoad, FingerprintRun, load_fingerprints
 from repro.sim.rng import diff_ledgers, rng_ledger
 
 #: Default checkpoint cadence for diverge runs: dense enough that the
@@ -210,19 +206,18 @@ def run_side(
     overrides: Dict[str, Optional[str]] = {
         "REPRO_RNG_PERTURB": spec.perturb,
         "REPRO_JOBS": str(spec.jobs),
-        # Neutralize ambient fingerprint/recorder knobs: the side must
-        # observe exactly the configuration the spec names.
-        "REPRO_FINGERPRINT": None,
-        "REPRO_TIMELINE": None,
     }
+    # The side's own config shadows any ambient one: it observes exactly
+    # what the spec names.
+    config = ObsConfig(
+        fingerprint=path,
+        fingerprint_every=checkpoint_every,
+        fingerprint_detail=detail,
+    )
     ledger_snapshot: Optional[Dict[str, Any]] = None
     with ExitStack() as stack:
         stack.enter_context(_env(overrides))
-        stack.enter_context(
-            fingerprinting(
-                path=path, checkpoint_every=checkpoint_every, detail=detail
-            )
-        )
+        stack.enter_context(config.activate())
         if spec.jobs == 1:
             ledger = stack.enter_context(rng_ledger())
             for seed in scenario.seeds:

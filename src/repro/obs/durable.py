@@ -1,31 +1,38 @@
-"""The shared durable JSONL writer behind trace sinks and timeline files.
+"""Durable JSONL artifacts: one writer, one shard format, one reader.
 
-Both the trace bus's :class:`~repro.obs.trace.JsonlSink` and the flight
-recorder's :class:`~repro.obs.recorder.TimelineWriter` stream one JSON
-object per line to a file that must survive three hostile exits:
+Every observability artifact — the trace (:mod:`repro.obs.trace`), the
+flight-recorder timeline (:mod:`repro.obs.recorder`) and the determinism
+fingerprint (:mod:`repro.obs.fingerprint`) — is a stream of JSON objects,
+one per line, led by a provenance header.  This module owns everything
+those streams share, so the three cannot drift apart:
 
-* **normal interpreter shutdown** — an ``atexit`` hook closes the file;
-* **multiprocessing-worker exit** — workers leave through ``os._exit``
-  and skip ``atexit``, so an optional ``multiprocessing.util.Finalize``
-  closes worker shards (the parallel runner registers one for trace
-  shards; timeline writers always register their own);
-* **fork** — a writer inherited by a forked child shares the parent's
-  file object and buffer, so every close/flush path is pid-guarded: the
-  child keeps the reference but never flushes the parent's bytes.
-
-Closing flushes and ``fsync``\\ s so shard tails survive abrupt exits.
-This used to be copy-pasted between the two call sites; keep any new
-durability rule here so both stay in lockstep.
+* :class:`DurableJsonlWriter` survives three hostile exits: normal
+  interpreter shutdown (an ``atexit`` hook closes the file),
+  multiprocessing-worker exit (workers leave through ``os._exit``, so
+  :class:`JsonlArtifact` registers a ``multiprocessing.util.Finalize``),
+  and fork (a writer inherited by a forked child shares the parent's
+  buffer, so every close/flush path is pid-guarded).  Closing flushes
+  and ``fsync``\\ s so shard tails survive abrupt exits.
+* :func:`shard_path` names worker ``k``'s shard of a base path
+  (``trace.jsonl`` -> ``trace.k.jsonl``); :func:`resolve_trace_paths`
+  finds shards by the same rule.
+* :class:`JsonlArtifact` is one process's lazily opened handle on one
+  artifact, including the attempt commit/abort marker the parallel
+  runner ends every trial attempt with; :func:`sanitize_shards` keeps
+  only committed attempts once a campaign is over.
+* :class:`JsonlRecords` reads artifacts back: it skips blank lines,
+  provenance headers and attempt markers, and counts bad lines.
 """
 
 from __future__ import annotations
 
 import atexit
+import glob as _glob
 import json
 import multiprocessing.util
 import os
 import tempfile
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 def repro_version() -> str:
@@ -50,22 +57,42 @@ def provenance_doc() -> Dict[str, Any]:
     Records what produced the file — package version and the fingerprint
     configuration (if any) — so a shard dug out of a CI artifact months
     later still says which build wrote it.  The single ``"provenance"``
-    marker key is what every loader (traces, timelines, fingerprints)
-    skips on.
+    marker key is what :class:`JsonlRecords` skips on.
     """
-    from repro.obs.fingerprint import configured_fingerprint
+    from repro.obs.config import active
 
-    fp = configured_fingerprint()
+    obs = active("fingerprint")
     doc: Dict[str, Any] = {
         "provenance": 1,
         "repro_version": repro_version(),
     }
-    if fp is not None:
+    if obs is not None:
+        detail = obs.config.fingerprint_detail
         doc["fingerprint"] = {
-            "checkpoint_every": fp.checkpoint_every,
-            "detail": list(fp.detail) if fp.detail is not None else None,
+            "checkpoint_every": obs.config.checkpoint_every,
+            "detail": list(detail) if detail is not None else None,
         }
     return doc
+
+
+def _replace_atomic(path: str, write: Callable[[Any], None]) -> None:
+    """Write a temp file next to ``path`` with ``write``, fsync, rename."""
+    directory = os.path.dirname(path) or "."
+    fd, tmp_path = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 def write_json_atomic(path: str, doc: Dict[str, Any]) -> None:
@@ -79,58 +106,37 @@ def write_json_atomic(path: str, doc: Dict[str, Any]) -> None:
     killed mid-write leaves only a ``*.tmp`` file that readers ignore
     (the campaign store's ``gc`` sweeps them up).
     """
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, separators=(",", ":"), sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+
+    def write(handle: Any) -> None:
+        json.dump(doc, handle, separators=(",", ":"), sort_keys=True)
+        handle.write("\n")
+
+    _replace_atomic(path, write)
 
 
 class DurableJsonlWriter:
     """Streams JSON documents to a file, one object per line.
 
     Args:
-        path: Target file, truncated on open.
-        finalize: Also register a ``multiprocessing.util.Finalize`` so
-            the writer closes at worker-process exit.  Callers that
-            shard per worker *after* fork (trace sinks) register their
-            own finalizer on the shard instead.
-        header: Write the provenance header as the file's first line
-            (``written`` counts only documents, not the header).
+        path: Target file, truncated on open.  Its first line is the
+            provenance header.
 
     Attributes:
         path: The file being written.
-        written: Number of documents written so far.
+        written: Number of documents written so far (not counting the
+            header).
 
     Usable as a context manager; close is idempotent.
     """
 
-    def __init__(
-        self, path: str, finalize: bool = False, header: bool = True
-    ) -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
         self._file = open(self.path, "w", encoding="utf-8")
         self._pid = os.getpid()
         self.written = 0
-        if header:
-            self._file.write(
-                json.dumps(provenance_doc(), separators=(",", ":")) + "\n"
-            )
+        header = json.dumps(provenance_doc(), separators=(",", ":"))
+        self._file.write(header + "\n")
         atexit.register(self.close)
-        if finalize:
-            multiprocessing.util.Finalize(self, self.close, exitpriority=10)
 
     def write_doc(self, doc: Dict[str, Any]) -> None:
         """Append one JSON document as a single line."""
@@ -167,3 +173,235 @@ class DurableJsonlWriter:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+# ----------------------------------------------------------------------
+# Shard naming and discovery
+# ----------------------------------------------------------------------
+def shard_path(base: str, index: int) -> str:
+    """Worker ``index``'s shard of ``base`` (``t.jsonl`` -> ``t.3.jsonl``)."""
+    stem, ext = os.path.splitext(base)
+    return f"{stem}.{index}{ext}"
+
+
+def _shard_indexes(base: str) -> List[Tuple[int, str]]:
+    """``(index, path)`` of every existing shard of ``base``, by index."""
+    stem, ext = os.path.splitext(base)
+    directory = os.path.dirname(base) or "."
+    prefix = os.path.basename(stem) + "."
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    found = []
+    for name in names:
+        if not (name.startswith(prefix) and name.endswith(ext)):
+            continue
+        middle = name[len(prefix) : len(name) - len(ext)]
+        if middle.isdigit():
+            found.append((int(middle), shard_path(base, int(middle))))
+    return sorted(found)
+
+
+def resolve_trace_paths(path: str) -> List[str]:
+    """Expand ``path`` into the concrete JSONL files it names.
+
+    Accepts a plain file, a directory (all ``*.jsonl`` inside), or a glob
+    pattern.  A plain file with per-worker shards (:func:`shard_path`)
+    next to it resolves to the file plus its shards in index order —
+    after a ``--jobs N`` run the parent's own file exists but holds no
+    events (workers write the shards), so ``repro inspect trace.jsonl``
+    keeps working unchanged.
+
+    Raises:
+        FileNotFoundError: when nothing matches.
+    """
+    if _glob.has_magic(path):
+        matches = sorted(p for p in _glob.glob(path) if os.path.isfile(p))
+        if not matches:
+            raise FileNotFoundError(f"no trace files match {path!r}")
+        return matches
+    if os.path.isdir(path):
+        matches = sorted(
+            os.path.join(path, name)
+            for name in os.listdir(path)
+            if name.endswith(".jsonl")
+        )
+        if not matches:
+            raise FileNotFoundError(f"no *.jsonl trace files in {path!r}")
+        return matches
+    shards = [shard for _, shard in _shard_indexes(path)]
+    if os.path.isfile(path):
+        return [path] + shards
+    if shards:
+        return shards
+    raise FileNotFoundError(f"no such trace file: {path}")
+
+
+# ----------------------------------------------------------------------
+# Reading
+# ----------------------------------------------------------------------
+class JsonlRecords:
+    """The records of one or more JSONL artifact files, in file order.
+
+    Iterating yields ``(shard, record)`` pairs, where ``shard`` is the
+    source file's basename (run and message ids are only unique within
+    one shard).  Blank lines, provenance headers and attempt markers are
+    bookkeeping and skipped silently.  Unparseable lines — including the
+    truncated final line a killed worker leaves — and lines that are not
+    JSON objects are skipped and counted in :attr:`skipped`.  With
+    ``dedupe``, an exact repeat of an earlier line of the same shard is
+    dropped and counted in :attr:`duplicates`.
+    """
+
+    def __init__(self, paths: Iterable[str], dedupe: bool = False) -> None:
+        self.paths = list(paths)
+        self.dedupe = dedupe
+        self.skipped = 0
+        self.duplicates = 0
+
+    def __iter__(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
+        for path in self.paths:
+            shard = os.path.basename(path)
+            seen: set = set()
+            with open(path, "r", encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if line in seen:
+                        self.duplicates += 1
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        self.skipped += 1
+                        continue
+                    if not isinstance(record, dict):
+                        self.skipped += 1
+                        continue
+                    if "provenance" in record or "attempt" in record:
+                        continue
+                    if self.dedupe:
+                        seen.add(line)
+                    yield shard, record
+
+
+# ----------------------------------------------------------------------
+# Writing: one artifact per process, attempt markers, sanitization
+# ----------------------------------------------------------------------
+class JsonlArtifact:
+    """One process's handle on one JSONL artifact.
+
+    Args:
+        path: The file this process writes (a worker's shard path).
+        opener: Writer class to open it with (:class:`DurableJsonlWriter`
+            or a subclass such as the trace bus's ``JsonlSink``).
+
+    The file opens on the first :meth:`writer` call, so a worker that
+    never records leaves no shard behind.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        opener: Callable[[str], DurableJsonlWriter] = DurableJsonlWriter,
+    ) -> None:
+        self.path = path
+        self._opener = opener
+        self._writer: Optional[DurableJsonlWriter] = None
+
+    def writer(self) -> DurableJsonlWriter:
+        """The (lazily opened) writer."""
+        if self._writer is None:
+            self._writer = self._opener(self.path)
+            # Workers exit through os._exit (multiprocessing skips normal
+            # interpreter shutdown), so the atexit hook never runs there.
+            multiprocessing.util.Finalize(
+                self._writer, self._writer.close, exitpriority=10
+            )
+        return self._writer
+
+    def mark_attempt(self, outcome: str, label: str) -> None:
+        """End one trial attempt with a ``commit``/``abort`` marker.
+
+        Flushed, so once an attempt commits its records survive the
+        worker being killed during a later trial.  Never opens the file:
+        a marker must not force an idle shard into existence.
+        """
+        if self._writer is not None:
+            self._writer.write_doc({"attempt": outcome, "label": label})
+            self._writer.flush()
+
+    def close(self) -> None:
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
+
+
+def _sanitize_shard(path: str, committed_labels: set) -> None:
+    """Keep only committed attempt segments of one worker JSONL shard.
+
+    A shard is a sequence of segments, each terminated by an attempt
+    marker.  Aborted segments, the unterminated tail a killed worker
+    leaves, truncated lines, and duplicate commits of a label already
+    committed on an earlier shard (a worker killed between finishing a
+    trial and delivering its result forces a re-run of an
+    already-committed trial) are all dropped; markers themselves are
+    stripped.  Provenance headers always survive.  The rewrite is atomic,
+    and a shard with nothing to drop is left byte-untouched.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError:
+        return
+    kept: List[str] = []
+    segment: List[str] = []
+    dirty = False
+    for line in lines:
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            doc = json.loads(stripped)
+        except ValueError:
+            # Truncated tail of a killed writer: part of the unterminated
+            # (dead) attempt — dropped with the rest of its segment.
+            segment.append(line)
+            continue
+        if isinstance(doc, dict) and "provenance" in doc:
+            kept.append(line)
+            continue
+        if isinstance(doc, dict) and "attempt" in doc:
+            label = doc.get("label")
+            if doc.get("attempt") == "commit" and label not in committed_labels:
+                committed_labels.add(label)
+                kept.extend(segment)
+            dirty = True
+            segment = []
+            continue
+        segment.append(line)
+    if segment:
+        dirty = True  # unterminated tail: the attempt died mid-write
+    if dirty:
+        _replace_atomic(path, lambda out: out.writelines(kept))
+
+
+def sanitize_shards(base: str, count: int) -> None:
+    """Post-campaign hygiene for one sharded artifact of ``count`` workers.
+
+    Sanitizes shards ``0 .. count-1`` in index order — so a trial
+    committed on two shards keeps only its first copy — and deletes
+    shards with index >= ``count``: leftovers of an earlier, wider (or
+    killed) campaign that a merged load would otherwise double-count.
+    """
+    committed_labels: set = set()
+    for index, path in _shard_indexes(base):
+        if index < count:
+            _sanitize_shard(path, committed_labels)
+        else:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass

@@ -3,57 +3,46 @@
 Every determinism gate in this repo (parallel-vs-serial parity,
 fingerprint-on-vs-off table parity, the ``bench --check`` digest gate)
 compares whole-run outputs — which says *that* two runs diverged, never
-*where*.  A :class:`FingerprintConfig` closes that gap: while one is
-installed, the simulator dispatch loop canonically encodes every fired
-event — virtual time, priority, sequence number, handler key, and scalar
-payload fields — into a **rolling chained digest** (one incremental
-BLAKE2b per simulator run), and every ``checkpoint_every`` events emits a
-compact checkpoint record ``{"fp": "ckpt", "i": N, "digest": ...,
-"t": ..., "seq": ..., "h": ...}`` to a JSONL stream that shards per
-worker exactly like trace and timeline files.
+*where*.  Fingerprinting closes that gap: while the active
+:class:`~repro.obs.config.ObsConfig` has ``fingerprint`` set (CLI
+``--fingerprint FILE``, ``repro bench --fingerprint``, every executable
+``repro diverge`` side), the simulator dispatch loop canonically encodes
+every fired event — virtual time, priority, sequence number, handler
+key, and scalar payload fields — into a **rolling chained digest** (one
+incremental BLAKE2b per simulator run), and every ``checkpoint_every``
+events emits a compact checkpoint record ``{"fp": "ckpt", "i": N,
+"digest": ..., "t": ..., "seq": ..., "h": ...}`` to a JSONL stream that
+shards per worker exactly like trace and timeline files (or to memory,
+on :attr:`ActiveObs.streams`).
 
 Because the digest is *chained* (checkpoint ``N`` covers events ``1..N``),
 two runs' checkpoint streams agree on every checkpoint before their first
 divergent event and disagree on every checkpoint after it — so
 :mod:`repro.obs.diverge` can binary-search the streams to the first
 divergent event in ``O(log total-events)`` checkpoint comparisons, then
-re-run with a *detail window* (``detail=(lo, hi)``) that captures full
-per-event records only inside the bracketing interval.
+re-run with a *detail window* (``ObsConfig.fingerprint_detail``) that
+captures full per-event records only inside the bracketing interval.
 
 Zero-cost-when-disabled contract
 --------------------------------
 
-With no fingerprint installed the dispatch loop takes its original branch
-(the only cost is one ``configured_fingerprint()`` call per ``run()``),
-so fingerprint-off runs are bit-identical to seed — enforced by the bench
-digest gate.  With a fingerprint active, encoding and hashing wrap
-*around* ``event.fire()`` without touching event order, virtual time, or
-RNG draws, so fingerprinted runs keep exact output digests; only wall
-time changes (measured <10% on mobility_pdd).
-
-Environment knobs (how the config crosses process boundaries):
-
-* ``REPRO_FINGERPRINT=<file.jsonl>`` — stream checkpoints to this file
-  (per-worker shards ``<stem>.k<ext>`` under ``--jobs N``);
-* ``REPRO_FINGERPRINT_EVERY=<K>`` — checkpoint cadence (default 512);
-* ``REPRO_FINGERPRINT_DETAIL=<lo>:<hi>`` — also write one ``"event"``
-  record per fired event with index in ``[lo, hi]``.
+With no fingerprint configured the dispatch loop takes its original
+branch (the only cost is one ``configured_fingerprint()`` call per
+``run()``), so fingerprint-off runs are bit-identical to seed — enforced
+by the bench digest gate.  With a fingerprint active, encoding and hashing
+wrap *around* ``event.fire()`` without touching event order, virtual
+time, or RNG draws, so fingerprinted runs keep exact output digests; only
+wall time changes (measured <10% on mobility_pdd).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import struct
-from contextlib import contextmanager
 from hashlib import blake2b
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
-from repro.obs.durable import DurableJsonlWriter
-
-#: Default events per checkpoint record.
-DEFAULT_CHECKPOINT_EVERY = 512
+from repro.obs.config import ActiveObs, active
+from repro.obs.durable import JsonlRecords, resolve_trace_paths
 
 #: Hex digits kept from each chained digest (BLAKE2b-128).
 DIGEST_SIZE = 16
@@ -123,212 +112,9 @@ def handler_key(callback: Callable[..., Any]) -> str:
     return f"{module}.{name}"
 
 
-# ----------------------------------------------------------------------
-# Configuration (process-wide, mirrors RecordingConfig)
-# ----------------------------------------------------------------------
-class FingerprintWriter(DurableJsonlWriter):
-    """Streams fingerprint records to a JSONL file (durable like traces)."""
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path, finalize=True)
-
-
-class FingerprintConfig:
-    """Where and how densely to fingerprint.
-
-    One config is shared by every simulator created while it is active;
-    all their streams append to the same file (records scoped by the
-    simulator's trace run id, exactly like trace events).  With
-    ``path=None`` records stay in memory on each simulator's
-    :class:`EventFingerprinter` (collected on :attr:`streams`).
-
-    Args:
-        path: JSONL target, or ``None`` for in-memory records.
-        checkpoint_every: Events per checkpoint record.
-        detail: Optional ``(lo, hi)`` event-index window (inclusive,
-            1-based) inside which full per-event records are written.
-    """
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-        detail: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        if int(checkpoint_every) < 1:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every!r}"
-            )
-        if detail is not None:
-            lo, hi = int(detail[0]), int(detail[1])
-            if lo < 1 or hi < lo:
-                raise ConfigurationError(
-                    f"detail window must be 1 <= lo <= hi, got {detail!r}"
-                )
-            detail = (lo, hi)
-        self.path = str(path) if path is not None else None
-        self.checkpoint_every = int(checkpoint_every)
-        self.detail = detail
-        self._writer: Optional[FingerprintWriter] = None
-        #: In-memory fingerprinters created under this config (creation
-        #: order — the deterministic trial order for in-process runs).
-        self.streams: List["EventFingerprinter"] = []
-
-    def writer(self) -> Optional[FingerprintWriter]:
-        """The shared (lazily opened) writer, or None (memory mode)."""
-        if self.path is None:
-            return None
-        if self._writer is None:
-            self._writer = FingerprintWriter(self.path)
-        return self._writer
-
-    def current_writer(self) -> Optional[FingerprintWriter]:
-        """The writer if one is already open; never opens one.
-
-        The parallel runner's attempt markers use this: a marker must
-        never force an otherwise-idle worker shard into existence.
-        """
-        return self._writer
-
-    def reshard(self, index: int) -> None:
-        """Re-point a forked worker at its own ``<stem>.<k><ext>`` shard."""
-        self._writer = None
-        if self.path is not None:
-            stem, ext = os.path.splitext(self.path)
-            self.path = f"{stem}.{index}{ext}"
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-
-
-_GLOBAL_FINGERPRINT: List[FingerprintConfig] = []
-_ENV_FINGERPRINT: Optional[Tuple[Tuple[str, ...], FingerprintConfig]] = None
-
-
-def install_global_fingerprint(config: FingerprintConfig) -> FingerprintConfig:
-    """Fingerprint every simulator run from now on."""
-    _GLOBAL_FINGERPRINT.append(config)
-    return config
-
-
-def remove_global_fingerprint(config: FingerprintConfig) -> None:
-    """Stop fingerprinting new simulators through ``config``."""
-    try:
-        _GLOBAL_FINGERPRINT.remove(config)
-    except ValueError:
-        pass
-
-
-def _parse_every(raw: Optional[str]) -> int:
-    if not raw:
-        return DEFAULT_CHECKPOINT_EVERY
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_FINGERPRINT_EVERY must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"REPRO_FINGERPRINT_EVERY must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def _parse_detail(raw: Optional[str]) -> Optional[Tuple[int, int]]:
-    if not raw:
-        return None
-    try:
-        lo_raw, _, hi_raw = raw.partition(":")
-        lo, hi = int(lo_raw), int(hi_raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_FINGERPRINT_DETAIL must be '<lo>:<hi>' event indices, "
-            f"got {raw!r}"
-        ) from None
-    if lo < 1 or hi < lo:
-        raise ConfigurationError(
-            f"REPRO_FINGERPRINT_DETAIL must satisfy 1 <= lo <= hi, got {raw!r}"
-        )
-    return (lo, hi)
-
-
-def _env_fingerprint() -> Optional[FingerprintConfig]:
-    global _ENV_FINGERPRINT
-    path = os.environ.get("REPRO_FINGERPRINT")
-    if not path:
-        return None
-    key = (
-        path,
-        os.environ.get("REPRO_FINGERPRINT_EVERY", ""),
-        os.environ.get("REPRO_FINGERPRINT_DETAIL", ""),
-    )
-    if _ENV_FINGERPRINT is not None and _ENV_FINGERPRINT[0] == key:
-        return _ENV_FINGERPRINT[1]
-    config = FingerprintConfig(
-        path=path,
-        checkpoint_every=_parse_every(key[1]),
-        detail=_parse_detail(key[2]),
-    )
-    _ENV_FINGERPRINT = (key, config)
-    return config
-
-
-def configured_fingerprint() -> Optional[FingerprintConfig]:
-    """The fingerprint in effect: installed config, else the env knobs."""
-    if _GLOBAL_FINGERPRINT:
-        return _GLOBAL_FINGERPRINT[-1]
-    return _env_fingerprint()
-
-
-@contextmanager
-def fingerprinting(
-    path: Optional[str] = None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    detail: Optional[Tuple[int, int]] = None,
-) -> Iterator[FingerprintConfig]:
-    """Scope a process-wide fingerprint (CLI / diverge engine)."""
-    config = install_global_fingerprint(
-        FingerprintConfig(
-            path=path, checkpoint_every=checkpoint_every, detail=detail
-        )
-    )
-    try:
-        yield config
-    finally:
-        remove_global_fingerprint(config)
-        config.close()
-
-
-def reshard_for_worker(index: int) -> None:
-    """Point this worker process's fingerprint at its own shard.
-
-    Called from the parallel runner's worker initializer (after fork);
-    also updates ``REPRO_FINGERPRINT`` so env-activated fingerprinting
-    resolves to the shard path for the rest of the worker's life.
-    """
-    global _ENV_FINGERPRINT
-    config = configured_fingerprint()
-    if config is None or config.path is None:
-        return
-    config.reshard(index)
-    if os.environ.get("REPRO_FINGERPRINT"):
-        os.environ["REPRO_FINGERPRINT"] = config.path
-        key = (
-            config.path,
-            os.environ.get("REPRO_FINGERPRINT_EVERY", ""),
-            os.environ.get("REPRO_FINGERPRINT_DETAIL", ""),
-        )
-        _ENV_FINGERPRINT = (key, config)
-
-
-def _clear_fingerprint() -> None:
-    """Drop configs inherited by a forked worker process (tests only)."""
-    global _ENV_FINGERPRINT
-    _GLOBAL_FINGERPRINT.clear()
-    _ENV_FINGERPRINT = None
+def configured_fingerprint() -> Optional[ActiveObs]:
+    """The active observability config, if it fingerprints."""
+    return active("fingerprint")
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +124,7 @@ class EventFingerprinter:
     """One simulator run's rolling chained digest + checkpoint emitter.
 
     Created lazily by the simulator's fingerprint dispatch branch on the
-    first ``run()`` under an installed config.  ``note(event)`` is the
+    first ``run()`` under a fingerprinting config.  ``note(event)`` is the
     hot path: encode canonically, fold into the incremental hash, emit a
     checkpoint every K events (and a final checkpoint whenever a
     ``run()`` call ends with events unreported, so the stream tail always
@@ -346,7 +132,7 @@ class EventFingerprinter:
     """
 
     __slots__ = (
-        "config",
+        "obs",
         "run_id",
         "records",
         "note",
@@ -364,8 +150,8 @@ class EventFingerprinter:
         "_target",
     )
 
-    def __init__(self, sim: Any, config: FingerprintConfig) -> None:
-        self.config = config
+    def __init__(self, sim: Any, obs: ActiveObs) -> None:
+        self.obs = obs
         self.run_id = sim.trace.run_id
         self.records: List[Dict[str, Any]] = []
         self._hash = blake2b(digest_size=DIGEST_SIZE)
@@ -375,9 +161,9 @@ class EventFingerprinter:
         #: index is ``_flushed + len(_buffer)``, so the hot path never
         #: maintains a counter.
         self._buffer: List[bytes] = []
-        self._writer = config.writer()
-        self._every = config.checkpoint_every
-        detail = config.detail
+        self._writer = obs.writer("fingerprint")
+        self._every = obs.config.checkpoint_every
+        detail = obs.config.fingerprint_detail
         self._detail_lo = detail[0] if detail is not None else 0
         self._detail_hi = detail[1] if detail is not None else -1
         #: handler func -> canonical key bytes.
@@ -396,7 +182,7 @@ class EventFingerprinter:
         #: share it without attribute traffic on the hot path).
         self._target = [self._every]
         if self._writer is None:
-            config.streams.append(self)
+            obs.streams.append(self)
         self._emit(
             {
                 "fp": "meta",
@@ -435,7 +221,7 @@ class EventFingerprinter:
         join = _SEP.join
         target = self._target
         checkpoint = self._checkpoint
-        has_detail = self.config.detail is not None
+        has_detail = self._detail_hi >= self._detail_lo
         self_ref = self
 
         def note(event: Any) -> None:
@@ -625,55 +411,38 @@ class FingerprintLoad:
 def load_fingerprints(path: str) -> FingerprintLoad:
     """Load and scope the fingerprint file(s) named by ``path``.
 
-    Shard resolution matches trace files (plain file + ``<stem>.k<ext>``
-    siblings, directory, or glob).  Unparseable lines — including the
-    truncated final line a killed worker leaves — and provenance headers
-    are skipped; records are ordered by event index within each
+    Shard resolution matches trace files (plain file + its worker shards,
+    directory, or glob).  Unparseable lines — including the truncated
+    final line a killed worker leaves — and non-fingerprint records are
+    skipped and counted; records are ordered by event index within each
     ``(shard, run)`` scope.
     """
-    from repro.obs.spans import resolve_trace_paths
-
     paths = resolve_trace_paths(path)
+    records = JsonlRecords(paths)
     runs: Dict[Tuple[str, int], FingerprintRun] = {}
     order: List[Tuple[str, int]] = []
     skipped = 0
-    for file_path in paths:
-        shard = os.path.basename(file_path)
-        with open(file_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not isinstance(record, dict):
-                    skipped += 1
-                    continue
-                if "provenance" in record or "attempt" in record:
-                    # Provenance headers and the parallel runner's attempt
-                    # commit/abort markers are bookkeeping, not records.
-                    continue
-                kind = record.get("fp")
-                if kind not in ("meta", "ckpt", "event"):
-                    skipped += 1
-                    continue
-                scope = (shard, int(record.get("run", 0)))
-                run = runs.get(scope)
-                if run is None:
-                    run = runs[scope] = FingerprintRun(scope)
-                    order.append(scope)
-                if kind == "meta":
-                    run.meta = record
-                elif kind == "ckpt":
-                    run.checkpoints.append(record)
-                else:
-                    run.events.append(record)
+    for shard, record in records:
+        kind = record.get("fp")
+        if kind not in ("meta", "ckpt", "event"):
+            skipped += 1
+            continue
+        scope = (shard, int(record.get("run", 0)))
+        run = runs.get(scope)
+        if run is None:
+            run = runs[scope] = FingerprintRun(scope)
+            order.append(scope)
+        if kind == "meta":
+            run.meta = record
+        elif kind == "ckpt":
+            run.checkpoints.append(record)
+        else:
+            run.events.append(record)
     for run in runs.values():
         run.checkpoints.sort(key=lambda record: int(record.get("i", 0)))
         run.events.sort(key=lambda record: int(record.get("i", 0)))
     return FingerprintLoad(
-        runs=[runs[scope] for scope in order], paths=paths, skipped=skipped
+        runs=[runs[scope] for scope in order],
+        paths=paths,
+        skipped=skipped + records.skipped,
     )

@@ -16,9 +16,10 @@ Each nested snapshot is flattened to ``\\x1f``-joined path keys ("columnar"
 full **keyframe** (``{"rec": "key", "state": {...}}``); samples in between
 are compact **deltas** (``{"rec": "delta", "set": {...}, "del": [...]}``).
 Records go to a JSONL timeline file that shards per worker exactly like
-trace files (``timeline.0.jsonl``, ...), or stay in memory when no path is
-configured.  :mod:`repro.obs.timeline` reconstructs exact state at any
-sample time from the nearest keyframe plus deltas.
+trace files (``timeline.0.jsonl``, ...; see :mod:`repro.obs.durable`), or
+stay in memory when the timeline has no path.  :mod:`repro.obs.timeline`
+reconstructs exact state at any sample time from the nearest keyframe
+plus deltas.
 
 Zero-cost-when-disabled contract
 --------------------------------
@@ -29,31 +30,29 @@ sampler only *reads* — every ``observe_state()`` view it calls is
 non-mutating (no lazy purges, no trace emissions, no RNG draws) — so
 result tables stay bit-identical with the recorder on.
 
-Process-wide activation mirrors the trace-sink registry: install a
-:class:`RecordingConfig` via :func:`install_global_recording` (or the
-:func:`recording` context manager, or the ``REPRO_TIMELINE`` /
-``REPRO_TIMELINE_INTERVAL`` / ``REPRO_TIMELINE_KEYFRAME`` environment
-knobs) and every scenario built afterwards attaches a recorder.
+Recording is switched on by the active
+:class:`~repro.obs.config.ObsConfig` (``ObsConfig(timeline=True)`` or a
+path, CLI ``--timeline``): every scenario built while it is active
+attaches a recorder.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.config import (
+    DEFAULT_INTERVAL_S,
+    DEFAULT_KEYFRAME_EVERY,
+    ActiveObs,
+    active,
+)
 from repro.obs.durable import DurableJsonlWriter
 
 #: Path separator inside flattened state keys (ASCII unit separator: it
 #: cannot collide with node ids, query ids, or hex item keys).
 SEP = "\x1f"
-
-#: Default sim-time seconds between samples.
-DEFAULT_INTERVAL_S = 1.0
-
-#: Default keyframe cadence: every K-th sample is a full snapshot.
-DEFAULT_KEYFRAME_EVERY = 10
 
 
 # ----------------------------------------------------------------------
@@ -91,222 +90,9 @@ def unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
     return nested
 
 
-# ----------------------------------------------------------------------
-# Timeline writer
-# ----------------------------------------------------------------------
-class TimelineWriter(DurableJsonlWriter):
-    """Streams timeline records to a JSONL file, one object per line.
-
-    All durability rules (flush+fsync on close, ``atexit`` hook, the
-    ``multiprocessing.util.Finalize`` for worker exits, pid-guarded close
-    under ``fork``) live in
-    :class:`~repro.obs.durable.DurableJsonlWriter`.
-    """
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path, finalize=True)
-
-    def write(self, doc: Dict[str, Any]) -> None:
-        self.write_doc(doc)
-
-
-# ----------------------------------------------------------------------
-# Process-wide recording configuration
-# ----------------------------------------------------------------------
-class RecordingConfig:
-    """Where and how densely to record.
-
-    One config is shared by every scenario built while it is active; all
-    their recorders append to the same timeline file (records are scoped
-    by the simulator's trace run id, exactly like trace events).  With
-    ``path=None`` recorders keep their records in memory
-    (:attr:`FlightRecorder.records`) — summaries still reach
-    ``TrialMetrics.extras``.
-    """
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        interval_s: float = DEFAULT_INTERVAL_S,
-        keyframe_every: int = DEFAULT_KEYFRAME_EVERY,
-    ) -> None:
-        if interval_s <= 0:
-            raise ConfigurationError(
-                f"recording interval must be positive, got {interval_s!r}"
-            )
-        if int(keyframe_every) < 1:
-            raise ConfigurationError(
-                f"keyframe_every must be >= 1, got {keyframe_every!r}"
-            )
-        self.path = str(path) if path is not None else None
-        self.interval_s = float(interval_s)
-        self.keyframe_every = int(keyframe_every)
-        self._writer: Optional[TimelineWriter] = None
-
-    def writer(self) -> Optional[TimelineWriter]:
-        """The shared (lazily opened) timeline writer, or None (memory)."""
-        if self.path is None:
-            return None
-        if self._writer is None:
-            self._writer = TimelineWriter(self.path)
-        return self._writer
-
-    def current_writer(self) -> Optional[TimelineWriter]:
-        """The writer if one is already open; never opens one.
-
-        The parallel runner's attempt markers use this: a marker must
-        never force an otherwise-idle worker shard into existence.
-        """
-        return self._writer
-
-    def reshard(self, index: int) -> None:
-        """Re-point a forked worker at its own ``<stem>.<k><ext>`` shard.
-
-        The parent's writer reference (if one was already open) is dropped
-        without closing — under fork its buffer is shared with the parent.
-        """
-        self._writer = None
-        if self.path is not None:
-            stem, ext = os.path.splitext(self.path)
-            self.path = f"{stem}.{index}{ext}"
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
-
-
-_GLOBAL_RECORDING: List[RecordingConfig] = []
-_ENV_RECORDING: Optional[Tuple[Tuple[str, ...], RecordingConfig]] = None
-
-
-def install_global_recording(config: RecordingConfig) -> RecordingConfig:
-    """Record every scenario built from now on."""
-    _GLOBAL_RECORDING.append(config)
-    return config
-
-
-def remove_global_recording(config: RecordingConfig) -> None:
-    """Stop recording new scenarios through ``config``."""
-    try:
-        _GLOBAL_RECORDING.remove(config)
-    except ValueError:
-        pass
-
-
-def active_recording() -> Optional[RecordingConfig]:
-    """The explicitly installed recording config, if any."""
-    return _GLOBAL_RECORDING[-1] if _GLOBAL_RECORDING else None
-
-
-def _parse_interval(raw: Optional[str]) -> float:
-    if not raw:
-        return DEFAULT_INTERVAL_S
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_TIMELINE_INTERVAL must be a positive number of sim "
-            f"seconds, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ConfigurationError(
-            f"REPRO_TIMELINE_INTERVAL must be a positive number of sim "
-            f"seconds, got {raw!r}"
-        )
-    return value
-
-
-def _parse_keyframe(raw: Optional[str]) -> int:
-    if not raw:
-        return DEFAULT_KEYFRAME_EVERY
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_TIMELINE_KEYFRAME must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"REPRO_TIMELINE_KEYFRAME must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def _env_recording() -> Optional[RecordingConfig]:
-    global _ENV_RECORDING
-    path = os.environ.get("REPRO_TIMELINE")
-    if not path:
-        return None
-    key = (
-        path,
-        os.environ.get("REPRO_TIMELINE_INTERVAL", ""),
-        os.environ.get("REPRO_TIMELINE_KEYFRAME", ""),
-    )
-    if _ENV_RECORDING is not None and _ENV_RECORDING[0] == key:
-        return _ENV_RECORDING[1]
-    config = RecordingConfig(
-        path=path,
-        interval_s=_parse_interval(key[1]),
-        keyframe_every=_parse_keyframe(key[2]),
-    )
-    _ENV_RECORDING = (key, config)
-    return config
-
-
-def configured_recording() -> Optional[RecordingConfig]:
-    """The recording in effect: installed config, else ``REPRO_TIMELINE``."""
-    config = active_recording()
-    if config is not None:
-        return config
-    return _env_recording()
-
-
-@contextmanager
-def recording(
-    path: Optional[str] = None,
-    interval_s: float = DEFAULT_INTERVAL_S,
-    keyframe_every: int = DEFAULT_KEYFRAME_EVERY,
-) -> Iterator[RecordingConfig]:
-    """Scope a process-wide recording (used by the CLI and ``timeline=``)."""
-    config = install_global_recording(
-        RecordingConfig(
-            path=path, interval_s=interval_s, keyframe_every=keyframe_every
-        )
-    )
-    try:
-        yield config
-    finally:
-        remove_global_recording(config)
-        config.close()
-
-
-def reshard_for_worker(index: int) -> None:
-    """Point this worker process's recording at its own timeline shard.
-
-    Called from the parallel runner's worker initializer (after fork);
-    also updates ``REPRO_TIMELINE`` so env-activated recording resolves to
-    the shard path for the rest of the worker's life.
-    """
-    global _ENV_RECORDING
-    config = configured_recording()
-    if config is None or config.path is None:
-        return
-    config.reshard(index)
-    if os.environ.get("REPRO_TIMELINE"):
-        os.environ["REPRO_TIMELINE"] = config.path
-        key = (
-            config.path,
-            os.environ.get("REPRO_TIMELINE_INTERVAL", ""),
-            os.environ.get("REPRO_TIMELINE_KEYFRAME", ""),
-        )
-        _ENV_RECORDING = (key, config)
-
-
-def recording_shard_base() -> Optional[str]:
-    """The timeline path workers would shard, or None (parent-side check)."""
-    config = configured_recording()
-    return config.path if config is not None else None
+def configured_recording() -> Optional[ActiveObs]:
+    """The active observability config, if it records a timeline."""
+    return active("timeline")
 
 
 # ----------------------------------------------------------------------
@@ -379,8 +165,8 @@ class FlightRecorder:
         topology / medium / devices: Live references into the scenario —
             the *devices dict itself* is shared with any mobility trace
             player, so joins and leaves show up in later samples.
-        writer: Shared :class:`TimelineWriter`, or None to keep records
-            in memory (:attr:`records`).
+        writer: Shared timeline writer, or None to keep records in
+            memory (:attr:`records`).
     """
 
     def __init__(
@@ -391,7 +177,7 @@ class FlightRecorder:
         devices: Dict[Any, Any],
         interval_s: float = DEFAULT_INTERVAL_S,
         keyframe_every: int = DEFAULT_KEYFRAME_EVERY,
-        writer: Optional[TimelineWriter] = None,
+        writer: Optional[DurableJsonlWriter] = None,
     ) -> None:
         if interval_s <= 0:
             raise ConfigurationError(
@@ -518,7 +304,7 @@ class FlightRecorder:
 
     def _write(self, doc: Dict[str, Any]) -> None:
         if self._writer is not None:
-            self._writer.write(doc)
+            self._writer.write_doc(doc)
         else:
             self.records.append(doc)
 

@@ -28,11 +28,10 @@ Sharding realities the loader absorbs:
 
 from __future__ import annotations
 
-import glob as _glob
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.obs.durable import JsonlRecords, resolve_trace_paths
 
 Event = Dict[str, object]
 
@@ -58,53 +57,8 @@ _QUERY_EVENT_KINDS = (
 
 
 # ----------------------------------------------------------------------
-# Loading (single file, directory, glob; shard-aware)
+# Loading (single file, directory, glob; shard-aware — see repro.obs.durable)
 # ----------------------------------------------------------------------
-def resolve_trace_paths(path: str) -> List[str]:
-    """Expand ``path`` into the concrete trace files it names.
-
-    Accepts a plain file, a directory (all ``*.jsonl`` inside), or a glob
-    pattern.  A plain file with per-worker shards (``<stem>.0<ext>``,
-    ``<stem>.1<ext>``, ...) next to it resolves to the file plus its
-    shards — after a ``--jobs N`` run the parent's own file exists but is
-    empty (workers write the shards), so ``repro inspect trace.jsonl``
-    keeps working unchanged.
-
-    Raises:
-        FileNotFoundError: when nothing matches.
-    """
-    if _glob.has_magic(path):
-        matches = sorted(p for p in _glob.glob(path) if os.path.isfile(p))
-        if not matches:
-            raise FileNotFoundError(f"no trace files match {path!r}")
-        return matches
-    if os.path.isdir(path):
-        matches = sorted(
-            os.path.join(path, name)
-            for name in os.listdir(path)
-            if name.endswith(".jsonl")
-        )
-        if not matches:
-            raise FileNotFoundError(f"no *.jsonl trace files in {path!r}")
-        return matches
-    stem, ext = os.path.splitext(path)
-    shards = sorted(
-        _glob.glob(f"{_glob.escape(stem)}.[0-9]*{_glob.escape(ext)}"),
-        key=_shard_sort_key,
-    )
-    if os.path.isfile(path):
-        return [path] + shards if shards else [path]
-    if shards:
-        return shards
-    raise FileNotFoundError(f"no such trace file: {path}")
-
-
-def _shard_sort_key(path: str) -> Tuple[int, str]:
-    stem = os.path.splitext(path)[0]
-    suffix = stem.rsplit(".", 1)[-1]
-    return (int(suffix), path) if suffix.isdigit() else (1 << 30, path)
-
-
 @dataclass
 class TraceLoad:
     """A merged, shard-tagged event stream plus loader diagnostics."""
@@ -125,46 +79,17 @@ def load_trace(path: str) -> TraceLoad:
     counted; exact duplicate lines within one shard are dropped.
     """
     paths = resolve_trace_paths(path)
+    records = JsonlRecords(paths, dedupe=True)
     events: List[Event] = []
-    skipped = 0
-    duplicates = 0
-    for file_path in paths:
-        shard = os.path.basename(file_path)
-        seen_lines: set = set()
-        with open(file_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                if line in seen_lines:
-                    duplicates += 1
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not isinstance(event, dict):
-                    skipped += 1
-                    continue
-                if "provenance" in event:
-                    # The file-header provenance record (version,
-                    # fingerprint config) — expected, not a skipped line.
-                    continue
-                if "attempt" in event:
-                    # Attempt commit/abort marker from the parallel runner
-                    # (normally stripped by post-campaign sanitization, but
-                    # a killed parent can leave them) — not an event.
-                    continue
-                seen_lines.add(line)
-                event["shard"] = shard
-                events.append(event)
+    for shard, event in records:
+        event["shard"] = shard
+        events.append(event)
     events.sort(key=lambda e: float(e.get("t", 0.0)))
     return TraceLoad(
         events=events,
         paths=paths,
-        skipped_lines=skipped,
-        duplicates_dropped=duplicates,
+        skipped_lines=records.skipped,
+        duplicates_dropped=records.duplicates,
     )
 
 

@@ -18,13 +18,12 @@ plain file automatically picks up per-worker shards next to it
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.obs.durable import JsonlRecords, resolve_trace_paths
 from repro.obs.recorder import SEP, unflatten_state
-from repro.obs.spans import resolve_trace_paths
 
 Record = Dict[str, Any]
 
@@ -89,44 +88,28 @@ def load_timeline(path: str) -> TimelineLoad:
     sample sequence number within each ``(shard, run)`` scope.
     """
     paths = resolve_trace_paths(path)
+    records = JsonlRecords(paths)
     runs: Dict[Tuple[str, int], TimelineRun] = {}
     skipped = 0
-    for file_path in paths:
-        shard = os.path.basename(file_path)
-        with open(file_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if isinstance(record, dict) and (
-                    "provenance" in record or "attempt" in record
-                ):
-                    # File-header provenance records and the parallel
-                    # runner's attempt markers — expected, not skipped
-                    # lines.
-                    continue
-                if not isinstance(record, dict) or "rec" not in record:
-                    skipped += 1
-                    continue
-                scope = (shard, int(record.get("run", 0)))
-                run = runs.get(scope)
-                if run is None:
-                    run = runs[scope] = TimelineRun(scope=scope, meta={})
-                if record["rec"] == "meta":
-                    run.meta = record
-                elif record["rec"] in ("key", "delta"):
-                    run.records.append(record)
-                else:
-                    skipped += 1
+    for shard, record in records:
+        kind = record.get("rec")
+        if kind not in ("meta", "key", "delta"):
+            skipped += 1
+            continue
+        scope = (shard, int(record.get("run", 0)))
+        run = runs.get(scope)
+        if run is None:
+            run = runs[scope] = TimelineRun(scope=scope, meta={})
+        if kind == "meta":
+            run.meta = record
+        else:
+            run.records.append(record)
     for run in runs.values():
         run.records.sort(key=lambda record: int(record.get("seq", 0)))
     ordered = [runs[scope] for scope in sorted(runs)]
-    return TimelineLoad(runs=ordered, paths=paths, skipped_lines=skipped)
+    return TimelineLoad(
+        runs=ordered, paths=paths, skipped_lines=skipped + records.skipped
+    )
 
 
 # ----------------------------------------------------------------------

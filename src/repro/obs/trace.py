@@ -17,9 +17,11 @@ Sinks are tiny observer objects:
 * :class:`JsonlSink` — one JSON object per line, streamed to a file that
   ``python -m repro inspect`` (and any jq pipeline) understands.
 
-Process-wide sinks registered via :func:`install_global_sink` are attached
-to every simulator created afterwards — that is how ``--trace out.jsonl``
-reaches the scenarios a figure module builds deep inside its run loop.
+Process-wide sinks — those registered via :func:`install_global_sink`
+plus the trace sink of the active :class:`~repro.obs.config.ObsConfig` —
+are attached to every simulator created afterwards.  That is how
+``--trace out.jsonl`` reaches the scenarios a figure module builds deep
+inside its run loop.
 
 Event taxonomy (see DESIGN.md for the full field tables):
 
@@ -65,14 +67,13 @@ over them.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter as TallyCounter
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.obs.durable import DurableJsonlWriter
+from repro.obs.durable import DurableJsonlWriter, JsonlRecords
 
 _run_ids = itertools.count(1)
 
@@ -153,38 +154,21 @@ class JsonlSink(DurableJsonlWriter, TraceSink):
 
     All durability rules (flush+fsync on close, ``atexit`` hook,
     pid-guarded close under ``fork``) live in
-    :class:`~repro.obs.durable.DurableJsonlWriter`; the parallel runner
-    additionally registers a ``multiprocessing.util.Finalize`` for the
-    per-worker shards it opens.  Usable as a context manager.
+    :class:`~repro.obs.durable.DurableJsonlWriter`.  Usable as a context
+    manager.
     """
-
-    def __init__(self, path: str) -> None:
-        DurableJsonlWriter.__init__(self, path)
 
     def handle(self, event: TraceEvent) -> None:
         self.write_doc(event.to_json_dict())
 
 
 def read_jsonl(path: str) -> List[Dict[str, object]]:
-    """Load a trace file back into a list of flat event dicts.
+    """Load one trace file back into a list of flat event dicts.
 
-    The file-header provenance record every
-    :class:`~repro.obs.durable.DurableJsonlWriter` leads with is not an
-    event and is skipped.
+    Provenance headers and attempt markers are skipped, and so are
+    unparseable lines (see :class:`~repro.obs.durable.JsonlRecords`).
     """
-    events: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if isinstance(doc, dict) and ("provenance" in doc or "attempt" in doc):
-                # Provenance headers and the parallel runner's attempt
-                # commit/abort markers are bookkeeping, not events.
-                continue
-            events.append(doc)
-    return events
+    return [event for _, event in JsonlRecords([path])]
 
 
 class TraceBus:
@@ -260,8 +244,17 @@ def remove_global_sink(sink: TraceSink) -> None:
 
 
 def global_sinks() -> List[TraceSink]:
-    """The currently registered process-wide sinks."""
-    return list(_GLOBAL_SINKS)
+    """The registered process-wide sinks, plus the active config's trace.
+
+    The trace sink of the active :class:`~repro.obs.config.ObsConfig`
+    (``--trace FILE``) comes last.
+    """
+    from repro.obs.config import active
+
+    obs = active("trace")
+    if obs is None:
+        return list(_GLOBAL_SINKS)
+    return _GLOBAL_SINKS + [obs.trace_sink]
 
 
 @contextmanager

@@ -113,13 +113,13 @@ class Simulator:
         self._stopped = False
         processed = 0
         kernel = active_kernel_profiler()
-        fp_config = configured_fingerprint()
+        fp_obs = configured_fingerprint()
         fingerprint: Optional[EventFingerprinter] = None
-        if fp_config is not None:
+        if fp_obs is not None:
             fingerprint = self._fingerprint
-            if fingerprint is None or fingerprint.config is not fp_config:
+            if fingerprint is None or fingerprint.obs is not fp_obs:
                 fingerprint = self._fingerprint = EventFingerprinter(
-                    self, fp_config
+                    self, fp_obs
                 )
         wall_start = perf_counter() if kernel is not None else 0.0
         queue = self._queue

@@ -281,6 +281,61 @@ def test_scaling_bench_quick_shape(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# --fingerprint / --timeline are scoped to one bench invocation
+# ----------------------------------------------------------------------
+def _tiny_scenario_bench(quick):
+    """A registered-on-the-fly benchmark that builds and runs a scenario."""
+    from repro.experiments.figures.common import experiment_device_config
+    from repro.experiments.scenario import build_grid_scenario
+    from repro.obs.fingerprint import configured_fingerprint
+    from repro.obs.recorder import configured_recording
+
+    scenario = build_grid_scenario(
+        rows=2, cols=2, seed=1, device_config=experiment_device_config()
+    )
+    scenario.sim.run(until=3.0)
+    return bench._result(
+        0.01,
+        events=scenario.sim.events_processed,
+        peak_queue_depth=0,
+        meta={
+            "fingerprinted": configured_fingerprint() is not None,
+            "recorded": configured_recording() is not None,
+        },
+    )
+
+
+@pytest.mark.parametrize("flag", ["--fingerprint", "--timeline"])
+def test_bench_observability_flag_does_not_leak(
+    tmp_path, monkeypatch, capsys, flag
+):
+    """The instrument is on for every benchmark of the call, writes its
+    file, and is off again once ``main`` returns."""
+    from repro.obs.fingerprint import configured_fingerprint
+    from repro.obs.recorder import configured_recording
+
+    monkeypatch.setitem(bench._BENCHMARKS, "tiny_scenario", _tiny_scenario_bench)
+    monkeypatch.setitem(bench._REPEATS, "tiny_scenario", 1)
+    path = tmp_path / "artifact.jsonl"
+    out_dir = tmp_path / "out"
+    assert (
+        run_bench(
+            ["tiny_scenario", flag, str(path), "--out-dir", str(out_dir)]
+        )
+        == 0
+    )
+    meta = json.loads((out_dir / "BENCH_tiny_scenario.json").read_text())["meta"]
+    assert meta == {
+        "fingerprinted": flag == "--fingerprint",
+        "recorded": flag == "--timeline",
+    }
+    assert path.stat().st_size > 0
+    assert len(path.read_text().splitlines()) > 1  # records past the header
+    assert configured_fingerprint() is None
+    assert configured_recording() is None
+
+
+# ----------------------------------------------------------------------
 # Peak-RSS platform normalization
 # ----------------------------------------------------------------------
 def test_peak_rss_kb_linux_passthrough(monkeypatch):

@@ -206,6 +206,37 @@ def test_metrics_memory_flags_print_profile_and_telemetry(
     assert "setup" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--fingerprint", "{tmp}/fp.jsonl", "--fingerprint-every", "0"],
+        ["--fingerprint", "{tmp}/fp.jsonl", "--fingerprint-every", "-4"],
+        ["--timeline", "{tmp}/tl.jsonl", "--timeline-interval", "0"],
+        ["--timeline", "--keyframe-every", "0"],
+        ["--timeline-interval", "0.5"],
+        ["--keyframe-every", "3"],
+        ["--fingerprint-every", "64"],
+    ],
+    ids=[
+        "fingerprint-every-0",
+        "fingerprint-every-negative",
+        "timeline-interval-0",
+        "keyframe-every-0",
+        "timeline-interval-without-timeline",
+        "keyframe-every-without-timeline",
+        "fingerprint-every-without-fingerprint",
+    ],
+)
+def test_bad_or_orphaned_cadence_exits_two(tmp_path, capsys, tiny_fig4, flags):
+    """A non-positive cadence, or a cadence flag without its instrument,
+    is a configuration error — never silently replaced or ignored."""
+    argv = ["fig4"] + [flag.format(tmp=tmp_path) for flag in flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing written
+
+
 def test_timeline_recording_removed_after_run(tmp_path, scenario_fig4):
     from repro.obs.recorder import configured_recording
 
@@ -219,10 +250,11 @@ def _record_small_timeline(tmp_path):
         pdd_experiment,
     )
     from repro.experiments.scenario import build_grid_scenario
-    from repro.obs.recorder import recording
+    from repro.obs.config import ObsConfig
 
     path = tmp_path / "tl.jsonl"
-    with recording(path=str(path), interval_s=0.5, keyframe_every=4):
+    config = ObsConfig(timeline=str(path), timeline_interval=0.5, keyframe_every=4)
+    with config.activate():
         scenario = build_grid_scenario(
             rows=3, cols=3, seed=1, device_config=experiment_device_config()
         )

@@ -14,6 +14,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.metrics import TrialMetrics
 from repro.experiments.runner import run_sweep, run_trials
 from repro.obs import trace as obs_trace
+from repro.obs.config import ObsConfig
 
 
 def _ok_trial(seed):
@@ -181,7 +182,7 @@ def test_crashed_attempt_shard_events_are_dropped(tmp_path, monkeypatch):
         "REPRO_TEST_DIE_ONCE_FLAG", str(tmp_path / "died-once")
     )
     path = str(tmp_path / "trace.jsonl")
-    with obs_trace.global_sink(obs_trace.JsonlSink(path)):
+    with ObsConfig(trace=path).activate():
         agg = run_trials(_traced_dies_once_on_seed_2, seeds=[1, 2, 3], jobs=2)
     assert agg.trials == 3 and not agg.failures  # the retry succeeded
     events = []
@@ -230,7 +231,7 @@ def test_run_sweep_labels_failures(tmp_path):
 def test_parallel_trace_shards(tmp_path):
     """Workers write per-worker JSONL shards next to the parent file."""
     path = str(tmp_path / "trace.jsonl")
-    with obs_trace.global_sink(obs_trace.JsonlSink(path)):
+    with ObsConfig(trace=path).activate():
         run_trials(_traced_trial, seeds=[1, 2, 3, 4], jobs=2)
     shards = sorted(p for p in os.listdir(tmp_path) if p != "trace.jsonl")
     assert shards  # at least one worker wrote a shard
@@ -242,16 +243,21 @@ def test_parallel_trace_shards(tmp_path):
     assert seeds == [1, 2, 3, 4]
 
 
-def test_parallel_rejects_unshardable_sink():
-    """Non-file sinks cannot follow trials into workers: clear error."""
-    with obs_trace.global_sink(obs_trace.ListSink()):
-        with pytest.raises(ConfigurationError) as excinfo:
-            run_trials(_ok_trial, seeds=[1, 2], jobs=2)
-    assert "jobs=1" in str(excinfo.value)
+def test_parallel_rejects_unshardable_sink(tmp_path):
+    """Sinks outside the ObsConfig cannot follow trials into workers:
+    clear error, for in-memory and file sinks alike."""
+    for sink in (
+        obs_trace.ListSink(),
+        obs_trace.JsonlSink(str(tmp_path / "raw.jsonl")),
+    ):
+        with obs_trace.global_sink(sink):
+            with pytest.raises(ConfigurationError) as excinfo:
+                run_trials(_ok_trial, seeds=[1, 2], jobs=2)
+        assert "jobs=1" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
-# timeline= knob (flight recorder)
+# Timeline recording (flight recorder) through ObsConfig
 # ----------------------------------------------------------------------
 def _recorded_trial(seed):
     from repro.experiments.figures.common import pdd_experiment
@@ -263,14 +269,15 @@ def _recorded_trial(seed):
 
 
 def test_timeline_knob_memory_attaches_summary_columns():
-    agg = run_trials(_recorded_trial, seeds=[1, 2], jobs=1, timeline=True)
+    with ObsConfig(timeline=True).activate():
+        agg = run_trials(_recorded_trial, seeds=[1, 2], jobs=1)
     assert agg.timeline_trials == 2
     stats = dict(agg.timeline)
     assert stats["peak_lqt"] >= 1
     assert 0.0 <= stats["airtime_util"] <= 1.0
     row = agg.as_row()
     assert "peak_lqt" in row and "cdi_conv_s" in row and "airtime_util" in row
-    # Without the knob the columns stay absent (tables keep their seed shape).
+    # Without a timeline the columns stay absent (tables keep their seed shape).
     plain = run_trials(_recorded_trial, seeds=[1], jobs=1)
     assert plain.timeline_trials == 0
     assert "peak_lqt" not in plain.as_row()
@@ -278,7 +285,8 @@ def test_timeline_knob_memory_attaches_summary_columns():
 
 def test_timeline_knob_does_not_perturb_results():
     plain = run_trials(_recorded_trial, seeds=[1, 2], jobs=1)
-    recorded = run_trials(_recorded_trial, seeds=[1, 2], jobs=1, timeline=True)
+    with ObsConfig(timeline=True).activate():
+        recorded = run_trials(_recorded_trial, seeds=[1, 2], jobs=1)
     assert recorded.recall_mean == plain.recall_mean
     assert recorded.latency_mean == plain.latency_mean
     assert recorded.overhead_mb_mean == plain.overhead_mb_mean
@@ -290,9 +298,8 @@ def test_timeline_knob_does_not_perturb_results():
 )
 def test_timeline_knob_shards_per_worker(tmp_path):
     path = str(tmp_path / "tl.jsonl")
-    agg = run_trials(
-        _recorded_trial, seeds=[1, 2, 3, 4], jobs=2, timeline=path
-    )
+    with ObsConfig(timeline=path).activate():
+        agg = run_trials(_recorded_trial, seeds=[1, 2, 3, 4], jobs=2)
     assert agg.trials == 4
     assert agg.timeline_trials == 4  # summaries travel in pickled results
     shards = sorted(p for p in os.listdir(tmp_path) if p.startswith("tl."))
@@ -307,25 +314,58 @@ def test_timeline_knob_shards_per_worker(tmp_path):
 
 
 def test_timeline_knob_memory_works_parallel_without_files():
-    agg = run_trials(_recorded_trial, seeds=[1, 2], jobs=2, timeline=True)
+    with ObsConfig(timeline=True).activate():
+        agg = run_trials(_recorded_trial, seeds=[1, 2], jobs=2)
     assert agg.trials == 2
     assert agg.timeline_trials == 2
 
 
-def test_plan_timeline_shards_requires_fork_for_files(tmp_path):
-    from repro.experiments.runner import _plan_timeline_shards
-    from repro.obs import recorder as obs_recorder
+def test_worker_config_requires_fork_for_files(tmp_path):
+    from repro.experiments.runner import _worker_config
 
     class _SpawnContext:
         @staticmethod
         def get_start_method():
             return "spawn"
 
-    assert _plan_timeline_shards(_SpawnContext()) is False  # no recording
-    with obs_recorder.recording(path=str(tmp_path / "tl.jsonl")):
-        with pytest.raises(ConfigurationError) as excinfo:
-            _plan_timeline_shards(_SpawnContext())
-        assert "jobs=1" in str(excinfo.value)
-    with obs_recorder.recording(path=None):
-        # Memory-only recordings survive any start method.
-        assert _plan_timeline_shards(_SpawnContext()) is False
+    assert _worker_config(_SpawnContext()) is None  # nothing active
+    for config in (
+        ObsConfig(trace=str(tmp_path / "t.jsonl")),
+        ObsConfig(timeline=str(tmp_path / "tl.jsonl")),
+        ObsConfig(fingerprint=str(tmp_path / "fp.jsonl")),
+    ):
+        with config.activate():
+            with pytest.raises(ConfigurationError) as excinfo:
+                _worker_config(_SpawnContext())
+            assert "jobs=1" in str(excinfo.value)
+    memory = ObsConfig(timeline=True, timeline_interval=0.5)
+    with memory.activate():
+        # Memory-only recordings survive any start method: the config
+        # itself is the initarg, and summaries ride the pickled results.
+        assert _worker_config(_SpawnContext()) == memory
+
+
+def test_worker_activates_its_own_shard_of_one_config(tmp_path):
+    """One initarg carries all three instruments; worker ``k`` re-points
+    every file at its own shard ``k``."""
+    from repro.obs import config as obs_config
+
+    config = ObsConfig(
+        trace=str(tmp_path / "t.jsonl"),
+        timeline=str(tmp_path / "tl.jsonl"),
+        fingerprint=str(tmp_path / "fp.jsonl"),
+        fingerprint_every=64,
+    )
+    obs_config.enter_worker(config, 3)
+    obs = obs_config.active()
+    try:
+        assert obs.config == config.for_worker(3)
+        assert dict(obs.config.artifacts()) == {
+            "trace": str(tmp_path / "t.3.jsonl"),
+            "timeline": str(tmp_path / "tl.3.jsonl"),
+            "fingerprint": str(tmp_path / "fp.3.jsonl"),
+        }
+        assert obs_trace.global_sinks() == [obs.trace_sink]
+    finally:
+        obs_config._STACK.remove(obs)
+        obs.close()

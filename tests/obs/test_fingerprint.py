@@ -17,13 +17,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.metrics import TrialMetrics
 from repro.experiments.runner import run_trials
-from repro.obs import fingerprint as fp_mod
+from repro.obs.config import DEFAULT_CHECKPOINT_EVERY, ObsConfig
 from repro.obs.fingerprint import (
-    DEFAULT_CHECKPOINT_EVERY,
-    FingerprintConfig,
     canon_value,
     configured_fingerprint,
-    fingerprinting,
     handler_key,
     load_fingerprints,
 )
@@ -94,53 +91,65 @@ def test_handler_key_unwraps_bound_methods():
 # ----------------------------------------------------------------------
 def test_config_validates_knobs():
     with pytest.raises(ConfigurationError):
-        FingerprintConfig(checkpoint_every=0)
+        ObsConfig(fingerprint=True, fingerprint_every=0)
     with pytest.raises(ConfigurationError):
-        FingerprintConfig(detail=(0, 5))
+        ObsConfig(fingerprint=True, fingerprint_detail=(0, 5))
     with pytest.raises(ConfigurationError):
-        FingerprintConfig(detail=(7, 3))
+        ObsConfig(fingerprint=True, fingerprint_detail=(7, 3))
 
 
 def test_fingerprinting_context_scopes_config():
     assert configured_fingerprint() is None
-    with fingerprinting(checkpoint_every=32) as config:
-        assert configured_fingerprint() is config
+    with ObsConfig(fingerprint=True, fingerprint_every=32).activate() as obs:
+        assert configured_fingerprint() is obs
     assert configured_fingerprint() is None
 
 
-def test_env_fingerprint_parses_and_caches(monkeypatch, tmp_path):
-    monkeypatch.setattr(fp_mod, "_ENV_FINGERPRINT", None)
-    monkeypatch.setenv("REPRO_FINGERPRINT", str(tmp_path / "fp.jsonl"))
-    monkeypatch.setenv("REPRO_FINGERPRINT_EVERY", "64")
-    monkeypatch.setenv("REPRO_FINGERPRINT_DETAIL", "10:20")
-    config = configured_fingerprint()
-    assert config is not None
+def test_obs_config_resolves_fingerprint_settings(tmp_path):
+    path = str(tmp_path / "fp.jsonl")
+    config = ObsConfig(
+        fingerprint=path, fingerprint_every=64, fingerprint_detail=[10, 20]
+    )
+    assert config.artifacts() == [("fingerprint", path)]
     assert config.checkpoint_every == 64
-    assert config.detail == (10, 20)
-    assert configured_fingerprint() is config  # same env -> cached object
+    assert config.fingerprint_detail == (10, 20)  # normalized to a tuple
+    assert ObsConfig(fingerprint=True).checkpoint_every == (
+        DEFAULT_CHECKPOINT_EVERY
+    )
 
 
 @pytest.mark.parametrize(
-    "var, value",
+    "field, value",
     [
-        ("REPRO_FINGERPRINT_EVERY", "0"),
-        ("REPRO_FINGERPRINT_EVERY", "dense"),
-        ("REPRO_FINGERPRINT_DETAIL", "5"),
-        ("REPRO_FINGERPRINT_DETAIL", "9:2"),
+        ("fingerprint_every", 0),
+        ("fingerprint_every", -16),
+        ("fingerprint_detail", (0, 5)),
+        ("fingerprint_detail", (9, 2)),
     ],
+    ids=["every-0", "every-negative", "detail-lo-0", "detail-hi-below-lo"],
 )
-def test_env_fingerprint_rejects_bad_knobs(monkeypatch, tmp_path, var, value):
-    monkeypatch.setattr(fp_mod, "_ENV_FINGERPRINT", None)
-    monkeypatch.setenv("REPRO_FINGERPRINT", str(tmp_path / "fp.jsonl"))
-    monkeypatch.setenv(var, value)
+def test_obs_config_rejects_bad_fingerprint_values(tmp_path, field, value):
     with pytest.raises(ConfigurationError):
-        configured_fingerprint()
+        ObsConfig(fingerprint=str(tmp_path / "fp.jsonl"), **{field: value})
+
+
+@pytest.mark.parametrize("field", ["fingerprint_every", "fingerprint_detail"])
+def test_obs_config_rejects_fingerprint_settings_without_fingerprint(field):
+    value = 64 if field == "fingerprint_every" else (1, 2)
+    with pytest.raises(ConfigurationError, match="needs --fingerprint"):
+        ObsConfig(**{field: value})
 
 
 def test_reshard_renames_path(tmp_path):
-    config = FingerprintConfig(path=str(tmp_path / "fp.jsonl"))
-    config.reshard(2)
-    assert config.path == str(tmp_path / "fp.2.jsonl")
+    config = ObsConfig(
+        trace=str(tmp_path / "t.jsonl"),
+        fingerprint=str(tmp_path / "fp.jsonl"),
+        fingerprint_every=64,
+    )
+    worker = config.for_worker(2)
+    assert worker.fingerprint == str(tmp_path / "fp.2.jsonl")
+    assert worker.trace == str(tmp_path / "t.2.jsonl")
+    assert worker.checkpoint_every == 64
 
 
 # ----------------------------------------------------------------------
@@ -163,9 +172,9 @@ def _tiny_sim_run(seed, events=40):
 
 
 def _fingerprint_digest(seed, every=16):
-    with fingerprinting(checkpoint_every=every) as config:
+    with ObsConfig(fingerprint=True, fingerprint_every=every).activate() as obs:
         _tiny_sim_run(seed)
-        stream = config.streams[-1]
+        stream = obs.streams[-1]
         return stream.digest, list(stream.records)
 
 
@@ -194,9 +203,12 @@ def test_checkpoint_cadence_and_closing_checkpoint():
 
 
 def test_detail_window_emits_per_event_records():
-    with fingerprinting(checkpoint_every=16, detail=(3, 5)) as config:
+    config = ObsConfig(
+        fingerprint=True, fingerprint_every=16, fingerprint_detail=(3, 5)
+    )
+    with config.activate() as obs:
         _tiny_sim_run(1)
-        records = config.streams[-1].records
+        records = obs.streams[-1].records
     events = [rec for rec in records if rec["fp"] == "event"]
     assert [rec["i"] for rec in events] == [3, 4, 5]
     for rec in events:
@@ -206,7 +218,7 @@ def test_detail_window_emits_per_event_records():
 
 def test_fingerprinting_does_not_perturb_the_run():
     plain = _tiny_sim_run(3)
-    with fingerprinting(checkpoint_every=8):
+    with ObsConfig(fingerprint=True, fingerprint_every=8).activate():
         fingerprinted = _tiny_sim_run(3)
     assert fingerprinted == plain
 
@@ -223,7 +235,7 @@ def test_disabled_fingerprint_keeps_simulator_clean():
 # ----------------------------------------------------------------------
 def test_file_mode_streams_and_loads(tmp_path):
     path = tmp_path / "fp.jsonl"
-    with fingerprinting(path=str(path), checkpoint_every=16):
+    with ObsConfig(fingerprint=str(path), fingerprint_every=16).activate():
         _tiny_sim_run(1)
     first = json.loads(path.read_text().splitlines()[0])
     assert "provenance" in first and "repro_version" in first
@@ -240,7 +252,7 @@ def test_file_mode_streams_and_loads(tmp_path):
 
 def test_loader_skips_truncated_tail_line(tmp_path):
     path = tmp_path / "fp.jsonl"
-    with fingerprinting(path=str(path), checkpoint_every=16):
+    with ObsConfig(fingerprint=str(path), fingerprint_every=16).activate():
         _tiny_sim_run(1)
     reference = load_fingerprints(str(path))
     # A killed worker leaves a half-written final line.
@@ -263,23 +275,20 @@ def _fp_trial(seed):
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fingerprint shards need fork",
 )
-def test_parallel_shards_reconstruct_serial_combined_digest(
-    monkeypatch, tmp_path
-):
+def test_parallel_shards_reconstruct_serial_combined_digest(tmp_path):
     serial_path = tmp_path / "serial.jsonl"
-    with fingerprinting(path=str(serial_path), checkpoint_every=16):
+    config = ObsConfig(fingerprint=str(serial_path), fingerprint_every=16)
+    with config.activate():
         for seed in (1, 2, 3, 4):
             _fp_trial(seed)
     serial = load_fingerprints(str(serial_path))
     assert len(serial.runs) == 4
 
     parallel_path = tmp_path / "parallel.jsonl"
-    monkeypatch.setattr(fp_mod, "_ENV_FINGERPRINT", None)
-    monkeypatch.setenv("REPRO_FINGERPRINT", str(parallel_path))
-    monkeypatch.setenv("REPRO_FINGERPRINT_EVERY", "16")
-    run_trials(_fp_trial, seeds=[1, 2, 3, 4], jobs=2)
-    monkeypatch.delenv("REPRO_FINGERPRINT")
-    fp_mod._clear_fingerprint()
+    config = ObsConfig(fingerprint=str(parallel_path), fingerprint_every=16)
+    with config.activate():
+        run_trials(_fp_trial, seeds=[1, 2, 3, 4], jobs=2)
+    assert configured_fingerprint() is None
 
     merged = load_fingerprints(str(parallel_path))
     assert len(merged.paths) >= 2  # per-worker shards
@@ -298,10 +307,7 @@ def test_parallel_shards_reconstruct_serial_combined_digest(
     assert damaged.combined_digest() == serial.combined_digest()
 
 
-def test_memory_config_cannot_cross_process_boundary(monkeypatch):
-    from repro.experiments import runner as runner_mod
-
-    with fingerprinting(path=None):
-        context = multiprocessing.get_context("fork")
-        with pytest.raises(ConfigurationError):
-            runner_mod._plan_fingerprint_shards(context)
+def test_memory_config_cannot_cross_process_boundary():
+    with ObsConfig(fingerprint=True).activate():
+        with pytest.raises(ConfigurationError, match="in-memory fingerprint"):
+            run_trials(_fp_trial, seeds=[1, 2], jobs=2)

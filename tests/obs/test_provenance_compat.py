@@ -9,12 +9,11 @@ import json
 import os
 
 from repro.experiments.figures.common import pdd_experiment
+from repro.obs.config import ObsConfig
 from repro.obs.durable import provenance_doc
-from repro.obs.fingerprint import fingerprinting, load_fingerprints
-from repro.obs.recorder import recording
+from repro.obs.fingerprint import load_fingerprints
 from repro.obs.spans import load_trace
 from repro.obs.timeline import load_timeline
-from repro.obs.trace import JsonlSink, global_sink
 
 
 def _write_artifacts(directory):
@@ -22,9 +21,13 @@ def _write_artifacts(directory):
         name: os.path.join(directory, f"{name}.jsonl")
         for name in ("trace", "timeline", "fingerprint")
     }
-    with global_sink(JsonlSink(paths["trace"])), recording(
-        path=paths["timeline"]
-    ), fingerprinting(path=paths["fingerprint"], checkpoint_every=64):
+    config = ObsConfig(
+        trace=paths["trace"],
+        timeline=paths["timeline"],
+        fingerprint=paths["fingerprint"],
+        fingerprint_every=64,
+    )
+    with config.activate():
         pdd_experiment(seed=1, rows=3, cols=3, metadata_count=12)
     return paths
 

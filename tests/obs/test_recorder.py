@@ -20,17 +20,16 @@ from repro.experiments.figures.common import (
     pdd_experiment,
 )
 from repro.experiments.scenario import build_grid_scenario
-from repro.obs import recorder as rec_mod
+from repro.obs.config import DEFAULT_INTERVAL_S, DEFAULT_KEYFRAME_EVERY, ObsConfig
+from repro.obs.durable import DurableJsonlWriter
+from repro.obs.fingerprint import configured_fingerprint
 from repro.obs.recorder import (
     SEP,
     FlightRecorder,
-    RecordingConfig,
-    TimelineWriter,
     capture_network_state,
     configured_recording,
     flatten_state,
     merge_summaries,
-    recording,
     unflatten_state,
 )
 from repro.obs.timeline import load_timeline, reconstruct_at
@@ -63,84 +62,95 @@ def test_flatten_drops_empty_subdicts():
 # ----------------------------------------------------------------------
 def test_recording_config_validates():
     with pytest.raises(ConfigurationError):
-        RecordingConfig(interval_s=0)
+        ObsConfig(timeline=True, timeline_interval=0)
     with pytest.raises(ConfigurationError):
-        RecordingConfig(keyframe_every=0)
+        ObsConfig(timeline=True, keyframe_every=0)
 
 
 def test_recording_context_scopes_config():
     assert configured_recording() is None
-    with recording(path=None, interval_s=0.5, keyframe_every=3) as config:
-        assert configured_recording() is config
-        assert config.interval_s == 0.5
-        assert config.keyframe_every == 3
+    config = ObsConfig(timeline=True, timeline_interval=0.5, keyframe_every=3)
+    with config.activate() as obs:
+        assert configured_recording() is obs
+        assert obs.config.interval_s == 0.5
+        assert obs.config.keyframe_cadence == 3
     assert configured_recording() is None
 
 
-def test_env_recording_parses_knobs(monkeypatch, tmp_path):
-    monkeypatch.setattr(rec_mod, "_ENV_RECORDING", None)
-    monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "tl.jsonl"))
-    monkeypatch.setenv("REPRO_TIMELINE_INTERVAL", "0.25")
-    monkeypatch.setenv("REPRO_TIMELINE_KEYFRAME", "5")
-    config = configured_recording()
-    assert config is not None
-    assert config.path == str(tmp_path / "tl.jsonl")
+def test_obs_config_resolves_timeline_cadence(tmp_path):
+    path = str(tmp_path / "tl.jsonl")
+    config = ObsConfig(timeline=path, timeline_interval=0.25, keyframe_every=5)
+    assert config.artifacts() == [("timeline", path)]
     assert config.interval_s == 0.25
-    assert config.keyframe_every == 5
-    # Same env -> cached config object.
-    assert configured_recording() is config
+    assert config.keyframe_cadence == 5
+    # Path-like values are stored as plain strings.
+    assert ObsConfig(timeline=tmp_path / "tl.jsonl") == ObsConfig(timeline=path)
+    # Unset cadences resolve to the documented defaults.
+    memory = ObsConfig(timeline=True)
+    assert memory.artifacts() == []
+    assert memory.interval_s == DEFAULT_INTERVAL_S
+    assert memory.keyframe_cadence == DEFAULT_KEYFRAME_EVERY
 
 
 @pytest.mark.parametrize(
-    "var, value",
+    "field, value",
     [
-        ("REPRO_TIMELINE_INTERVAL", "fast"),
-        ("REPRO_TIMELINE_INTERVAL", "-1"),
-        ("REPRO_TIMELINE_KEYFRAME", "0"),
-        ("REPRO_TIMELINE_KEYFRAME", "often"),
+        ("timeline_interval", 0),
+        ("timeline_interval", -1.0),
+        ("keyframe_every", 0),
+        ("keyframe_every", -3),
     ],
 )
-def test_env_recording_rejects_bad_knobs(monkeypatch, tmp_path, var, value):
-    monkeypatch.setattr(rec_mod, "_ENV_RECORDING", None)
-    monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "tl.jsonl"))
-    monkeypatch.setenv(var, value)
+def test_obs_config_rejects_bad_timeline_values(field, value):
     with pytest.raises(ConfigurationError):
-        configured_recording()
+        ObsConfig(timeline=True, **{field: value})
 
 
-def test_installed_recording_wins_over_env(monkeypatch, tmp_path):
-    monkeypatch.setattr(rec_mod, "_ENV_RECORDING", None)
-    monkeypatch.setenv("REPRO_TIMELINE", str(tmp_path / "env.jsonl"))
-    with recording(path=None) as config:
-        assert configured_recording() is config
+@pytest.mark.parametrize("field", ["timeline_interval", "keyframe_every"])
+def test_obs_config_rejects_timeline_cadence_without_timeline(field):
+    with pytest.raises(ConfigurationError, match="needs --timeline"):
+        ObsConfig(**{field: 2})
+
+
+def test_activate_shadows_ambient_config(tmp_path):
+    with ObsConfig(timeline=str(tmp_path / "tl.jsonl")).activate() as outer:
+        with ObsConfig(fingerprint=True).activate() as inner:
+            # The inner config replaces the outer one; it never merges.
+            assert configured_recording() is None
+            assert configured_fingerprint() is inner
+        assert configured_recording() is outer
+        assert configured_fingerprint() is None
 
 
 def test_reshard_renames_path(tmp_path):
-    config = RecordingConfig(path=str(tmp_path / "tl.jsonl"))
-    config.reshard(3)
-    assert config.path == str(tmp_path / "tl.3.jsonl")
+    config = ObsConfig(timeline=str(tmp_path / "tl.jsonl"), timeline_interval=0.5)
+    worker = config.for_worker(3)
+    assert worker.timeline == str(tmp_path / "tl.3.jsonl")
+    assert worker.interval_s == 0.5
+    # A memory-only timeline has no file to shard.
+    assert ObsConfig(timeline=True).for_worker(3) == ObsConfig(timeline=True)
 
 
 # ----------------------------------------------------------------------
-# TimelineWriter durability
+# Timeline writer durability
 # ----------------------------------------------------------------------
 def test_writer_close_flushes_and_is_idempotent(tmp_path):
     path = tmp_path / "tl.jsonl"
-    writer = TimelineWriter(str(path))
-    writer.write({"rec": "meta", "run": 1})
+    writer = DurableJsonlWriter(str(path))
+    writer.write_doc({"rec": "meta", "run": 1})
     writer.close()
     writer.close()  # safe to call twice
     header, record = path.read_text().splitlines()
     assert "provenance" in json.loads(header)
     assert json.loads(record) == {"rec": "meta", "run": 1}
-    writer.write({"rec": "key"})  # post-close writes are dropped, not errors
+    writer.write_doc({"rec": "key"})  # post-close writes are dropped, not errors
     assert path.read_text().count("\n") == 2  # provenance header + record
 
 
 def test_writer_context_manager(tmp_path):
     path = tmp_path / "tl.jsonl"
-    with TimelineWriter(str(path)) as writer:
-        writer.write({"rec": "meta"})
+    with DurableJsonlWriter(str(path)) as writer:
+        writer.write_doc({"rec": "meta"})
     lines = path.read_text().splitlines()
     assert "provenance" in json.loads(lines[0])
     assert lines[1].startswith('{"rec":"meta"}')
@@ -149,7 +159,7 @@ def test_writer_context_manager(tmp_path):
 def test_writer_close_in_foreign_pid_keeps_file(tmp_path):
     # A writer inherited across fork must never flush the parent's buffer:
     # close() in a "different" process is a no-op that keeps the handle.
-    writer = TimelineWriter(str(tmp_path / "tl.jsonl"))
+    writer = DurableJsonlWriter(str(tmp_path / "tl.jsonl"))
     writer._pid = os.getpid() + 1
     writer.close()
     assert writer._file is not None
@@ -161,7 +171,7 @@ def test_writer_close_in_foreign_pid_keeps_file(tmp_path):
 # Sampling mechanics (memory-backed, synthetic scenario)
 # ----------------------------------------------------------------------
 def _memory_recorded_run(**kwargs):
-    with recording(path=None, **kwargs):
+    with ObsConfig(timeline=True, **kwargs).activate():
         scenario = build_grid_scenario(
             rows=3, cols=3, seed=1, device_config=experiment_device_config()
         )
@@ -171,7 +181,7 @@ def _memory_recorded_run(**kwargs):
 
 
 def test_keyframe_cadence_and_delta_shape():
-    _, recorder = _memory_recorded_run(interval_s=0.5, keyframe_every=4)
+    _, recorder = _memory_recorded_run(timeline_interval=0.5, keyframe_every=4)
     records = recorder.records
     assert records[0]["rec"] == "meta"
     samples = records[1:]
@@ -188,7 +198,7 @@ def test_keyframe_cadence_and_delta_shape():
 
 
 def test_round_boundaries_force_samples():
-    _, recorder = _memory_recorded_run(interval_s=5.0)
+    _, recorder = _memory_recorded_run(timeline_interval=5.0)
     reasons = {record["by"] for record in recorder.records[1:]}
     assert "round_begin" in reasons
     assert "round_end" in reasons
@@ -201,7 +211,7 @@ def test_round_boundaries_force_samples():
 
 
 def test_summary_reports_series_statistics():
-    _, recorder = _memory_recorded_run(interval_s=0.5)
+    _, recorder = _memory_recorded_run(timeline_interval=0.5)
     summary = recorder.summary()
     assert summary["runs"] == 1
     assert summary["samples"] == len(recorder.records) - 1
@@ -228,7 +238,7 @@ def test_merge_summaries_weights_airtime_by_elapsed():
 
 
 def test_stop_cancels_sampling():
-    with recording(path=None, interval_s=0.5):
+    with ObsConfig(timeline=True, timeline_interval=0.5).activate():
         scenario = build_grid_scenario(
             rows=3, cols=3, seed=1, device_config=experiment_device_config()
         )
@@ -268,7 +278,7 @@ def test_observe_state_is_read_only():
 def test_recorded_run_results_are_bit_identical():
     def run(record):
         if record:
-            with recording(path=None, interval_s=0.5):
+            with ObsConfig(timeline=True, timeline_interval=0.5).activate():
                 outcome = pdd_experiment(3, rows=3, cols=3, metadata_count=150)
         else:
             outcome = pdd_experiment(3, rows=3, cols=3, metadata_count=150)
@@ -289,7 +299,8 @@ def test_recorded_run_results_are_bit_identical():
 def test_reconstruction_matches_live_state_at_every_sample(tmp_path):
     path = tmp_path / "tl.jsonl"
     live = []
-    with recording(path=str(path), interval_s=0.5, keyframe_every=4):
+    config = ObsConfig(timeline=str(path), timeline_interval=0.5, keyframe_every=4)
+    with config.activate():
         scenario = build_grid_scenario(
             rows=3, cols=3, seed=1, device_config=experiment_device_config()
         )

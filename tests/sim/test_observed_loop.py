@@ -10,7 +10,7 @@ the simulation computes.
 from contextlib import ExitStack
 
 from repro.experiments.figures.common import pdd_experiment
-from repro.obs.fingerprint import fingerprinting
+from repro.obs.config import ObsConfig
 from repro.obs.kernelprof import KernelProfiler
 
 _CKPT_FIELDS = ("i", "digest", "t", "seq", "h")
@@ -20,8 +20,10 @@ def _drive(fingerprint: bool, profile: bool):
     """Run one small grid PDD scenario under the requested instruments."""
     kernel = KernelProfiler() if profile else None
     with ExitStack() as stack:
-        config = (
-            stack.enter_context(fingerprinting(checkpoint_every=64))
+        obs = (
+            stack.enter_context(
+                ObsConfig(fingerprint=True, fingerprint_every=64).activate()
+            )
             if fingerprint
             else None
         )
@@ -40,7 +42,7 @@ def _drive(fingerprint: bool, profile: bool):
         sim.now,
     )
     streams = None
-    if config is not None:
+    if obs is not None:
         # Run ids come from a process-wide counter, so compare the
         # chained digests and checkpoint contents, not the ids.
         streams = [
@@ -52,7 +54,7 @@ def _drive(fingerprint: bool, profile: bool):
                     if record["fp"] == "ckpt"
                 ],
             )
-            for stream in config.streams
+            for stream in obs.streams
         ]
     if kernel is not None:
         # Every processed event is on exactly one run record.

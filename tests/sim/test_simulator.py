@@ -100,13 +100,13 @@ def test_max_events_guard(sim):
 @pytest.mark.parametrize("observed", [False, True])
 def test_max_events_allows_exactly_n_events(sim, observed):
     """A queue holding exactly N events drains under ``max_events=N``."""
-    from repro.obs.fingerprint import fingerprinting
+    from repro.obs.config import ObsConfig
 
     fired = []
     for i in range(3):
         sim.schedule(float(i), fired.append, i)
     if observed:
-        with fingerprinting():
+        with ObsConfig(fingerprint=True).activate():
             assert sim.run(max_events=3) == 3
     else:
         assert sim.run(max_events=3) == 3
