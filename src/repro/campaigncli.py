@@ -131,8 +131,8 @@ def _gc(root: str, failed: bool) -> int:
 
 
 def _resume(root: str, figure: str, passthrough: List[str]) -> int:
-    # Delegate to the figure runner with the store in effect; run_trials/
-    # run_sweep pick it up through REPRO_STORE and skip cached trials.
+    # Delegate to the figure runner with the store in effect; run_sweep
+    # picks it up through REPRO_STORE and skips cached trials.
     from repro.cli import main as cli_main
 
     os.environ["REPRO_STORE"] = root

@@ -140,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const=True,
         default=None,
-        help="figure runs: record a flight-recorder timeline to FILE "
-        "(bare --timeline records in memory, attaching summary columns "
-        "only); inspect: render per-node sparkline views of a timeline file",
+        help="figure runs: record a flight-recorder timeline to FILE; "
+        "inspect (bare --timeline): render per-node sparkline views of a "
+        "timeline file",
     )
     obs.add_argument(
         "--timeline-interval",
@@ -247,6 +247,11 @@ def _run_figures(args: argparse.Namespace) -> int:
         fingerprint=args.fingerprint,
         fingerprint_every=args.fingerprint_every,
     )
+    if config.timeline is True:
+        raise ConfigurationError(
+            "a figure run records its timeline to a file: use --timeline FILE "
+            "(bare --timeline is for `repro inspect tl.jsonl --timeline`)"
+        )
     profiler = KernelProfiler() if args.metrics else None
     memory = MemoryTelemetry() if args.memory else None
     registries: List[MetricsRegistry] = []

@@ -1,6 +1,6 @@
 """Experiment harness: scenarios, workloads, metrics, figure modules."""
 
-from repro.experiments.metrics import AggregateMetrics, TrialFailure, TrialMetrics
+from repro.experiments.metrics import TrialFailure
 from repro.experiments.runner import (
     DEFAULT_SEEDS,
     SweepPoint,
@@ -11,7 +11,6 @@ from repro.experiments.runner import (
     point_mean,
     render_table,
     run_sweep,
-    run_trials,
     scale_factor,
 )
 from repro.experiments.store import (
@@ -39,7 +38,6 @@ from repro.experiments.workload import (
 )
 
 __all__ = [
-    "AggregateMetrics",
     "CampaignStore",
     "DEFAULT_RADIO_RANGE",
     "DEFAULT_SEEDS",
@@ -47,7 +45,6 @@ __all__ = [
     "StoreEntry",
     "SweepPoint",
     "TrialFailure",
-    "TrialMetrics",
     "TrialTimeout",
     "build_campus_scenario",
     "build_grid_scenario",
@@ -65,7 +62,6 @@ __all__ = [
     "render_table",
     "resolve_store",
     "run_sweep",
-    "run_trials",
     "scale_factor",
     "task_digest",
     "sensor_descriptor",

@@ -25,7 +25,6 @@ from repro.core.consumer import (
 from repro.core.rounds import RoundConfig
 from repro.data.item import DataItem
 from repro.errors import ConfigurationError
-from repro.experiments.metrics import TrialMetrics
 from repro.experiments.scenario import Scenario, build_grid_scenario
 from repro.experiments.workload import (
     distribute_chunks,
@@ -86,17 +85,6 @@ class ExperimentOutcome:
     @property
     def first(self) -> ConsumerOutcome:
         return self.consumers[0]
-
-    def to_trial_metrics(self) -> TrialMetrics:
-        """Single-consumer convenience conversion."""
-        outcome = self.first
-        return TrialMetrics(
-            recall=outcome.recall,
-            latency_s=outcome.result.latency,
-            overhead_bytes=self.total_overhead_bytes,
-            rounds=outcome.result.rounds,
-            completed=outcome.result.completed,
-        )
 
 
 def _drive_sessions(

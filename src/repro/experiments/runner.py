@@ -1,8 +1,9 @@
-"""Multi-seed trial running, parallel sweeps and table rendering.
+"""Multi-seed trial sweeps, parallel campaigns and table rendering.
 
 The paper averages each point over 5 runs (§VI-A); experiment modules
-define a per-seed trial function and hand it to :func:`run_trials`, or a
-per-(point, seed) function plus a parameter grid to :func:`run_sweep`.
+define a per-(point, seed) trial function returning a plain JSON dict
+and hand it, with a parameter grid, to :func:`run_sweep` — the one
+campaign entry point — then average fields with :func:`point_mean`.
 Benchmarks honour ``REPRO_SEEDS`` / ``REPRO_SCALE`` environment knobs so
 full-fidelity runs and quick CI runs share the same code.
 
@@ -10,10 +11,10 @@ Parallelism
 -----------
 
 Trials are embarrassingly parallel — each builds its own simulator and
-RNGs from its seed — so both entry points take a ``jobs`` parameter
+RNGs from its seed — so :func:`run_sweep` takes a ``jobs`` parameter
 (default: the ``REPRO_JOBS`` env knob, itself defaulting to 1) backed by
 :class:`concurrent.futures.ProcessPoolExecutor`.  ``jobs=1`` keeps
-everything on the caller's thread, exactly as before.  With ``jobs>1``:
+everything on the caller's thread.  With ``jobs>1``:
 
 * results are reassembled in submission order, so tables are
   bit-identical to a serial run of the same seeds regardless of worker
@@ -34,14 +35,14 @@ everything on the caller's thread, exactly as before.  With ``jobs>1``:
   worker ``k`` activates it with every trace/timeline/fingerprint file
   moved to its shard ``k`` (``trace.jsonl`` -> ``trace.k.jsonl``).
   What cannot cross a process boundary — a trace sink outside the
-  config, an in-memory fingerprint, file shards without ``fork`` —
-  raises :class:`~repro.errors.ConfigurationError` telling you to use
-  ``jobs=1``.
+  config, an in-memory timeline or fingerprint, file shards without
+  ``fork`` — raises :class:`~repro.errors.ConfigurationError` telling
+  you to use ``jobs=1``.
 
 Campaign store
 --------------
 
-Both entry points take ``store=`` (a path or
+:func:`run_sweep` takes ``store=`` (a path or
 :class:`~repro.experiments.store.CampaignStore`; default: the
 ``REPRO_STORE`` env knob, CLI ``--store``) and ``resume=`` knobs.  With a
 store, every completed trial is durably recorded under its content
@@ -74,11 +75,12 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.metrics import AggregateMetrics, TrialFailure, TrialMetrics
+from repro.experiments.metrics import TrialFailure
 from repro.experiments.store import (
     CampaignStore,
     resolve_store,
@@ -88,9 +90,7 @@ from repro.experiments.store import (
 from repro.obs import config as obs_config
 from repro.obs import kernelprof as obs_kernelprof
 from repro.obs import memprof as obs_memprof
-from repro.obs import recorder as obs_recorder
 from repro.obs import trace as obs_trace
-from repro.obs.audit import audit_extras
 from repro.obs.config import ObsConfig
 from repro.obs.durable import sanitize_shards
 from repro.obs.metrics import MetricsRegistry, _clear_collectors, collect_registries
@@ -98,7 +98,6 @@ from repro.obs.metrics import MetricsRegistry, _clear_collectors, collect_regist
 #: Per the paper: "results are averaged over 5 runs".
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
-TrialFn = Callable[[int], TrialMetrics]
 SweepTrialFn = Callable[[Any, int], Any]
 
 
@@ -223,8 +222,8 @@ def _worker_init(config: Optional[ObsConfig], shard_counter: Any) -> None:
     Forked workers inherit the parent's process-wide observability state:
     global trace sinks (whose file handles are shared with the parent),
     the active observability config and its open writers, the active
-    profiler and its labels, memory telemetry, open registry collectors,
-    and open recorder collectors.  All of it belongs to the parent, so
+    profiler and its labels, memory telemetry and open registry
+    collectors.  All of it belongs to the parent, so
     drop it — workers report back through their return values instead —
     then activate the campaign's ``config`` on this worker's own shards.
     """
@@ -235,53 +234,12 @@ def _worker_init(config: Optional[ObsConfig], shard_counter: Any) -> None:
     obs_kernelprof._clear_active()
     obs_memprof._clear_active()
     _clear_collectors()
-    obs_recorder._clear_recorder_collectors()
     index = None
     if shard_counter is not None:
         with shard_counter.get_lock():
             index = shard_counter.value
             shard_counter.value += 1
     obs_config.enter_worker(config, index)
-
-
-def _audited_call(trial: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
-    """Run one trial; wire tracing/recording summaries into its extras.
-
-    When a process-wide trace sink is active (CLI ``--trace``), the
-    trial's events are also captured in memory and run through the
-    :mod:`repro.obs.audit` invariants; the per-invariant violation counts
-    land in ``TrialMetrics.extras["audit"]`` so they surface as
-    ``violations`` / ``audit_<invariant>`` columns in the figure tables.
-    When the active :class:`~repro.obs.config.ObsConfig` records a
-    timeline (CLI ``--timeline``), the flight recorders the trial's
-    scenarios attach are collected and their merged series summary
-    lands in ``TrialMetrics.extras["timeline"]``.  Campaigns with neither
-    skip all of this.
-    """
-    tracing = bool(obs_trace.global_sinks())
-    recording = obs_recorder.configured_recording() is not None
-    if not tracing and not recording:
-        return trial(*args)
-    capture: Optional[obs_trace.ListSink] = None
-    if tracing:
-        capture = obs_trace.ListSink()
-        obs_trace.install_global_sink(capture)
-    try:
-        with obs_recorder.collect_recorders() as recorders:
-            result = trial(*args)
-    finally:
-        if capture is not None:
-            obs_trace.remove_global_sink(capture)
-    if isinstance(result, TrialMetrics):
-        if capture is not None:
-            result.extras["audit"] = audit_extras(
-                [event.to_json_dict() for event in capture.events]
-            )
-        if recorders:
-            result.extras["timeline"] = obs_recorder.merge_summaries(
-                [recorder.summary() for recorder in recorders]
-            )
-    return result
 
 
 def _mark_attempt(outcome: str, label: str) -> None:
@@ -355,7 +313,7 @@ def _run_task_in_worker(
         with collect_registries() as registries:
             with kernel.activate(), obs_kernelprof.label(label):
                 with _trial_deadline(timeout_s, label):
-                    value = _audited_call(trial, args)
+                    value = trial(*args)
     except BaseException:
         # The attempt's partial shard events must not survive the merge;
         # a killed worker writes no marker, leaving an unterminated tail
@@ -393,11 +351,9 @@ def _worker_config(context: Any) -> Optional[ObsConfig]:
     """The observability config workers activate, or ``None``.
 
     Refuses, with a ``jobs=1`` hint, what cannot follow trials into
-    worker processes: trace sinks outside the config (their events would
-    die with the worker), an in-memory fingerprint (likewise), and file
-    shards under a start method other than ``fork``.  Memory-only
-    timelines work anywhere: their summaries travel back inside the
-    pickled trial results.
+    worker processes: trace sinks outside the config and an in-memory
+    timeline or fingerprint (their records would die with the worker),
+    and file shards under a start method other than ``fork``.
     """
     obs = obs_config.active()
     for sink in obs_trace.global_sinks():
@@ -409,12 +365,13 @@ def _worker_config(context: Any) -> Optional[ObsConfig]:
             )
     if obs is None:
         return None
-    if obs.config.fingerprint is True:
-        raise ConfigurationError(
-            "an in-memory fingerprint (no path) cannot follow trials "
-            "into worker processes; give it a path or run with jobs=1 "
-            "(--jobs 1)"
-        )
+    for instrument in ("timeline", "fingerprint"):
+        if getattr(obs.config, instrument) is True:
+            raise ConfigurationError(
+                f"an in-memory {instrument} (no path) cannot follow trials "
+                f"into worker processes; give it a path or run with jobs=1 "
+                f"(--jobs 1)"
+            )
     if obs.config.artifacts() and context.get_start_method() != "fork":
         raise ConfigurationError(
             "per-worker trace/timeline/fingerprint shards need the 'fork' "
@@ -549,64 +506,73 @@ def _execute_parallel(
 
 
 # ----------------------------------------------------------------------
-# Campaign-store plumbing
+# One campaign: optional store, serial loop or worker pool
 # ----------------------------------------------------------------------
 def _run_task_serial(
-    trial: Callable[..., Any], task: _Task
-) -> Tuple[Any, Dict[str, Dict[str, object]]]:
-    """One in-process trial plus its metrics snapshot (for the store).
+    trial: Callable[..., Any], task: _Task, snapshot: bool
+) -> Tuple[Any, Optional[Dict[str, Dict[str, object]]]]:
+    """One in-process trial, plus its metrics snapshot when ``snapshot``.
 
-    The scratch registry stays unregistered: the trial's own registries
-    already joined any open collector, so a registered merge target would
-    double every instrument in the caller's campaign view.
+    Only a campaign store records the snapshot, so store-less campaigns
+    skip collecting it.  The scratch registry stays unregistered: the
+    trial's own registries already joined any open collector, so a
+    registered merge target would double every instrument in the
+    caller's campaign view.
     """
-    with collect_registries() as registries, obs_kernelprof.label(task.label):
-        value = _audited_call(trial, task.args)
+    with obs_kernelprof.label(task.label):
+        if not snapshot:
+            return trial(*task.args), None
+        with collect_registries() as registries:
+            value = trial(*task.args)
     scratch = MetricsRegistry(register=False)
     for registry in registries:
         scratch.merge_snapshot(registry.snapshot())
     return value, scratch.snapshot()
 
 
-def _run_stored_campaign(
+def _run_campaign(
     trial: Callable[..., Any],
     tasks: Sequence[_Task],
-    store: CampaignStore,
+    store: Optional[CampaignStore],
     resume: bool,
     jobs: int,
     timeout_s: Optional[float],
     retries: int,
-) -> Tuple[Dict[int, Any], Dict[int, TrialFailure], set]:
-    """Run a keyed campaign against a content-addressed store.
+) -> Tuple[Dict[int, Any], Dict[int, TrialFailure], Set[int]]:
+    """Run a keyed campaign, against a content-addressed store if given.
 
     Returns ``(values_by_key, failures_by_key, hit_keys)``.  With
-    ``resume`` on, tasks whose digest already has a successful entry are
-    satisfied from the store (their cached metrics snapshots merge into a
-    registry that joins any open collector); everything else executes and
-    is written through — values on success, failure records when a task
-    permanently fails.  Stored *failures* never count as hits: crashes
-    and timeouts are environment-dependent, so a resumed campaign re-runs
-    them (a deterministic error just fails identically again, keeping the
-    resumed table bit-identical).
-    """
-    name = trial_id(trial)
-    digests = {task.key: task_digest(trial, task.args) for task in tasks}
-    # Where the campaign writes its JSONL artifacts (worker shards live
-    # next to these bases).  Cached trials emit nothing in a resumed
-    # campaign, so an entry names the artifacts of the campaign that
-    # executed it.
-    obs = obs_config.active()
-    artifacts = dict(obs.config.artifacts()) if obs is not None else {}
-    # Registers with the caller's collector (if any) so cached trials'
-    # metrics still reach the campaign-wide view.
-    campaign_metrics = MetricsRegistry()
+    ``jobs=1`` tasks run in order on this thread and exceptions
+    propagate; with a store, completed trials are already durably stored,
+    so a crashed serial campaign resumes from the trial it died in.  With
+    ``jobs>1`` tasks fan out over :func:`_execute_parallel`.
 
+    With a store and ``resume`` on, tasks whose digest already has a
+    successful entry are satisfied from the store (their cached metrics
+    snapshots merge into a registry that joins any open collector);
+    everything else executes and is written through — values on success,
+    failure records when a task permanently fails.  Stored *failures*
+    never count as hits: crashes and timeouts are environment-dependent,
+    so a resumed campaign re-runs them (a deterministic error just fails
+    identically again, keeping the resumed table bit-identical).
+    """
     values: Dict[int, Any] = {}
     failures: Dict[int, TrialFailure] = {}
-    hit_keys: set = set()
-    if resume:
+    hit_keys: Set[int] = set()
+    if store is not None:
+        name = trial_id(trial)
+        digests = {task.key: task_digest(trial, task.args) for task in tasks}
+        # Where the campaign writes its JSONL artifacts (worker shards
+        # live next to these bases).  Cached trials emit nothing in a
+        # resumed campaign, so an entry names the artifacts of the
+        # campaign that executed it.
+        obs = obs_config.active()
+        artifacts = dict(obs.config.artifacts()) if obs is not None else {}
+        # Registers with the caller's collector (if any) so cached trials'
+        # metrics still reach the campaign-wide view.
+        campaign_metrics = MetricsRegistry()
         for task in tasks:
-            entry = store.get(digests[task.key])
+            entry = store.get(digests[task.key]) if resume else None
             if entry is None:
                 continue
             values[task.key] = entry.value
@@ -614,13 +580,9 @@ def _run_stored_campaign(
             if entry.metrics:
                 campaign_metrics.merge_snapshot(entry.metrics)
 
-    misses = [task for task in tasks if task.key not in hit_keys]
-    if jobs == 1:
-        # Serial contract unchanged: exceptions propagate.  Completed
-        # trials are already durably stored, so a crashed serial campaign
-        # resumes from the trial it died in.
-        for task in misses:
-            value, snapshot = _run_task_serial(trial, task)
+    def record(task: _Task, value: Any, snapshot: Any) -> None:
+        values[task.key] = value
+        if store is not None:
             store.put_value(
                 digests[task.key],
                 name,
@@ -630,114 +592,29 @@ def _run_stored_campaign(
                 metrics=snapshot,
                 artifacts=artifacts,
             )
-            values[task.key] = value
+
+    misses = [task for task in tasks if task.key not in hit_keys]
+    if jobs == 1:
+        for task in misses:
+            record(task, *_run_task_serial(trial, task, store is not None))
     elif misses:
         executed, failures, snapshots = _execute_parallel(
             trial, misses, jobs, timeout_s, retries
         )
-        by_key = {task.key: task for task in misses}
-        for key, value in executed.items():
-            task = by_key[key]
-            store.put_value(
-                digests[key],
-                name,
-                task.label,
-                task.seed,
-                value,
-                metrics=snapshots.get(key),
-                artifacts=artifacts,
-            )
-        for key, failure in failures.items():
-            store.put_failure(digests[key], name, failure, artifacts=artifacts)
-        values.update(executed)
+        for task in misses:
+            if task.key in executed:
+                record(task, executed[task.key], snapshots[task.key])
+            elif store is not None:
+                failure = failures[task.key]
+                store.put_failure(
+                    digests[task.key], name, failure, artifacts=artifacts
+                )
     return values, failures, hit_keys
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# Entry point
 # ----------------------------------------------------------------------
-def run_trials(
-    trial: TrialFn,
-    seeds: Optional[Iterable[int]] = None,
-    jobs: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    store: Optional[Any] = None,
-    resume: bool = True,
-) -> AggregateMetrics:
-    """Run ``trial`` per seed and aggregate.
-
-    With ``jobs=1`` (the default unless ``REPRO_JOBS`` says otherwise)
-    trials run serially in-process and any exception propagates, exactly
-    as before.  With ``jobs>1`` trials fan out over worker processes;
-    a trial that keeps failing after ``retries`` extra attempts becomes a
-    :class:`~repro.experiments.metrics.TrialFailure` on the returned
-    aggregate and the campaign continues.  Results are aggregated in seed
-    order either way, so the statistics are identical for both paths.
-
-    ``store`` (a path or :class:`~repro.experiments.store.CampaignStore`;
-    default: the ``REPRO_STORE`` env knob) makes the campaign durable:
-    every completed trial is recorded under its content address, and with
-    ``resume=True`` (the default) trials already in the store are skipped
-    — their cached values aggregate exactly where execution would have
-    put them, so the result is bit-identical to an uninterrupted run.
-    The aggregate's ``cache_hits``/``executed`` fields say how much came
-    from the store.
-
-    Under an active :class:`~repro.obs.config.ObsConfig` that records a
-    timeline, the merged series summary (peak LQT size, CDI convergence
-    time, mean airtime utilization) lands on each trial's
-    ``TrialMetrics.extras["timeline"]`` and surfaces as table columns;
-    a trace adds audit columns the same way.
-
-    When a :class:`repro.obs.kernelprof.KernelProfiler` is active (CLI
-    ``--metrics``), each trial's simulator runs are labelled with its seed
-    so the profile reads per-trial — including trials that ran in workers.
-    """
-    if seeds is None:
-        seeds = configured_seeds()
-    seeds = list(seeds)
-    if jobs is None:
-        jobs = configured_jobs()
-    if timeout_s is None:
-        timeout_s = configured_trial_timeout()
-    campaign_store = resolve_store(store)
-
-    if campaign_store is None:
-        if jobs == 1:
-            results = []
-            for seed in seeds:
-                with obs_kernelprof.label(f"seed {seed}"):
-                    results.append(_audited_call(trial, (seed,)))
-            return AggregateMetrics.from_trials(results)
-        tasks = [
-            _Task(key=index, seed=seed, label=f"seed {seed}", args=(seed,))
-            for index, seed in enumerate(seeds)
-        ]
-        values, failures, _ = _execute_parallel(
-            trial, tasks, jobs, timeout_s, retries
-        )
-        ordered = [values[key] for key in sorted(values)]
-        ordered_failures = [failures[key] for key in sorted(failures)]
-        return AggregateMetrics.from_trials(ordered, failures=ordered_failures)
-
-    tasks = [
-        _Task(key=index, seed=seed, label=f"seed {seed}", args=(seed,))
-        for index, seed in enumerate(seeds)
-    ]
-    values, failures, hit_keys = _run_stored_campaign(
-        trial, tasks, campaign_store, resume, jobs, timeout_s, retries
-    )
-    ordered = [values[key] for key in sorted(values)]
-    ordered_failures = [failures[key] for key in sorted(failures)]
-    return AggregateMetrics.from_trials(
-        ordered,
-        failures=ordered_failures,
-        cache_hits=len(hit_keys),
-        executed=len(tasks) - len(hit_keys),
-    )
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One parameter point's slice of a sweep.
@@ -791,18 +668,25 @@ def run_sweep(
 
     ``trial`` must be picklable for parallel runs (a module-level
     function) and ``point`` must be a picklable value; figure modules
-    pass plain dicts of scalars.  With ``jobs=1`` everything runs
-    in-process and exceptions propagate, as the hand-rolled loops did.
+    pass plain dicts of scalars and return plain JSON dicts.  With
+    ``jobs=1`` everything runs in-process and exceptions propagate.  With
+    ``jobs>1`` a trial that keeps failing after ``retries`` extra
+    attempts becomes a :class:`~repro.experiments.metrics.TrialFailure`
+    on its point and the campaign continues.
 
     ``label_fn(point)`` names each point in profiles and failure records
-    (trials are labelled ``"<point-label> seed <seed>"``).
+    (trials are labelled ``"<point-label> seed <seed>"``).  When a
+    :class:`repro.obs.kernelprof.KernelProfiler` is active (CLI
+    ``--metrics``), each trial's simulator runs carry that label — also
+    for trials that ran in workers.
 
-    ``store``/``resume`` behave exactly as in :func:`run_trials`: with a
-    store (or ``REPRO_STORE``), every (point, seed) trial is keyed by its
-    content digest, completed trials persist across process restarts, and
-    a resumed sweep skips cached trials while producing bit-identical
-    :class:`SweepPoint` results; each point's ``cache_hits``/``executed``
-    fields say how much came from the store.
+    ``store`` (a path or :class:`~repro.experiments.store.CampaignStore`;
+    default: the ``REPRO_STORE`` env knob) makes the campaign durable:
+    every (point, seed) trial is keyed by its content digest, completed
+    trials persist across process restarts, and with ``resume=True``
+    (the default) a resumed sweep skips cached trials while producing
+    bit-identical :class:`SweepPoint` results; each point's
+    ``cache_hits``/``executed`` fields say how much came from the store.
     """
     if seeds is None:
         seeds = configured_seeds()
@@ -818,23 +702,6 @@ def run_sweep(
     ]
     campaign_store = resolve_store(store)
 
-    if campaign_store is None and jobs == 1:
-        sweep = []
-        for index, point in enumerate(points):
-            results = []
-            for seed in seeds:
-                with obs_kernelprof.label(f"{labels[index]} seed {seed}"):
-                    results.append(_audited_call(trial, (point, seed)))
-            sweep.append(
-                SweepPoint(
-                    point=point,
-                    label=labels[index],
-                    results=tuple(results),
-                    seeds=tuple(seeds),
-                )
-            )
-        return sweep
-
     tasks = []
     for point_index, point in enumerate(points):
         for seed_index, seed in enumerate(seeds):
@@ -846,15 +713,9 @@ def run_sweep(
                     args=(point, seed),
                 )
             )
-    if campaign_store is None:
-        values, failures_by_key, _ = _execute_parallel(
-            trial, tasks, jobs, timeout_s, retries
-        )
-        hit_keys: set = set()
-    else:
-        values, failures_by_key, hit_keys = _run_stored_campaign(
-            trial, tasks, campaign_store, resume, jobs, timeout_s, retries
-        )
+    values, failures_by_key, hit_keys = _run_campaign(
+        trial, tasks, campaign_store, resume, jobs, timeout_s, retries
+    )
 
     sweep = []
     for point_index, point in enumerate(points):

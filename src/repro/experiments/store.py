@@ -2,13 +2,14 @@
 
 The determinism substrate (exact digests, fingerprints, ``repro
 diverge``) guarantees that a trial is a pure function of its inputs: the
-trial function, its parameter point, its seed, the package version, and
-the observability profile (tracing attaches ``extras["audit"]`` to
-results, so it is an input too).  That makes
-caching sound — a trial keyed by the canonical digest of those inputs
-has exactly one correct result, so a crashed 10⁶-trial sweep can resume
-from what it already computed instead of starting over, and results are
-reusable across campaigns (and PRs) that re-run the same points.
+trial function, its parameter point, its seed and the package version
+(the observability profile is key material too, so that stores written
+by earlier builds keep their keys; see :func:`observability_tags`).
+That makes caching sound — a trial keyed by the canonical digest of
+those inputs has exactly one correct result, so a crashed 10⁶-trial
+sweep can resume from what it already computed instead of starting
+over, and results are reusable across campaigns (and PRs) that re-run
+the same points.
 
 Layout::
 
@@ -24,7 +25,7 @@ or whose embedded key disagrees with its filename is treated as a cache
 :attr:`CampaignStore.corrupt_seen`; ``repro campaign gc`` deletes such
 files.
 
-Wire-up: ``run_trials(store=...)`` / ``run_sweep(store=...)`` (or
+Wire-up: ``run_sweep(store=...)`` (or
 ``--store PATH`` / ``REPRO_STORE``) write every completed trial through
 the store and, with ``resume=True`` (the default), skip trials whose
 digest is already present — reassembly stays bit-identical to an
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.metrics import TrialFailure, TrialMetrics
+from repro.experiments.metrics import TrialFailure
 from repro.obs.durable import provenance_doc, repro_version, write_json_atomic
 
 #: Bump when the entry document schema changes incompatibly; entries
@@ -122,13 +123,13 @@ def trial_id(trial: Callable[..., Any]) -> str:
 
 
 def observability_tags() -> Tuple[str, ...]:
-    """The observability profile that shapes a trial's *result*.
+    """The ``trace``/``timeline`` tags every trial key carries.
 
-    Tracing attaches ``extras["audit"]`` and a timeline recording
-    attaches ``extras["timeline"]`` to :class:`TrialMetrics` — so a
-    result cached without them must not satisfy a campaign that expects
-    them (and vice versa).  The core metrics are identical either way (the
-    zero-perturbation contract), but the extras are part of the value.
+    No instrument changes a trial's value (the zero-perturbation
+    contract), but earlier builds attached audit and timeline summaries
+    to traced or recorded results and keyed them apart with these tags.
+    The tags stay so that campaign stores written by those builds keep
+    hitting; dropping them would re-key every traced or recorded entry.
     Both are read from the active :class:`~repro.obs.config.ObsConfig`
     (plus any process-wide trace sink); a fingerprint adds no tag.
     """
@@ -147,8 +148,7 @@ def task_digest(trial: Callable[..., Any], args: Tuple[Any, ...]) -> str:
     """Content address of one trial execution.
 
     Canonical digest of ``(trial qualname, args, repro version,
-    observability profile)``.  The seed is part of ``args`` for both
-    campaign shapes (``(seed,)`` and ``(point, seed)``).
+    observability profile)``; ``args`` is ``(point, seed)``.
     """
     material = _SEP.join(
         (
@@ -201,23 +201,6 @@ class StoreEntry:
         return self.kind == "ok"
 
 
-def _encode_value(value: Any, label: str) -> Any:
-    """JSON-encode a trial value, failing fast on lossy round-trips."""
-    if isinstance(value, TrialMetrics):
-        doc = {
-            "recall": value.recall,
-            "latency_s": value.latency_s,
-            "overhead_bytes": value.overhead_bytes,
-            "rounds": value.rounds,
-            "completed": value.completed,
-            "extras": value.extras,
-        }
-        _check_roundtrip(doc, label)
-        return {"__trial_metrics__": doc}
-    _check_roundtrip(value, label)
-    return value
-
-
 def _check_roundtrip(value: Any, label: str) -> None:
     try:
         restored = json.loads(json.dumps(value))
@@ -225,7 +208,7 @@ def _check_roundtrip(value: Any, label: str) -> None:
         raise ConfigurationError(
             f"trial {label!r} returned a value the campaign store cannot "
             f"serialize ({exc}); store-backed trials must return JSON "
-            f"values (dicts/lists/scalars) or TrialMetrics"
+            f"values (dicts/lists/scalars)"
         ) from None
     if restored != value:
         raise ConfigurationError(
@@ -234,20 +217,6 @@ def _check_roundtrip(value: Any, label: str) -> None:
             f"replay would not be bit-identical, so the campaign store "
             f"refuses to record it"
         )
-
-
-def _decode_value(doc: Any) -> Any:
-    if isinstance(doc, dict) and "__trial_metrics__" in doc:
-        fields_doc = doc["__trial_metrics__"]
-        return TrialMetrics(
-            recall=fields_doc["recall"],
-            latency_s=fields_doc["latency_s"],
-            overhead_bytes=fields_doc["overhead_bytes"],
-            rounds=fields_doc.get("rounds", 0),
-            completed=fields_doc.get("completed", True),
-            extras=dict(fields_doc.get("extras", {})),
-        )
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +313,7 @@ class CampaignStore:
                 label=str(doc.get("label", "")),
                 seed=int(doc.get("seed", -1)),
                 kind=str(kind),
-                value=_decode_value(doc.get("value")),
+                value=doc.get("value"),
                 metrics=doc.get("metrics"),
                 failure=failure,
                 artifacts=dict(doc.get("artifacts", {})),
@@ -364,6 +333,7 @@ class CampaignStore:
         artifacts: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Durably record one successful trial under ``digest``."""
+        _check_roundtrip(value, label)
         doc = {
             "store": STORE_SCHEMA,
             "provenance": provenance_doc(),
@@ -372,7 +342,7 @@ class CampaignStore:
             "label": label,
             "seed": seed,
             "kind": "ok",
-            "value": _encode_value(value, label),
+            "value": value,
             "metrics": metrics,
             "artifacts": dict(artifacts or {}),
         }

@@ -36,7 +36,7 @@ the JSONL writer, shard naming, attempt markers and the record reader
 all three artifacts share.
 """
 
-from repro.obs.audit import AuditReport, Violation, audit_events, audit_extras
+from repro.obs.audit import AuditReport, Violation, audit_events
 from repro.obs.config import ActiveObs, ObsConfig
 from repro.obs.durable import (
     DurableJsonlWriter,
@@ -104,7 +104,6 @@ __all__ = [
     "state_at",
     "unflatten_state",
     "audit_events",
-    "audit_extras",
     "build_spans",
     "load_trace",
     "resolve_trace_paths",

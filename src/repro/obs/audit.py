@@ -330,11 +330,6 @@ def _opt_int(value: object) -> Optional[int]:
     return int(value) if value is not None else None  # type: ignore[arg-type]
 
 
-def audit_extras(events: Sequence[Event]) -> Dict[str, int]:
-    """Per-invariant violation counts for ``TrialMetrics.extras['audit']``."""
-    return audit_events(events).counts()
-
-
 # ----------------------------------------------------------------------
 def render_report(report: AuditReport, max_violations: int = 25) -> str:
     """Human-readable audit summary."""

@@ -5,9 +5,9 @@ campaign:
 
 * ``trace`` — a JSONL event-trace path (:mod:`repro.obs.trace`);
 * ``timeline`` — the flight recorder (:mod:`repro.obs.recorder`):
-  ``True`` records in memory (summary columns only), a path also streams
-  the keyframe+delta records there; ``timeline_interval`` and
-  ``keyframe_every`` set its cadence;
+  ``True`` keeps the keyframe+delta records in memory on each
+  :class:`~repro.obs.recorder.FlightRecorder`, a path streams them
+  there; ``timeline_interval`` and ``keyframe_every`` set its cadence;
 * ``fingerprint`` — the determinism fingerprint
   (:mod:`repro.obs.fingerprint`): ``True`` keeps checkpoint records in
   memory, a path streams them there; ``fingerprint_every`` sets the
@@ -25,7 +25,8 @@ else — no environment variable turns an instrument on.
 process-wide stack.  It shadows whatever config was active before and
 never merges with it.  Scenario builders, simulators, trace buses and
 the trial runner read the top entry (:func:`active`).  A parallel
-campaign hands the config to its workers as the pool initarg, and
+campaign hands the config to its workers as the pool initarg (an
+in-memory timeline or fingerprint cannot cross, so it is refused), and
 worker ``k`` activates :meth:`ObsConfig.for_worker` — every file
 artifact re-pointed at its shard ``k``
 (:func:`repro.obs.durable.shard_path`).

@@ -4,8 +4,9 @@
 open: two runs disagree — *at which event*?  Each **side** of the
 comparison is either
 
-* a configuration to execute (worker count, kernel profiling on/off, an injected ``REPRO_RNG_PERTURB`` draw flip),
-  run here on the canonical PDD scenario under a fingerprint; or
+* a configuration to execute (``jobs=`` worker count, ``perturb=`` an
+  injected ``REPRO_RNG_PERTURB`` draw flip), run here on the canonical
+  PDD scenario under a fingerprint; or
 * a pre-recorded fingerprint checkpoint file (``file=...``) from any
   earlier run — e.g. a baseline built from another git revision.
 
@@ -29,7 +30,6 @@ import os
 import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -135,7 +135,7 @@ class ScenarioSpec:
         }
 
 
-def _scenario_trial(params: Dict[str, Any], seed: int) -> Any:
+def _scenario_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One fingerprinted trial (module-level so workers can pickle it)."""
     from repro.core.rounds import RoundConfig
     from repro.experiments.figures.common import pdd_experiment
@@ -148,7 +148,11 @@ def _scenario_trial(params: Dict[str, Any], seed: int) -> Any:
         round_config=RoundConfig(max_rounds=int(params["max_rounds"])),
         sim_cap_s=float(params["sim_cap_s"]),
     )
-    return outcome.to_trial_metrics()
+    return {
+        "recall": outcome.first.recall,
+        "latency_s": outcome.first.result.latency,
+        "overhead_bytes": outcome.total_overhead_bytes,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +207,6 @@ def run_side(
         )
     suffix = "" if detail is None else ".detail"
     path = os.path.join(workdir, f"side_{spec.label}{suffix}.jsonl")
-    overrides: Dict[str, Optional[str]] = {
-        "REPRO_RNG_PERTURB": spec.perturb,
-        "REPRO_JOBS": str(spec.jobs),
-    }
     # The side's own config shadows any ambient one: it observes exactly
     # what the spec names.
     config = ObsConfig(
@@ -216,7 +216,7 @@ def run_side(
     )
     ledger_snapshot: Optional[Dict[str, Any]] = None
     with ExitStack() as stack:
-        stack.enter_context(_env(overrides))
+        stack.enter_context(_env({"REPRO_RNG_PERTURB": spec.perturb}))
         stack.enter_context(config.activate())
         if spec.jobs == 1:
             ledger = stack.enter_context(rng_ledger())
@@ -224,10 +224,11 @@ def run_side(
                 _scenario_trial(scenario.to_dict(), seed)
             ledger_snapshot = ledger.snapshot()
         else:
-            from repro.experiments.runner import run_trials
+            from repro.experiments.runner import run_sweep
 
-            run_trials(
-                partial(_scenario_trial, scenario.to_dict()),
+            run_sweep(
+                _scenario_trial,
+                [scenario.to_dict()],
                 seeds=scenario.seeds,
                 jobs=spec.jobs,
             )

@@ -11,7 +11,7 @@ locks, no labels, no export dependencies.  Getter methods are idempotent
 (``registry.counter("x")`` twice returns the same object), which lets
 independent layers share instruments by name.
 
-Two facilities support multi-process campaigns (``run_trials(jobs=N)``):
+Two facilities support multi-process campaigns (``run_sweep(jobs=N)``):
 
 * :meth:`MetricsRegistry.merge_snapshot` folds a :meth:`snapshot` dict —
   e.g. one returned by a worker process — into a live registry;

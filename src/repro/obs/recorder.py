@@ -17,9 +17,12 @@ full **keyframe** (``{"rec": "key", "state": {...}}``); samples in between
 are compact **deltas** (``{"rec": "delta", "set": {...}, "del": [...]}``).
 Records go to a JSONL timeline file that shards per worker exactly like
 trace files (``timeline.0.jsonl``, ...; see :mod:`repro.obs.durable`), or
-stay in memory when the timeline has no path.  :mod:`repro.obs.timeline`
-reconstructs exact state at any sample time from the nearest keyframe
-plus deltas.
+stay in memory (:attr:`FlightRecorder.records`) when the timeline has no
+path.  A memory timeline lives and dies with its process: figure runs
+record to a file (``--timeline FILE``), and worker pools refuse a
+memory timeline.  :mod:`repro.obs.timeline` reconstructs exact state at
+any sample time from the nearest keyframe plus deltas, and renders the
+per-node series (``repro inspect tl.jsonl --timeline``).
 
 Zero-cost-when-disabled contract
 --------------------------------
@@ -38,8 +41,7 @@ attaches a recorder.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.config import (
@@ -96,33 +98,6 @@ def configured_recording() -> Optional[ActiveObs]:
 
 
 # ----------------------------------------------------------------------
-# Recorder collection (per-trial summaries)
-# ----------------------------------------------------------------------
-_RECORDER_COLLECTORS: List[List["FlightRecorder"]] = []
-
-
-@contextmanager
-def collect_recorders() -> Iterator[List["FlightRecorder"]]:
-    """Collect every :class:`FlightRecorder` started inside the block.
-
-    The trial runner uses this to find the recorders a trial's scenarios
-    attach deep inside experiment code, so their summaries can land on
-    ``TrialMetrics.extras["timeline"]``.  Nestable.
-    """
-    bucket: List[FlightRecorder] = []
-    _RECORDER_COLLECTORS.append(bucket)
-    try:
-        yield bucket
-    finally:
-        _RECORDER_COLLECTORS.remove(bucket)
-
-
-def _clear_recorder_collectors() -> None:
-    """Drop collector buckets inherited by a forked worker process."""
-    _RECORDER_COLLECTORS.clear()
-
-
-# ----------------------------------------------------------------------
 # State capture
 # ----------------------------------------------------------------------
 def capture_network_state(
@@ -149,11 +124,6 @@ def capture_network_state(
     net["nodes"] = len(present)
     net["degree"] = degree
     return {"nodes": nodes, "net": net}
-
-
-def _is_cdi_key(key: str) -> bool:
-    parts = key.split(SEP, 3)
-    return len(parts) > 2 and parts[0] == "nodes" and parts[2] == "cdi"
 
 
 class FlightRecorder:
@@ -199,14 +169,6 @@ class FlightRecorder:
         self._seq = 0
         self._tick_event: Optional[Any] = None
         self._started = False
-        # Summary accumulators.
-        self.samples = 0
-        self.peak_lqt = 0
-        self._cdi_last_change: Optional[float] = None
-        self._first_t: Optional[float] = None
-        self._last_t: float = 0.0
-        self._first_airtime = 0.0
-        self._last_airtime = 0.0
 
     # ------------------------------------------------------------------
     def start(self) -> "FlightRecorder":
@@ -215,8 +177,6 @@ class FlightRecorder:
             return self
         self._started = True
         self.sim.recorder = self
-        for bucket in _RECORDER_COLLECTORS:
-            bucket.append(self)
         self._write(
             {
                 "rec": "meta",
@@ -255,51 +215,31 @@ class FlightRecorder:
         self, by: str = "manual", round_index: Optional[int] = None
     ) -> Dict[str, Any]:
         """Capture one sample now; returns the record written."""
-        now = self.sim.now
-        nested = capture_network_state(self.topology, self.medium, self.devices)
-        flat = flatten_state(nested)
+        flat = flatten_state(
+            capture_network_state(self.topology, self.medium, self.devices)
+        )
         doc: Dict[str, Any] = {
             "rec": "key" if self._seq % self.keyframe_every == 0 else "delta",
             "run": self.sim.trace.run_id,
             "seq": self._seq,
-            "t": now,
+            "t": self.sim.now,
             "by": by,
         }
         if round_index is not None:
             doc["round"] = round_index
-        prev = self._prev_flat
-        changed = {
-            key: value
-            for key, value in flat.items()
-            if key not in prev or prev[key] != value
-        }
-        removed = [key for key in prev if key not in flat]
         if doc["rec"] == "key":
             doc["state"] = flat
         else:
-            doc["set"] = changed
-            doc["del"] = removed
+            prev = self._prev_flat
+            doc["set"] = {
+                key: value
+                for key, value in flat.items()
+                if key not in prev or prev[key] != value
+            }
+            doc["del"] = [key for key in prev if key not in flat]
         self._write(doc)
-
-        # Summary accumulators (used for TrialMetrics.extras["timeline"]).
-        for state in nested["nodes"].values():
-            total = sum(len(table) for table in state["lqt"].values())
-            if total > self.peak_lqt:
-                self.peak_lqt = total
-        if any(_is_cdi_key(key) for key in changed) or any(
-            _is_cdi_key(key) for key in removed
-        ):
-            self._cdi_last_change = now
-        airtime = float(nested["net"].get("airtime_s", 0.0))
-        if self._first_t is None:
-            self._first_t = now
-            self._first_airtime = airtime
-        self._last_t = now
-        self._last_airtime = airtime
-
         self._prev_flat = flat
         self._seq += 1
-        self.samples += 1
         return doc
 
     def _write(self, doc: Dict[str, Any]) -> None:
@@ -307,63 +247,3 @@ class FlightRecorder:
             self._writer.write_doc(doc)
         else:
             self.records.append(doc)
-
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict[str, float]:
-        """Series statistics for ``TrialMetrics.extras["timeline"]``.
-
-        ``peak_lqt`` — largest per-node total of live LQT entries seen;
-        ``cdi_conv_s`` — sim time of the last observed CDI change (the
-        convergence instant; 0 when no CDI state ever appeared);
-        ``airtime_util`` — mean channel utilization between the first and
-        last sample (cumulative airtime delta / elapsed sim time).
-        """
-        elapsed = (
-            self._last_t - self._first_t if self._first_t is not None else 0.0
-        )
-        util = (
-            (self._last_airtime - self._first_airtime) / elapsed
-            if elapsed > 0
-            else 0.0
-        )
-        return {
-            "runs": 1,
-            "samples": self.samples,
-            "elapsed_s": elapsed,
-            "peak_lqt": self.peak_lqt,
-            "cdi_conv_s": (
-                self._cdi_last_change if self._cdi_last_change is not None else 0.0
-            ),
-            "airtime_util": util,
-            "final_t": self._last_t,
-        }
-
-
-def merge_summaries(summaries: List[Dict[str, float]]) -> Dict[str, float]:
-    """Fold per-recorder summaries (a trial may build several scenarios)."""
-    merged: Dict[str, float] = {
-        "runs": 0,
-        "samples": 0,
-        "elapsed_s": 0.0,
-        "peak_lqt": 0,
-        "cdi_conv_s": 0.0,
-        "airtime_util": 0.0,
-        "final_t": 0.0,
-    }
-    weighted_util = 0.0
-    for summary in summaries:
-        merged["runs"] += int(summary.get("runs", 1))
-        merged["samples"] += int(summary.get("samples", 0))
-        elapsed = float(summary.get("elapsed_s", 0.0))
-        merged["elapsed_s"] += elapsed
-        merged["peak_lqt"] = max(
-            merged["peak_lqt"], int(summary.get("peak_lqt", 0))
-        )
-        merged["cdi_conv_s"] = max(
-            merged["cdi_conv_s"], float(summary.get("cdi_conv_s", 0.0))
-        )
-        merged["final_t"] = max(merged["final_t"], float(summary.get("final_t", 0.0)))
-        weighted_util += float(summary.get("airtime_util", 0.0)) * elapsed
-    if merged["elapsed_s"] > 0:
-        merged["airtime_util"] = weighted_util / merged["elapsed_s"]
-    return merged

@@ -237,6 +237,15 @@ def test_bad_or_orphaned_cadence_exits_two(tmp_path, capsys, tiny_fig4, flags):
     assert not list(tmp_path.iterdir())  # nothing ran, nothing written
 
 
+def test_bare_timeline_on_figure_run_exits_two(capsys, scenario_fig4):
+    """A figure run records its timeline to a file; a bare --timeline
+    would record into memory and throw every record away."""
+    assert main(["fig4", "--timeline"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "--timeline FILE" in err
+
+
 def test_timeline_recording_removed_after_run(tmp_path, scenario_fig4):
     from repro.obs.recorder import configured_recording
 

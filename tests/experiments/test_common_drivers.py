@@ -39,9 +39,7 @@ def test_single_consumer_outcome_shape():
     outcome = pdd_experiment(seed=1, rows=3, cols=3, metadata_count=30)
     assert len(outcome.consumers) == 1
     assert outcome.first is outcome.consumers[0]
-    metrics = outcome.to_trial_metrics()
-    assert metrics.recall == outcome.first.recall
-    assert metrics.overhead_bytes == outcome.total_overhead_bytes
+    assert outcome.first.overhead_bytes == outcome.total_overhead_bytes
 
 
 def test_sequential_mode_orders_sessions():

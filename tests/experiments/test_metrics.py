@@ -1,95 +1,27 @@
-"""Unit tests for metrics aggregation."""
+"""Unit tests for averaging the paper's metrics over seeds."""
+
+import math
 
 import pytest
 
-from repro.experiments.metrics import AggregateMetrics, TrialMetrics
+from repro.experiments.runner import SweepPoint, point_mean
 
 
-def trial(recall=1.0, latency=5.0, overhead=1_000_000, rounds=2):
-    return TrialMetrics(
-        recall=recall,
-        latency_s=latency,
-        overhead_bytes=overhead,
-        rounds=rounds,
+def _point(*results):
+    return SweepPoint(
+        point={},
+        label="p",
+        results=tuple(results),
+        seeds=tuple(range(1, len(results) + 1)),
     )
-
-
-def test_overhead_mb_conversion():
-    assert trial(overhead=5_130_000).overhead_mb == pytest.approx(5.13)
 
 
 def test_aggregate_means():
-    agg = AggregateMetrics.from_trials(
-        [trial(recall=1.0, latency=4.0), trial(recall=0.5, latency=6.0)]
+    sweep_point = _point(
+        {"recall": 1.0, "latency_s": 4.0}, {"recall": 0.5, "latency_s": 6.0}
     )
-    assert agg.recall_mean == pytest.approx(0.75)
-    assert agg.latency_mean == pytest.approx(5.0)
-    assert agg.trials == 2
-
-
-def test_aggregate_std():
-    agg = AggregateMetrics.from_trials(
-        [trial(latency=4.0), trial(latency=6.0)]
-    )
-    assert agg.latency_std == pytest.approx(2.0**0.5)
-
-
-def test_single_trial_zero_std():
-    agg = AggregateMetrics.from_trials([trial()])
-    assert agg.latency_std == 0.0
-    assert agg.recall_std == 0.0
-
-
-def test_empty_trials_rejected():
-    with pytest.raises(ValueError):
-        AggregateMetrics.from_trials([])
-
-
-def test_as_row_rounding():
-    agg = AggregateMetrics.from_trials([trial(latency=5.126, overhead=5_134_567)])
-    row = agg.as_row()
-    assert row["latency_s"] == 5.13
-    assert row["overhead_mb"] == 5.13
-    assert row["recall"] == 1.0
-
-
-def test_as_row_sums_audit_violations_over_trials():
-    agg = AggregateMetrics.from_trials([
-        TrialMetrics(recall=1.0, latency_s=1.0, overhead_bytes=0,
-                     extras={"audit": {"unanswered_query": 2}}),
-        TrialMetrics(recall=1.0, latency_s=1.0, overhead_bytes=0,
-                     extras={"audit": {"unanswered_query": 1,
-                                       "early_round_stop": 1}}),
-        TrialMetrics(recall=1.0, latency_s=1.0, overhead_bytes=0),  # untraced
-    ])
-    assert agg.audited_trials == 2
-    row = agg.as_row()
-    assert row["violations"] == 4
-    assert row["audit_unanswered_query"] == 3
-    assert row["audit_early_round_stop"] == 1
-
-
-def test_as_row_clean_audit_reports_zero_violations():
-    agg = AggregateMetrics.from_trials([
-        TrialMetrics(recall=1.0, latency_s=1.0, overhead_bytes=0,
-                     extras={"audit": {}}),
-    ])
-    row = agg.as_row()
-    assert row["violations"] == 0
-    assert not any(key.startswith("audit_") for key in row)
-
-
-def test_as_row_omits_audit_columns_when_untraced():
-    agg = AggregateMetrics.from_trials([trial()])
-    assert "violations" not in agg.as_row()
-
-
-def test_as_row_includes_spread_columns():
-    agg = AggregateMetrics.from_trials(
-        [trial(recall=0.8, latency=1.0), trial(recall=1.0, latency=3.0)]
-    )
-    row = agg.as_row()
-    assert set(row) >= {"recall_std", "latency_std", "overhead_mb_std"}
-    assert row["latency_std"] == pytest.approx(2.0**0.5, abs=0.01)
-    assert row["recall_std"] > 0.0
-    assert row["overhead_mb_std"] == 0.0
+    assert point_mean(sweep_point, "recall") == pytest.approx(0.75)
+    assert point_mean(sweep_point, "latency_s") == pytest.approx(5.0)
+    assert point_mean(_point({"latency_s": 5.126}), "latency_s", 2) == 5.13
+    # A point whose every seed failed is a visible hole, not a zero.
+    assert math.isnan(point_mean(_point(), "recall"))

@@ -2,7 +2,9 @@
 
 The trial functions live at module level so forked workers can resolve
 them by reference.  Each is deterministic in its seed, which is what
-makes the bit-identity assertions meaningful.
+makes the bit-identity assertions meaningful.  Most campaigns here are
+one-point sweeps (:func:`_one_point`), so failures and results read per
+seed.
 """
 
 import os
@@ -11,44 +13,47 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.metrics import TrialMetrics
-from repro.experiments.runner import run_sweep, run_trials
+from repro.experiments.runner import run_sweep
 from repro.obs import trace as obs_trace
 from repro.obs.config import ObsConfig
 
 
-def _ok_trial(seed):
-    return TrialMetrics(
-        recall=1.0, latency_s=float(seed), overhead_bytes=1000 * seed
-    )
+def _one_point(trial, seeds, **kwargs):
+    """Run ``trial`` over ``seeds`` as a one-point sweep; its SweepPoint."""
+    (point,) = run_sweep(trial, [{"base": 0}], seeds=seeds, **kwargs)
+    return point
 
 
-def _raises_on_seed_2(seed):
+def _ok_trial(point, seed):
+    return {"recall": 1.0, "latency_s": float(seed), "overhead_bytes": 1000 * seed}
+
+
+def _raises_on_seed_2(point, seed):
     if seed == 2:
         raise RuntimeError("injected failure")
-    return _ok_trial(seed)
+    return _ok_trial(point, seed)
 
 
-def _sleeps_on_seed_2(seed):
+def _sleeps_on_seed_2(point, seed):
     if seed == 2:
         time.sleep(30.0)
-    return _ok_trial(seed)
+    return _ok_trial(point, seed)
 
 
-def _dies_on_seed_2(seed):
+def _dies_on_seed_2(point, seed):
     if seed == 2:
         os._exit(17)  # hard worker death, not an exception
-    return _ok_trial(seed)
+    return _ok_trial(point, seed)
 
 
-def _traced_trial(seed):
+def _traced_trial(point, seed):
     # Like Simulator's bus: subscribe whatever process-wide sinks exist
     # in *this* process — in a worker, its own JSONL shard.
     bus = obs_trace.TraceBus()
     for sink in obs_trace.global_sinks():
         bus.subscribe(sink)
     bus.emit("trial.ran", seed=seed)
-    return _ok_trial(seed)
+    return _ok_trial(point, seed)
 
 
 def _sweep_trial(point, seed):
@@ -60,17 +65,18 @@ def _sweep_raises_everywhere(point, seed):
 
 
 def test_parallel_matches_serial_aggregate():
-    """Same seeds, any worker count → the same AggregateMetrics."""
-    serial = run_trials(_ok_trial, seeds=[1, 2, 3, 4, 5], jobs=1)
-    parallel = run_trials(_ok_trial, seeds=[1, 2, 3, 4, 5], jobs=4)
+    """Same seeds, any worker count → the same SweepPoint."""
+    serial = _one_point(_ok_trial, [1, 2, 3, 4, 5], jobs=1)
+    parallel = _one_point(_ok_trial, [1, 2, 3, 4, 5], jobs=4)
     assert parallel == serial
+    assert serial.seeds == (1, 2, 3, 4, 5)
 
 
 def test_parallel_failure_becomes_structured_row():
-    agg = run_trials(_raises_on_seed_2, seeds=[1, 2, 3], jobs=2)
-    assert agg.trials == 2  # seeds 1 and 3 still aggregated
-    assert len(agg.failures) == 1
-    failure = agg.failures[0]
+    sweep_point = _one_point(_raises_on_seed_2, [1, 2, 3], jobs=2)
+    assert sweep_point.seeds == (1, 3)  # seeds 1 and 3 still returned
+    assert len(sweep_point.failures) == 1
+    failure = sweep_point.failures[0]
     assert failure.seed == 2
     assert failure.kind == "error"
     assert failure.attempts == 2  # first try + one retry
@@ -80,29 +86,29 @@ def test_parallel_failure_becomes_structured_row():
 def test_serial_path_still_propagates():
     """jobs=1 keeps the historical contract: exceptions escape."""
     with pytest.raises(RuntimeError):
-        run_trials(_raises_on_seed_2, seeds=[1, 2, 3], jobs=1)
+        _one_point(_raises_on_seed_2, [1, 2, 3], jobs=1)
 
 
 @pytest.mark.skipif(
     not hasattr(__import__("signal"), "SIGALRM"), reason="needs SIGALRM"
 )
 def test_parallel_timeout_becomes_failure():
-    agg = run_trials(
-        _sleeps_on_seed_2, seeds=[1, 2, 3], jobs=2, timeout_s=0.5, retries=0
+    sweep_point = _one_point(
+        _sleeps_on_seed_2, [1, 2, 3], jobs=2, timeout_s=0.5, retries=0
     )
-    assert agg.trials == 2
-    assert [f.kind for f in agg.failures] == ["timeout"]
-    assert agg.failures[0].seed == 2
+    assert sweep_point.seeds == (1, 3)
+    assert [f.kind for f in sweep_point.failures] == ["timeout"]
+    assert sweep_point.failures[0].seed == 2
 
 
 def test_parallel_worker_crash_is_isolated():
     """A worker that dies mid-trial surfaces as kind='crash'; the other
     seeds — possibly collateral damage of the shared pool breaking —
     still complete via the isolated retry round."""
-    agg = run_trials(_dies_on_seed_2, seeds=[1, 2, 3], jobs=2)
-    assert agg.trials == 2
-    assert [f.kind for f in agg.failures] == ["crash"]
-    assert agg.failures[0].seed == 2
+    sweep_point = _one_point(_dies_on_seed_2, [1, 2, 3], jobs=2)
+    assert sweep_point.seeds == (1, 3)
+    assert [f.kind for f in sweep_point.failures] == ["crash"]
+    assert sweep_point.failures[0].seed == 2
 
 
 def test_crash_does_not_fail_innocent_siblings():
@@ -110,21 +116,22 @@ def test_crash_does_not_fail_innocent_siblings():
     BrokenProcessPool; with retries=0 the old accounting turned healthy
     sibling trials into permanent kind='crash' failures after a single
     genuine attempt.  Only the task that ran on the dead worker may fail."""
-    agg = run_trials(_dies_on_seed_2, seeds=[1, 2, 3], jobs=2, retries=0)
-    assert agg.trials == 2  # seeds 1 and 3 complete despite the shared pool
-    assert [f.seed for f in agg.failures] == [2]
-    assert [f.kind for f in agg.failures] == ["crash"]
+    sweep_point = _one_point(_dies_on_seed_2, [1, 2, 3], jobs=2, retries=0)
+    # Seeds 1 and 3 complete despite the shared pool.
+    assert sweep_point.seeds == (1, 3)
+    assert [f.seed for f in sweep_point.failures] == [2]
+    assert [f.kind for f in sweep_point.failures] == ["crash"]
     # One *charged* execution: the isolated retry where blame is
     # unambiguous.  Pool-wide fallout is never charged to anyone.
-    assert agg.failures[0].attempts == 1
+    assert sweep_point.failures[0].attempts == 1
 
 
 def test_crash_attempts_reflect_charged_executions():
     """TrialFailure.attempts counts executions attributable to the task
     itself — never inflated by sibling crashes sharing its pool."""
-    agg = run_trials(_dies_on_seed_2, seeds=[1, 2, 3], jobs=2, retries=1)
-    assert agg.trials == 2
-    failure = agg.failures[0]
+    sweep_point = _one_point(_dies_on_seed_2, [1, 2, 3], jobs=2, retries=1)
+    assert sweep_point.seeds == (1, 3)
+    failure = sweep_point.failures[0]
     assert failure.seed == 2 and failure.kind == "crash"
     assert failure.attempts == 2  # isolated first charge + one retry
 
@@ -133,21 +140,21 @@ def test_failure_kinds_only_for_exhibiting_task():
     """After the spillover fix, 'crash' appears only on the crashing
     trial; an erroring sibling keeps its own kind."""
 
-    agg = run_trials(_dies_or_raises, seeds=[1, 2, 3, 4], jobs=2, retries=0)
-    kinds = {f.seed: f.kind for f in agg.failures}
+    sweep_point = _one_point(_dies_or_raises, [1, 2, 3, 4], jobs=2, retries=0)
+    kinds = {f.seed: f.kind for f in sweep_point.failures}
     assert kinds == {2: "crash", 3: "error"}
-    assert agg.trials == 2  # seeds 1 and 4 survive
+    assert sweep_point.seeds == (1, 4)  # seeds 1 and 4 survive
 
 
-def _dies_or_raises(seed):
+def _dies_or_raises(point, seed):
     if seed == 2:
         os._exit(17)
     if seed == 3:
         raise RuntimeError("injected failure")
-    return _ok_trial(seed)
+    return _ok_trial(point, seed)
 
 
-def _traced_dies_once_on_seed_2(seed):
+def _traced_dies_once_on_seed_2(point, seed):
     """Emits a trace event, then dies on seed 2's *first* attempt only.
 
     The flag file (path via env, inherited across fork) makes the death
@@ -168,7 +175,7 @@ def _traced_dies_once_on_seed_2(seed):
                 # buffer flush mid-trial would.
                 sink.flush()
             os._exit(23)
-    return _ok_trial(seed)
+    return _ok_trial(point, seed)
 
 
 @pytest.mark.skipif(
@@ -183,8 +190,9 @@ def test_crashed_attempt_shard_events_are_dropped(tmp_path, monkeypatch):
     )
     path = str(tmp_path / "trace.jsonl")
     with ObsConfig(trace=path).activate():
-        agg = run_trials(_traced_dies_once_on_seed_2, seeds=[1, 2, 3], jobs=2)
-    assert agg.trials == 3 and not agg.failures  # the retry succeeded
+        sweep_point = _one_point(_traced_dies_once_on_seed_2, [1, 2, 3], jobs=2)
+    # The retry succeeded.
+    assert sweep_point.seeds == (1, 2, 3) and not sweep_point.failures
     events = []
     for name in sorted(os.listdir(tmp_path)):
         if name.startswith("trace.") and name != "trace.jsonl":
@@ -232,7 +240,7 @@ def test_parallel_trace_shards(tmp_path):
     """Workers write per-worker JSONL shards next to the parent file."""
     path = str(tmp_path / "trace.jsonl")
     with ObsConfig(trace=path).activate():
-        run_trials(_traced_trial, seeds=[1, 2, 3, 4], jobs=2)
+        _one_point(_traced_trial, [1, 2, 3, 4], jobs=2)
     shards = sorted(p for p in os.listdir(tmp_path) if p != "trace.jsonl")
     assert shards  # at least one worker wrote a shard
     assert all(p.startswith("trace.") and p.endswith(".jsonl") for p in shards)
@@ -252,44 +260,31 @@ def test_parallel_rejects_unshardable_sink(tmp_path):
     ):
         with obs_trace.global_sink(sink):
             with pytest.raises(ConfigurationError) as excinfo:
-                run_trials(_ok_trial, seeds=[1, 2], jobs=2)
+                _one_point(_ok_trial, [1, 2], jobs=2)
         assert "jobs=1" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
 # Timeline recording (flight recorder) through ObsConfig
 # ----------------------------------------------------------------------
-def _recorded_trial(seed):
+def _recorded_trial(point, seed):
     from repro.experiments.figures.common import pdd_experiment
 
     outcome = pdd_experiment(
         seed, rows=3, cols=3, metadata_count=100, sim_cap_s=30.0
     )
-    return outcome.to_trial_metrics()
-
-
-def test_timeline_knob_memory_attaches_summary_columns():
-    with ObsConfig(timeline=True).activate():
-        agg = run_trials(_recorded_trial, seeds=[1, 2], jobs=1)
-    assert agg.timeline_trials == 2
-    stats = dict(agg.timeline)
-    assert stats["peak_lqt"] >= 1
-    assert 0.0 <= stats["airtime_util"] <= 1.0
-    row = agg.as_row()
-    assert "peak_lqt" in row and "cdi_conv_s" in row and "airtime_util" in row
-    # Without a timeline the columns stay absent (tables keep their seed shape).
-    plain = run_trials(_recorded_trial, seeds=[1], jobs=1)
-    assert plain.timeline_trials == 0
-    assert "peak_lqt" not in plain.as_row()
+    return {
+        "recall": outcome.first.recall,
+        "latency_s": outcome.first.result.latency,
+        "overhead_bytes": outcome.total_overhead_bytes,
+    }
 
 
 def test_timeline_knob_does_not_perturb_results():
-    plain = run_trials(_recorded_trial, seeds=[1, 2], jobs=1)
+    plain = _one_point(_recorded_trial, [1, 2], jobs=1)
     with ObsConfig(timeline=True).activate():
-        recorded = run_trials(_recorded_trial, seeds=[1, 2], jobs=1)
-    assert recorded.recall_mean == plain.recall_mean
-    assert recorded.latency_mean == plain.latency_mean
-    assert recorded.overhead_mb_mean == plain.overhead_mb_mean
+        recorded = _one_point(_recorded_trial, [1, 2], jobs=1)
+    assert recorded == plain
 
 
 @pytest.mark.skipif(
@@ -299,9 +294,8 @@ def test_timeline_knob_does_not_perturb_results():
 def test_timeline_knob_shards_per_worker(tmp_path):
     path = str(tmp_path / "tl.jsonl")
     with ObsConfig(timeline=path).activate():
-        agg = run_trials(_recorded_trial, seeds=[1, 2, 3, 4], jobs=2)
-    assert agg.trials == 4
-    assert agg.timeline_trials == 4  # summaries travel in pickled results
+        sweep_point = _one_point(_recorded_trial, [1, 2, 3, 4], jobs=2)
+    assert sweep_point.seeds == (1, 2, 3, 4)
     shards = sorted(p for p in os.listdir(tmp_path) if p.startswith("tl."))
     assert shards and all(p.endswith(".jsonl") for p in shards)
     from repro.obs.timeline import load_timeline, reconstruct_at
@@ -313,11 +307,22 @@ def test_timeline_knob_shards_per_worker(tmp_path):
         assert flat  # every shard ends in reconstructible state
 
 
-def test_timeline_knob_memory_works_parallel_without_files():
-    with ObsConfig(timeline=True).activate():
-        agg = run_trials(_recorded_trial, seeds=[1, 2], jobs=2)
-    assert agg.trials == 2
-    assert agg.timeline_trials == 2
+def test_timeline_knob_memory_refuses_parallel():
+    """A memory timeline's records would die with the worker, so a pool
+    refuses it the way it refuses a memory fingerprint: jobs=1 hint."""
+    from repro.experiments.runner import _worker_config
+
+    class _ForkContext:
+        @staticmethod
+        def get_start_method():
+            return "fork"
+
+    with ObsConfig(timeline=True, timeline_interval=0.5).activate():
+        with pytest.raises(ConfigurationError, match="in-memory timeline"):
+            _worker_config(_ForkContext())
+        with pytest.raises(ConfigurationError) as excinfo:
+            _one_point(_recorded_trial, [1, 2], jobs=2)
+    assert "jobs=1" in str(excinfo.value)
 
 
 def test_worker_config_requires_fork_for_files(tmp_path):
@@ -338,11 +343,6 @@ def test_worker_config_requires_fork_for_files(tmp_path):
             with pytest.raises(ConfigurationError) as excinfo:
                 _worker_config(_SpawnContext())
             assert "jobs=1" in str(excinfo.value)
-    memory = ObsConfig(timeline=True, timeline_interval=0.5)
-    with memory.activate():
-        # Memory-only recordings survive any start method: the config
-        # itself is the initarg, and summaries ride the pickled results.
-        assert _worker_config(_SpawnContext()) == memory
 
 
 def test_worker_activates_its_own_shard_of_one_config(tmp_path):

@@ -51,7 +51,6 @@ def test_real_results_directory_renders():
 # ----------------------------------------------------------------------
 # Table rendering: the pipeline that feeds every recorded results table
 # ----------------------------------------------------------------------
-from repro.experiments.metrics import AggregateMetrics, TrialMetrics
 from repro.experiments.runner import render_table
 
 
@@ -75,60 +74,3 @@ def test_render_table_blanks_missing_cells():
     row = text.splitlines()[4]
     assert "1" in row
     assert row.rstrip().endswith("1")  # the b cell rendered empty
-
-
-def test_aggregate_row_std_columns_render():
-    agg = AggregateMetrics.from_trials(
-        [
-            TrialMetrics(recall=1.0, latency_s=2.0, overhead_bytes=1_000_000),
-            TrialMetrics(recall=0.5, latency_s=4.0, overhead_bytes=3_000_000),
-        ]
-    )
-    row = agg.as_row()
-    for column in ("recall_std", "latency_std", "overhead_mb_std"):
-        assert column in row
-    text = render_table("t", sorted(row), [row])
-    assert "recall_std" in text
-    assert str(row["latency_std"]) in text
-
-
-def test_aggregate_row_timeline_columns_render():
-    trials = [
-        TrialMetrics(
-            recall=1.0,
-            latency_s=1.0,
-            overhead_bytes=1_000,
-            extras={
-                "timeline": {
-                    "peak_lqt": 4,
-                    "cdi_conv_s": 2.5,
-                    "airtime_util": 0.12345,
-                }
-            },
-        ),
-        TrialMetrics(
-            recall=1.0,
-            latency_s=1.0,
-            overhead_bytes=1_000,
-            extras={
-                "timeline": {
-                    "peak_lqt": 2,
-                    "cdi_conv_s": 1.5,
-                    "airtime_util": 0.2,
-                }
-            },
-        ),
-    ]
-    agg = AggregateMetrics.from_trials(trials)
-    assert agg.timeline_trials == 2
-    row = agg.as_row()
-    assert row["peak_lqt"] == 4  # max over trials, rendered as an int
-    assert row["cdi_conv_s"] == 2.0  # mean
-    assert row["airtime_util"] == round((0.12345 + 0.2) / 2, 4)
-    text = render_table("t", ["recall", "peak_lqt", "airtime_util"], [row])
-    assert "peak_lqt" in text and "airtime_util" in text
-    # An unrecorded aggregate renders the same columns as blanks.
-    plain = AggregateMetrics.from_trials(
-        [TrialMetrics(recall=1.0, latency_s=1.0, overhead_bytes=1_000)]
-    )
-    assert "peak_lqt" not in plain.as_row()

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.metrics import TrialMetrics
 from repro.experiments.runner import (
     DEFAULT_SEEDS,
     TrialTimeout,
@@ -14,8 +13,9 @@ from repro.experiments.runner import (
     configured_jobs,
     configured_seeds,
     configured_trial_timeout,
+    point_mean,
     render_table,
-    run_trials,
+    run_sweep,
     scale_factor,
 )
 
@@ -140,57 +140,31 @@ def test_trial_deadline_none_disables():
         pass
 
 
-def test_run_trials_aggregates():
-    def trial(seed):
-        return TrialMetrics(
-            recall=1.0, latency_s=float(seed), overhead_bytes=1000
-        )
+def test_run_sweep_aggregates():
+    def trial(point, seed):
+        return {"latency_s": point["scale"] * seed}
 
-    agg = run_trials(trial, seeds=[1, 2, 3])
-    assert agg.trials == 3
-    assert agg.latency_mean == pytest.approx(2.0)
-
-
-def _traced_trial(seed, violate):
-    """A trial that runs a tiny simulation visible to global trace sinks."""
-    from repro.sim.simulator import Simulator
-
-    sim = Simulator()
-    if violate:
-        # A round that stopped before its window: early_round_stop fires.
-        sim.schedule(0.1, lambda: sim.trace.emit(
-            "round_end", node=0, round=1, duration=1.0, window=3.0))
-    else:
-        sim.schedule(0.1, lambda: sim.trace.emit(
-            "round_end", node=0, round=1, duration=3.0, window=3.0))
-    sim.run()
-    return TrialMetrics(recall=1.0, latency_s=1.0, overhead_bytes=1000)
+    sweep = run_sweep(trial, [{"scale": 1.0}, {"scale": 2.0}], seeds=[1, 2, 3])
+    assert [sp.seeds for sp in sweep] == [(1, 2, 3), (1, 2, 3)]
+    assert point_mean(sweep[0], "latency_s") == pytest.approx(2.0)
+    assert point_mean(sweep[1], "latency_s") == pytest.approx(4.0)
 
 
-def test_traced_trials_carry_audit_summary():
-    from repro.obs.trace import ListSink, global_sink
+def _sinks_seen_by_trial(point, seed):
+    """The process-wide trace sinks a trial's simulators would subscribe."""
+    from repro.obs.trace import global_sinks
 
-    with global_sink(ListSink()):
-        agg = run_trials(lambda seed: _traced_trial(seed, False), seeds=[1, 2])
-    assert agg.audited_trials == 2
-    row = agg.as_row()
-    assert row["violations"] == 0
+    return [type(sink).__name__ for sink in global_sinks()]
 
 
-def test_traced_trial_violations_surface_in_row():
-    from repro.obs.trace import ListSink, global_sink
+def test_traced_sweep_adds_no_sink_of_its_own(tmp_path):
+    """Under a trace the trial sees exactly the configured sink: the
+    runner keeps no in-memory copy of every event."""
+    from repro.obs.config import ObsConfig
 
-    with global_sink(ListSink()):
-        agg = run_trials(lambda seed: _traced_trial(seed, True), seeds=[1, 2])
-    row = agg.as_row()
-    assert row["violations"] == 2
-    assert row["audit_early_round_stop"] == 2
-
-
-def test_untraced_trials_skip_audit():
-    agg = run_trials(lambda seed: _traced_trial(seed, True), seeds=[1])
-    assert agg.audited_trials == 0
-    assert "violations" not in agg.as_row()
+    with ObsConfig(trace=str(tmp_path / "t.jsonl")).activate():
+        (sweep_point,) = run_sweep(_sinks_seen_by_trial, [{}], seeds=[1], jobs=1)
+    assert sweep_point.results == (["JsonlSink"],)
 
 
 def test_render_table_contains_rows():

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.metrics import TrialFailure, TrialMetrics
-from repro.experiments.runner import run_trials
+from repro.experiments.metrics import TrialFailure
+from repro.experiments.runner import run_sweep
 from repro.experiments.store import (
     CampaignStore,
     canonical_params,
@@ -39,13 +39,22 @@ def _other_trial(seed):
     return {"score": seed * 10}
 
 
-def _metrics_trial(seed):
-    return TrialMetrics(
-        recall=1.0,
-        latency_s=float(seed),
-        overhead_bytes=seed * 100,
-        extras={"note": "kept"},
-    )
+def _metrics_trial(point, seed):
+    return {
+        "recall": 1.0,
+        "latency_s": float(seed),
+        "overhead_bytes": seed * 100 * point["scale"],
+        "extras": {"note": "kept"},
+    }
+
+
+_POINT = {"scale": 1}
+
+
+def _one_point(seeds, **kwargs):
+    """``_metrics_trial`` over ``seeds`` as a one-point sweep."""
+    (point,) = run_sweep(_metrics_trial, [_POINT], seeds=seeds, jobs=1, **kwargs)
+    return point
 
 
 # ----------------------------------------------------------------------
@@ -111,15 +120,6 @@ def test_put_get_roundtrip_dict(tmp_path):
     assert entry.value == {"score": 30}
     assert entry.seed == 3
     assert digest in store
-
-
-def test_put_get_roundtrip_trial_metrics(tmp_path):
-    store = CampaignStore(str(tmp_path))
-    digest = task_digest(_metrics_trial, (2,))
-    store.put_value(digest, "t", "seed 2", 2, _metrics_trial(2))
-    entry = store.get(digest)
-    assert isinstance(entry.value, TrialMetrics)
-    assert entry.value == _metrics_trial(2)  # bit-identical replay
 
 
 def test_truncated_entry_is_a_miss_not_a_crash(tmp_path):
@@ -224,8 +224,8 @@ def test_schema_1_entry_is_a_counted_miss_and_reexecutes(tmp_path, monkeypatch):
     """Entries from before the scheduler left the key (schema 1) re-run."""
     monkeypatch.delenv("REPRO_STORE", raising=False)
     store = CampaignStore(str(tmp_path))
-    run_trials(_metrics_trial, seeds=[1, 2], jobs=1, store=store)
-    digests = [task_digest(_metrics_trial, (seed,)) for seed in (1, 2)]
+    _one_point([1, 2], store=store)
+    digests = [task_digest(_metrics_trial, (_POINT, seed)) for seed in (1, 2)]
     for digest in digests:
         path = store._entry_path(digest)
         with open(path, encoding="utf-8") as handle:
@@ -235,7 +235,7 @@ def test_schema_1_entry_is_a_counted_miss_and_reexecutes(tmp_path, monkeypatch):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
     store = CampaignStore(str(tmp_path))
-    again = run_trials(_metrics_trial, seeds=[1, 2], jobs=1, store=store)
+    again = _one_point([1, 2], store=store)
     assert again.cache_hits == 0 and again.executed == 2
     assert store.corrupt_seen == 2
     # The re-executed trials are republished under the current schema.
@@ -258,39 +258,29 @@ def test_resolve_store_knob(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# run_trials integration (serial; parallel resume is test_resume.py)
+# run_sweep integration (serial; parallel resume is test_resume.py)
 # ----------------------------------------------------------------------
-def test_run_trials_store_hits_on_second_run(tmp_path, monkeypatch):
+def test_run_sweep_store_hits_on_second_run(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     store = CampaignStore(str(tmp_path))
-    cold = run_trials(_metrics_trial, seeds=[1, 2, 3], jobs=1, store=store)
+    cold = _one_point([1, 2, 3], store=store)
     assert cold.cache_hits == 0 and cold.executed == 3
-    warm = run_trials(_metrics_trial, seeds=[1, 2, 3], jobs=1, store=store)
+    warm = _one_point([1, 2, 3], store=store)
     assert warm.cache_hits == 3 and warm.executed == 0
-    # Bit-identical table modulo the cache-accounting columns.
-    cold_row = {
-        k: v
-        for k, v in cold.as_row().items()
-        if k not in ("cache_hits", "executed")
-    }
-    warm_row = {
-        k: v
-        for k, v in warm.as_row().items()
-        if k not in ("cache_hits", "executed")
-    }
-    assert cold_row == warm_row
-    plain = run_trials(_metrics_trial, seeds=[1, 2, 3], jobs=1)
-    assert "cache_hits" not in plain.as_row()  # store-less shape intact
-    assert plain.as_row() == cold_row
+    # Bit-identical values, nested dicts included.
+    assert warm.results == cold.results
+    assert warm.seeds == cold.seeds == (1, 2, 3)
+    plain = _one_point([1, 2, 3])
+    # Store-less sweeps carry no cache accounting.
+    assert plain.cache_hits is None and plain.executed is None
+    assert plain.results == cold.results
 
 
-def test_run_trials_resume_false_recomputes(tmp_path, monkeypatch):
+def test_run_sweep_resume_false_recomputes(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     store = CampaignStore(str(tmp_path))
-    run_trials(_metrics_trial, seeds=[1, 2], jobs=1, store=store)
-    again = run_trials(
-        _metrics_trial, seeds=[1, 2], jobs=1, store=store, resume=False
-    )
+    _one_point([1, 2], store=store)
+    again = _one_point([1, 2], store=store, resume=False)
     assert again.cache_hits == 0 and again.executed == 2
 
 

@@ -16,7 +16,6 @@ from repro.data.descriptor import make_descriptor
 from repro.obs.audit import (
     INVARIANTS,
     audit_events,
-    audit_extras,
     render_report,
 )
 from repro.obs.trace import ListSink
@@ -280,7 +279,7 @@ def test_report_json_dict_and_extras():
     assert doc["counts"] == {"unanswered_query": 1}
     assert doc["violations"][0]["invariant"] == "unanswered_query"
     assert doc["violations"][0]["node"] == 4
-    assert audit_extras(events) == {"unanswered_query": 1}
+    assert report.counts() == {"unanswered_query": 1}
 
 
 def test_render_report_marks_failures():

@@ -223,6 +223,19 @@ def test_diverge_clean_when_sides_agree(tmp_path):
     assert "no divergence" in report.render()
 
 
+def test_diverge_clean_between_serial_and_two_workers(tmp_path):
+    report = diverge(
+        SideSpec.parse("a", ""),
+        SideSpec.parse("b", "jobs=2"),
+        scenario=_SMALL,
+        checkpoint_every=256,
+        workdir=str(tmp_path),
+    )
+    assert not report.diverged
+    assert report.clean_pairs == 1
+    assert "no divergence" in report.render()
+
+
 def test_diverge_localizes_injected_draw_flip(tmp_path):
     report = diverge(
         SideSpec.parse("a", ""),

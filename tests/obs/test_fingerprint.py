@@ -15,8 +15,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.metrics import TrialMetrics
-from repro.experiments.runner import run_trials
+from repro.experiments.runner import run_sweep
 from repro.obs.config import DEFAULT_CHECKPOINT_EVERY, ObsConfig
 from repro.obs.fingerprint import (
     canon_value,
@@ -266,9 +265,9 @@ def test_loader_skips_truncated_tail_line(tmp_path):
 # ----------------------------------------------------------------------
 # Parallel parity (satellite: jobs=2 shards reconstruct the serial digest)
 # ----------------------------------------------------------------------
-def _fp_trial(seed):
+def _fp_trial(point, seed):
     _tiny_sim_run(seed, events=40)
-    return TrialMetrics(recall=1.0, latency_s=float(seed), overhead_bytes=seed)
+    return {"seed": seed}
 
 
 @pytest.mark.skipif(
@@ -280,14 +279,14 @@ def test_parallel_shards_reconstruct_serial_combined_digest(tmp_path):
     config = ObsConfig(fingerprint=str(serial_path), fingerprint_every=16)
     with config.activate():
         for seed in (1, 2, 3, 4):
-            _fp_trial(seed)
+            _fp_trial({}, seed)
     serial = load_fingerprints(str(serial_path))
     assert len(serial.runs) == 4
 
     parallel_path = tmp_path / "parallel.jsonl"
     config = ObsConfig(fingerprint=str(parallel_path), fingerprint_every=16)
     with config.activate():
-        run_trials(_fp_trial, seeds=[1, 2, 3, 4], jobs=2)
+        run_sweep(_fp_trial, [{}], seeds=[1, 2, 3, 4], jobs=2)
     assert configured_fingerprint() is None
 
     merged = load_fingerprints(str(parallel_path))
@@ -310,4 +309,4 @@ def test_parallel_shards_reconstruct_serial_combined_digest(tmp_path):
 def test_memory_config_cannot_cross_process_boundary():
     with ObsConfig(fingerprint=True).activate():
         with pytest.raises(ConfigurationError, match="in-memory fingerprint"):
-            run_trials(_fp_trial, seeds=[1, 2], jobs=2)
+            run_sweep(_fp_trial, [{}], seeds=[1, 2], jobs=2)

@@ -29,7 +29,6 @@ from repro.obs.recorder import (
     capture_network_state,
     configured_recording,
     flatten_state,
-    merge_summaries,
     unflatten_state,
 )
 from repro.obs.timeline import load_timeline, reconstruct_at
@@ -208,33 +207,6 @@ def test_round_boundaries_force_samples():
         if record["by"] == "round_begin"
     ]
     assert rounds == sorted(rounds) and rounds[0] == 1
-
-
-def test_summary_reports_series_statistics():
-    _, recorder = _memory_recorded_run(timeline_interval=0.5)
-    summary = recorder.summary()
-    assert summary["runs"] == 1
-    assert summary["samples"] == len(recorder.records) - 1
-    assert summary["peak_lqt"] >= 1  # the consumer's query lingered
-    assert summary["elapsed_s"] > 0
-    assert 0.0 <= summary["airtime_util"] <= 1.0
-
-
-def test_merge_summaries_weights_airtime_by_elapsed():
-    merged = merge_summaries(
-        [
-            {"runs": 1, "samples": 3, "elapsed_s": 10.0, "peak_lqt": 2,
-             "cdi_conv_s": 4.0, "airtime_util": 0.5, "final_t": 10.0},
-            {"runs": 1, "samples": 5, "elapsed_s": 30.0, "peak_lqt": 7,
-             "cdi_conv_s": 1.0, "airtime_util": 0.1, "final_t": 30.0},
-        ]
-    )
-    assert merged["runs"] == 2
-    assert merged["samples"] == 8
-    assert merged["peak_lqt"] == 7
-    assert merged["cdi_conv_s"] == 4.0
-    assert merged["final_t"] == 30.0
-    assert merged["airtime_util"] == pytest.approx((0.5 * 10 + 0.1 * 30) / 40)
 
 
 def test_stop_cancels_sampling():
