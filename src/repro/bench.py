@@ -228,28 +228,35 @@ def bench_spatial_index(quick: bool) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # End-to-end figure benchmarks
 # ----------------------------------------------------------------------
-def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
-    from repro.obs.fingerprint import configured_fingerprint
-    from repro.obs.kernelprof import KernelProfiler
-    from repro.obs.recorder import configured_recording
+def _run_summary() -> Dict[str, float]:
+    """Totals of the runs profiled since the last call (then forgotten)."""
+    from repro.obs.config import active
 
-    profiler = KernelProfiler()
-    with _single_process(), profiler.activate():
+    profiler = active("metrics").profiler
+    summary = profiler.runs_summary()
+    profiler.drain()
+    return summary
+
+
+def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
+    from repro.obs.config import active
+
+    with _single_process():
         start = time.perf_counter()
         rows = run()
         wall = time.perf_counter() - start
-    summary = profiler.runs_summary()
+    summary = _run_summary()
     meta: Dict[str, object] = {
         "runs": int(summary["runs"]),
         "digest": _digest(json.loads(json.dumps(rows))),
     }
-    if configured_recording() is not None:
+    if active("timeline") is not None:
         # Flight-recorder sampling adds its own simulator events, so the
         # event counters legitimately differ from an unrecorded baseline.
         # The digest is NOT exempted: result rows must stay bit-identical
         # with the recorder on (the zero-perturbation contract).
         meta["recorded"] = True
-    if configured_fingerprint() is not None:
+    if active("fingerprint") is not None:
         # Fingerprinting observes the existing event stream without adding
         # events, so the counters stay comparable — but its wall overhead
         # means timings belong to a different budget than an unmarked
@@ -298,7 +305,6 @@ def bench_scaling(quick: bool) -> Dict[str, object]:
 
     from repro.core.rounds import RoundConfig
     from repro.experiments.figures.common import pdd_experiment
-    from repro.obs.kernelprof import KernelProfiler
 
     grids = _SCALING_GRIDS_QUICK if quick else _SCALING_GRIDS_FULL
     curve: List[Dict[str, object]] = []
@@ -309,8 +315,7 @@ def bench_scaling(quick: bool) -> Dict[str, object]:
     for rows, cols in grids:
         nodes = rows * cols
         gc.collect()
-        kernel = KernelProfiler()
-        with _single_process(), kernel.activate():
+        with _single_process():
             start = time.perf_counter()
             outcome = pdd_experiment(
                 seed=1,
@@ -323,7 +328,7 @@ def bench_scaling(quick: bool) -> Dict[str, object]:
                 sim_cap_s=120.0,
             )
             wall = time.perf_counter() - start
-        summary = kernel.runs_summary()
+        summary = _run_summary()
         events = int(summary["events"])
         point_peak = int(summary["peak_queue_depth"])
         # The process-wide RSS high-water mark, so the curve is monotonic
@@ -589,7 +594,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     # Scoped to this call: nothing fingerprints or records once it returns.
-    config = ObsConfig(fingerprint=args.fingerprint, timeline=args.timeline)
+    # Every benchmark takes its run counters from this one profiler; a
+    # nested activation would shadow the fingerprint and timeline files.
+    config = ObsConfig(
+        fingerprint=args.fingerprint, timeline=args.timeline, metrics=True
+    )
     with config.activate():
         return _run(args)
 

@@ -114,14 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="profile the run (wall time, events/sec, peak queue depth)",
+        help="profile the run (wall time, events/sec, peak queue depth) and "
+        "print the merged counters, gauges and histograms of its simulators",
     )
     parser.add_argument(
         "--memory",
         action="store_true",
         help="record tracemalloc snapshots at phase boundaries "
         "(setup / discovery rounds / retrieval) with per-subsystem "
-        "allocator attribution (default --jobs 1: phases are per-process)",
+        "allocator attribution (default --jobs 1: phases are per-process, "
+        "so --jobs N>1 is refused)",
     )
     obs = parser.add_argument_group(
         "observability",
@@ -228,9 +230,6 @@ def _run_figures(args: argparse.Namespace) -> int:
 
     from repro.experiments.runner import configured_jobs
     from repro.obs.config import ObsConfig
-    from repro.obs.kernelprof import KernelProfiler
-    from repro.obs.memprof import MemoryTelemetry
-    from repro.obs.metrics import MetricsRegistry, collect_registries
 
     if args.figure != "all" and args.figure not in REGISTRY:
         print(
@@ -246,26 +245,20 @@ def _run_figures(args: argparse.Namespace) -> int:
         keyframe_every=args.keyframe_every,
         fingerprint=args.fingerprint,
         fingerprint_every=args.fingerprint_every,
+        metrics=args.metrics,
+        memory=args.memory,
     )
     if config.timeline is True:
         raise ConfigurationError(
             "a figure run records its timeline to a file: use --timeline FILE "
             "(bare --timeline is for `repro inspect tl.jsonl --timeline`)"
         )
-    profiler = KernelProfiler() if args.metrics else None
-    memory = MemoryTelemetry() if args.memory else None
-    registries: List[MetricsRegistry] = []
     with ExitStack() as stack:
         try:
-            stack.enter_context(config.activate())
+            obs = stack.enter_context(config.activate())
         except OSError as exc:
             print(f"cannot write trace file {args.trace}: {exc}", file=sys.stderr)
             return 2
-        if profiler is not None:
-            stack.enter_context(profiler.activate())
-            registries = stack.enter_context(collect_registries())
-        if memory is not None:
-            stack.enter_context(memory.activate())
         if args.figure == "all":
             for figure_id, module in REGISTRY.items():
                 print(f"== {figure_id} ==")
@@ -281,18 +274,15 @@ def _run_figures(args: argparse.Namespace) -> int:
             )
         else:
             print(f"{instrument} written to {path}", file=sys.stderr)
-    if profiler is not None:
+    if config.metrics:
         print()
-        print(profiler.render_runs())
-        if registries:
-            merged = MetricsRegistry()
-            for registry in registries:
-                merged.merge_snapshot(registry.snapshot())
+        print(obs.profiler.render_runs())
+        if obs.profiler.records:
             print()
-            print(merged.render())
-    if memory is not None:
+            print(obs.profiler.registry().render())
+    if config.memory:
         print()
-        print(memory.render())
+        print(obs.memory.render())
     return 0
 
 

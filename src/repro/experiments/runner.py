@@ -27,15 +27,13 @@ everything on the caller's thread.  With ``jobs>1``:
   the campaign.  After a worker *process* death the retry round runs
   each remaining trial in its own single-worker pool, so a
   deterministically crashing trial only takes itself down;
-* observability survives the fan-out: workers return merged
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshots and
-  :class:`~repro.obs.kernelprof.KernelProfiler` run-record snapshots,
-  which the parent folds into its active profiler / registry collector;
 * the active :class:`~repro.obs.config.ObsConfig` is the pool initarg:
   worker ``k`` activates it with every trace/timeline/fingerprint file
   moved to its shard ``k`` (``trace.jsonl`` -> ``trace.k.jsonl``).
-  What cannot cross a process boundary — a trace sink outside the
-  config, an in-memory timeline or fingerprint, file shards without
+  Under ``metrics`` each trial returns its profiler snapshot (run
+  records plus merged registry), which the parent folds into its own
+  profiler.  What cannot cross a process boundary — an in-memory
+  timeline or fingerprint, memory telemetry, file shards without
   ``fork`` — raises :class:`~repro.errors.ConfigurationError` telling
   you to use ``jobs=1``.
 
@@ -88,12 +86,9 @@ from repro.experiments.store import (
     trial_id,
 )
 from repro.obs import config as obs_config
-from repro.obs import kernelprof as obs_kernelprof
-from repro.obs import memprof as obs_memprof
-from repro.obs import trace as obs_trace
 from repro.obs.config import ObsConfig
 from repro.obs.durable import sanitize_shards
-from repro.obs.metrics import MetricsRegistry, _clear_collectors, collect_registries
+from repro.obs.kernelprof import KernelProfiler
 
 #: Per the paper: "results are averaged over 5 runs".
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -217,23 +212,8 @@ def configured_trial_timeout(default: Optional[float] = None) -> Optional[float]
 # Worker side
 # ----------------------------------------------------------------------
 def _worker_init(config: Optional[ObsConfig], shard_counter: Any) -> None:
-    """Per-worker-process setup.
-
-    Forked workers inherit the parent's process-wide observability state:
-    global trace sinks (whose file handles are shared with the parent),
-    the active observability config and its open writers, the active
-    profiler and its labels, memory telemetry and open registry
-    collectors.  All of it belongs to the parent, so
-    drop it — workers report back through their return values instead —
-    then activate the campaign's ``config`` on this worker's own shards.
-    """
-    for sink in obs_trace.global_sinks():
-        # Remove without closing: under fork the file object is shared
-        # with the parent, and closing here would flush its buffer twice.
-        obs_trace.remove_global_sink(sink)
-    obs_kernelprof._clear_active()
-    obs_memprof._clear_active()
-    _clear_collectors()
+    """Replace the inherited activation stack with ``config`` on this
+    worker's shards (:func:`repro.obs.config.enter_worker`)."""
     index = None
     if shard_counter is not None:
         with shard_counter.get_lock():
@@ -295,36 +275,44 @@ def _trial_deadline(timeout_s: Optional[float], label: str) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
+@contextmanager
+def _profiled(label: str) -> Iterator[Optional[KernelProfiler]]:
+    """Yield the active profiler (``None`` without ``metrics``), labelled."""
+    obs = obs_config.active("metrics")
+    if obs is None:
+        yield None
+        return
+    with obs.profiler.labelled(label):
+        yield obs.profiler
+
+
 def _run_task_in_worker(
     trial: Callable[..., Any],
     args: Tuple[Any, ...],
     label: str,
     timeout_s: Optional[float],
-) -> Tuple[Any, Dict[str, Dict[str, object]], Dict[str, object]]:
-    """Execute one trial out-of-process and package its observability.
+) -> Tuple[Any, Optional[Dict[str, object]]]:
+    """Execute one trial out-of-process.
 
-    Returns ``(value, metrics_snapshot, kernel_snapshot)`` where the
-    metrics snapshot merges every registry the trial's simulators created
-    and the kernel snapshot carries this trial's labelled run records for
-    the parent to fold into its own :class:`KernelProfiler`.
+    Returns ``(value, profile)``: ``profile`` is the worker profiler's
+    :meth:`~repro.obs.kernelprof.KernelProfiler.drain` — this trial's
+    labelled run records and merged registry — under ``metrics``, else
+    ``None``.  A failed attempt's records are drained and dropped.
     """
-    kernel = obs_kernelprof.KernelProfiler()
-    try:
-        with collect_registries() as registries:
-            with kernel.activate(), obs_kernelprof.label(label):
-                with _trial_deadline(timeout_s, label):
-                    value = trial(*args)
-    except BaseException:
-        # The attempt's partial shard events must not survive the merge;
-        # a killed worker writes no marker, leaving an unterminated tail
-        # that sanitization drops the same way.
-        _mark_attempt("abort", label)
-        raise
+    with _profiled(label) as profiler:
+        try:
+            with _trial_deadline(timeout_s, label):
+                value = trial(*args)
+        except BaseException:
+            # The attempt's partial shard events must not survive the
+            # merge; a killed worker writes no marker, leaving an
+            # unterminated tail that sanitization drops the same way.
+            _mark_attempt("abort", label)
+            raise
+        finally:
+            profile = profiler.drain() if profiler is not None else None
     _mark_attempt("commit", label)
-    merged = MetricsRegistry()
-    for registry in registries:
-        merged.merge_snapshot(registry.snapshot())
-    return value, merged.snapshot(), kernel.snapshot()
+    return value, profile
 
 
 # ----------------------------------------------------------------------
@@ -351,18 +339,12 @@ def _worker_config(context: Any) -> Optional[ObsConfig]:
     """The observability config workers activate, or ``None``.
 
     Refuses, with a ``jobs=1`` hint, what cannot follow trials into
-    worker processes: trace sinks outside the config and an in-memory
-    timeline or fingerprint (their records would die with the worker),
-    and file shards under a start method other than ``fork``.
+    worker processes: an in-memory timeline or fingerprint (their records
+    would die with the worker), memory telemetry (phase boundaries are
+    crossed in the worker), and file shards under a start method other
+    than ``fork``.
     """
     obs = obs_config.active()
-    for sink in obs_trace.global_sinks():
-        if obs is None or sink is not obs.trace_sink:
-            raise ConfigurationError(
-                f"trace sink {type(sink).__name__} cannot follow trials into "
-                f"worker processes; run with jobs=1 (--jobs 1) to keep "
-                f"tracing through it, or trace through ObsConfig(trace=...)"
-            )
     if obs is None:
         return None
     for instrument in ("timeline", "fingerprint"):
@@ -372,6 +354,12 @@ def _worker_config(context: Any) -> Optional[ObsConfig]:
                 f"into worker processes; give it a path or run with jobs=1 "
                 f"(--jobs 1)"
             )
+    if obs.config.memory:
+        raise ConfigurationError(
+            "memory telemetry records phase boundaries in the process that "
+            "crosses them and cannot follow trials into worker processes; "
+            "run with jobs=1 (--jobs 1)"
+        )
     if obs.config.artifacts() and context.get_start_method() != "fork":
         raise ConfigurationError(
             "per-worker trace/timeline/fingerprint shards need the 'fork' "
@@ -395,14 +383,12 @@ def _execute_parallel(
     jobs: int,
     timeout_s: Optional[float],
     retries: int,
-) -> Tuple[Dict[int, Any], Dict[int, TrialFailure], Dict[int, Any]]:
+) -> Tuple[Dict[int, Any], Dict[int, TrialFailure]]:
     """Fan tasks out over worker processes with retry and crash isolation.
 
-    Returns ``(values_by_key, failures_by_key, snapshots_by_key)`` —
-    the last carries each successful trial's merged metrics snapshot so a
-    campaign store can record it.  Worker profiler snapshots are folded
-    into the parent's active profiler and worker metric snapshots into a
-    registry that joins any open :func:`collect_registries` block.
+    Returns ``(values_by_key, failures_by_key)``.  Each successful
+    trial's profile (under ``metrics``) is folded into the parent's
+    active profiler.
 
     Failure accounting is per-task: an attempt is only charged when the
     task itself raised, timed out, or was the lone task in a pool whose
@@ -416,14 +402,9 @@ def _execute_parallel(
     config = _worker_config(context)
     artifacts = config.artifacts() if config is not None else []
     shard_counter = context.Value("i", 0) if artifacts else None
-    kernel = obs_kernelprof.active_kernel_profiler()
-    # Created here so it registers with the caller's collector (if any);
-    # every worker snapshot is merged into it.
-    campaign_metrics = MetricsRegistry()
 
     values: Dict[int, Any] = {}
     failures: Dict[int, TrialFailure] = {}
-    snapshots: Dict[int, Any] = {}
     attempts: Dict[int, int] = {task.key: 0 for task in tasks}
     queue: List[_Task] = list(tasks)
     isolate = False  # after a worker death, retry one task per pool
@@ -462,7 +443,7 @@ def _execute_parallel(
                 broken: List[Tuple[_Task, BaseException]] = []
                 for future, task in futures.items():
                     try:
-                        value, snapshot, kernel_snap = future.result()
+                        value, profile = future.result()
                     except BaseException as error:  # noqa: BLE001 — recorded
                         if isinstance(error, BrokenProcessPool):
                             # A worker death poisons every pending future
@@ -480,10 +461,8 @@ def _execute_parallel(
                             charge(task, error)
                     else:
                         values[task.key] = value
-                        snapshots[task.key] = snapshot
-                        if kernel is not None:
-                            kernel.merge_snapshot(kernel_snap)
-                        campaign_metrics.merge_snapshot(snapshot)
+                        if profile is not None:
+                            obs_config.active().profiler.merge_snapshot(profile)
             if len(broken) == 1:
                 # Exactly one task was in flight when the pool broke, so
                 # the dead worker was running it: the crash is its own.
@@ -502,32 +481,12 @@ def _execute_parallel(
     for _, base in artifacts:
         sanitize_shards(base, shard_counter.value)
 
-    return values, failures, snapshots
+    return values, failures
 
 
 # ----------------------------------------------------------------------
 # One campaign: optional store, serial loop or worker pool
 # ----------------------------------------------------------------------
-def _run_task_serial(
-    trial: Callable[..., Any], task: _Task, snapshot: bool
-) -> Tuple[Any, Optional[Dict[str, Dict[str, object]]]]:
-    """One in-process trial, plus its metrics snapshot when ``snapshot``.
-
-    Only a campaign store records the snapshot, so store-less campaigns
-    skip collecting it.  The scratch registry stays unregistered: the
-    trial's own registries already joined any open collector, so a
-    registered merge target would double every instrument in the
-    caller's campaign view.
-    """
-    with obs_kernelprof.label(task.label):
-        if not snapshot:
-            return trial(*task.args), None
-        with collect_registries() as registries:
-            value = trial(*task.args)
-    scratch = MetricsRegistry(register=False)
-    for registry in registries:
-        scratch.merge_snapshot(registry.snapshot())
-    return value, scratch.snapshot()
 
 
 def _run_campaign(
@@ -548,11 +507,10 @@ def _run_campaign(
     ``jobs>1`` tasks fan out over :func:`_execute_parallel`.
 
     With a store and ``resume`` on, tasks whose digest already has a
-    successful entry are satisfied from the store (their cached metrics
-    snapshots merge into a registry that joins any open collector);
-    everything else executes and is written through — values on success,
-    failure records when a task permanently fails.  Stored *failures*
-    never count as hits: crashes and timeouts are environment-dependent,
+    successful entry are satisfied from the store (they run no simulator,
+    so an active profiler sees nothing of them); everything else executes
+    and is written through — values on success, failure records when a
+    task permanently fails.  Stored *failures* never count as hits: crashes and timeouts are environment-dependent,
     so a resumed campaign re-runs them (a deterministic error just fails
     identically again, keeping the resumed table bit-identical).
     """
@@ -568,19 +526,13 @@ def _run_campaign(
         # campaign that executed it.
         obs = obs_config.active()
         artifacts = dict(obs.config.artifacts()) if obs is not None else {}
-        # Registers with the caller's collector (if any) so cached trials'
-        # metrics still reach the campaign-wide view.
-        campaign_metrics = MetricsRegistry()
         for task in tasks:
             entry = store.get(digests[task.key]) if resume else None
-            if entry is None:
-                continue
-            values[task.key] = entry.value
-            hit_keys.add(task.key)
-            if entry.metrics:
-                campaign_metrics.merge_snapshot(entry.metrics)
+            if entry is not None:
+                values[task.key] = entry.value
+                hit_keys.add(task.key)
 
-    def record(task: _Task, value: Any, snapshot: Any) -> None:
+    def record(task: _Task, value: Any) -> None:
         values[task.key] = value
         if store is not None:
             store.put_value(
@@ -589,21 +541,22 @@ def _run_campaign(
                 task.label,
                 task.seed,
                 value,
-                metrics=snapshot,
                 artifacts=artifacts,
             )
 
     misses = [task for task in tasks if task.key not in hit_keys]
     if jobs == 1:
         for task in misses:
-            record(task, *_run_task_serial(trial, task, store is not None))
+            with _profiled(task.label):
+                value = trial(*task.args)
+            record(task, value)
     elif misses:
-        executed, failures, snapshots = _execute_parallel(
+        executed, failures = _execute_parallel(
             trial, misses, jobs, timeout_s, retries
         )
         for task in misses:
             if task.key in executed:
-                record(task, executed[task.key], snapshots[task.key])
+                record(task, executed[task.key])
             elif store is not None:
                 failure = failures[task.key]
                 store.put_failure(
@@ -675,13 +628,14 @@ def run_sweep(
     on its point and the campaign continues.
 
     ``label_fn(point)`` names each point in profiles and failure records
-    (trials are labelled ``"<point-label> seed <seed>"``).  When a
-    :class:`repro.obs.kernelprof.KernelProfiler` is active (CLI
-    ``--metrics``), each trial's simulator runs carry that label — also
-    for trials that ran in workers.
+    (trials are labelled ``"<point-label> seed <seed>"``).  Under an
+    active ``ObsConfig(metrics=True)`` (CLI ``--metrics``), each trial's
+    simulator runs carry that label — also for trials that ran in
+    workers.
 
     ``store`` (a path or :class:`~repro.experiments.store.CampaignStore`;
-    default: the ``REPRO_STORE`` env knob) makes the campaign durable:
+    default: the ``REPRO_STORE`` env knob; ``False``: none) makes the
+    campaign durable:
     every (point, seed) trial is keyed by its content digest, completed
     trials persist across process restarts, and with ``resume=True``
     (the default) a resumed sweep skips cached trials while producing

@@ -33,8 +33,9 @@ from repro.net.topology import (
 )
 from repro.node.config import DeviceConfig
 from repro.node.device import Device
+from repro.obs.config import active
 from repro.obs.memprof import memory_phase
-from repro.obs.recorder import FlightRecorder, configured_recording
+from repro.obs.recorder import FlightRecorder
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 
@@ -100,7 +101,7 @@ def _attach_recorder(scenario: Scenario) -> Scenario:
     """
     reset_message_ids()
     reset_frame_ids()
-    obs = configured_recording()
+    obs = active("timeline")
     if obs is not None:
         recorder = FlightRecorder(
             scenario.sim,

@@ -130,18 +130,16 @@ def observability_tags() -> Tuple[str, ...]:
     to traced or recorded results and keyed them apart with these tags.
     The tags stay so that campaign stores written by those builds keep
     hitting; dropping them would re-key every traced or recorded entry.
-    Both are read from the active :class:`~repro.obs.config.ObsConfig`
-    (plus any process-wide trace sink); a fingerprint adds no tag.
+    Both are read from the active :class:`~repro.obs.config.ObsConfig`;
+    no other instrument (fingerprint, metrics, memory) adds a tag.
     """
     from repro.obs.config import active
-    from repro.obs.trace import global_sinks
 
-    tags: List[str] = []
-    if global_sinks():
-        tags.append("trace")
-    if active("timeline") is not None:
-        tags.append("timeline")
-    return tuple(tags)
+    return tuple(
+        instrument
+        for instrument in ("trace", "timeline")
+        if active(instrument) is not None
+    )
 
 
 def task_digest(trial: Callable[..., Any], args: Tuple[Any, ...]) -> str:
@@ -179,8 +177,6 @@ class StoreEntry:
         kind: ``"ok"`` or a failure kind (``"error"``/``"timeout"``/
             ``"crash"``).
         value: The trial's return value (``kind == "ok"`` only).
-        metrics: Merged metrics-registry snapshot of the trial, if one
-            was captured (merged back into the campaign view on a hit).
         failure: The :class:`TrialFailure` record (failed entries only).
         artifacts: Paths of the JSONL artifact streams (trace/timeline/
             fingerprint bases) the trial's events were written to.
@@ -192,7 +188,6 @@ class StoreEntry:
     seed: int
     kind: str
     value: Any = None
-    metrics: Optional[Dict[str, Any]] = None
     failure: Optional[TrialFailure] = None
     artifacts: Dict[str, Any] = field(default_factory=dict)
 
@@ -314,7 +309,6 @@ class CampaignStore:
                 seed=int(doc.get("seed", -1)),
                 kind=str(kind),
                 value=doc.get("value"),
-                metrics=doc.get("metrics"),
                 failure=failure,
                 artifacts=dict(doc.get("artifacts", {})),
             )
@@ -329,7 +323,6 @@ class CampaignStore:
         label: str,
         seed: int,
         value: Any,
-        metrics: Optional[Dict[str, Any]] = None,
         artifacts: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Durably record one successful trial under ``digest``."""
@@ -343,7 +336,6 @@ class CampaignStore:
             "seed": seed,
             "kind": "ok",
             "value": value,
-            "metrics": metrics,
             "artifacts": dict(artifacts or {}),
         }
         self._publish(digest, doc)

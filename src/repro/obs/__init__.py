@@ -1,6 +1,6 @@
 """Observability: structured tracing, metrics and run profiling.
 
-Three complementary views into a running simulation, all designed to cost
+Four complementary views into a running simulation, all designed to cost
 (approximately) nothing when switched off:
 
 * :mod:`repro.obs.trace` — a typed event bus the protocol layers publish
@@ -9,8 +9,8 @@ Three complementary views into a running simulation, all designed to cost
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
   behind :class:`repro.net.stats.NetworkStats` and the round machinery;
 * :mod:`repro.obs.kernelprof` — wall-time / events-per-second / queue-depth
-  records of whole simulator runs, surfaced by the runner and
-  ``--metrics``;
+  records of whole simulator runs plus their merged registries, surfaced
+  by the runner and ``--metrics``;
 * :mod:`repro.obs.memprof` — tracemalloc deltas at experiment phase
   boundaries (``--memory``).
 
@@ -30,10 +30,11 @@ per-node protocol state into a keyframe+delta JSONL timeline;
 (``python -m repro inspect tl.jsonl --at 12.5``), diffs instants, and
 renders per-node sparkline series.
 
-:mod:`repro.obs.config` holds :class:`ObsConfig`, the one switch for the
-trace, the timeline and the fingerprint; :mod:`repro.obs.durable` owns
-the JSONL writer, shard naming, attempt markers and the record reader
-all three artifacts share.
+:mod:`repro.obs.config` holds :class:`ObsConfig`, the one switch for
+every instrument — trace, timeline, fingerprint, metrics and memory — and
+its activation stack, the only process-wide observability state;
+:mod:`repro.obs.durable` owns the JSONL writer, shard naming, attempt
+markers and the record reader the three file artifacts share.
 """
 
 from repro.obs.audit import AuditReport, Violation, audit_events
@@ -45,12 +46,11 @@ from repro.obs.durable import (
     resolve_trace_paths,
     shard_path,
 )
-from repro.obs.kernelprof import KernelProfiler, RunRecord, active_kernel_profiler
+from repro.obs.kernelprof import KernelProfiler, RunRecord
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.recorder import (
     FlightRecorder,
     capture_network_state,
-    configured_recording,
     flatten_state,
     unflatten_state,
 )
@@ -72,10 +72,7 @@ from repro.obs.trace import (
     TraceBus,
     TraceEvent,
     TraceSink,
-    global_sink,
-    install_global_sink,
     read_jsonl,
-    remove_global_sink,
 )
 
 __all__ = [
@@ -94,7 +91,6 @@ __all__ = [
     "TraceLoad",
     "Violation",
     "capture_network_state",
-    "configured_recording",
     "diff_between",
     "flatten_state",
     "inspect_timeline",
@@ -113,15 +109,11 @@ __all__ = [
     "MetricsRegistry",
     "KernelProfiler",
     "RunRecord",
-    "active_kernel_profiler",
     "JsonlSink",
     "ListSink",
     "RingBufferSink",
     "TraceBus",
     "TraceEvent",
     "TraceSink",
-    "global_sink",
-    "install_global_sink",
     "read_jsonl",
-    "remove_global_sink",
 ]

@@ -12,7 +12,12 @@ campaign:
   (:mod:`repro.obs.fingerprint`): ``True`` keeps checkpoint records in
   memory, a path streams them there; ``fingerprint_every`` sets the
   checkpoint cadence and ``fingerprint_detail`` an ``(lo, hi)`` window
-  of per-event records.
+  of per-event records;
+* ``metrics`` — the run profiler (:mod:`repro.obs.kernelprof`): one
+  record per simulator run plus the merged metrics registry of every
+  simulator built under the activation;
+* ``memory`` — tracemalloc deltas at experiment phase boundaries
+  (:mod:`repro.obs.memprof`).
 
 Every value is validated once, when the config is built: a zero or
 negative cadence, a bad detail window, or a cadence given without its
@@ -22,12 +27,13 @@ figure CLI, ``repro bench``, each ``repro diverge`` side) and nowhere
 else — no environment variable turns an instrument on.
 
 ``with config.activate() as obs:`` makes the config the top of one
-process-wide stack.  It shadows whatever config was active before and
-never merges with it.  Scenario builders, simulators, trace buses and
-the trial runner read the top entry (:func:`active`).  A parallel
-campaign hands the config to its workers as the pool initarg (an
-in-memory timeline or fingerprint cannot cross, so it is refused), and
-worker ``k`` activates :meth:`ObsConfig.for_worker` — every file
+process-wide stack — the only process-wide observability state.  It
+shadows whatever config was active before and never merges with it.
+Scenario builders, simulators, phase hooks and the trial runner ask
+:func:`active` whether an instrument is on.  A parallel campaign hands
+the config to its workers as the pool initarg (an in-memory timeline or
+fingerprint, and memory telemetry, cannot cross, so they are refused),
+and worker ``k`` activates :meth:`ObsConfig.for_worker` — every file
 artifact re-pointed at its shard ``k``
 (:func:`repro.obs.durable.shard_path`).
 """
@@ -42,6 +48,8 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.durable import DurableJsonlWriter, JsonlArtifact, shard_path
+from repro.obs.kernelprof import KernelProfiler
+from repro.obs.memprof import MemoryTelemetry
 from repro.obs.trace import JsonlSink
 
 #: Default sim-time seconds between timeline samples.
@@ -77,6 +85,8 @@ class ObsConfig:
             (``None``: :data:`DEFAULT_CHECKPOINT_EVERY`).
         fingerprint_detail: Optional inclusive, 1-based ``(lo, hi)``
             event-index window written as full per-event records.
+        metrics: Profile every simulator run and merge their registries.
+        memory: Record tracemalloc deltas at phase boundaries.
 
     Raises:
         ConfigurationError: on a non-positive cadence, a bad detail
@@ -90,6 +100,8 @@ class ObsConfig:
     fingerprint: Union[bool, str, None] = None
     fingerprint_every: Optional[int] = None
     fingerprint_detail: Optional[Tuple[int, int]] = None
+    metrics: bool = False
+    memory: bool = False
 
     def __post_init__(self) -> None:
         for name in _FILE_INSTRUMENTS:
@@ -187,6 +199,10 @@ class ActiveObs:
             simulator built while this activation is on top.
         streams: In-memory fingerprinters created under this activation
             (creation order — the trial order of an in-process run).
+        profiler: Run records and registries of the simulators built
+            under this activation (recording only when ``metrics`` is on).
+        memory: Phase-boundary memory telemetry (recording only when
+            ``memory`` is on).
     """
 
     def __init__(self, config: ObsConfig) -> None:
@@ -199,6 +215,8 @@ class ActiveObs:
         }
         self.trace_sink: Optional[JsonlSink] = None
         self.streams: List[object] = []
+        self.profiler = KernelProfiler()
+        self.memory = MemoryTelemetry()
 
     def writer(self, instrument: str) -> Optional[DurableJsonlWriter]:
         """The instrument's (lazily opened) writer; ``None`` in memory."""
@@ -213,6 +231,7 @@ class ActiveObs:
     def close(self) -> None:
         for artifact in self.artifacts.values():
             artifact.close()
+        self.memory.stop()
 
 
 _STACK: List[ActiveObs] = []
@@ -229,6 +248,8 @@ def _push(config: ObsConfig) -> ActiveObs:
         except BaseException:
             _STACK.remove(obs)
             raise
+    if config.memory:
+        obs.memory.start()
     return obs
 
 

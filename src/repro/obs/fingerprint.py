@@ -27,7 +27,7 @@ Zero-cost-when-disabled contract
 --------------------------------
 
 With no fingerprint configured the dispatch loop takes its original
-branch (the only cost is one ``configured_fingerprint()`` call per
+branch (the only cost is one ``active("fingerprint")`` call per
 ``run()``), so fingerprint-off runs are bit-identical to seed — enforced
 by the bench digest gate.  With a fingerprint active, encoding and hashing
 wrap *around* ``event.fire()`` without touching event order, virtual
@@ -41,7 +41,7 @@ import struct
 from hashlib import blake2b
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.config import ActiveObs, active
+from repro.obs.config import ActiveObs
 from repro.obs.durable import JsonlRecords, resolve_trace_paths
 
 #: Hex digits kept from each chained digest (BLAKE2b-128).
@@ -110,11 +110,6 @@ def handler_key(callback: Callable[..., Any]) -> str:
         or "?"
     )
     return f"{module}.{name}"
-
-
-def configured_fingerprint() -> Optional[ActiveObs]:
-    """The active observability config, if it fingerprints."""
-    return active("fingerprint")
 
 
 # ----------------------------------------------------------------------

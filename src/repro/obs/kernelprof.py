@@ -1,32 +1,44 @@
-"""Run profiling: one record per simulator run.
+"""Run profiling: one record per simulator run, plus the run's registries.
 
-While a :class:`KernelProfiler` is active, every :meth:`Simulator.run()
-<repro.sim.simulator.Simulator.run>` call reports a :class:`RunRecord`
-here — wall-clock duration, processed events, final virtual time and peak
-event-queue depth, labelled by the enclosing :func:`label` blocks so the
-profile reads "seed 3 → 1.2 s wall, 410k events, 340k ev/s".  That says
-how *fast* a run was; which layer of the stack the wall went to is
-perfbench's question (its ``--trace 1`` mode reports self time per layer).
+While ``ObsConfig(metrics=True)`` is active (``repro <figure>
+--metrics``), the activation's :class:`KernelProfiler` collects two
+views of every simulator built under it:
+
+* each :meth:`Simulator.run() <repro.sim.simulator.Simulator.run>` call
+  reports a :class:`RunRecord` — wall-clock duration, processed events,
+  final virtual time and peak event-queue depth, labelled with the
+  profiler's current trial label (:meth:`KernelProfiler.labelled`) so
+  the profile reads "seed 3 → 1.2 s wall, 410k events, 340k ev/s";
+* each simulator hands its :class:`~repro.obs.metrics.MetricsRegistry`
+  to the profiler when it is built (:meth:`KernelProfiler.watch`), and
+  :meth:`KernelProfiler.registry` merges them into one campaign view.
+
+That says how *fast* a run was and what it counted; which layer of the
+stack the wall went to is perfbench's question (its ``--trace 1`` mode
+reports self time per layer).
 
 Zero-cost / determinism contract
 --------------------------------
 
-An active profiler does not change which dispatch loop the simulator
-runs: the only cost is one ``active_kernel_profiler()`` call and two
-clock reads per ``run()``.  Event order, RNG draws and virtual time are
-untouched, so profiled runs keep exact output digests.
+Profiling does not change which dispatch loop the simulator runs: the
+only cost is one ``active("metrics")`` call and two clock reads per
+``run()``.  Event order, RNG draws and virtual time are untouched, so
+profiled runs keep exact output digests.
 
-Multi-process campaigns: each worker runs its own :class:`KernelProfiler`,
-ships :meth:`KernelProfiler.snapshot` back with the trial result, and the
-parent folds the run records into its own profiler with
-:meth:`KernelProfiler.merge_snapshot`.
+Multi-process campaigns: each worker's activation has its own profiler;
+after every trial the worker ships :meth:`KernelProfiler.drain` back with
+the trial's value, and the parent folds it into its own profiler with
+:meth:`KernelProfiler.merge_snapshot`.  ``repro bench`` drains the same
+way once per benchmark.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
+
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -46,15 +58,19 @@ class RunRecord:
 
 
 class KernelProfiler:
-    """Per-run records of every simulator run made while active.
+    """Run records and metrics registries of the simulators it watches.
 
     Attributes:
-        records: One :class:`RunRecord` per ``Simulator.run()`` call made
-            while this profiler was active (or merged in from another).
+        records: One :class:`RunRecord` per ``Simulator.run()`` call
+            reported here (or merged in from another profiler).
+        label: Label stamped on the next run records (see
+            :meth:`labelled`).
     """
 
     def __init__(self) -> None:
         self.records: List[RunRecord] = []
+        self.label = "run"
+        self._registries: List[MetricsRegistry] = []
 
     def record_run(
         self,
@@ -66,7 +82,7 @@ class KernelProfiler:
         """Called by the simulator at the end of each ``run()``."""
         self.records.append(
             RunRecord(
-                label=" / ".join(_LABELS) if _LABELS else "run",
+                label=self.label,
                 wall_s=wall_s,
                 events=events,
                 sim_time_s=sim_time_s,
@@ -74,40 +90,55 @@ class KernelProfiler:
             )
         )
 
-    @contextmanager
-    def activate(self) -> Iterator["KernelProfiler"]:
-        """Make this the process-wide kernel profiler for the block.
+    def watch(self, registry: MetricsRegistry) -> None:
+        """Include a (simulator's) live registry in :meth:`registry`."""
+        self._registries.append(registry)
 
-        Nestable: a profiler activated inside another one's span shadows
-        it for the duration, so the inner block's runs are recorded by
-        the inner profiler only.
-        """
-        global _ACTIVE
-        previous = _ACTIVE
-        _ACTIVE = self
+    @contextmanager
+    def labelled(self, text: str) -> Iterator["KernelProfiler"]:
+        """Label the run records reported inside the block ``text``."""
+        previous, self.label = self.label, text
         try:
             yield self
         finally:
-            _ACTIVE = previous
+            self.label = previous
+
+    def registry(self) -> MetricsRegistry:
+        """Every watched and merged-in registry folded into one, in order."""
+        merged = MetricsRegistry()
+        for registry in self._registries:
+            merged.merge_snapshot(registry.snapshot())
+        return merged
 
     # ------------------------------------------------------------------
     # Merging (worker -> parent)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """Picklable/JSON-able form for cross-process return values."""
+        """Picklable/JSON-able form of the run records and merged registry."""
         return {
             "runs": [
                 [r.label, r.wall_s, r.events, r.sim_time_s, r.peak_queue_depth]
                 for r in self.records
             ],
+            "metrics": self.registry().snapshot(),
         }
+
+    def drain(self) -> Dict[str, object]:
+        """:meth:`snapshot`, then forget everything recorded so far."""
+        snapshot = self.snapshot()
+        self.records = []
+        self._registries = []
+        return snapshot
 
     def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
         """Fold a :meth:`snapshot` dict (e.g. one a worker returned)."""
         self.records.extend(
             RunRecord(str(label), float(wall), int(events), float(sim), int(peak))
-            for label, wall, events, sim, peak in snapshot.get("runs", [])
+            for label, wall, events, sim, peak in snapshot["runs"]
         )
+        registry = MetricsRegistry()
+        registry.merge_snapshot(snapshot["metrics"])
+        self._registries.append(registry)
 
     # ------------------------------------------------------------------
     # Reports
@@ -147,34 +178,3 @@ class KernelProfiler:
             f"peak queue {int(totals['peak_queue_depth'])}"
         )
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Process-wide activation
-# ----------------------------------------------------------------------
-_ACTIVE: Optional[KernelProfiler] = None
-
-#: Run-record label stack (see :func:`label`).
-_LABELS: List[str] = []
-
-
-def active_kernel_profiler() -> Optional[KernelProfiler]:
-    """The kernel profiler currently activated, or None."""
-    return _ACTIVE
-
-
-@contextmanager
-def label(text: str) -> Iterator[None]:
-    """Prefix run records emitted inside the block (nestable)."""
-    _LABELS.append(text)
-    try:
-        yield
-    finally:
-        _LABELS.pop()
-
-
-def _clear_active() -> None:
-    """Drop a profiler (and labels) inherited by a forked worker process."""
-    global _ACTIVE
-    _ACTIVE = None
-    _LABELS.clear()

@@ -1,15 +1,16 @@
 """Memory telemetry: tracemalloc snapshots at experiment phase boundaries.
 
-Activated by ``repro <figure> --memory``, a :class:`MemoryTelemetry`
-records a tracemalloc snapshot each time the experiment crosses a phase
-boundary — scenario setup, each discovery round, retrieval start — and
-attributes the allocation delta between consecutive snapshots to the
-``repro`` subsystem (by allocating filename) that grew most.
+Turned on by ``ObsConfig(memory=True)`` (``repro <figure> --memory``),
+the activation's :class:`MemoryTelemetry` records a tracemalloc snapshot
+each time the experiment crosses a phase boundary — scenario setup, each
+discovery round, retrieval start — and attributes the allocation delta
+between consecutive snapshots to the ``repro`` subsystem (by allocating
+filename) that grew most.
 
 Instrumentation sites call the module-level :func:`memory_phase` hook,
-which is a no-op (one global load and a branch) unless a telemetry object
-is active, so the hook can sit on phase boundaries — never inside event
-hot paths — without taxing normal runs.  Boundary sites:
+which is a no-op (one look at the active config) unless memory telemetry
+is on, so the hook can sit on phase boundaries — never inside event hot
+paths — without taxing normal runs.  Boundary sites:
 
 * ``repro.experiments.scenario`` — ``"setup"`` once a world is built;
 * ``repro.core.rounds`` — ``"round_N_begin"`` / ``"round_N_end"`` per
@@ -17,17 +18,17 @@ hot paths — without taxing normal runs.  Boundary sites:
 * ``repro.core.consumer`` — ``"discovery"`` / ``"retrieval"`` /
   ``"mdr_retrieval"`` when sessions start.
 
-Phases are recorded per process; the parallel runner's workers clear any
-inherited telemetry (like they clear profilers), so ``--memory`` implies
-single-process campaigns to see the full picture.
+Phases are recorded in the process that crosses them, so memory
+telemetry cannot follow trials into worker processes: a campaign with
+``jobs>1`` refuses it (the CLI runs ``--memory`` with one job unless
+``--jobs`` is given).
 """
 
 from __future__ import annotations
 
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 def _subsystem_of_filename(filename: str) -> str:
@@ -85,25 +86,20 @@ class MemoryTelemetry:
         self._previous: Optional[tracemalloc.Snapshot] = None
         self._started_tracing = False
 
-    @contextmanager
-    def activate(self) -> Iterator["MemoryTelemetry"]:
-        """Start tracing and make this the process-wide telemetry."""
-        global _ACTIVE
-        previous = _ACTIVE
-        _ACTIVE = self
+    def start(self) -> None:
+        """Start tracing (unless already on) and take the base snapshot."""
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._started_tracing = True
         self._previous = tracemalloc.take_snapshot()
         tracemalloc.reset_peak()
-        try:
-            yield self
-        finally:
-            _ACTIVE = previous
-            self._previous = None
-            if self._started_tracing and tracemalloc.is_tracing():
-                tracemalloc.stop()
-                self._started_tracing = False
+
+    def stop(self) -> None:
+        """Drop the base snapshot; stop tracing only if :meth:`start` began it."""
+        self._previous = None
+        if self._started_tracing and tracemalloc.is_tracing():
+            tracemalloc.stop()
+        self._started_tracing = False
 
     def phase(self, name: str) -> PhaseRecord:
         """Record a boundary: snapshot, diff vs the previous one."""
@@ -169,22 +165,10 @@ class MemoryTelemetry:
         return "\n".join(lines)
 
 
-_ACTIVE: Optional[MemoryTelemetry] = None
-
-
-def active_memory_telemetry() -> Optional[MemoryTelemetry]:
-    """The telemetry currently activated, or None."""
-    return _ACTIVE
-
-
 def memory_phase(name: str) -> None:
-    """Record a phase boundary if telemetry is active (else a no-op)."""
-    telemetry = _ACTIVE
-    if telemetry is not None:
-        telemetry.phase(name)
+    """Record a phase boundary if memory telemetry is on (else a no-op)."""
+    from repro.obs.config import active
 
-
-def _clear_active() -> None:
-    """Drop telemetry inherited by a forked worker process."""
-    global _ACTIVE
-    _ACTIVE = None
+    obs = active("memory")
+    if obs is not None:
+        obs.memory.phase(name)

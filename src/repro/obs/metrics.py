@@ -11,21 +11,17 @@ locks, no labels, no export dependencies.  Getter methods are idempotent
 (``registry.counter("x")`` twice returns the same object), which lets
 independent layers share instruments by name.
 
-Two facilities support multi-process campaigns (``run_sweep(jobs=N)``):
-
-* :meth:`MetricsRegistry.merge_snapshot` folds a :meth:`snapshot` dict —
-  e.g. one returned by a worker process — into a live registry;
-* :func:`collect_registries` gathers every registry created inside a
-  block (each simulator creates one), so a driver can merge them into a
-  single campaign-wide view without threading a registry through every
-  layer.
+:meth:`MetricsRegistry.merge_snapshot` folds a :meth:`snapshot` dict —
+e.g. one returned by a worker process — into a live registry; that is
+how :class:`repro.obs.kernelprof.KernelProfiler` merges the registries of
+every simulator of a ``--metrics`` campaign into one view, in-process or
+across ``run_sweep(jobs=N)`` workers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -227,22 +223,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments; getters create on first use and are idempotent.
+    """Named instruments; getters create on first use and are idempotent."""
 
-    ``register=False`` keeps the registry out of any open
-    :func:`collect_registries` buckets — for scratch registries that fold
-    snapshots already visible to the collector (e.g. the serial campaign
-    runner snapshotting one trial for the campaign store), where joining
-    the bucket would double-count every instrument.
-    """
-
-    def __init__(self, register: bool = True) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        if register:
-            for bucket in _COLLECTORS:
-                bucket.append(self)
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -336,7 +322,7 @@ class MetricsRegistry:
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, data in snapshot.get("gauges", {}).items():
-            samples = int(data.get("samples", 1))
+            samples = int(data["samples"])
             if samples <= 0:
                 continue
             gauge = self.gauge(name)
@@ -348,29 +334,15 @@ class MetricsRegistry:
                 gauge.min_value = min(gauge.min_value, data["min"])
             gauge.value = data["value"]
             gauge.samples += samples
-            # Time-weighted accumulators add across processes (absent in
-            # legacy snapshots).
-            area = float(data.get("area", 0.0))
-            elapsed = float(data.get("elapsed", 0.0))
-            gauge.area += area
-            gauge.elapsed += elapsed
-            # Legacy snapshots lack the timed-sample count; a snapshot
-            # with a positive integral came from all-timed sets (the only
-            # way the old code grew `elapsed`), an untimed one from none.
-            gauge.timed_samples += int(
-                data.get("timed_samples", samples if elapsed > 0 else 0)
-            )
+            # Time-weighted accumulators add across processes.
+            gauge.area += float(data["area"])
+            gauge.elapsed += float(data["elapsed"])
+            gauge.timed_samples += int(data["timed_samples"])
         for name, data in snapshot.get("histograms", {}).items():
             counts = [
                 int(n) for n in data["buckets"].values()
             ]  # insertion order: bounds ascending, then overflow
-            if "bounds" in data:
-                bounds = tuple(float(b) for b in data["bounds"])
-            else:
-                # Legacy snapshots only carry %g-formatted key names.
-                bounds = tuple(
-                    float(key[3:]) for key in data["buckets"] if key != "overflow"
-                )
+            bounds = tuple(float(b) for b in data["bounds"])
             histogram = self.histogram(name, bounds)
             if histogram.buckets != bounds:
                 raise ConfigurationError(
@@ -417,37 +389,3 @@ class MetricsRegistry:
                     f"max={hist.max:g}"
                 )
         return "\n".join(lines) if lines else "(no metrics recorded)"
-
-
-#: Active collection buckets; every MetricsRegistry created while one is
-#: open appends itself (see :func:`collect_registries`).
-_COLLECTORS: List[List["MetricsRegistry"]] = []
-
-
-@contextmanager
-def collect_registries() -> Iterator[List["MetricsRegistry"]]:
-    """Collect every :class:`MetricsRegistry` created inside the block.
-
-    Used by campaign drivers (CLI ``--metrics``, parallel trial workers)
-    to find the registries the simulators create deep inside experiment
-    code, so they can be merged into one campaign-wide view::
-
-        with collect_registries() as registries:
-            run_experiments()
-        merged = MetricsRegistry()
-        for registry in registries:
-            merged.merge_snapshot(registry.snapshot())
-
-    Nestable; each open block gets its own independent list.
-    """
-    bucket: List[MetricsRegistry] = []
-    _COLLECTORS.append(bucket)
-    try:
-        yield bucket
-    finally:
-        _COLLECTORS.remove(bucket)
-
-
-def _clear_collectors() -> None:
-    """Drop collector buckets inherited by a forked worker process."""
-    _COLLECTORS.clear()

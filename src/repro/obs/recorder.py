@@ -44,12 +44,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.config import (
-    DEFAULT_INTERVAL_S,
-    DEFAULT_KEYFRAME_EVERY,
-    ActiveObs,
-    active,
-)
+from repro.obs.config import DEFAULT_INTERVAL_S, DEFAULT_KEYFRAME_EVERY
 from repro.obs.durable import DurableJsonlWriter
 
 #: Path separator inside flattened state keys (ASCII unit separator: it
@@ -90,11 +85,6 @@ def unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
             cursor = cursor.setdefault(part, {})
         cursor[parts[-1]] = value
     return nested
-
-
-def configured_recording() -> Optional[ActiveObs]:
-    """The active observability config, if it records a timeline."""
-    return active("timeline")
 
 
 # ----------------------------------------------------------------------

@@ -17,11 +17,11 @@ Sinks are tiny observer objects:
 * :class:`JsonlSink` — one JSON object per line, streamed to a file that
   ``python -m repro inspect`` (and any jq pipeline) understands.
 
-Process-wide sinks — those registered via :func:`install_global_sink`
-plus the trace sink of the active :class:`~repro.obs.config.ObsConfig` —
-are attached to every simulator created afterwards.  That is how
+The trace sink of the active :class:`~repro.obs.config.ObsConfig` is
+attached to every simulator created while it is active.  That is how
 ``--trace out.jsonl`` reaches the scenarios a figure module builds deep
-inside its run loop.
+inside its run loop; a test attaches its own sink with
+``sim.trace.subscribe``.
 
 Event taxonomy (see DESIGN.md for the full field tables):
 
@@ -69,9 +69,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter as TallyCounter
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.durable import DurableJsonlWriter, JsonlRecords
 
@@ -223,46 +222,3 @@ class TraceBus:
         for sink in self._sinks:
             sink.handle(event)
         return event
-
-
-#: Sinks attached to every TraceBus created after registration.
-_GLOBAL_SINKS: List[TraceSink] = []
-
-
-def install_global_sink(sink: TraceSink) -> TraceSink:
-    """Attach ``sink`` to all simulators created from now on."""
-    _GLOBAL_SINKS.append(sink)
-    return sink
-
-
-def remove_global_sink(sink: TraceSink) -> None:
-    """Stop attaching ``sink`` to new simulators."""
-    try:
-        _GLOBAL_SINKS.remove(sink)
-    except ValueError:
-        pass
-
-
-def global_sinks() -> List[TraceSink]:
-    """The registered process-wide sinks, plus the active config's trace.
-
-    The trace sink of the active :class:`~repro.obs.config.ObsConfig`
-    (``--trace FILE``) comes last.
-    """
-    from repro.obs.config import active
-
-    obs = active("trace")
-    if obs is None:
-        return list(_GLOBAL_SINKS)
-    return _GLOBAL_SINKS + [obs.trace_sink]
-
-
-@contextmanager
-def global_sink(sink: TraceSink) -> Iterator[TraceSink]:
-    """Scope a process-wide sink registration (used by the CLI)."""
-    install_global_sink(sink)
-    try:
-        yield sink
-    finally:
-        remove_global_sink(sink)
-        sink.close()

@@ -96,7 +96,7 @@ def run_prototype(config: PrototypeConfig, seed: int = 0) -> PrototypeResult:
     """Run one single-hop experiment and return its measurements."""
     sim = Simulator()
     topology = Topology(radio_range=20.0)
-    stats = NetworkStats()
+    stats = NetworkStats(sim.metrics)
     medium = BroadcastMedium(
         sim, topology, random.Random(seed * 7919 + 13), stats=stats
     )

@@ -12,10 +12,10 @@ from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.obs.fingerprint import EventFingerprinter, configured_fingerprint
-from repro.obs.kernelprof import active_kernel_profiler
+from repro.obs.config import active
+from repro.obs.fingerprint import EventFingerprinter
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceBus, global_sinks
+from repro.obs.trace import TraceBus
 from repro.sim.event import DEFAULT_PRIORITY, Event, EventQueue
 
 
@@ -25,9 +25,11 @@ class Simulator:
     Attributes:
         now: Current virtual time in seconds.
         trace: This simulation's trace bus (disabled until a sink
-            subscribes; process-wide sinks are attached automatically).
+            subscribes; the active config's trace sink is attached
+            automatically).
         metrics: This simulation's metrics registry (counters, gauges,
-            histograms recorded by the stack).
+            histograms recorded by the stack; watched by the active
+            profiler under ``ObsConfig(metrics=True)``).
         events_processed: Total events fired over the simulator's life.
         peak_queue_depth: Largest event-queue length observed while running.
         recorder: The attached flight recorder
@@ -43,9 +45,13 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.trace = TraceBus(clock=lambda: self.now)
-        for sink in global_sinks():
-            self.trace.subscribe(sink)
+        traced = active("trace")
+        if traced is not None:
+            self.trace.subscribe(traced.trace_sink)
         self.metrics = MetricsRegistry()
+        profiled = active("metrics")
+        if profiled is not None:
+            profiled.profiler.watch(self.metrics)
         self.events_processed: int = 0
         self.peak_queue_depth: int = 0
         self.recorder: Optional[Any] = None
@@ -112,8 +118,9 @@ class Simulator:
         self._running = True
         self._stopped = False
         processed = 0
-        kernel = active_kernel_profiler()
-        fp_obs = configured_fingerprint()
+        profiled = active("metrics")
+        kernel = profiled.profiler if profiled is not None else None
+        fp_obs = active("fingerprint")
         fingerprint: Optional[EventFingerprinter] = None
         if fp_obs is not None:
             fingerprint = self._fingerprint

@@ -287,8 +287,7 @@ def _tiny_scenario_bench(quick):
     """A registered-on-the-fly benchmark that builds and runs a scenario."""
     from repro.experiments.figures.common import experiment_device_config
     from repro.experiments.scenario import build_grid_scenario
-    from repro.obs.fingerprint import configured_fingerprint
-    from repro.obs.recorder import configured_recording
+    from repro.obs.config import active
 
     scenario = build_grid_scenario(
         rows=2, cols=2, seed=1, device_config=experiment_device_config()
@@ -299,8 +298,9 @@ def _tiny_scenario_bench(quick):
         events=scenario.sim.events_processed,
         peak_queue_depth=0,
         meta={
-            "fingerprinted": configured_fingerprint() is not None,
-            "recorded": configured_recording() is not None,
+            "fingerprinted": active("fingerprint") is not None,
+            "recorded": active("timeline") is not None,
+            "profiled": active("metrics") is not None,
         },
     )
 
@@ -311,8 +311,7 @@ def test_bench_observability_flag_does_not_leak(
 ):
     """The instrument is on for every benchmark of the call, writes its
     file, and is off again once ``main`` returns."""
-    from repro.obs.fingerprint import configured_fingerprint
-    from repro.obs.recorder import configured_recording
+    from repro.obs.config import active
 
     monkeypatch.setitem(bench._BENCHMARKS, "tiny_scenario", _tiny_scenario_bench)
     monkeypatch.setitem(bench._REPEATS, "tiny_scenario", 1)
@@ -328,11 +327,12 @@ def test_bench_observability_flag_does_not_leak(
     assert meta == {
         "fingerprinted": flag == "--fingerprint",
         "recorded": flag == "--timeline",
+        # The one activation also carries the benches' run profiler.
+        "profiled": True,
     }
     assert path.stat().st_size > 0
     assert len(path.read_text().splitlines()) > 1  # records past the header
-    assert configured_fingerprint() is None
-    assert configured_recording() is None
+    assert active() is None
 
 
 # ----------------------------------------------------------------------

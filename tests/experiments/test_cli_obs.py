@@ -206,6 +206,53 @@ def test_metrics_memory_flags_print_profile_and_telemetry(
     assert "setup" in out
 
 
+def _tiny_trial(point, seed):
+    sim = Simulator()
+    sim.metrics.counter("net.frames_sent").inc(seed)
+    sim.schedule(0.1, lambda: None)
+    sim.run()
+    return {"recall": 1.0}
+
+
+@pytest.fixture
+def sweep_fig4(monkeypatch):
+    """Replace fig4's run with a two-seed sweep of a tiny simulation; the
+    CLI's env knobs are restored after the test."""
+    from repro.experiments.runner import run_sweep
+
+    for knob in ("REPRO_JOBS", "REPRO_STORE"):
+        monkeypatch.setenv(knob, "")  # empty: unset, restored afterwards
+
+    def run(*args, **kwargs):
+        run_sweep(_tiny_trial, [{}], seeds=[1, 2])
+        return [{"grid": "1x1", "recall": 1.0}]
+
+    monkeypatch.setattr(REGISTRY["fig4"], "run", run)
+
+
+def test_memory_with_parallel_jobs_exits_two(capsys, sweep_fig4):
+    """Workers cross the phase boundaries, and nothing reads their
+    telemetry back: refused instead of reporting no phases."""
+    assert main(["fig4", "--memory", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "jobs=1" in err
+
+
+def test_metrics_on_warm_store_reports_no_registry(tmp_path, capsys, sweep_fig4):
+    """A cached trial runs no simulator, so a warm campaign reports
+    neither run records nor a registry."""
+    argv = ["fig4", "--metrics", "--store", str(tmp_path / "store")]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert "counters:" in cold
+    assert "net.frames_sent                      3" in cold
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert "profile: no simulator runs recorded" in warm
+    assert "counters:" not in warm
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -247,10 +294,10 @@ def test_bare_timeline_on_figure_run_exits_two(capsys, scenario_fig4):
 
 
 def test_timeline_recording_removed_after_run(tmp_path, scenario_fig4):
-    from repro.obs.recorder import configured_recording
+    from repro.obs.config import active
 
     assert main(["fig4", "--timeline", str(tmp_path / "tl.jsonl")]) == 0
-    assert configured_recording() is None
+    assert active() is None
 
 
 def _record_small_timeline(tmp_path):

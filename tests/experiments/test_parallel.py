@@ -15,7 +15,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_sweep
 from repro.obs import trace as obs_trace
-from repro.obs.config import ObsConfig
+from repro.obs.config import ObsConfig, active
+from repro.sim.simulator import Simulator
 
 
 def _one_point(trial, seeds, **kwargs):
@@ -47,12 +48,9 @@ def _dies_on_seed_2(point, seed):
 
 
 def _traced_trial(point, seed):
-    # Like Simulator's bus: subscribe whatever process-wide sinks exist
-    # in *this* process — in a worker, its own JSONL shard.
-    bus = obs_trace.TraceBus()
-    for sink in obs_trace.global_sinks():
-        bus.subscribe(sink)
-    bus.emit("trial.ran", seed=seed)
+    # A simulator subscribes the active config's trace sink of *this*
+    # process — in a worker, its own JSONL shard.
+    Simulator().trace.emit("trial.ran", seed=seed)
     return _ok_trial(point, seed)
 
 
@@ -161,19 +159,15 @@ def _traced_dies_once_on_seed_2(point, seed):
     one-shot, so the retry succeeds — leaving the aborted attempt's
     partial shard events for sanitization to drop.
     """
-    bus = obs_trace.TraceBus()
-    for sink in obs_trace.global_sinks():
-        bus.subscribe(sink)
-    bus.emit("trial.ran", seed=seed)
+    Simulator().trace.emit("trial.ran", seed=seed)
     if seed == 2:
         flag = os.environ["REPRO_TEST_DIE_ONCE_FLAG"]
         if not os.path.exists(flag):
             with open(flag, "w"):
                 pass
-            for sink in obs_trace.global_sinks():
-                # Land the partial event on disk before dying, like a
-                # buffer flush mid-trial would.
-                sink.flush()
+            # Land the partial event on disk before dying, like a
+            # buffer flush mid-trial would.
+            active("trace").trace_sink.flush()
             os._exit(23)
     return _ok_trial(point, seed)
 
@@ -201,6 +195,42 @@ def test_crashed_attempt_shard_events_are_dropped(tmp_path, monkeypatch):
     # Without sanitization this reads [1, 2, 2, 3]: the dead first
     # attempt's event plus the retry's.
     assert seeds == [1, 2, 3]
+
+
+def _profiled_fails_once(point, seed):
+    """Runs a tiny simulation, then fails the first attempt of seed 1
+    (raises at once) and of seed 6 (kills its worker).  Every other
+    attempt takes 0.2 s, so both workers run several trials and the one
+    that failed seed 1 runs another trial next."""
+    sim = Simulator()
+    sim.metrics.counter("trials").inc()
+    sim.schedule(0.1, lambda: None)
+    sim.run()
+    flag = os.path.join(os.environ["REPRO_TEST_FAIL_ONCE_DIR"], str(seed))
+    first_attempt = not os.path.exists(flag)
+    if first_attempt:
+        with open(flag, "w"):
+            pass
+    if seed == 1 and first_attempt:
+        raise RuntimeError("injected failure")
+    time.sleep(0.2)
+    if seed == 6 and first_attempt:
+        os._exit(17)
+    return _ok_trial(point, seed)
+
+
+def test_crash_and_error_retries_profile_each_trial_once(tmp_path, monkeypatch):
+    """A failed attempt's run records and registry are dropped with it:
+    the next trial on the same worker must not ship them, so every seed
+    is profiled exactly once however often it was attempted."""
+    monkeypatch.setenv("REPRO_TEST_FAIL_ONCE_DIR", str(tmp_path))
+    seeds = [1, 2, 3, 4, 5, 6]
+    with ObsConfig(metrics=True).activate() as obs:
+        sweep_point = _one_point(_profiled_fails_once, seeds, jobs=2)
+    assert sweep_point.seeds == tuple(seeds) and not sweep_point.failures
+    labels = sorted(record.label for record in obs.profiler.records)
+    assert labels == sorted(f"point 0 seed {seed}" for seed in seeds)
+    assert obs.profiler.registry().counter("trials").value == len(seeds)
 
 
 def test_run_sweep_parallel_matches_serial():
@@ -251,17 +281,12 @@ def test_parallel_trace_shards(tmp_path):
     assert seeds == [1, 2, 3, 4]
 
 
-def test_parallel_rejects_unshardable_sink(tmp_path):
-    """Sinks outside the ObsConfig cannot follow trials into workers:
-    clear error, for in-memory and file sinks alike."""
-    for sink in (
-        obs_trace.ListSink(),
-        obs_trace.JsonlSink(str(tmp_path / "raw.jsonl")),
-    ):
-        with obs_trace.global_sink(sink):
-            with pytest.raises(ConfigurationError) as excinfo:
-                _one_point(_ok_trial, [1, 2], jobs=2)
-        assert "jobs=1" in str(excinfo.value)
+def test_parallel_rejects_memory_telemetry():
+    """Phase boundaries are crossed in the workers, where no telemetry
+    is read back: refused with a jobs=1 hint instead of dropped."""
+    with ObsConfig(memory=True).activate():
+        with pytest.raises(ConfigurationError, match="jobs=1"):
+            _one_point(_ok_trial, [1, 2], jobs=2)
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +390,7 @@ def test_worker_activates_its_own_shard_of_one_config(tmp_path):
             "timeline": str(tmp_path / "tl.3.jsonl"),
             "fingerprint": str(tmp_path / "fp.3.jsonl"),
         }
-        assert obs_trace.global_sinks() == [obs.trace_sink]
+        assert Simulator().trace.enabled  # subscribed to the worker's shard
     finally:
         obs_config._STACK.remove(obs)
         obs.close()

@@ -151,10 +151,10 @@ def test_run_sweep_aggregates():
 
 
 def _sinks_seen_by_trial(point, seed):
-    """The process-wide trace sinks a trial's simulators would subscribe."""
-    from repro.obs.trace import global_sinks
+    """The trace sinks a trial's simulator subscribes."""
+    from repro.sim.simulator import Simulator
 
-    return [type(sink).__name__ for sink in global_sinks()]
+    return [type(sink).__name__ for sink in Simulator().trace._sinks]
 
 
 def test_traced_sweep_adds_no_sink_of_its_own(tmp_path):

@@ -242,6 +242,31 @@ def test_schema_1_entry_is_a_counted_miss_and_reexecutes(tmp_path, monkeypatch):
     assert all(store.get(digest) is not None for digest in digests)
 
 
+def test_entries_carry_no_metrics_and_older_metrics_keys_still_hit(
+    tmp_path, monkeypatch
+):
+    """Entries hold no registry snapshot, even under ``metrics``; an
+    entry written by an earlier build with a ``metrics`` key still hits."""
+    from repro.obs.config import ObsConfig
+
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    store = CampaignStore(str(tmp_path))
+    with ObsConfig(metrics=True).activate():
+        cold = _one_point([1, 2], store=store)
+    digests = [task_digest(_metrics_trial, (_POINT, seed)) for seed in (1, 2)]
+    for digest in digests:
+        path = store._entry_path(digest)
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        assert "metrics" not in doc
+        doc["metrics"] = {"counters": {"net.frames_sent": 7}}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, sort_keys=True)
+    warm = _one_point([1, 2], store=CampaignStore(str(tmp_path)))
+    assert warm.cache_hits == 2 and warm.executed == 0
+    assert warm.results == cold.results
+
+
 # ----------------------------------------------------------------------
 # Resolution
 # ----------------------------------------------------------------------
@@ -291,9 +316,9 @@ def test_run_sweep_resume_false_recomputes(tmp_path, monkeypatch):
 def _observability_profile(name, directory):
     """Activate one observability profile for the pinned-key test."""
     from repro.obs.config import ObsConfig
-    from repro.obs.trace import ListSink, global_sink
 
     configs = {
+        "trace": ObsConfig(trace=os.path.join(directory, "t.jsonl")),
         "memory-timeline": ObsConfig(timeline=True),
         "file-timeline": ObsConfig(timeline=os.path.join(directory, "tl.jsonl")),
         "trace+timeline": ObsConfig(
@@ -302,10 +327,9 @@ def _observability_profile(name, directory):
         "fingerprint": ObsConfig(
             fingerprint=os.path.join(directory, "fp.jsonl")
         ),
+        "metrics+memory": ObsConfig(metrics=True, memory=True),
     }
     with ExitStack() as stack:
-        if name == "trace":
-            stack.enter_context(global_sink(ListSink()))
         if name in configs:
             stack.enter_context(configs[name].activate())
         yield
@@ -319,6 +343,8 @@ _PINNED_DIGESTS = {
     "trace+timeline": "9c4ab3798e01e935dc628488a2e4fe9a",
     # Fingerprinting never changes a result, so it adds no tag.
     "fingerprint": "49db894da529f5fcb426cbc7b3acfbc9",
+    # Nor do the run profiler and memory telemetry.
+    "metrics+memory": "49db894da529f5fcb426cbc7b3acfbc9",
 }
 
 

@@ -16,10 +16,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_sweep
-from repro.obs.config import DEFAULT_CHECKPOINT_EVERY, ObsConfig
+from repro.obs.config import DEFAULT_CHECKPOINT_EVERY, ObsConfig, active
 from repro.obs.fingerprint import (
     canon_value,
-    configured_fingerprint,
     handler_key,
     load_fingerprints,
 )
@@ -98,10 +97,10 @@ def test_config_validates_knobs():
 
 
 def test_fingerprinting_context_scopes_config():
-    assert configured_fingerprint() is None
+    assert active("fingerprint") is None
     with ObsConfig(fingerprint=True, fingerprint_every=32).activate() as obs:
-        assert configured_fingerprint() is obs
-    assert configured_fingerprint() is None
+        assert active("fingerprint") is obs
+    assert active("fingerprint") is None
 
 
 def test_obs_config_resolves_fingerprint_settings(tmp_path):
@@ -287,7 +286,7 @@ def test_parallel_shards_reconstruct_serial_combined_digest(tmp_path):
     config = ObsConfig(fingerprint=str(parallel_path), fingerprint_every=16)
     with config.activate():
         run_sweep(_fp_trial, [{}], seeds=[1, 2, 3, 4], jobs=2)
-    assert configured_fingerprint() is None
+    assert active("fingerprint") is None
 
     merged = load_fingerprints(str(parallel_path))
     assert len(merged.paths) >= 2  # per-worker shards

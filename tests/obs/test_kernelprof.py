@@ -1,6 +1,9 @@
 """Kernel profiler: the simulator hook, merging, determinism."""
 
-from repro.obs.kernelprof import KernelProfiler, active_kernel_profiler
+import json
+
+from repro.obs.config import ObsConfig, active
+from repro.obs.kernelprof import KernelProfiler
 from repro.sim.simulator import Simulator
 
 
@@ -22,12 +25,11 @@ def test_simulator_attributes_events_while_active():
     device = _Device()
     for i in range(7):
         sim.schedule(float(i), device.on_tick)
-    profiler = KernelProfiler()
-    with profiler.activate():
+    with ObsConfig(metrics=True).activate() as obs:
         sim.run()
     assert device.fired == 7
     # The run's events land on the active profiler as one run record.
-    (record,) = profiler.records
+    (record,) = obs.profiler.records
     assert record.events == 7
     assert record.sim_time_s == 6.0
     assert record.wall_s >= 0.0
@@ -37,9 +39,16 @@ def test_simulator_untouched_when_inactive():
     sim = Simulator()
     device = _Device()
     sim.schedule(0.0, device.on_tick)
-    assert active_kernel_profiler() is None
+    assert active("metrics") is None
     sim.run()
     assert device.fired == 1
+    # An activation with metrics off records nothing either.
+    sim.schedule(1.0, device.on_tick)
+    with ObsConfig().activate() as obs:
+        assert active("metrics") is None
+        sim.run()
+    assert device.fired == 2
+    assert obs.profiler.records == []
 
 
 def test_profiled_run_output_identical_to_unprofiled():
@@ -61,7 +70,7 @@ def test_profiled_run_output_identical_to_unprofiled():
         )
 
     plain = drive()
-    with KernelProfiler().activate():
+    with ObsConfig(metrics=True).activate():
         profiled = drive()
     assert profiled == plain
 
@@ -70,27 +79,29 @@ def test_profiled_run_output_identical_to_unprofiled():
 # Activation and merging
 # ----------------------------------------------------------------------
 def test_activate_nests_and_restores():
-    outer = KernelProfiler()
-    inner = KernelProfiler()
-    with outer.activate():
-        assert active_kernel_profiler() is outer
-        with inner.activate():
-            assert active_kernel_profiler() is inner
-        assert active_kernel_profiler() is outer
-    assert active_kernel_profiler() is None
+    with ObsConfig(metrics=True).activate() as outer:
+        assert active("metrics") is outer
+        with ObsConfig(metrics=True).activate() as inner:
+            assert active("metrics") is inner
+            assert inner.profiler is not outer.profiler
+        assert active("metrics") is outer
+    assert active("metrics") is None
 
 
 def test_snapshot_merge_roundtrip():
     source = KernelProfiler()
     source.record_run(wall_s=0.5, events=100, sim_time_s=2.0, peak_queue_depth=4)
     source.record_run(wall_s=0.25, events=40, sim_time_s=1.0, peak_queue_depth=9)
+    registry = Simulator().metrics
+    registry.histogram("size", buckets=(64.0, 4096.0)).observe(100.0)
+    source.watch(registry)
     snapshot = source.snapshot()
     # Snapshots must be JSON-able (they cross process boundaries).
-    import json
-
     json.dumps(snapshot)
     target = KernelProfiler()
     target.merge_snapshot(snapshot)
     target.merge_snapshot(snapshot)
     assert target.records == source.records * 2
     assert target.runs_summary()["events"] == 280
+    merged = target.registry().histogram("size", buckets=(64.0, 4096.0))
+    assert merged.counts == [0, 2, 0]

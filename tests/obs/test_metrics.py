@@ -183,28 +183,6 @@ def test_merge_snapshot_exact_bounds_roundtrip():
     assert merged.count == 1
 
 
-def test_collect_registries_scopes_creation():
-    from repro.obs.metrics import collect_registries
-
-    before = MetricsRegistry()  # outside: not collected
-    with collect_registries() as collected:
-        inside = MetricsRegistry()
-    after = MetricsRegistry()  # after: not collected
-    assert collected == [inside]
-    assert before not in collected and after not in collected
-
-
-def test_collect_registries_nests():
-    from repro.obs.metrics import collect_registries
-
-    with collect_registries() as outer:
-        first = MetricsRegistry()
-        with collect_registries() as inner:
-            second = MetricsRegistry()
-    assert outer == [first, second]  # outer sees everything in its scope
-    assert inner == [second]
-
-
 # ----------------------------------------------------------------------
 # Gauge time-weighted mean
 # ----------------------------------------------------------------------
@@ -268,16 +246,6 @@ def test_merge_snapshot_adds_time_accumulators():
     assert merged.time_weighted_mean() == pytest.approx(7.0 / 4.0)
 
 
-def test_merge_snapshot_tolerates_legacy_gauges_without_twm():
-    parent = MetricsRegistry()
-    parent.merge_snapshot(
-        {"gauges": {"queue": {"value": 2.0, "max": 5.0, "min": 0.0, "samples": 3}}}
-    )
-    gauge = parent.gauge("queue")
-    assert gauge.samples == 3
-    assert gauge.time_weighted_mean() == 0.0
-
-
 def test_render_mentions_twm_only_when_timed():
     registry = MetricsRegistry()
     registry.gauge("untimed").set(1.0)
@@ -329,30 +297,6 @@ def test_merge_timed_snapshots_all_timed_keeps_twm():
         line for line in parent.render().splitlines() if "queue" in line
     )
     assert "twm 3" in queue_line
-
-
-def test_merge_legacy_timed_snapshot_counts_samples_as_timed():
-    # Legacy snapshots (no timed_samples key) with a positive integral
-    # could only have come from all-timed sets.
-    parent = MetricsRegistry()
-    parent.merge_snapshot(
-        {
-            "gauges": {
-                "queue": {
-                    "value": 3.0,
-                    "max": 3.0,
-                    "min": 1.0,
-                    "samples": 2,
-                    "area": 4.0,
-                    "elapsed": 2.0,
-                }
-            }
-        }
-    )
-    gauge = parent.gauge("queue")
-    assert gauge.timed_samples == 2
-    assert gauge.twm_valid
-    assert gauge.time_weighted_mean() == 2.0
 
 
 def test_gauge_reset_clears_timed_samples():

@@ -1,39 +1,40 @@
-"""Unit tests for the kernel profiler's per-run records."""
+"""The run profiler: per-run records, registries, activation, merging."""
 
-from repro.obs.kernelprof import (
-    KernelProfiler,
-    RunRecord,
-    active_kernel_profiler,
-    label,
-)
+from repro.obs.config import ObsConfig, active
+from repro.obs.kernelprof import KernelProfiler, RunRecord
 from repro.sim.simulator import Simulator
 
 
+def _ticking_sim(ticks):
+    sim = Simulator()
+    for i in range(ticks):
+        sim.schedule((i + 1) / 10, lambda: None)
+    return sim
+
+
 def test_no_profiler_active_by_default():
-    assert active_kernel_profiler() is None
+    assert active("metrics") is None
 
 
 def test_activate_scopes_and_restores():
-    outer = KernelProfiler()
-    inner = KernelProfiler()
-    with outer.activate():
-        assert active_kernel_profiler() is outer
-        with inner.activate():
-            assert active_kernel_profiler() is inner
-        assert active_kernel_profiler() is outer
-    assert active_kernel_profiler() is None
+    """Runs report to the top activation's profiler only."""
+    with ObsConfig(metrics=True).activate() as outer:
+        _ticking_sim(1).run()
+        with ObsConfig(metrics=True).activate() as inner:
+            assert active("metrics") is inner
+            _ticking_sim(2).run()
+        _ticking_sim(3).run()
+    assert active("metrics") is None
+    assert [r.events for r in outer.profiler.records] == [1, 3]
+    assert [r.events for r in inner.profiler.records] == [2]
 
 
 def test_simulator_run_records_profile():
-    profiler = KernelProfiler()
-    with profiler.activate():
-        sim = Simulator()
-        for delay in (0.1, 0.2, 0.3):
-            sim.schedule(delay, lambda: None)
-        with label("trial"):
+    with ObsConfig(metrics=True).activate() as obs:
+        sim = _ticking_sim(3)
+        with obs.profiler.labelled("trial"):
             sim.run()
-    assert len(profiler.records) == 1
-    record = profiler.records[0]
+    (record,) = obs.profiler.records
     assert record.label == "trial"
     assert record.events == 3
     assert record.sim_time_s == 0.3
@@ -41,23 +42,36 @@ def test_simulator_run_records_profile():
     assert record.wall_s >= 0.0
 
 
+def test_profiler_merges_registries_of_simulators_built_under_it():
+    before = Simulator()  # built outside: not watched
+    with ObsConfig(metrics=True).activate() as obs:
+        first, second = Simulator(), Simulator()
+    after = Simulator()  # built after: not watched
+    for sim, amount in ((before, 100), (first, 1), (second, 2), (after, 1000)):
+        sim.metrics.counter("x").inc(amount)
+    assert obs.profiler.registry().counter("x").value == 3
+
+
 def test_run_only_profiler_does_not_request_handler_profiling():
-    """An active profiler shapes no trial result, so it leaves the
-    campaign store's observability tags (and trial keys) untouched."""
+    """Profiling shapes no trial result, so it leaves the campaign
+    store's observability tags (and trial keys) untouched."""
     from repro.experiments.store import observability_tags
 
     assert observability_tags() == ()
-    with KernelProfiler().activate():
+    with ObsConfig(metrics=True).activate():
         assert observability_tags() == ()
 
 
 def test_labels_nest():
-    profiler = KernelProfiler()
-    with profiler.activate(), label("fig4"), label("seed 1"):
-        sim = Simulator()
-        sim.schedule(0.1, lambda: None)
-        sim.run()
-    assert profiler.records[0].label == "fig4 / seed 1"
+    """An inner label replaces the outer one and restores it on exit."""
+    with ObsConfig(metrics=True).activate() as obs:
+        profiler = obs.profiler
+        with profiler.labelled("fig4"):
+            with profiler.labelled("seed 1"):
+                _ticking_sim(1).run()
+            _ticking_sim(1).run()
+        _ticking_sim(1).run()
+    assert [r.label for r in profiler.records] == ["seed 1", "fig4", "run"]
 
 
 def test_summary_and_render():
@@ -84,18 +98,21 @@ def test_events_per_s_handles_zero_wall():
 
 
 def test_extend_folds_foreign_records():
-    """Worker processes return their records in a snapshot; the parent
-    folds them into its own profiler with merge_snapshot()."""
-    worker = KernelProfiler()
-    with worker.activate():
-        sim = Simulator()
-        sim.schedule(0.1, lambda: None)
-        with label("worker trial"):
+    """A worker drains its profiler after each trial; the parent folds
+    the snapshot's run records and registry into its own profiler."""
+    with ObsConfig(metrics=True).activate() as worker:
+        sim = _ticking_sim(1)
+        sim.metrics.counter("net.frames_sent").inc(5)
+        with worker.profiler.labelled("worker trial"):
             sim.run()
+        records = list(worker.profiler.records)
+        snapshot = worker.profiler.drain()
+    # Drained: the next trial starts from nothing.
+    assert worker.profiler.records == []
+    assert worker.profiler.registry().snapshot()["counters"] == {}
     parent = KernelProfiler()
-    with parent.activate():
-        pass
-    parent.merge_snapshot(worker.snapshot())
+    parent.merge_snapshot(snapshot)
     assert [r.label for r in parent.records] == ["worker trial"]
-    assert parent.records[0].events == 1
-    assert parent.records == worker.records
+    assert parent.records == records
+    assert parent.registry().counter("net.frames_sent").value == 5
+

@@ -20,14 +20,17 @@ from repro.experiments.figures.common import (
     pdd_experiment,
 )
 from repro.experiments.scenario import build_grid_scenario
-from repro.obs.config import DEFAULT_INTERVAL_S, DEFAULT_KEYFRAME_EVERY, ObsConfig
+from repro.obs.config import (
+    DEFAULT_INTERVAL_S,
+    DEFAULT_KEYFRAME_EVERY,
+    ObsConfig,
+    active,
+)
 from repro.obs.durable import DurableJsonlWriter
-from repro.obs.fingerprint import configured_fingerprint
 from repro.obs.recorder import (
     SEP,
     FlightRecorder,
     capture_network_state,
-    configured_recording,
     flatten_state,
     unflatten_state,
 )
@@ -67,13 +70,13 @@ def test_recording_config_validates():
 
 
 def test_recording_context_scopes_config():
-    assert configured_recording() is None
+    assert active("timeline") is None
     config = ObsConfig(timeline=True, timeline_interval=0.5, keyframe_every=3)
     with config.activate() as obs:
-        assert configured_recording() is obs
+        assert active("timeline") is obs
         assert obs.config.interval_s == 0.5
         assert obs.config.keyframe_cadence == 3
-    assert configured_recording() is None
+    assert active("timeline") is None
 
 
 def test_obs_config_resolves_timeline_cadence(tmp_path):
@@ -115,10 +118,10 @@ def test_activate_shadows_ambient_config(tmp_path):
     with ObsConfig(timeline=str(tmp_path / "tl.jsonl")).activate() as outer:
         with ObsConfig(fingerprint=True).activate() as inner:
             # The inner config replaces the outer one; it never merges.
-            assert configured_recording() is None
-            assert configured_fingerprint() is inner
-        assert configured_recording() is outer
-        assert configured_fingerprint() is None
+            assert active("timeline") is None
+            assert active("fingerprint") is inner
+        assert active("timeline") is outer
+        assert active("fingerprint") is None
 
 
 def test_reshard_renames_path(tmp_path):

@@ -8,8 +8,6 @@ from repro.obs.trace import (
     RingBufferSink,
     TraceBus,
     TraceEvent,
-    global_sink,
-    global_sinks,
     read_jsonl,
 )
 from repro.sim.simulator import Simulator
@@ -99,16 +97,16 @@ def test_ring_buffer_keeps_most_recent():
     assert [e.fields["i"] for e in sink.events] == [7, 8, 9]
 
 
-def test_global_sink_attaches_to_new_simulators():
-    captured = ListSink()
-    with global_sink(captured):
-        assert captured in global_sinks()
+def test_config_trace_sink_attaches_to_new_simulators(tmp_path):
+    from repro.obs.config import ObsConfig
+
+    path = tmp_path / "t.jsonl"
+    with ObsConfig(trace=str(path)).activate():
         sim = Simulator()
         assert sim.trace.enabled is True
         sim.schedule(0.1, lambda: sim.trace.emit("tick"))
         sim.run()
-    assert captured not in global_sinks()
-    assert any(e.kind == "tick" for e in captured.events)
+    assert any(e["kind"] == "tick" for e in read_jsonl(str(path)))
     # simulators created after the scope closes are not attached
     assert Simulator().trace.enabled is False
 

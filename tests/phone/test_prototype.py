@@ -128,3 +128,15 @@ def test_deterministic_per_seed():
     b = run("bucket", seed=5)
     assert a.received == b.received
     assert a.committed == b.committed
+
+
+def test_network_counters_land_in_the_simulator_registry():
+    """``--metrics`` sees fig3's ``net.*`` counters through the
+    simulator's own registry, the one the profiler watches."""
+    from repro.obs.config import ObsConfig
+
+    with ObsConfig(metrics=True).activate() as obs:
+        result = run("bucket_ack", packets=200)
+    registry = obs.profiler.registry()
+    assert result.stats.frames_sent > 0
+    assert registry.counter("net.frames_sent").value == result.stats.frames_sent

@@ -7,28 +7,20 @@ run profiling together change nothing either sees alone, and nothing
 the simulation computes.
 """
 
-from contextlib import ExitStack
-
 from repro.experiments.figures.common import pdd_experiment
 from repro.obs.config import ObsConfig
-from repro.obs.kernelprof import KernelProfiler
 
 _CKPT_FIELDS = ("i", "digest", "t", "seq", "h")
 
 
 def _drive(fingerprint: bool, profile: bool):
     """Run one small grid PDD scenario under the requested instruments."""
-    kernel = KernelProfiler() if profile else None
-    with ExitStack() as stack:
-        obs = (
-            stack.enter_context(
-                ObsConfig(fingerprint=True, fingerprint_every=64).activate()
-            )
-            if fingerprint
-            else None
-        )
-        if kernel is not None:
-            stack.enter_context(kernel.activate())
+    config = ObsConfig(
+        fingerprint=True if fingerprint else None,
+        fingerprint_every=64 if fingerprint else None,
+        metrics=profile,
+    )
+    with config.activate() as obs:
         outcome = pdd_experiment(seed=3, rows=4, cols=4, metadata_count=30)
     first = outcome.first
     sim = outcome.scenario.sim
@@ -42,7 +34,7 @@ def _drive(fingerprint: bool, profile: bool):
         sim.now,
     )
     streams = None
-    if obs is not None:
+    if fingerprint:
         # Run ids come from a process-wide counter, so compare the
         # chained digests and checkpoint contents, not the ids.
         streams = [
@@ -56,9 +48,10 @@ def _drive(fingerprint: bool, profile: bool):
             )
             for stream in obs.streams
         ]
-    if kernel is not None:
+    if profile:
         # Every processed event is on exactly one run record.
-        assert sum(r.events for r in kernel.records) == sim.events_processed
+        records = obs.profiler.records
+        assert sum(r.events for r in records) == sim.events_processed
     return outputs, streams
 
 
