@@ -11,31 +11,30 @@ The filter supports the operations the protocol needs:
 Bloom filters guarantee no false negatives; false positives occur at a
 controlled rate.  Property tests in ``tests/bloom`` verify both.
 
-The bit array is a single Python ``int`` bitmask: insert is one ``|=`` of
-the key's precomputed probe mask, membership one subset test, union one
-``|`` — all C-speed big-int operations instead of a per-probe Python loop.
-Bit ``i`` of the int is bit ``i`` of the filter, i.e. byte ``i // 8`` bit
-``i % 8`` of the little-endian serialized array, so wire bytes are
-unchanged from the historical ``bytearray`` implementation bit for bit
-(``tests/bloom`` proves equivalence against a bytearray reference).
+The bit array is a ``bytearray``: bit ``i`` is byte ``i // 8`` bit
+``i % 8``, which is exactly the wire layout of :meth:`BloomFilter.to_bytes`.
+Insert and membership test the key's ``k`` memoized probe positions
+(:func:`repro.bloom.hashing.probes`) one byte at a time; membership stops
+at the first clear bit.  ``copy`` clones the buffer and ``union_update``
+ORs two buffers, so no two filters ever share one (``tests/bloom`` checks
+each path for aliasing and proves equivalence against a bytearray
+reference).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.bloom.hashing import bit_mask, indexes  # noqa: F401  (indexes: reference API)
+from repro.bloom.hashing import probes
 from repro.bloom.sizing import (
     DEFAULT_FALSE_POSITIVE_RATE,
     optimal_parameters,
 )
 from repro.errors import ConfigurationError
 
-try:
-    _popcount = int.bit_count  # Python >= 3.10
-except AttributeError:  # pragma: no cover - older interpreters
-    def _popcount(value: int) -> int:
-        return bin(value).count("1")
+
+def _popcount(data: bytearray) -> int:
+    return bin(int.from_bytes(data, "little")).count("1")
 
 
 class BloomFilter:
@@ -48,7 +47,7 @@ class BloomFilter:
     upper bound otherwise, since ``|A ∪ B| <= |A| + |B|``).
     """
 
-    __slots__ = ("m_bits", "k_hashes", "seed", "_int", "count")
+    __slots__ = ("m_bits", "k_hashes", "seed", "_buf", "count")
 
     def __init__(self, m_bits: int, k_hashes: int, seed: int = 0) -> None:
         if m_bits <= 0:
@@ -58,7 +57,7 @@ class BloomFilter:
         self.m_bits = m_bits
         self.k_hashes = k_hashes
         self.seed = seed
-        self._int = 0
+        self._buf = bytearray((m_bits + 7) // 8)
         #: Upper bound on distinct keys inserted (see class docstring).
         self.count = 0
 
@@ -87,17 +86,24 @@ class BloomFilter:
             True if the filter changed (the key was not already present);
             only such inserts bump ``count``.
         """
-        mask = bit_mask(key, self.seed, self.k_hashes, self.m_bits)
-        bits = self._int
-        if bits & mask == mask:
-            return False
-        self._int = bits | mask
-        self.count += 1
-        return True
+        buf = self._buf
+        changed = False
+        for index in probes(key, self.seed, self.k_hashes, self.m_bits):
+            byte = index >> 3
+            bit = 1 << (index & 7)
+            if not buf[byte] & bit:
+                buf[byte] |= bit
+                changed = True
+        if changed:
+            self.count += 1
+        return changed
 
     def __contains__(self, key: bytes) -> bool:
-        mask = bit_mask(key, self.seed, self.k_hashes, self.m_bits)
-        return self._int & mask == mask
+        buf = self._buf
+        for index in probes(key, self.seed, self.k_hashes, self.m_bits):
+            if not buf[index >> 3] >> (index & 7) & 1:
+                return False
+        return True
 
     def insert_all(self, keys: Iterable[bytes]) -> None:
         """Add every key in ``keys``."""
@@ -120,13 +126,16 @@ class BloomFilter:
             or other.seed != self.seed
         ):
             raise ConfigurationError("cannot union Bloom filters of different geometry")
-        self._int |= other._int
+        merged = int.from_bytes(self._buf, "little") | int.from_bytes(
+            other._buf, "little"
+        )
+        self._buf[:] = merged.to_bytes(len(self._buf), "little")
         self.count += other.count
 
     def copy(self) -> "BloomFilter":
         """An independent copy."""
         clone = BloomFilter(self.m_bits, self.k_hashes, self.seed)
-        clone._int = self._int
+        clone._buf = bytearray(self._buf)
         clone.count = self.count
         return clone
 
@@ -135,20 +144,30 @@ class BloomFilter:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """The bit array as wire bytes (bit ``i`` → byte ``i//8`` bit ``i%8``)."""
-        return self._int.to_bytes((self.m_bits + 7) // 8, "little")
+        return bytes(self._buf)
 
     def load_bytes(self, data: bytes) -> None:
-        """Restore the bit array from :meth:`to_bytes` output."""
-        self._int = int.from_bytes(data, "little")
+        """Restore the bit array from :meth:`to_bytes` output (copied, so
+        the filter never aliases the caller's buffer).
+
+        Raises:
+            ConfigurationError: if ``data`` is not ``(m_bits + 7) // 8``
+                bytes long.
+        """
+        if len(data) != len(self._buf):
+            raise ConfigurationError(
+                f"expected {len(self._buf)} filter bytes, got {len(data)}"
+            )
+        self._buf = bytearray(data)
 
     @property
     def _bits(self) -> bytearray:
         """Legacy ``bytearray`` view of the bit array (compatibility)."""
-        return bytearray(self.to_bytes())
+        return bytearray(self._buf)
 
     @_bits.setter
     def _bits(self, value) -> None:
-        self.load_bytes(bytes(value))
+        self.load_bytes(value)
 
     # ------------------------------------------------------------------
     def wire_size(self) -> int:
@@ -189,11 +208,11 @@ class BloomFilter:
         stays truthful after unions and duplicate inserts, where any
         count-based analytic estimate misreports.
         """
-        return (_popcount(self._int) / self.m_bits) ** self.k_hashes
+        return (_popcount(self._buf) / self.m_bits) ** self.k_hashes
 
     def fill_ratio(self) -> float:
         """Fraction of bits set (diagnostic)."""
-        return _popcount(self._int) / self.m_bits
+        return _popcount(self._buf) / self.m_bits
 
     def __repr__(self) -> str:
         return (

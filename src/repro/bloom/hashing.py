@@ -8,13 +8,14 @@ simulation run), where the *seed* selects the hash family — this is how
 PDS varies hash functions across discovery rounds so Bloom-filter false
 positives decay geometrically (§V-3).
 
-Hot paths use :func:`bit_mask`, which batches the ``k`` probes of a key
-into one integer bitmask (bit ``i`` of the mask set ⇔ bit position ``i``
-of the filter probed).  Insert is then a single ``|=`` and membership a
-single subset test on the filter's int-backed bit array, and the mask is
-memoized per ``(key, seed, k, m)`` so re-probing a key costs one dict hit.
-:func:`indexes` remains as the one-probe-at-a-time reference; the two are
-definitionally identical.
+Hot paths use :func:`probes`, the ``k`` probe positions of a key as one
+tuple, memoized per ``(key, seed, k, m)`` so re-probing a key costs one
+dict hit plus ``k`` byte tests on the filter's ``bytearray``.  The memo
+holds positions, not a filter-wide bitmask: a tuple of ``k`` small ints
+is ~100 bytes however wide the filter is (a mask would be up to 4 KB per
+key at ``m = 32,768``), and a tuple is immutable, so the cache can hand
+the same one to every caller.  :func:`indexes` remains as the
+one-probe-at-a-time reference; the two are definitionally identical.
 """
 
 from __future__ import annotations
@@ -49,14 +50,9 @@ def indexes(data: bytes, seed: int, k: int, m: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=1 << 17)
-def bit_mask(data: bytes, seed: int, k: int, m: int) -> int:
-    """The ``k`` probe positions of ``data`` as one integer bitmask.
+def probes(data: bytes, seed: int, k: int, m: int) -> tuple:
+    """The ``k`` bit positions of ``data`` as a tuple.
 
-    Exactly ``{1 << i for i in indexes(data, seed, k, m)}`` OR-ed together
-    (duplicate probe positions collapse, as they do in the bit array).
+    Exactly ``tuple(indexes(data, seed, k, m))``, memoized.
     """
-    h1, h2 = _base_hashes(data, seed)
-    mask = 0
-    for i in range(k):
-        mask |= 1 << ((h1 + i * h2) % m)
-    return mask
+    return tuple(indexes(data, seed, k, m))

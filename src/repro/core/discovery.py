@@ -369,8 +369,7 @@ class DiscoveryEngine:
             return
 
         # {DS Lookup} — opportunistic caching, also for overheard frames.
-        for descriptor in response.entries:
-            device.cache_metadata(descriptor)
+        device.cache_metadata(response.entries)
         for chunk in response.payloads:
             # Payloads this node's own session asked for are pinned so a
             # bounded cache policy cannot evict data mid-collection.

@@ -228,8 +228,7 @@ class InterestEngine:
         device = self.device
         if self.recent.seen_before(data.message_id):
             return
-        for descriptor in data.entries:
-            device.cache_metadata(descriptor)
+        device.cache_metadata(data.entries)
         if not addressed:
             return
         entry = self.pit.get(data.interest_id)

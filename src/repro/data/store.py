@@ -10,11 +10,21 @@ The store holds:
 
 Expiration is lazy: expired entries are purged whenever the store is read,
 driven by a caller-supplied clock function so the store stays decoupled from
-the simulator.
+the simulator.  The store keeps a lower bound on the earliest expiry of any
+payload-less entry (lowered whenever an expiry is set, recomputed after
+every scan), so a read before that bound skips the scan.  Only purges that
+would delete nothing are skipped, so purge timing — and with it the table's
+insertion order, which decides how responses are packed — is exactly that
+of a scan on every read.
+
+Overheard entries arrive a response at a time, so
+:meth:`DataStore.insert_metadata` takes a batch: one clock read, and the new
+descriptors back in order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -58,38 +68,48 @@ class DataStore:
         self.metadata_ttl = metadata_ttl
         self._metadata: Dict[DataDescriptor, MetadataRecord] = {}
         self._chunks: Dict[DataDescriptor, Chunk] = {}
+        #: Lower bound on every payload-less record's ``expires_at``; no
+        #: record can expire while the clock reads less than this.
+        self._next_expiry = math.inf
 
     # ------------------------------------------------------------------
     # Metadata
     # ------------------------------------------------------------------
     def insert_metadata(
         self,
-        descriptor: DataDescriptor,
+        descriptors: Iterable[DataDescriptor],
         has_payload: bool = False,
-    ) -> bool:
-        """Insert or refresh a metadata entry.
+    ) -> List[DataDescriptor]:
+        """Insert or refresh metadata entries, in order.
 
         Returns:
-            True if the entry was new (not previously present and live).
+            The descriptors that were new (not previously present and
+            live), in insertion order.
         """
         now = self._clock()
-        record = self._metadata.get(descriptor)
-        is_new = record is None or record.expired(now)
         expires_at = None
         if not has_payload and self.metadata_ttl is not None:
             expires_at = now + self.metadata_ttl
-        if record is not None and not record.expired(now):
-            # Upgrade: once payload is present, the entry no longer expires.
-            record.has_payload = record.has_payload or has_payload
-            if record.has_payload:
+            if expires_at < self._next_expiry:
+                self._next_expiry = expires_at
+        table = self._metadata
+        new: List[DataDescriptor] = []
+        for descriptor in descriptors:
+            record = table.get(descriptor)
+            if record is None or record.expired(now):
+                # An expired, unpurged record is replaced in place and
+                # keeps its slot in the table's order.
+                table[descriptor] = MetadataRecord(
+                    descriptor, has_payload, expires_at
+                )
+                new.append(descriptor)
+            elif has_payload or record.has_payload:
+                # Upgrade: once payload is present, the entry no longer expires.
+                record.has_payload = True
                 record.expires_at = None
             else:
                 record.expires_at = expires_at
-        else:
-            self._metadata[descriptor] = MetadataRecord(
-                descriptor, has_payload, expires_at
-            )
-        return is_new
+        return new
 
     def has_metadata(self, descriptor: DataDescriptor) -> bool:
         """Whether a live metadata entry for ``descriptor`` exists."""
@@ -104,6 +124,8 @@ class DataStore:
     def match_metadata(self, spec: QuerySpec) -> List[DataDescriptor]:
         """All live metadata descriptors satisfying ``spec``."""
         self._purge_expired()
+        if not spec:
+            return list(self._metadata)
         return [d for d in self._metadata if spec.matches(d)]
 
     def all_metadata(self) -> List[DataDescriptor]:
@@ -122,9 +144,19 @@ class DataStore:
 
     def _purge_expired(self) -> None:
         now = self._clock()
+        if now < self._next_expiry:
+            return
         expired = [d for d, record in self._metadata.items() if record.expired(now)]
         for descriptor in expired:
             del self._metadata[descriptor]
+        self._next_expiry = min(
+            (
+                record.expires_at
+                for record in self._metadata.values()
+                if not record.has_payload and record.expires_at is not None
+            ),
+            default=math.inf,
+        )
 
     # ------------------------------------------------------------------
     # Chunks
@@ -139,8 +171,9 @@ class DataStore:
         self._chunks[chunk.descriptor] = chunk
         # Holding any chunk of an item keeps the item's metadata alive
         # ("a metadata entry exists as long as ... any chunk ... exists").
-        self.insert_metadata(chunk.item_descriptor, has_payload=True)
-        self.insert_metadata(chunk.descriptor, has_payload=True)
+        self.insert_metadata(
+            (chunk.item_descriptor, chunk.descriptor), has_payload=True
+        )
         return is_new
 
     def has_chunk(self, descriptor: DataDescriptor) -> bool:

@@ -10,7 +10,7 @@ hooks used by sessions and metrics.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.core.cdi import CdiTable
 from repro.core.discovery import DiscoveryEngine
@@ -114,20 +114,27 @@ class Device:
         interest (pure discovery experiments).  Newly produced data is
         pushed to any matching lingering queries (subscriptions).
         """
-        is_new = self.store.insert_metadata(descriptor, has_payload=True)
-        if is_new:
+        if self.store.insert_metadata((descriptor,), has_payload=True):
             self.discovery.on_local_data(descriptor)
 
     # ------------------------------------------------------------------
     # Caching (shared by engines; fires listeners on novelty)
     # ------------------------------------------------------------------
-    def cache_metadata(self, descriptor: DataDescriptor) -> bool:
-        """Opportunistically cache a metadata entry heard on the air."""
-        is_new = self.store.insert_metadata(descriptor, has_payload=False)
-        if is_new:
-            for listener in self.metadata_listeners:
-                listener(descriptor)
-        return is_new
+    def cache_metadata(
+        self, descriptors: Iterable[DataDescriptor]
+    ) -> List[DataDescriptor]:
+        """Opportunistically cache metadata entries heard on the air.
+
+        Listeners fire for each new entry, in the order given; the new
+        entries are returned in that order.
+        """
+        new = self.store.insert_metadata(descriptors, has_payload=False)
+        listeners = self.metadata_listeners
+        if listeners:
+            for descriptor in new:
+                for listener in listeners:
+                    listener(descriptor)
+        return new
 
     def cache_chunk(self, chunk: Chunk, pin: bool = False) -> bool:
         """Opportunistically cache a chunk payload heard on the air.
@@ -227,4 +234,7 @@ class Device:
         self.face.shutdown()
 
     def __repr__(self) -> str:
-        return f"Device(id={self.node_id}, metadata={self.store.metadata_count()})"
+        # The raw table length: a repr must never purge (purge timing
+        # decides the store's order, hence response packing).
+        metadata = self.store.observe_state()["metadata"]
+        return f"Device(id={self.node_id}, metadata={metadata})"

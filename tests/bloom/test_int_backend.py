@@ -1,12 +1,13 @@
-"""The int-backed Bloom filter must match a bytearray reference bit for
-bit, and ``count`` must behave as an upper bound on distinct keys."""
+"""The Bloom filter must match a probe-at-a-time bytearray reference bit
+for bit, ``count`` must behave as an upper bound on distinct keys, and no
+two filters may share a buffer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom.bloom_filter import BloomFilter
-from repro.bloom.hashing import bit_mask, indexes
+from repro.bloom.hashing import indexes, probes
 from repro.errors import ConfigurationError
 
 keys = st.lists(st.binary(min_size=1, max_size=24), min_size=0, max_size=50)
@@ -18,7 +19,7 @@ geometry = st.tuples(
 
 
 class ByteArrayReference:
-    """The historical bytearray implementation, kept as an oracle."""
+    """A probe-at-a-time bytearray implementation, kept as an oracle."""
 
     def __init__(self, m_bits, k_hashes, seed):
         self.m_bits = m_bits
@@ -90,12 +91,10 @@ def test_union_matches_bytearray_reference(geom, left_keys, right_keys):
 
 @given(st.binary(min_size=1, max_size=24), geometry)
 @settings(max_examples=60, deadline=None)
-def test_bit_mask_is_indexes_folded(key, geom):
+def test_probes_are_indexes(key, geom):
     m_bits, k_hashes, seed = geom
-    expected = 0
-    for index in indexes(key, seed, k_hashes, m_bits):
-        expected |= 1 << index
-    assert bit_mask(key, seed, k_hashes, m_bits) == expected
+    expected = tuple(indexes(key, seed, k_hashes, m_bits))
+    assert probes(key, seed, k_hashes, m_bits) == expected
 
 
 # ----------------------------------------------------------------------
@@ -162,3 +161,67 @@ def test_legacy_bits_view_round_trips():
     other._bits = view
     assert other.to_bytes() == bloom.to_bytes()
     assert b"alpha" in other
+
+
+def test_legacy_bits_setter_copies():
+    bloom = BloomFilter(64, 3, seed=5)
+    view = bytearray(8)
+    bloom._bits = view
+    bloom.insert(b"alpha")
+    assert view == bytearray(8)
+
+
+# ----------------------------------------------------------------------
+# buffer aliasing: the bit array is mutable, so every path that builds
+# one filter from another must copy it
+# ----------------------------------------------------------------------
+def test_insert_into_copy_leaves_original_unchanged():
+    original = BloomFilter(256, 4, seed=1)
+    original.insert(b"shared")
+    before = original.to_bytes()
+    clone = original.copy()
+    clone.insert(b"only-clone")
+    assert original.to_bytes() == before
+    assert b"only-clone" not in original
+    assert original.count == 1
+    original.insert(b"only-original")
+    assert b"only-original" not in clone
+
+
+def test_trace_fields_source_is_not_aliased():
+    source = BloomFilter(256, 4, seed=3)
+    source.insert(b"x")
+    before = source.to_bytes()
+    rebuilt = BloomFilter.from_trace_fields(source.trace_fields())
+    rebuilt.insert(b"y")
+    assert source.to_bytes() == before
+    assert b"y" not in source
+
+
+def test_load_bytes_source_is_not_aliased():
+    data = bytearray(BloomFilter(256, 4, seed=3).to_bytes())
+    bloom = BloomFilter(256, 4, seed=3)
+    bloom.load_bytes(data)
+    bloom.insert(b"y")
+    assert data == bytearray(32)
+    after = bloom.to_bytes()
+    data[0] = 0xFF
+    assert bloom.to_bytes() == after
+
+
+def test_load_bytes_rejects_wrong_length():
+    with pytest.raises(ConfigurationError):
+        BloomFilter(256, 4).load_bytes(bytes(31))
+
+
+def test_union_operand_is_not_aliased():
+    left = BloomFilter(256, 4, seed=1)
+    right = BloomFilter(256, 4, seed=1)
+    right.insert(b"right")
+    right_before = right.to_bytes()
+    left.union_update(right)
+    left.insert(b"left-after-union")
+    assert right.to_bytes() == right_before
+    assert b"left-after-union" not in right
+    right.insert(b"right-after-union")
+    assert b"right-after-union" not in left

@@ -9,6 +9,7 @@ from repro.core.messages import (
 from repro.data.descriptor import make_descriptor
 from repro.data.item import make_item
 from repro.data.predicate import QuerySpec
+from repro.node.config import DeviceConfig, ProtocolConfig
 
 from tests.helpers import line_positions, make_net
 
@@ -31,9 +32,41 @@ def test_metadata_listener_fires_once_per_new_entry():
     device = net.devices[0]
     seen = []
     device.metadata_listeners.append(seen.append)
-    assert device.cache_metadata(sample()) is True
-    assert device.cache_metadata(sample()) is False
+    assert device.cache_metadata([sample()]) == [sample()]
+    assert device.cache_metadata([sample()]) == []
     assert len(seen) == 1
+
+
+def test_metadata_listener_fires_in_response_order():
+    net = make_net(line_positions(1))
+    device = net.devices[0]
+    seen = []
+    device.metadata_listeners.append(seen.append)
+    device.cache_metadata([sample(1)])
+    batch = [sample(3), sample(1), sample(2), sample(3)]
+    assert device.cache_metadata(batch) == [sample(3), sample(2)]
+    assert seen == [sample(1), sample(3), sample(2)]
+
+
+def test_repr_does_not_purge_the_store():
+    """Printing a device must not change later match order: the repr
+    reads the raw table length instead of purging expired entries."""
+    orders = []
+    for print_device in (False, True):
+        config = DeviceConfig(protocol=ProtocolConfig(metadata_ttl_s=10.0))
+        net = make_net(line_positions(1), device_config=config)
+        device = net.devices[0]
+        a, b = sample(1), sample(2)
+        device.cache_metadata([a])
+        net.sim.run(until=5.0)
+        device.cache_metadata([b])
+        net.sim.run(until=11.0)
+        if print_device:
+            assert repr(device) == "Device(id=0, metadata=2)"
+        device.cache_metadata([a])
+        orders.append(device.store.match_metadata(QuerySpec()))
+    assert orders[0] == [a, b]
+    assert orders[1] == orders[0]
 
 
 def test_chunk_listener_fires_once_per_new_chunk():

@@ -125,6 +125,35 @@ def test_en_route_rewriting_prevents_downstream_duplicates():
     assert carried.count(shared) == 1
 
 
+def test_forwarded_filter_never_aliases_lqt_entry():
+    """A relay forwards a copy of its LQT entry's filter: later inserts on
+    either side must not write through to the other, nor to the filter
+    the next hop lingers with."""
+    net = make_net(line_positions(3))
+    net.devices[1].add_metadata(sample(7))
+    queries = spy_transmissions(net, kinds={"query"})
+    issued = net.devices[0].discovery.issue_query(
+        QuerySpec(), BloomFilter.for_capacity(100)
+    )
+    net.sim.run(until=2.0)
+    # Retransmissions of the one forwarded query carry the same payload.
+    (forwarded,) = {id(f.payload): f.payload for f in queries if f.sender == 1}.values()
+    entry = net.devices[1].discovery.lqt.get(issued.message_id)
+    downstream = net.devices[2].discovery.lqt.get(issued.message_id)
+    assert sample(7).stable_key() in entry.bloom
+    assert forwarded.bloom.to_bytes() == entry.bloom.to_bytes()
+    entry_before = entry.bloom.to_bytes()
+    downstream_before = downstream.bloom.to_bytes()
+    forwarded.bloom.insert(b"forwarded-only")
+    assert entry.bloom.to_bytes() == entry_before
+    assert downstream.bloom.to_bytes() == downstream_before
+    forwarded_before = forwarded.bloom.to_bytes()
+    entry.bloom.insert(b"relay-only")
+    assert forwarded.bloom.to_bytes() == forwarded_before
+    assert downstream.bloom.to_bytes() == downstream_before
+    assert issued.bloom.to_bytes() != entry.bloom.to_bytes()
+
+
 def test_mixedcast_single_transmission_serves_two_consumers():
     """Two lingering queries at one relay: a passing response is forwarded
     as ONE message whose receiver list covers both upstreams (mixedcast)."""

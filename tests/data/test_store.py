@@ -26,21 +26,21 @@ def sample(i=0):
 def test_insert_metadata_reports_novelty():
     store, _ = make_store()
     d = sample()
-    assert store.insert_metadata(d) is True
-    assert store.insert_metadata(d) is False
+    assert store.insert_metadata([d]) == [d]
+    assert store.insert_metadata([d]) == []
 
 
 def test_has_metadata():
     store, _ = make_store()
     assert not store.has_metadata(sample())
-    store.insert_metadata(sample())
+    store.insert_metadata([sample()])
     assert store.has_metadata(sample())
 
 
 def test_match_metadata_by_spec():
     store, _ = make_store()
-    store.insert_metadata(make_descriptor("env", "nox"))
-    store.insert_metadata(make_descriptor("env", "pm25"))
+    store.insert_metadata([make_descriptor("env", "nox")])
+    store.insert_metadata([make_descriptor("env", "pm25")])
     matches = store.match_metadata(QuerySpec([eq("data_type", "nox")]))
     assert len(matches) == 1
     assert matches[0].get("data_type") == "nox"
@@ -48,7 +48,7 @@ def test_match_metadata_by_spec():
 
 def test_cached_entry_expires_without_payload():
     store, clock = make_store(ttl=10.0)
-    store.insert_metadata(sample(), has_payload=False)
+    store.insert_metadata([sample()], has_payload=False)
     clock.now = 9.9
     assert store.has_metadata(sample())
     clock.now = 10.0
@@ -58,7 +58,7 @@ def test_cached_entry_expires_without_payload():
 
 def test_entry_with_payload_never_expires():
     store, clock = make_store(ttl=10.0)
-    store.insert_metadata(sample(), has_payload=True)
+    store.insert_metadata([sample()], has_payload=True)
     clock.now = 1000.0
     assert store.has_metadata(sample())
 
@@ -66,18 +66,18 @@ def test_entry_with_payload_never_expires():
 def test_payload_arrival_upgrades_entry():
     """§II-C: the node removes the entry only if payload never arrived."""
     store, clock = make_store(ttl=10.0)
-    store.insert_metadata(sample(), has_payload=False)
+    store.insert_metadata([sample()], has_payload=False)
     clock.now = 5.0
-    store.insert_metadata(sample(), has_payload=True)
+    store.insert_metadata([sample()], has_payload=True)
     clock.now = 1000.0
     assert store.has_metadata(sample())
 
 
 def test_reinsert_without_payload_refreshes_ttl():
     store, clock = make_store(ttl=10.0)
-    store.insert_metadata(sample())
+    store.insert_metadata([sample()])
     clock.now = 8.0
-    store.insert_metadata(sample())
+    store.insert_metadata([sample()])
     clock.now = 15.0
     assert store.has_metadata(sample())
     clock.now = 18.0
@@ -86,14 +86,14 @@ def test_reinsert_without_payload_refreshes_ttl():
 
 def test_expired_entry_reinserted_counts_as_new():
     store, clock = make_store(ttl=10.0)
-    store.insert_metadata(sample())
+    store.insert_metadata([sample()])
     clock.now = 20.0
-    assert store.insert_metadata(sample()) is True
+    assert store.insert_metadata([sample()]) == [sample()]
 
 
 def test_remove_metadata():
     store, _ = make_store()
-    store.insert_metadata(sample())
+    store.insert_metadata([sample()])
     store.remove_metadata(sample())
     assert not store.has_metadata(sample())
 
@@ -167,6 +167,6 @@ def test_stored_bytes():
 def test_all_metadata_and_count():
     store, _ = make_store()
     for i in range(5):
-        store.insert_metadata(sample(i))
+        store.insert_metadata([sample(i)])
     assert store.metadata_count() == 5
     assert len(store.all_metadata()) == 5
