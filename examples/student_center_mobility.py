@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro import DiscoverySession
 from repro.experiments import build_campus_scenario, distribute_metadata, generate_metadata
 from repro.mobility import STUDENT_CENTER
-from repro.net import energy_report
 
 
 def main() -> None:
@@ -54,14 +53,6 @@ def main() -> None:
     )
     print(f"message overhead: {scenario.stats.bytes_sent / 1e6:.2f} MB")
 
-    report = energy_report(scenario.stats, duration_s=scenario.sim.now)
-    print(
-        f"energy: {report.total_j:.0f} J total over {report.duration_s:.0f}s "
-        f"({report.mean_j:.0f} J/device; idle listening dominates at this "
-        f"traffic level — the duty-cycling concern of §VII)"
-    )
-    busiest = report.top_consumers(1)[0]
-    print(f"busiest device: node {busiest[0]} at {busiest[1]:.0f} J")
     print(
         "\nNote: entries held only by people who left before the query are\n"
         "unreachable by design — data walks away with its owner unless a\n"

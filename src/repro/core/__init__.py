@@ -28,7 +28,6 @@ from repro.core.messages import (
     next_message_id,
 )
 from repro.core.retrieval import CdiEngine, ChunkEngine
-from repro.core.subscription import SubscriptionSession
 from repro.core.rounds import RoundConfig, RoundController
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "RoundConfig",
     "RoundController",
     "SessionResult",
-    "SubscriptionSession",
     "assign_chunks",
     "max_load",
     "next_message_id",

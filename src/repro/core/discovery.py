@@ -135,8 +135,6 @@ class DiscoveryEngine:
         # {Receiver Check} — overhearers respond but do not relay.
         if not addressed or now >= query.expires_at:
             return
-        if not device.may_forward_flood(query.hop_count):
-            return
 
         # {Forwarding} — rewrite the query: new sender, Bloom filter updated
         # with the entries just sent so downstream nodes skip them.
@@ -319,46 +317,6 @@ class DiscoveryEngine:
         )
 
     # ------------------------------------------------------------------
-    # Publish hook (subscription extension)
-    # ------------------------------------------------------------------
-    def on_local_data(self, descriptor: DataDescriptor) -> None:
-        """Newly produced local data: answer matching lingering queries.
-
-        The §IV "growing data" scenario: lingering queries already sit on
-        every flood-tree node, so fresh data can be pushed back to the
-        consumers along the existing reverse paths.
-        """
-        device = self.device
-        key = descriptor.stable_key()
-        for entry in self.lqt.live_entries():
-            query = entry.query
-            if not isinstance(query, DiscoveryQuery) or query.want_payload:
-                continue
-            if not query.spec.matches(descriptor):
-                continue
-            if key in entry.bloom:
-                continue
-            entry.bloom.insert(key)
-            if entry.is_origin:
-                continue  # our own data; the local store already has it
-            self._send_entry_responses(
-                [descriptor], frozenset({entry.upstream}), query.round_index, query
-            )
-
-    def _wanted_by_origin(self, chunk: Chunk) -> bool:
-        """Whether one of this node's own small-data queries wants this."""
-        for entry in self.lqt.live_entries():
-            query = entry.query
-            if (
-                isinstance(query, DiscoveryQuery)
-                and entry.is_origin
-                and query.want_payload
-                and query.spec.matches(chunk.descriptor)
-            ):
-                return True
-        return False
-
-    # ------------------------------------------------------------------
     # Algorithm 2: response processing
     # ------------------------------------------------------------------
     def handle_response(self, response: DiscoveryResponse, addressed: bool) -> None:
@@ -371,9 +329,7 @@ class DiscoveryEngine:
         # {DS Lookup} — opportunistic caching, also for overheard frames.
         device.cache_metadata(response.entries)
         for chunk in response.payloads:
-            # Payloads this node's own session asked for are pinned so a
-            # bounded cache policy cannot evict data mid-collection.
-            device.cache_chunk(chunk, pin=self._wanted_by_origin(chunk))
+            device.cache_chunk(chunk)
 
         # {Receiver Check} — only nodes on the reverse path continue.
         if not addressed:

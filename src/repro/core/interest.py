@@ -211,8 +211,6 @@ class InterestEngine:
 
         if not addressed or now >= interest.expires_at:
             return
-        if not device.may_forward_flood(interest.hop_count):
-            return
         forwarded = interest.rewritten(sender_id=device.node_id)
         device.face.send(
             forwarded,

@@ -125,8 +125,6 @@ class MdrEngine:
 
         if not addressed or now >= query.expires_at:
             return
-        if not device.may_forward_flood(query.hop_count):
-            return
         # En-route rewriting: downstream nodes skip chunks this node will
         # reply itself.
         forwarded = query.rewritten(
@@ -227,19 +225,6 @@ class MdrEngine:
             self.suppressed_frames += 1
             face.sender.cancel_frame(frame.frame_id)
 
-    def _is_for_me(self, chunk) -> bool:
-        """Whether one of this node's own MDR sessions wants this chunk."""
-        for entry in self.lqt.live_entries():
-            query = entry.query
-            if (
-                isinstance(query, MdrQuery)
-                and entry.is_origin
-                and query.item == chunk.item_descriptor
-                and chunk.chunk_id not in query.have_chunk_ids
-            ):
-                return True
-        return False
-
     # ------------------------------------------------------------------
     def handle_response(self, response: ChunkResponse, addressed: bool) -> None:
         """Cache, suppress overheard duplicates, relay along reverse paths."""
@@ -250,9 +235,7 @@ class MdrEngine:
         # dispatches ChunkResponse to both engines); caching here again is
         # a no-op but keeps this engine self-contained when used alone.
         if addressed or device.config.protocol.cache_overheard_chunks:
-            device.cache_chunk(
-                response.chunk, pin=self._is_for_me(response.chunk)
-            )
+            device.cache_chunk(response.chunk)
         chunk = response.chunk
         if not addressed:
             # Overhearing-based suppression: another node already put this

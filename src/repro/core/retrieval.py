@@ -121,8 +121,6 @@ class CdiEngine:
 
         if not addressed or now >= query.expires_at:
             return
-        if not device.may_forward_flood(query.hop_count):
-            return
         forwarded = query.rewritten(sender_id=device.node_id, receiver_ids=None)
         trace = device.sim.trace
         if trace.enabled:
@@ -526,7 +524,7 @@ class ChunkEngine:
         for_me = self._is_for_me(response)
         if addressed:
             if protocol.cache_relayed_chunks or for_me:
-                device.cache_chunk(response.chunk, pin=for_me)
+                device.cache_chunk(response.chunk)
         elif protocol.cache_overheard_chunks:
             device.cache_chunk(response.chunk)
         if for_me and addressed:

@@ -1,10 +1,11 @@
 """Binary wire codec for PDS protocol messages.
 
-Completes the :mod:`repro.data.codec` stack up to whole messages, so a
-deployed PDS can put real datagrams on a real socket.  Chunk *payload
-bytes* are elided — the simulation tracks sizes, not content — and are
-re-materialised as size-only chunks on decode (a real deployment would
-append the payload after the encoded header).
+Completes the :mod:`repro.data.codec` stack up to whole messages.  Its
+encoder is the oracle the tests check each message's ``wire_size()``
+against, and every overhead number is a sum of ``wire_size()``.  Chunk
+*payload bytes* are elided — the simulation tracks sizes, not content —
+and are re-materialised as size-only chunks on decode (a real deployment
+would append the payload after the encoded header).
 
 Layout: 1 message-type tag, then the common header (message id, sender,
 expiry/flags as needed), then type-specific fields.  Receiver lists are

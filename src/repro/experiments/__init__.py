@@ -31,7 +31,6 @@ from repro.experiments.scenario import (
 from repro.experiments.workload import (
     distribute_chunks,
     distribute_metadata,
-    distribute_small_items,
     generate_metadata,
     make_video_item,
     sensor_descriptor,
@@ -55,7 +54,6 @@ __all__ = [
     "configured_trial_timeout",
     "distribute_chunks",
     "distribute_metadata",
-    "distribute_small_items",
     "generate_metadata",
     "make_video_item",
     "point_mean",

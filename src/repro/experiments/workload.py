@@ -111,19 +111,3 @@ def distribute_chunks(
         placement[chunk.chunk_id] = holders
     return placement
 
-
-def distribute_small_items(
-    devices: Dict[NodeId, Device],
-    items: Sequence[DataItem],
-    rng: random.Random,
-    redundancy: int = 1,
-    exclude: Sequence[NodeId] = (),
-) -> Dict[DataDescriptor, List[NodeId]]:
-    """Place whole small items (single-chunk) with payloads on nodes."""
-    placement: Dict[DataDescriptor, List[NodeId]] = {}
-    for item in items:
-        chunk_placement = distribute_chunks(
-            devices, item, rng, redundancy=redundancy, exclude=exclude
-        )
-        placement[item.descriptor] = chunk_placement.get(0, [])
-    return placement

@@ -1,4 +1,4 @@
-"""Mobility: campus observation traces, random waypoint, trace playback."""
+"""Mobility: campus observation traces and trace playback."""
 
 from repro.mobility.campus import (
     CLASSROOMS,
@@ -8,9 +8,7 @@ from repro.mobility.campus import (
     generate_campus_trace,
 )
 from repro.mobility.model import AreaSpec, MobilityEvent, MobilityEventKind
-from repro.mobility.static import place_uniform
 from repro.mobility.trace import TracePlayer
-from repro.mobility.waypoint import generate_waypoint_trace
 
 __all__ = [
     "AreaSpec",
@@ -22,6 +20,4 @@ __all__ = [
     "STUDENT_CENTER",
     "TracePlayer",
     "generate_campus_trace",
-    "generate_waypoint_trace",
-    "place_uniform",
 ]

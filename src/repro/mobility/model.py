@@ -2,10 +2,9 @@
 
 Mobility is expressed as a stream of timed :class:`MobilityEvent` objects —
 join, leave, and movement steps — applied to a :class:`Topology` (and, for
-joins/leaves, to the device population) by a driver.  Generators
-(:mod:`repro.mobility.campus`, :mod:`repro.mobility.waypoint`) produce
-traces; :class:`repro.mobility.trace.TracePlayer` replays them in a
-simulation.
+joins/leaves, to the device population) by a driver.  The generator
+(:mod:`repro.mobility.campus`) produces traces;
+:class:`repro.mobility.trace.TracePlayer` replays them in a simulation.
 """
 
 from __future__ import annotations

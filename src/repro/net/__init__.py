@@ -1,6 +1,5 @@
 """Wireless substrate: topology, broadcast medium, radio, pacing, acks."""
 
-from repro.net.energy import EnergyModel, EnergyReport, energy_report
 from repro.net.faces import BroadcastFace
 from repro.net.leaky_bucket import (
     DEFAULT_BUCKET_CAPACITY,
@@ -31,7 +30,6 @@ from repro.net.topology import (
     center_subgrid,
     grid_spacing_for_8_neighbors,
 )
-from repro.net.wifi_direct import WifiDirectLayout, build_wifi_direct_topology
 
 __all__ = [
     "ACK_PAYLOAD_BYTES",
@@ -44,11 +42,8 @@ __all__ = [
     "DEFAULT_LEAK_RATE_BPS",
     "DEFAULT_MAX_RETRANSMISSIONS",
     "DEFAULT_RETR_TIMEOUT_S",
-    "EnergyModel",
-    "EnergyReport",
     "FRAME_HEADER_BYTES",
     "Frame",
-    "energy_report",
     "LeakyBucket",
     "LeakyBucketConfig",
     "NetworkStats",
@@ -59,9 +54,7 @@ __all__ = [
     "ReliabilityReceiver",
     "ReliabilitySender",
     "Topology",
-    "WifiDirectLayout",
     "build_grid",
-    "build_wifi_direct_topology",
     "center_node",
     "center_subgrid",
     "grid_spacing_for_8_neighbors",

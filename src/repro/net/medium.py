@@ -211,7 +211,7 @@ class BroadcastMedium:
         tx = _Transmission(
             sender=frame.sender, start=now, end=end, frame=frame, version=topology.version
         )
-        self.stats.record_transmission(frame.kind, frame.size, sender=frame.sender)
+        self.stats.record_transmission(frame.kind, frame.size)
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(
@@ -348,7 +348,7 @@ class BroadcastMedium:
                         **corr,
                     )
                 continue
-            record_delivery(receiver, frame_size)
+            record_delivery()
             observe(now - latency_base)
             if trace_enabled:
                 trace.emit(

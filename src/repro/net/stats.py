@@ -64,9 +64,6 @@ class NetworkStats:
         )
         self.bytes_by_kind: Counter = Counter()
         self.frames_by_kind: Counter = Counter()
-        #: Per-node counters feeding the energy model (repro.net.energy).
-        self.tx_bytes_by_node: Counter = Counter()
-        self.rx_bytes_by_node: Counter = Counter()
 
     frames_sent = _counter_property("_frames_sent")
     bytes_sent = _counter_property("_bytes_sent")
@@ -77,7 +74,7 @@ class NetworkStats:
     frames_dropped_buffer = _counter_property("_frames_dropped_buffer")
     frames_dropped_bucket = _counter_property("_frames_dropped_bucket")
 
-    def record_transmission(self, kind: str, size: int, sender=None) -> None:
+    def record_transmission(self, kind: str, size: int) -> None:
         """Account one frame put on the air."""
         self._frames_sent.value += 1
         self._bytes_sent.value += size
@@ -86,20 +83,13 @@ class NetworkStats:
         self._frame_sizes.observe(size)
         if "response" in kind:
             self._response_sizes.observe(size)
-        if sender is not None:
-            self.tx_bytes_by_node[sender] += size
-
-    def record_reception(self, receiver, size: int) -> None:
-        """Account one successful frame delivery at a node."""
-        self.rx_bytes_by_node[receiver] += size
 
     # Hot-path helpers: the medium calls these once per delivery attempt,
     # so they bump the backing counters directly instead of going through
     # the property descriptors.
-    def record_delivery(self, receiver, size: int) -> None:
-        """Account one delivered frame copy (counter + per-node bytes)."""
+    def record_delivery(self) -> None:
+        """Account one delivered frame copy."""
         self._frames_delivered.value += 1
-        self.rx_bytes_by_node[receiver] += size
 
     def record_loss(self, reason: str) -> None:
         """Account one lost frame copy (``collision``/``random``/``busy_receiver``)."""

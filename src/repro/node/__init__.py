@@ -1,14 +1,10 @@
 """Devices: the per-node composition of radio stack, store and engines."""
 
-from repro.node.cache import CachePolicyConfig, ChunkCache, EvictionStrategy
 from repro.node.config import DeviceConfig, ProtocolConfig
 from repro.node.device import Device
 
 __all__ = [
-    "CachePolicyConfig",
-    "ChunkCache",
     "Device",
     "DeviceConfig",
-    "EvictionStrategy",
     "ProtocolConfig",
 ]

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.net.leaky_bucket import LeakyBucketConfig
 from repro.net.radio import RadioConfig
 from repro.net.reliability import ReliabilityConfig
-from repro.node.cache import CachePolicyConfig
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,6 @@ class ProtocolConfig:
             payloads they overhear.
         cache_relayed_chunks: Whether relays cache chunk payloads they
             forward.
-        max_query_hops: Optional flood-scope limit ("such limiting can be
-            achieved easily with a hop counter", §III-A).  ``None`` floods
-            the whole (small) network as in the paper's evaluation.
-        flood_probability: Probabilistic-forwarding knob for broadcast
-            storm mitigation (§VII cites gossip flooding); 1.0 = always
-            forward, as in the paper.
     """
 
     query_ttl_s: float = 30.0
@@ -50,18 +43,12 @@ class ProtocolConfig:
     bloom_max_bits: int = 32768
     cache_overheard_chunks: bool = True
     cache_relayed_chunks: bool = True
-    max_query_hops: Optional[int] = None
-    flood_probability: float = 1.0
 
     def __post_init__(self) -> None:
         if self.query_ttl_s <= 0:
             raise ConfigurationError("query_ttl_s must be positive")
         if self.max_response_payload_bytes < 64:
             raise ConfigurationError("max_response_payload_bytes too small")
-        if self.max_query_hops is not None and self.max_query_hops < 0:
-            raise ConfigurationError("max_query_hops must be >= 0")
-        if not 0.0 <= self.flood_probability <= 1.0:
-            raise ConfigurationError("flood_probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -72,5 +59,4 @@ class DeviceConfig:
     radio: RadioConfig = field(default_factory=RadioConfig)
     bucket: LeakyBucketConfig = field(default_factory=LeakyBucketConfig)
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
-    cache: CachePolicyConfig = field(default_factory=CachePolicyConfig)
     use_leaky_bucket: bool = True

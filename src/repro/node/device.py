@@ -34,7 +34,6 @@ from repro.net.faces import BroadcastFace
 from repro.net.medium import BroadcastMedium
 from repro.net.message import Frame
 from repro.net.topology import NodeId
-from repro.node.cache import ChunkCache
 from repro.node.config import DeviceConfig
 from repro.sim.simulator import Simulator
 
@@ -64,9 +63,6 @@ class Device:
             metadata_ttl=self.config.protocol.metadata_ttl_s,
         )
         self.cdi_table = CdiTable(clock=lambda: sim.now)
-        self.cache = ChunkCache(
-            self.store, clock=lambda: sim.now, config=self.config.cache
-        )
         self.face = BroadcastFace(
             sim,
             medium,
@@ -94,28 +90,21 @@ class Device:
     # Producer-side API
     # ------------------------------------------------------------------
     def add_item(self, item: DataItem) -> None:
-        """Produce a data item locally: store all chunks + metadata.
-
-        Locally produced chunks are pinned — never evicted by the cache
-        policy.  The item's metadata is pushed to matching subscriptions.
-        """
+        """Produce a data item locally: store all chunks + metadata."""
         for chunk in item.chunks():
-            self.cache.pin(chunk)
-        self.discovery.on_local_data(item.descriptor)
+            self.store.insert_chunk(chunk)
 
     def add_chunk(self, chunk: Chunk) -> None:
         """Hold one chunk of an item (partial copies, workload setup)."""
-        self.cache.pin(chunk)
+        self.store.insert_chunk(chunk)
 
     def add_metadata(self, descriptor: DataDescriptor) -> None:
         """Hold a metadata entry with payload present locally.
 
         Used by workloads where the entry itself *is* the datum of
-        interest (pure discovery experiments).  Newly produced data is
-        pushed to any matching lingering queries (subscriptions).
+        interest (pure discovery experiments).
         """
-        if self.store.insert_metadata((descriptor,), has_payload=True):
-            self.discovery.on_local_data(descriptor)
+        self.store.insert_metadata((descriptor,), has_payload=True)
 
     # ------------------------------------------------------------------
     # Caching (shared by engines; fires listeners on novelty)
@@ -136,40 +125,18 @@ class Device:
                     listener(descriptor)
         return new
 
-    def cache_chunk(self, chunk: Chunk, pin: bool = False) -> bool:
+    def cache_chunk(self, chunk: Chunk) -> bool:
         """Opportunistically cache a chunk payload heard on the air.
 
-        Subject to the configured cache policy (capacity + eviction);
-        listeners fire only when the payload was actually new and stored.
-        ``pin=True`` bypasses the policy — used for chunks this device
-        explicitly requested, which must never be evicted mid-retrieval.
+        Storage is unbounded, so every new payload is kept; listeners
+        fire only when the payload was new.  Returns whether it was.
         """
         if self.store.has_chunk(chunk.descriptor):
-            if pin:
-                self.cache.pin(chunk)
             return False
-        if pin:
-            self.cache.pin(chunk)
-        elif not self.cache.offer(chunk):
-            return False
+        self.store.insert_chunk(chunk)
         for listener in self.chunk_listeners:
             listener(chunk)
         return True
-
-    # ------------------------------------------------------------------
-    def may_forward_flood(self, hop_count: int) -> bool:
-        """Flood-scope policy: hop limit (§III-A) + gossip probability
-        (§VII broadcast-storm mitigation).  Both default to unbounded /
-        always-forward as in the paper's evaluation."""
-        protocol = self.config.protocol
-        if (
-            protocol.max_query_hops is not None
-            and hop_count >= protocol.max_query_hops
-        ):
-            return False
-        if protocol.flood_probability >= 1.0:
-            return True
-        return self.rng.random() < protocol.flood_probability
 
     # ------------------------------------------------------------------
     # Dispatch

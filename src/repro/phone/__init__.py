@@ -4,7 +4,6 @@ from repro.phone.prototype import (
     MODES,
     PrototypeConfig,
     PrototypeResult,
-    reception_series,
     run_prototype,
 )
 from repro.phone.udp import (
@@ -24,6 +23,5 @@ __all__ = [
     "PrototypeResult",
     "UdpSendModel",
     "android_radio_config",
-    "reception_series",
     "run_prototype",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.net.faces import BroadcastFace
@@ -207,32 +207,3 @@ def run_prototype(config: PrototypeConfig, seed: int = 0) -> PrototypeResult:
         stats=stats,
     )
 
-
-def reception_series(
-    modes: List[str],
-    sender_counts: List[int],
-    seeds: List[int],
-    packets_per_sender: int = 800,
-    bucket: Optional[LeakyBucketConfig] = None,
-    reliability: Optional[ReliabilityConfig] = None,
-) -> Dict[str, List[float]]:
-    """Fig. 3 series: mean reception rate per mode per sender count."""
-    series: Dict[str, List[float]] = {}
-    for mode in modes:
-        points = []
-        for n_senders in sender_counts:
-            rates = []
-            for seed in seeds:
-                config = PrototypeConfig(
-                    n_senders=n_senders,
-                    mode=mode,
-                    packets_per_sender=packets_per_sender,
-                    bucket=bucket if bucket is not None else LeakyBucketConfig(),
-                    reliability=reliability
-                    if reliability is not None
-                    else ReliabilityConfig(),
-                )
-                rates.append(run_prototype(config, seed).reception_rate)
-            points.append(sum(rates) / len(rates))
-        series[mode] = points
-    return series

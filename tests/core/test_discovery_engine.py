@@ -261,3 +261,23 @@ def test_response_to_stale_response_id_dropped():
     # The same response id again: RR lookup discards before caching.
     consumer.discovery.handle_response(response, addressed=True)
     assert not consumer.store.has_metadata(d)
+
+
+def test_hop_count_increments_per_forward():
+    query = DiscoveryQuery(
+        message_id=1, sender_id=0, receiver_ids=None, bloom=NullFilter()
+    )
+    assert query.hop_count == 0
+    fwd = query.rewritten(sender_id=1, receiver_ids=None)
+    assert fwd.hop_count == 1
+    assert fwd.rewritten(sender_id=2, receiver_ids=None).hop_count == 2
+
+
+def test_unlimited_hops_reaches_everything():
+    net = make_net(line_positions(5))
+    far = sample(2)
+    net.devices[4].add_metadata(far)
+    consumer = net.devices[0]
+    consumer.discovery.issue_query(QuerySpec(), NullFilter())
+    net.sim.run(until=20.0)
+    assert consumer.store.has_metadata(far)

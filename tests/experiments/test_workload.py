@@ -9,7 +9,6 @@ from repro.experiments.scenario import build_grid_scenario
 from repro.experiments.workload import (
     distribute_chunks,
     distribute_metadata,
-    distribute_small_items,
     generate_metadata,
     make_video_item,
     sensor_descriptor,
@@ -89,17 +88,3 @@ def test_distribute_chunks_redundancy_capped_by_population():
     )
     assert all(len(holders) == 4 for holders in placement.values())
 
-
-def test_distribute_small_items():
-    from repro.data.item import DataItem
-
-    scenario = build_grid_scenario(rows=3, cols=3, seed=1)
-    items = [
-        DataItem(sensor_descriptor(i), size=100, chunk_size=1000) for i in range(5)
-    ]
-    placement = distribute_small_items(
-        scenario.devices, items, random.Random(1)
-    )
-    assert len(placement) == 5
-    for descriptor, holders in placement.items():
-        assert len(holders) == 1
