@@ -5,12 +5,25 @@ A CDI entry says "chunk ``chunk_id`` of item ``item`` can be retrieved via
 entries at the current minimum hop count — multiple entries when several
 neighbors offer the same least distance.  Entries expire so obsolete
 routing state does not linger after copies move away.
+
+Expiry is lazy: :meth:`CdiTable.update`, :meth:`CdiTable.best_entries`
+and the calls built on them filter expired entries out of the slot they
+touch, and a read that finds nothing live deletes the chunk's key.  Each
+(item, chunk) slot keeps a lower bound on its entries' earliest expiry: an
+append lowers it, a replacement resets it, and a refresh only raises an
+expiry, so it stays a bound.  A call before that bound skips the filter,
+which then could drop nothing; live-entry order and key deletion timing —
+and with them the order :meth:`CdiTable.observe_state` reports in — are
+exactly those of filtering on every call.  Observers
+(:meth:`CdiTable.live_entries`, :meth:`CdiTable.observe_state`) never
+purge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.data.descriptor import DataDescriptor
 from repro.net.topology import NodeId
@@ -29,13 +42,41 @@ class CdiEntry:
         return now >= self.expires_at
 
 
+class _Slot:
+    """One chunk's best-hop entries and a lower bound on their earliest expiry."""
+
+    __slots__ = ("entries", "bound")
+
+    def __init__(self, entry: CdiEntry) -> None:
+        self.reset(entry)
+
+    def reset(self, entry: CdiEntry) -> None:
+        """Hold ``entry`` alone (a new chunk or a smaller distance)."""
+        self.entries = [entry]
+        self.bound = entry.expires_at
+
+    def live(self, now: float) -> List[CdiEntry]:
+        """The unexpired entries, dropping expired ones once the bound is reached."""
+        if now >= self.bound:
+            entries = [e for e in self.entries if not e.expired(now)]
+            self.entries = entries
+            self.bound = min((e.expires_at for e in entries), default=math.inf)
+        return self.entries
+
+    def peek(self, now: float) -> List[CdiEntry]:
+        """The unexpired entries, leaving the slot as it is."""
+        if now < self.bound:
+            return self.entries
+        return [e for e in self.entries if not e.expired(now)]
+
+
 class CdiTable:
     """Per-item, per-chunk best-distance neighbor sets."""
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        # item -> chunk_id -> list of best-hop entries
-        self._entries: Dict[DataDescriptor, Dict[int, List[CdiEntry]]] = {}
+        # item -> chunk_id -> slot of best-hop entries
+        self._entries: Dict[DataDescriptor, Dict[int, _Slot]] = {}
 
     # ------------------------------------------------------------------
     def update(
@@ -60,40 +101,43 @@ class CdiTable:
         item = item.item_descriptor()
         now = self._clock()
         expires_at = now + ttl
-        chunk_map = self._entries.setdefault(item, {})
-        entries = [e for e in chunk_map.get(chunk_id, []) if not e.expired(now)]
-        if not entries:
-            chunk_map[chunk_id] = [CdiEntry(chunk_id, hop_count, neighbor, expires_at)]
+        chunk_map = self._entries.get(item)
+        if chunk_map is None:
+            chunk_map = self._entries[item] = {}
+        slot = chunk_map.get(chunk_id)
+        if slot is None:
+            chunk_map[chunk_id] = _Slot(CdiEntry(chunk_id, hop_count, neighbor, expires_at))
             return True
-        best = entries[0].hop_count
-        if hop_count < best:
-            chunk_map[chunk_id] = [CdiEntry(chunk_id, hop_count, neighbor, expires_at)]
+        entries = slot.live(now)
+        if not entries or hop_count < entries[0].hop_count:
+            slot.reset(CdiEntry(chunk_id, hop_count, neighbor, expires_at))
             return True
-        if hop_count == best:
+        if hop_count == entries[0].hop_count:
             for entry in entries:
                 if entry.neighbor == neighbor:
                     entry.expires_at = max(entry.expires_at, expires_at)
-                    chunk_map[chunk_id] = entries
                     return False
             entries.append(CdiEntry(chunk_id, hop_count, neighbor, expires_at))
-            chunk_map[chunk_id] = entries
+            slot.bound = min(slot.bound, expires_at)
             return True
-        chunk_map[chunk_id] = entries
         return False
 
     # ------------------------------------------------------------------
     def best_entries(self, item: DataDescriptor, chunk_id: int) -> List[CdiEntry]:
-        """Unexpired least-hop entries for a chunk (possibly empty)."""
+        """Unexpired least-hop entries for a chunk (possibly empty).
+
+        The list is the table's own: read it, do not keep or mutate it.
+        """
         item = item.item_descriptor()
-        now = self._clock()
         chunk_map = self._entries.get(item)
         if not chunk_map:
             return []
-        entries = [e for e in chunk_map.get(chunk_id, []) if not e.expired(now)]
-        if entries:
-            chunk_map[chunk_id] = entries
-        else:
-            chunk_map.pop(chunk_id, None)
+        slot = chunk_map.get(chunk_id)
+        if slot is None:
+            return []
+        entries = slot.live(self._clock())
+        if not entries:
+            del chunk_map[chunk_id]
         return entries
 
     def best_hop(self, item: DataDescriptor, chunk_id: int) -> Optional[int]:
@@ -101,25 +145,39 @@ class CdiTable:
         entries = self.best_entries(item, chunk_id)
         return entries[0].hop_count if entries else None
 
-    def known_chunks(self, item: DataDescriptor) -> Set[int]:
-        """Chunk ids with at least one live entry for this item."""
+    def best_hops(self, item: DataDescriptor) -> Dict[int, int]:
+        """Chunk id → least live hop count for every chunk known for ``item``.
+
+        One pass over the item's slots, deleting the keys of chunks with
+        nothing live exactly as :meth:`best_entries` on each would.
+        """
         item = item.item_descriptor()
         chunk_map = self._entries.get(item)
         if not chunk_map:
-            return set()
-        return {
-            chunk_id
-            for chunk_id in list(chunk_map)
-            if self.best_entries(item, chunk_id)
-        }
+            return {}
+        now = self._clock()
+        hops: Dict[int, int] = {}
+        for chunk_id, slot in list(chunk_map.items()):
+            entries = slot.live(now)
+            if entries:
+                hops[chunk_id] = entries[0].hop_count
+            else:
+                del chunk_map[chunk_id]
+        return hops
+
+    def known_chunks(self, item: DataDescriptor) -> Set[int]:
+        """Chunk ids with at least one live entry for this item."""
+        return set(self.best_hops(item))
 
     def remove_neighbor(self, neighbor: NodeId) -> None:
         """Drop all entries via a neighbor known to have left."""
         for chunk_map in self._entries.values():
             for chunk_id in list(chunk_map):
-                remaining = [e for e in chunk_map[chunk_id] if e.neighbor != neighbor]
+                slot = chunk_map[chunk_id]
+                remaining = [e for e in slot.entries if e.neighbor != neighbor]
                 if remaining:
-                    chunk_map[chunk_id] = remaining
+                    # A subset keeps the slot's expiry bound valid.
+                    slot.entries = remaining
                 else:
                     del chunk_map[chunk_id]
 
@@ -127,22 +185,33 @@ class CdiTable:
         """Forget all routing state."""
         self._entries.clear()
 
+    # ------------------------------------------------------------------
+    def live_entries(self) -> Iterator[Tuple[DataDescriptor, int, List[CdiEntry]]]:
+        """``(item, chunk_id, live entries)`` for every slot with a live entry.
+
+        Strictly read-only — expired entries are filtered, not dropped —
+        so observers and validators never mutate routing state.
+        """
+        now = self._clock()
+        for item, chunk_map in self._entries.items():
+            for chunk_id, slot in chunk_map.items():
+                entries = slot.peek(now)
+                if entries:
+                    yield item, chunk_id, entries
+
     def observe_state(self) -> Dict[str, object]:
         """Flight-recorder view: live entry count + per-chunk best hop.
 
-        Strictly read-only — expired entries are filtered, not dropped,
-        so sampling never mutates routing state.  Keys use the same
+        Read-only (see :meth:`live_entries`).  Keys use the same
         ``<item-hex12>:<chunk_id>`` form as the retrieval trace events.
         """
-        now = self._clock()
         size = 0
         best: Dict[str, int] = {}
-        for item, chunk_map in self._entries.items():
-            prefix = item.stable_key().hex()[:12]
-            for chunk_id, entries in chunk_map.items():
-                live = [e for e in entries if not e.expired(now)]
-                if not live:
-                    continue
-                size += len(live)
-                best[f"{prefix}:{chunk_id}"] = min(e.hop_count for e in live)
+        prefixes: Dict[DataDescriptor, str] = {}
+        for item, chunk_id, entries in self.live_entries():
+            size += len(entries)
+            prefix = prefixes.get(item)
+            if prefix is None:
+                prefix = prefixes[item] = item.stable_key().hex()[:12]
+            best[f"{prefix}:{chunk_id}"] = min(e.hop_count for e in entries)
         return {"size": size, "best": best}

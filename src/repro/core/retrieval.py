@@ -147,15 +147,9 @@ class CdiEngine:
         Hop 0 for chunks held locally, otherwise the best CDI-table hop.
         """
         device = self.device
-        pairs: Dict[int, int] = {}
-        for chunk_id in device.store.chunk_ids_of(item):
-            pairs[chunk_id] = 0
-        for chunk_id in device.cdi_table.known_chunks(item):
-            if chunk_id in pairs:
-                continue
-            best = device.cdi_table.best_hop(item, chunk_id)
-            if best is not None:
-                pairs[chunk_id] = best
+        pairs = dict.fromkeys(device.store.chunk_ids_of(item), 0)
+        for chunk_id, hop in device.cdi_table.best_hops(item).items():
+            pairs.setdefault(chunk_id, hop)
         return sorted(pairs.items())
 
     def _emit_response(
@@ -227,17 +221,24 @@ class CdiEngine:
         out_pairs: Dict[int, int] = {}
         receivers: Set[NodeId] = set()
         matched_query_ids: List[int] = []
+        # One best-hop lookup per pair, made at the first matching entry
+        # (a lookup may purge, so not before) and shared: nothing in this
+        # loop changes the table or the store.
+        best_hops: Optional[List[Tuple[int, int]]] = None
         for entry in self.lqt.live_entries():
             query = entry.query
             if not isinstance(query, CdiQuery) or query.item != response.item:
                 continue
             if entry.is_origin:
                 continue
+            if best_hops is None:
+                best_hops = []
+                for chunk_id, _ in response.pairs:
+                    best = self._best_known_hop(response.item, chunk_id)
+                    if best is not None:
+                        best_hops.append((chunk_id, best))
             entry_pairs = []
-            for chunk_id, _ in response.pairs:
-                best = self._best_known_hop(response.item, chunk_id)
-                if best is None:
-                    continue
+            for chunk_id, best in best_hops:
                 prev = entry.best_hop_sent.get(chunk_id)
                 if prev is None or best < prev:
                     entry.best_hop_sent[chunk_id] = best

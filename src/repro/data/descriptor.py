@@ -3,11 +3,19 @@
 A :class:`DataDescriptor` is the self-describing identity of a data item or
 chunk (§II-B).  Descriptors are immutable and hashable so they can be used
 as data-store keys and inserted into Bloom filters.
+
+Because they are immutable, a descriptor memoises what it derives on the
+retrieval hot path: its parent item (:meth:`DataDescriptor.item_descriptor`)
+and its chunk descriptors (:meth:`DataDescriptor.chunk_descriptor`).  The
+memos never enter equality, hashing, :meth:`~DataDescriptor.stable_key` or
+:meth:`~DataDescriptor.wire_size`, and a descriptor pickles as its attribute
+mapping alone, so caches, memos and the per-process string hash are rebuilt
+on the receiving side.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.data import attributes as attr
 from repro.data.attributes import AttributeValue, validate_value, wire_size
@@ -20,11 +28,15 @@ class DataDescriptor:
     Two descriptors are equal iff they carry the same attribute mapping.
     """
 
-    __slots__ = ("_attrs", "_hash", "_key_cache", "_wire_cache")
+    __slots__ = ("_attrs", "_hash", "_key_cache", "_wire_cache", "_item", "_chunks")
 
     def __init__(self, attrs: Mapping[str, AttributeValue]) -> None:
         self._key_cache: Optional[bytes] = None
         self._wire_cache: Optional[int] = None
+        # Derivation memos: the parent item (``self`` for an item) and the
+        # chunk descriptors handed out so far, by integer chunk id.
+        self._item: Optional[DataDescriptor] = None
+        self._chunks: Optional[Dict[int, DataDescriptor]] = None
         if not attrs:
             raise DataModelError("a descriptor needs at least one attribute")
         validated = {}
@@ -73,6 +85,9 @@ class DataDescriptor:
         inner = ", ".join(f"{key}={value!r}" for key, value in self._attrs)
         return f"DataDescriptor({inner})"
 
+    def __reduce__(self):
+        return (DataDescriptor, (dict(self._attrs),))
+
     # -- derivation ------------------------------------------------------
     def with_attributes(self, **extra: AttributeValue) -> "DataDescriptor":
         """A new descriptor with ``extra`` attributes added/overridden."""
@@ -86,14 +101,33 @@ class DataDescriptor:
         return DataDescriptor(remaining)
 
     def chunk_descriptor(self, chunk_id: int) -> "DataDescriptor":
-        """The descriptor of chunk ``chunk_id`` of this item (§II-B)."""
-        return self.with_attributes(**{attr.CHUNK_ID: chunk_id})
+        """The descriptor of chunk ``chunk_id`` of this item (§II-B).
+
+        Memoised per integer id; any other value type (``1.0`` and ``True``
+        equal ``1`` as dict keys but not as attributes) is derived afresh.
+        """
+        if type(chunk_id) is not int:
+            return self.with_attributes(**{attr.CHUNK_ID: chunk_id})
+        chunks = self._chunks
+        if chunks is None:
+            chunks = self._chunks = {}
+        chunk = chunks.get(chunk_id)
+        if chunk is None:
+            chunk = self.with_attributes(**{attr.CHUNK_ID: chunk_id})
+            chunk._item = self.item_descriptor()
+            chunks[chunk_id] = chunk
+        return chunk
 
     def item_descriptor(self) -> "DataDescriptor":
-        """Strip a chunk-id, recovering the parent item's descriptor."""
-        if attr.CHUNK_ID not in self:
-            return self
-        return self.without_attributes(attr.CHUNK_ID)
+        """Strip a chunk-id, recovering the parent item's descriptor (memoised)."""
+        item = self._item
+        if item is None:
+            if attr.CHUNK_ID in self:
+                item = self.without_attributes(attr.CHUNK_ID)
+            else:
+                item = self
+            self._item = item
+        return item
 
     @property
     def is_chunk(self) -> bool:

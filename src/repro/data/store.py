@@ -202,10 +202,6 @@ class DataStore:
         """Total number of stored chunks."""
         return len(self._chunks)
 
-    def remove_chunk(self, descriptor: DataDescriptor) -> None:
-        """Drop a chunk payload (cache eviction)."""
-        self._chunks.pop(descriptor, None)
-
     def match_chunks(self, spec: QuerySpec) -> List[Chunk]:
         """All stored chunks whose descriptors satisfy ``spec``."""
         return [c for c in self._chunks.values() if spec.matches(c.descriptor)]

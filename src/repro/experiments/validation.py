@@ -36,14 +36,17 @@ def check_cdi_hop_soundness(scenario: Scenario, item) -> List[str]:
     """CDI hop counts may be stale but never wildly invalid.
 
     A CDI entry's neighbor must have been a known node, and hop counts
-    must be non-negative and bounded by the network size.
+    must be non-negative and bounded by the network size.  Reads through
+    :meth:`CdiTable.live_entries`, so checking never purges a table.
     """
     violations = []
     bound = max(1, len(scenario.devices))
     item = item.item_descriptor()
     for node_id, device in scenario.devices.items():
-        for chunk_id in device.cdi_table.known_chunks(item):
-            for entry in device.cdi_table.best_entries(item, chunk_id):
+        for entry_item, chunk_id, entries in device.cdi_table.live_entries():
+            if entry_item != item:
+                continue
+            for entry in entries:
                 if entry.hop_count < 0 or entry.hop_count > bound:
                     violations.append(
                         f"node {node_id}: chunk {chunk_id} hop count "

@@ -1,5 +1,7 @@
 """Unit tests for data descriptors."""
 
+import pickle
+
 import pytest
 
 from repro.data import attributes as attr
@@ -109,3 +111,55 @@ def test_as_dict_is_copy():
 
 def test_repr_contains_attributes():
     assert "namespace" in repr(sample())
+
+
+def _identity(d):
+    return d, hash(d), d.stable_key(), d.wire_size()
+
+
+@pytest.mark.parametrize("chunk_id", [0, 3, 79])
+def test_memoised_chunk_descriptor_matches_fresh_derivation(chunk_id):
+    d = sample()
+    first = d.chunk_descriptor(chunk_id)
+    assert d.chunk_descriptor(chunk_id) is first
+    assert _identity(first) == _identity(d.with_attributes(chunk_id=chunk_id))
+
+
+def test_chunk_of_a_chunk_keeps_the_parent_item():
+    d = sample()
+    assert d.chunk_descriptor(2).chunk_descriptor(5) == d.chunk_descriptor(5)
+    assert d.chunk_descriptor(2).chunk_descriptor(5).item_descriptor() == d
+
+
+def test_non_int_chunk_ids_are_not_served_from_the_int_memo():
+    """``1.0`` and ``True`` hash like ``1`` but are different attributes."""
+    d = sample()
+    as_int = d.chunk_descriptor(1)
+    as_float = d.chunk_descriptor(1.0)
+    assert as_float.stable_key() == d.with_attributes(chunk_id=1.0).stable_key()
+    assert as_float.stable_key() != as_int.stable_key()
+    assert d.chunk_descriptor(1) is as_int
+
+
+def test_memoised_item_descriptor_equals_parent():
+    d = sample()
+    chunk = d.chunk_descriptor(4)
+    assert chunk.item_descriptor() is d
+    stray = d.with_attributes(chunk_id=4)  # not derived through the memo
+    assert _identity(stray.item_descriptor()) == _identity(d)
+    assert stray.item_descriptor() is stray.item_descriptor()
+    assert d.item_descriptor() is d
+
+
+def test_memo_populated_descriptor_pickles_equal_to_a_fresh_one():
+    d = sample()
+    chunks = [d.chunk_descriptor(i) for i in range(3)]
+    d.item_descriptor()
+    d.stable_key()
+    restored = pickle.loads(pickle.dumps(d))
+    assert _identity(restored) == _identity(sample())
+    assert restored.chunk_descriptor(1) == chunks[1]
+    assert restored.chunk_descriptor(1).item_descriptor() is restored
+    restored_chunk = pickle.loads(pickle.dumps(chunks[2]))
+    assert _identity(restored_chunk) == _identity(chunks[2])
+    assert restored_chunk.item_descriptor() == d

@@ -141,14 +141,6 @@ def test_chunk_metadata_survives_because_payload_present():
     assert store.has_metadata(item.descriptor)
 
 
-def test_remove_chunk():
-    store, _ = make_store()
-    chunk = make_item("m", "v", "x", size=100).chunks()[0]
-    store.insert_chunk(chunk)
-    store.remove_chunk(chunk.descriptor)
-    assert not store.has_chunk(chunk.descriptor)
-
-
 def test_match_chunks_by_spec():
     store, _ = make_store()
     store.insert_chunk(make_item("m", "nox", "a", size=10).chunks()[0])
