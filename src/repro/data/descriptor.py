@@ -5,8 +5,9 @@ chunk (§II-B).  Descriptors are immutable and hashable so they can be used
 as data-store keys and inserted into Bloom filters.
 
 Because they are immutable, a descriptor memoises what it derives on the
-retrieval hot path: its parent item (:meth:`DataDescriptor.item_descriptor`)
-and its chunk descriptors (:meth:`DataDescriptor.chunk_descriptor`).  The
+retrieval hot path: its parent item (:meth:`DataDescriptor.item_descriptor`),
+its chunk descriptors (:meth:`DataDescriptor.chunk_descriptor`) and its
+chunk id (:attr:`DataDescriptor.chunk_id`).  The
 memos never enter equality, hashing, :meth:`~DataDescriptor.stable_key` or
 :meth:`~DataDescriptor.wire_size`, and a descriptor pickles as its attribute
 mapping alone, so caches, memos and the per-process string hash are rebuilt
@@ -21,6 +22,10 @@ from repro.data import attributes as attr
 from repro.data.attributes import AttributeValue, validate_value, wire_size
 from repro.errors import DataModelError
 
+#: ``_chunk_id`` before the first :attr:`DataDescriptor.chunk_id` read
+#: (``None`` is a derived value: the descriptor names a whole item).
+_UNSET: object = object()
+
 
 class DataDescriptor:
     """An immutable set of named attributes identifying a datum.
@@ -28,15 +33,25 @@ class DataDescriptor:
     Two descriptors are equal iff they carry the same attribute mapping.
     """
 
-    __slots__ = ("_attrs", "_hash", "_key_cache", "_wire_cache", "_item", "_chunks")
+    __slots__ = (
+        "_attrs",
+        "_hash",
+        "_key_cache",
+        "_wire_cache",
+        "_item",
+        "_chunks",
+        "_chunk_id",
+    )
 
     def __init__(self, attrs: Mapping[str, AttributeValue]) -> None:
         self._key_cache: Optional[bytes] = None
         self._wire_cache: Optional[int] = None
-        # Derivation memos: the parent item (``self`` for an item) and the
-        # chunk descriptors handed out so far, by integer chunk id.
+        # Derivation memos: the parent item (``self`` for an item), the
+        # chunk descriptors handed out so far, by integer chunk id, and the
+        # chunk id itself.
         self._item: Optional[DataDescriptor] = None
         self._chunks: Optional[Dict[int, DataDescriptor]] = None
+        self._chunk_id: object = _UNSET
         if not attrs:
             raise DataModelError("a descriptor needs at least one attribute")
         validated = {}
@@ -115,6 +130,7 @@ class DataDescriptor:
         if chunk is None:
             chunk = self.with_attributes(**{attr.CHUNK_ID: chunk_id})
             chunk._item = self.item_descriptor()
+            chunk._chunk_id = chunk_id
             chunks[chunk_id] = chunk
         return chunk
 
@@ -136,9 +152,12 @@ class DataDescriptor:
 
     @property
     def chunk_id(self) -> Optional[int]:
-        """The chunk id, or None for whole-item descriptors."""
-        value = self.get(attr.CHUNK_ID)
-        return int(value) if value is not None else None
+        """The chunk id, or None for whole-item descriptors (memoised)."""
+        value = self._chunk_id
+        if value is _UNSET:
+            value = self.get(attr.CHUNK_ID)
+            value = self._chunk_id = int(value) if value is not None else None
+        return value
 
     # -- accounting -------------------------------------------------------
     def wire_size(self) -> int:

@@ -16,7 +16,9 @@ returned as fresh lists — callers may mutate them freely without poisoning
 the shared cache — and their element order is the node *insertion* order,
 exactly what the previous brute-force scan over the position dict yielded,
 which keeps event orderings (and therefore whole simulations)
-bit-identical to the unindexed implementation.
+bit-identical to the unindexed implementation.  Hot read-only callers
+(the medium's carrier sense) read the memoised list itself through
+:meth:`Topology.nodes_within_memo`.
 """
 
 from __future__ import annotations
@@ -229,31 +231,6 @@ class Topology:
             return False
         return math.hypot(pa[0] - pb[0], pa[1] - pb[1]) <= radius
 
-    def latest_within(
-        self, node_id: NodeId, ends: Dict[NodeId, float], radius: float, floor: float
-    ) -> float:
-        """The latest of ``floor`` and the ``ends`` of nodes near ``node_id``.
-
-        ``ends`` maps node ids to times.  An entry counts when its node is
-        ``node_id`` itself, or when :meth:`within` would hold for it at
-        ``radius``.  One pass over ``ends``: the cost is the size of the
-        map, not the population around ``node_id``.
-        """
-        latest = floor
-        positions = self._positions
-        here = positions.get(node_id)
-        if here is None:
-            own = ends.get(node_id)
-            return own if own is not None and own > latest else latest
-        x, y = here
-        hypot = math.hypot
-        for other, end in ends.items():
-            if end > latest:
-                there = positions.get(other)
-                if there is not None and hypot(x - there[0], y - there[1]) <= radius:
-                    latest = end
-        return latest
-
     def nodes_within(self, node_id: NodeId, radius: float) -> List[NodeId]:
         """All other nodes within ``radius`` of ``node_id``.
 
@@ -264,11 +241,20 @@ class Topology:
         """
         if node_id not in self._positions:
             return []
+        return self.nodes_within_memo(node_id, radius).copy()
+
+    def nodes_within_memo(self, node_id: NodeId, radius: float) -> List[NodeId]:
+        """:meth:`nodes_within` without the copy: the memoised list itself.
+
+        For hot read-only callers.  The caller must not mutate the list,
+        and ``node_id`` must be present.  The list stays exact until the
+        next mutation of the topology.
+        """
         per_radius = self._range_cache.get(radius)
         if per_radius is not None:
             cached = per_radius.get(node_id)
             if cached is not None:
-                return cached.copy()
+                return cached
         x, y = self._positions[node_id]
         positions = self._positions
         result = []
@@ -281,7 +267,7 @@ class Topology:
         order = self._order
         result.sort(key=order.__getitem__)
         self._cache_store(radius, node_id, result)
-        return result.copy()
+        return result
 
     def neighbors(self, node_id: NodeId) -> List[NodeId]:
         """All nodes within radio range of ``node_id``."""

@@ -30,7 +30,7 @@ With no fingerprint configured the dispatch loop takes its original
 branch (the only cost is one ``active("fingerprint")`` call per
 ``run()``), so fingerprint-off runs are bit-identical to seed — enforced
 by the bench digest gate.  With a fingerprint active, encoding and hashing
-wrap *around* ``event.fire()`` without touching event order, virtual
+run just before each event's callback without touching event order, virtual
 time, or RNG draws, so fingerprinted runs keep exact output digests; only
 wall time changes (measured <10% on mobility_pdd).
 """

@@ -3,7 +3,9 @@
 The queue orders events by ``(time, priority, sequence)``.  The
 monotonically increasing sequence number guarantees a stable FIFO order for
 events scheduled at the same instant with the same priority, which keeps
-simulations fully deterministic for a given seed.
+simulations fully deterministic for a given seed.  The heap stores
+``(time, priority, sequence, event)`` tuples, so every sift compares in C;
+``sequence`` is unique, so a comparison never reaches the event itself.
 
 Cancellation is *lazy*: a cancelled event stays in the queue's storage
 until popped, but the queue's length accounting tracks only live
@@ -18,8 +20,8 @@ free of cancelled-but-unpopped ghosts.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -31,11 +33,9 @@ DEFAULT_PRIORITY = 0
 class Event:
     """A single scheduled callback.
 
-    Events compare by ``(time, priority, sequence)`` so they can live
-    directly in a heap.  The callback and its arguments are excluded from
-    ordering.  A plain slotted class (not a dataclass): ``__lt__`` runs on
-    every heap sift of every schedule/pop, so it must not build tuples of
-    all ordering fields per comparison.
+    The queue orders events by ``(time, priority, sequence)``, which it
+    keeps beside each event in the heap entry; events themselves define
+    no ordering.
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "args", "cancelled", "_queue")
@@ -58,13 +58,6 @@ class Event:
         #: The queue currently holding this event (None once
         #: popped/cleared).
         self._queue: Optional["EventQueue"] = None
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -99,7 +92,8 @@ class Event:
 class EventQueue:
     """The kernel's pending-event queue: a binary heap of :class:`Event`.
 
-    O(log n) push/pop via :mod:`heapq`.  Beyond the method signatures:
+    O(log n) push/pop via :mod:`heapq` over ``(time, priority, sequence,
+    event)`` entries.  Beyond the method signatures:
 
     * **Lazy cancellation, exact accounting.** Cancelled events stay in
       the heap until popped, but ``len()`` counts only live events.
@@ -115,7 +109,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._active = 0
 
@@ -133,15 +127,10 @@ class EventQueue:
         priority: int = DEFAULT_PRIORITY,
     ) -> Event:
         """Insert a new event and return it (so callers may cancel it)."""
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=next(self._counter),
-            callback=callback,
-            args=args,
-        )
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, callback, args)
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heappush(self._heap, (time, priority, sequence, event))
         self._active += 1
         return event
 
@@ -151,12 +140,12 @@ class EventQueue:
         Raises:
             SimulationError: if the queue holds no active events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                event._queue = None
-                continue
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
             event._queue = None
+            if event.cancelled:
+                continue
             self._active -= 1
             return event
         raise SimulationError("pop() from an empty event queue")
@@ -167,11 +156,15 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Return the time of the next active event, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)._queue = None
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if not event.cancelled:
+                return entry[0]
+            heappop(heap)
+            event._queue = None
+        return None
 
     def clear(self) -> None:
         """Discard all pending events.
@@ -180,8 +173,8 @@ class EventQueue:
         handle afterwards cannot deflate the live count of a refilled
         queue.
         """
-        for event in self._heap:
-            event._queue = None
+        for entry in self._heap:
+            entry[3]._queue = None
         self._heap.clear()
         self._active = 0
 

@@ -8,6 +8,7 @@ with :meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.at`
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import Any, Callable, Optional
 
@@ -130,30 +131,32 @@ class Simulator:
                 )
         wall_start = perf_counter() if kernel is not None else 0.0
         queue = self._queue
-        peak_depth = len(queue)
+        pop = queue.pop
+        peek_time = queue.peek_time
+        # Plain bounds: the loop tests no ``None`` per event.
+        limit = math.inf if until is None else until
+        cap = math.inf if max_events is None else max_events
+        peak_depth = queue._active
         try:
             if fingerprint is None:
-                while queue and not self._stopped:
-                    next_time = queue.peek_time()
-                    if next_time is None:
+                while queue._active and not self._stopped:
+                    if peek_time() > limit:
                         break
-                    if until is not None and next_time > until:
-                        break
-                    if max_events is not None and processed >= max_events:
+                    if processed >= cap:
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
                             f"(processed={processed}, now={self.now}); "
                             f"runaway simulation?"
                         )
-                    event = queue.pop()
+                    event = pop()
                     if event.time < self.now:
                         raise SimulationError(
                             f"event queue yielded past event (t={event.time} < now={self.now})"
                         )
                     self.now = event.time
-                    event.fire()
+                    event.callback(*event.args)
                     processed += 1
-                    depth = len(queue)
+                    depth = queue._active
                     if depth > peak_depth:
                         peak_depth = depth
             else:
@@ -162,32 +165,29 @@ class Simulator:
                 # so fingerprint-off runs execute exactly the plain loop.
                 # The fingerprinter never touches event order, the clock,
                 # or RNG draws, so fingerprinted runs keep exact output
-                # digests.  It folds the event in BEFORE fire(), so a
-                # handler that raises still leaves the divergent event on
-                # the stream.
+                # digests.  It folds the event in BEFORE the callback, so
+                # a handler that raises still leaves the divergent event
+                # on the stream.
                 note = fingerprint.note
-                while queue and not self._stopped:
-                    next_time = queue.peek_time()
-                    if next_time is None:
+                while queue._active and not self._stopped:
+                    if peek_time() > limit:
                         break
-                    if until is not None and next_time > until:
-                        break
-                    if max_events is not None and processed >= max_events:
+                    if processed >= cap:
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
                             f"(processed={processed}, now={self.now}); "
                             f"runaway simulation?"
                         )
-                    event = queue.pop()
+                    event = pop()
                     if event.time < self.now:
                         raise SimulationError(
                             f"event queue yielded past event (t={event.time} < now={self.now})"
                         )
                     self.now = event.time
                     note(event)
-                    event.fire()
+                    event.callback(*event.args)
                     processed += 1
-                    depth = len(queue)
+                    depth = queue._active
                     if depth > peak_depth:
                         peak_depth = depth
         finally:

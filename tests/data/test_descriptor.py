@@ -163,3 +163,31 @@ def test_memo_populated_descriptor_pickles_equal_to_a_fresh_one():
     restored_chunk = pickle.loads(pickle.dumps(chunks[2]))
     assert _identity(restored_chunk) == _identity(chunks[2])
     assert restored_chunk.item_descriptor() == d
+
+
+def _fresh_chunk_id(d):
+    """The chunk id derived from the attributes, bypassing the memo."""
+    value = d.get(attr.CHUNK_ID)
+    return int(value) if value is not None else None
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda d: d,
+        lambda d: d.chunk_descriptor(7),
+        lambda d: d.with_attributes(chunk_id=7),
+        lambda d: d.with_attributes(chunk_id=7.0),
+        lambda d: d.chunk_descriptor(7).item_descriptor(),
+    ],
+    ids=["item", "memoised-chunk", "fresh-chunk", "float-chunk", "parent"],
+)
+def test_memoised_chunk_id_equals_fresh_derivation(derive):
+    d = derive(sample())
+    before = _identity(d)
+    assert d.chunk_id == _fresh_chunk_id(d)
+    assert d.chunk_id == _fresh_chunk_id(d)  # served from the memo
+    assert _identity(d) == before  # the memo enters no identity
+    restored = pickle.loads(pickle.dumps(d))
+    assert restored.chunk_id == _fresh_chunk_id(restored) == d.chunk_id
+    assert _identity(restored) == before
