@@ -9,13 +9,12 @@ qualitatively:
 * **opportunistic chunk caching** (§II-A) → cheaper repeat retrievals.
 """
 
-from conftest import scaled
-
 from repro.core.rounds import RoundConfig
 from repro.experiments.figures.common import (
     experiment_device_config,
     pdd_experiment,
     retrieval_experiment,
+    scaled,
 )
 from repro.experiments.runner import render_table
 from repro.experiments.workload import make_video_item

@@ -5,31 +5,14 @@ Paper shape: recall 100%; latency and overhead ≈linear in size
 ≈2–3× (chunks travel several hops).
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig11_item_size
-from repro.experiments.runner import render_table
-
-MB = 1024 * 1024
+from repro.experiments.figures import fig11_item_size as figure
 
 
 def test_fig11_item_size(benchmark, bench_seeds, bench_scale, record_table):
-    sizes = tuple(
-        scaled(s, bench_scale, minimum=MB // 2) for s in (1 * MB, 5 * MB, 10 * MB, 20 * MB)
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
-
-    def run():
-        return fig11_item_size.run(sizes=sizes, seeds=bench_seeds)
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig11",
-        render_table(
-            "Fig. 11 — PDR vs item size",
-            ["size_mb", "recall", "latency_s", "overhead_mb", "overhead_ratio"],
-            rows,
-        ),
-    )
+    record_table("fig11", figure.render(rows))
 
     assert all(r["recall"] == 1.0 for r in rows)
     latencies = [r["latency_s"] for r in rows]

@@ -4,33 +4,14 @@ Paper shape: latency roughly flat (42–48 s) across 0.5×–2× mobility;
 overhead bounded; recall 100%.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig12_mobility_pdr
-from repro.experiments.runner import render_table
-
-MB = 1024 * 1024
+from repro.experiments.figures import fig12_mobility_pdr as figure
 
 
 def test_fig12_mobility_pdr(benchmark, bench_seeds, bench_scale, record_table):
-    item_size = scaled(20 * MB, bench_scale, minimum=2 * MB)
-
-    def run():
-        return fig12_mobility_pdr.run(
-            scales=(0.5, 1.0, 1.5, 2.0),
-            seeds=bench_seeds,
-            item_size=item_size,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig12",
-        render_table(
-            "Fig. 12 — PDR under mobility (student center)",
-            ["scenario", "mobility_scale", "recall", "latency_s", "overhead_mb"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig12", figure.render(rows))
 
     assert all(r["recall"] > 0.9 for r in rows)
     # Mobility robustness: latency at 2× within ~2.5× of the 0.5× point.

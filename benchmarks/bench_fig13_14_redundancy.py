@@ -5,33 +5,14 @@ phase); as copies multiply MDR's latency/overhead grow ≈linearly while
 PDR stays flat or improves, ending around half of MDR's cost.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig13_14_redundancy
-from repro.experiments.runner import render_table
-
-MB = 1024 * 1024
+from repro.experiments.figures import fig13_14_redundancy as figure
 
 
 def test_fig13_14_pdr_vs_mdr(benchmark, bench_seeds, bench_scale, record_table):
-    item_size = scaled(20 * MB, bench_scale, minimum=2 * MB)
-
-    def run():
-        return fig13_14_redundancy.run(
-            redundancies=(1, 2, 3, 4, 5),
-            seeds=bench_seeds,
-            item_size=item_size,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig13_14",
-        render_table(
-            "Figs. 13-14 — PDR vs MDR under redundancy",
-            ["method", "redundancy", "recall", "latency_s", "overhead_mb"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig13_14", figure.render(rows))
 
     pdr = {r["redundancy"]: r for r in rows if r["method"] == "pdr"}
     mdr = {r["redundancy"]: r for r in rows if r["method"] == "mdr"}

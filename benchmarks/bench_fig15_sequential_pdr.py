@@ -5,31 +5,14 @@ Paper shape (20 MB): recall 100%; latency 46.1 → 38.1 s and overhead
 progressively closer).
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig15_sequential_pdr
-from repro.experiments.runner import render_table
-
-MB = 1024 * 1024
+from repro.experiments.figures import fig15_sequential_pdr as figure
 
 
 def test_fig15_sequential_pdr(benchmark, bench_seeds, bench_scale, record_table):
-    item_size = scaled(20 * MB, bench_scale, minimum=2 * MB)
-
-    def run():
-        return fig15_sequential_pdr.run(
-            n_consumers=5, seeds=bench_seeds, item_size=item_size
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig15",
-        render_table(
-            "Fig. 15 — PDR with sequential consumers",
-            ["consumer", "recall", "latency_s", "overhead_mb"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig15", figure.render(rows))
 
     assert all(r["recall"] > 0.95 for r in rows)
     # Cached copies cut later consumers' overhead markedly (Fig. 15's

@@ -5,33 +5,14 @@ of simultaneous consumers, then stabilise — same-direction consumers
 share transmissions through overhearing and caching.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig16_simultaneous_pdr
-from repro.experiments.runner import render_table
-
-MB = 1024 * 1024
+from repro.experiments.figures import fig16_simultaneous_pdr as figure
 
 
 def test_fig16_simultaneous_pdr(benchmark, bench_seeds, bench_scale, record_table):
-    item_size = scaled(20 * MB, bench_scale, minimum=2 * MB)
-
-    def run():
-        return fig16_simultaneous_pdr.run(
-            consumer_counts=(1, 2, 3, 4, 5),
-            seeds=bench_seeds,
-            item_size=item_size,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig16",
-        render_table(
-            "Fig. 16 — PDR with simultaneous consumers",
-            ["consumers", "recall", "latency_s", "overhead_mb"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig16", figure.render(rows))
 
     assert all(r["recall"] > 0.9 for r in rows)
     # Five simultaneous consumers cost far less than five solo retrievals.

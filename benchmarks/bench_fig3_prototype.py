@@ -3,33 +3,14 @@
 Paper shape: raw ≈10–14%; bucket 40–90% falling with senders; +ack 85–99%.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig3_prototype
-from repro.experiments.runner import render_table
+from repro.experiments.figures import fig3_prototype as figure
 
 
 def test_fig3_reception_series(benchmark, bench_seeds, bench_scale, record_table):
-    # The raw-UDP overflow needs a steady-state workload several times the
-    # OS buffer (≈658 packets); don't scale below that regime.
-    packets = scaled(6000, bench_scale, minimum=6000)
-
-    def run():
-        return fig3_prototype.run(
-            sender_counts=(1, 2, 3, 4),
-            seeds=bench_seeds,
-            packets_per_sender=packets,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig3",
-        render_table(
-            "Fig. 3 — single-hop reception rate",
-            ["mode", "senders", "reception"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig3", figure.render(rows))
 
     by_mode = {}
     for row in rows:

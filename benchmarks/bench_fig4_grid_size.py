@@ -4,31 +4,14 @@ Paper shape: recall 100% → 72.3% as the grid grows 3×3 → 11×11 (1–5
 hops); latency and overhead rise with network size.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig4_grid_size
-from repro.experiments.runner import render_table
+from repro.experiments.figures import fig4_grid_size as figure
 
 
 def test_fig4_grid_size(benchmark, bench_seeds, bench_scale, record_table):
-    entries_per_node = scaled(50, max(bench_scale, 0.5), minimum=20)
-
-    def run():
-        return fig4_grid_size.run(
-            grid_sizes=(3, 5, 7, 9, 11),
-            seeds=bench_seeds,
-            entries_per_node=entries_per_node,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig4",
-        render_table(
-            "Fig. 4 — single-round PDD vs grid size",
-            ["grid", "max_hops", "recall", "latency_s", "overhead_mb"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig4", figure.render(rows))
 
     recalls = [r["recall"] for r in rows]
     latencies = [r["latency_s"] for r in rows]

@@ -5,32 +5,14 @@ T_d=0 reaches ≈1.0 while T_d=0.3 stops early; smaller T_d costs more
 rounds/latency/overhead.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig5_round_params
-from repro.experiments.runner import render_table
+from repro.experiments.figures import fig5_round_params as figure
 
 
 def test_fig5_round_parameters(benchmark, bench_seeds, bench_scale, record_table):
-    metadata_count = scaled(5000, bench_scale, minimum=400)
-
-    def run():
-        return fig5_round_params.run(
-            windows=(0.2, 0.4, 0.6, 0.8, 1.0),
-            tds=(0.0, 0.3),
-            seeds=bench_seeds,
-            metadata_count=metadata_count,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig5",
-        render_table(
-            "Fig. 5 — PDD recall vs T and T_d (T_r=0)",
-            ["T_s", "T_d", "recall", "latency_s", "overhead_mb", "rounds"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig5", figure.render(rows))
 
     td0 = {r["T_s"]: r for r in rows if r["T_d"] == 0.0}
     td3 = {r["T_s"]: r for r in rows if r["T_d"] == 0.3}

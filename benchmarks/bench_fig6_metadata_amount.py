@@ -4,29 +4,14 @@ Paper shape: recall stays ≈100% across the whole range; latency grows
 sublinearly (5.6 s → 11.2 s); overhead grows ≈linearly (5.13 → 22.21 MB).
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig6_metadata_amount
-from repro.experiments.runner import render_table
+from repro.experiments.figures import fig6_metadata_amount as figure
 
 
 def test_fig6_metadata_amount(benchmark, bench_seeds, bench_scale, record_table):
-    amounts = tuple(
-        scaled(a, bench_scale, minimum=300) for a in (5000, 10000, 15000, 20000)
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
-
-    def run():
-        return fig6_metadata_amount.run(amounts=amounts, seeds=bench_seeds)
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig6",
-        render_table(
-            "Fig. 6 — PDD vs metadata amount",
-            ["entries", "recall", "latency_s", "overhead_mb", "rounds"],
-            rows,
-        ),
-    )
+    record_table("fig6", figure.render(rows))
 
     recalls = [r["recall"] for r in rows]
     latencies = [r["latency_s"] for r in rows]

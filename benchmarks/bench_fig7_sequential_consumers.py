@@ -4,29 +4,14 @@ Paper shape: all ≈100% recall; latency falls from 5–7 s (first two) to
 0.2 s for the last consumer, which had cached >95% before asking.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig7_sequential_consumers
-from repro.experiments.runner import render_table
+from repro.experiments.figures import fig7_sequential_consumers as figure
 
 
 def test_fig7_sequential_consumers(benchmark, bench_seeds, bench_scale, record_table):
-    metadata_count = scaled(5000, bench_scale, minimum=400)
-
-    def run():
-        return fig7_sequential_consumers.run(
-            n_consumers=5, seeds=bench_seeds, metadata_count=metadata_count
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig7",
-        render_table(
-            "Fig. 7 — PDD with sequential consumers",
-            ["consumer", "recall", "latency_s", "overhead_mb"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig7", figure.render(rows))
 
     assert all(r["recall"] > 0.95 for r in rows)
     # Later consumers are faster thanks to overheard caching.

@@ -4,33 +4,16 @@ Paper shape: recall 100% throughout; per-consumer latency grows
 sublinearly and stabilises (mixedcast shares transmissions).
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig8_simultaneous_consumers
-from repro.experiments.runner import render_table
+from repro.experiments.figures import fig8_simultaneous_consumers as figure
 
 
 def test_fig8_simultaneous_consumers(
     benchmark, bench_seeds, bench_scale, record_table
 ):
-    metadata_count = scaled(5000, bench_scale, minimum=400)
-
-    def run():
-        return fig8_simultaneous_consumers.run(
-            consumer_counts=(1, 2, 3, 4, 5),
-            seeds=bench_seeds,
-            metadata_count=metadata_count,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig8",
-        render_table(
-            "Fig. 8 — PDD with simultaneous consumers",
-            ["consumers", "recall", "latency_s", "overhead_mb"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig8", figure.render(rows))
 
     assert all(r["recall"] > 0.95 for r in rows)
     # Per-consumer latency grows sublinearly: five simultaneous consumers

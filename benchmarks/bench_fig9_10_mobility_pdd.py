@@ -4,31 +4,14 @@ Paper shape: recall ≈100%, latency bounded (≈2 s at paper scale) and
 overhead bounded across 0.5×–2× of the observed join/leave/move rates.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import fig9_10_mobility_pdd
-from repro.experiments.runner import render_table
+from repro.experiments.figures import fig9_10_mobility_pdd as figure
 
 
 def test_fig9_10_mobility_pdd(benchmark, bench_seeds, bench_scale, record_table):
-    metadata_count = scaled(5000, bench_scale, minimum=400)
-
-    def run():
-        return fig9_10_mobility_pdd.run_both_locations(
-            scales=(0.5, 1.0, 1.5, 2.0),
-            seeds=bench_seeds,
-            metadata_count=metadata_count,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "fig9_10",
-        render_table(
-            "Figs. 9-10 — PDD under mobility",
-            ["scenario", "mobility_scale", "recall", "latency_s", "overhead_mb"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("fig9_10", figure.render(rows))
 
     # Robustness: recall stays high at every churn level in both places.
     assert all(r["recall"] > 0.85 for r in rows)

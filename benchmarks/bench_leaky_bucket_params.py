@@ -4,32 +4,16 @@ Paper shape: reception stays high until the leak rate exceeds the MAC
 broadcast budget, then drops; oversized capacities overflow the OS buffer.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import leaky_bucket_params
-from repro.experiments.runner import render_table
+from repro.experiments.figures import leaky_bucket_params as figure
 
 
 def test_leaky_bucket_parameter_sweeps(
     benchmark, bench_seeds, bench_scale, record_table
 ):
-    # Sustained pressure is needed for the leak-rate cliff to show.
-    packets = scaled(4000, bench_scale, minimum=4000)
-
-    def run():
-        return leaky_bucket_params.run(
-            seeds=bench_seeds, packets_per_sender=packets
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "lbparams",
-        render_table(
-            "§V-4 — leaky bucket parameters (reception)",
-            ["sweep", "leak_mbps", "capacity_kb", "reception"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("lbparams", figure.render(rows))
 
     leak_rows = [r for r in rows if r["sweep"] == "leak_rate"]
     cap_rows = [r for r in rows if r["sweep"] == "capacity"]

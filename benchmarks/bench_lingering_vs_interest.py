@@ -7,11 +7,13 @@ PDD incurs only one or a few lingering queries."  This bench measures
 exactly that: queries sent, latency, and overhead for the same workload.
 """
 
-from conftest import scaled
-
 from repro.core.consumer import DiscoverySession
 from repro.core.interest import InterestDiscoverySession
-from repro.experiments.figures.common import experiment_device_config, pdd_experiment
+from repro.experiments.figures.common import (
+    experiment_device_config,
+    pdd_experiment,
+    scaled,
+)
 from repro.experiments.runner import render_table
 from repro.experiments.scenario import build_grid_scenario
 from repro.experiments.workload import distribute_metadata, generate_metadata

@@ -4,32 +4,16 @@ Paper shape: reception improves with both knobs and plateaus beyond
 ≈0.2 s timeout and ≈4 retries.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import retransmission_params
-from repro.experiments.runner import render_table
+from repro.experiments.figures import retransmission_params as figure
 
 
 def test_retransmission_parameter_sweeps(
     benchmark, bench_seeds, bench_scale, record_table
 ):
-    # Contention losses need a sustained two-sender workload.
-    packets = scaled(4000, bench_scale, minimum=4000)
-
-    def run():
-        return retransmission_params.run(
-            seeds=bench_seeds, packets_per_sender=packets
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "retrparams",
-        render_table(
-            "§V-4 — ack/retransmission parameters (reception)",
-            ["sweep", "timeout_s", "max_retr", "reception"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("retrparams", figure.render(rows))
 
     retries = {r["max_retr"]: r["reception"] for r in rows if r["sweep"] == "max_retr"}
     # More retries help, with diminishing returns (plateau by ~4).

@@ -4,29 +4,14 @@ Paper shape: recall ≈0.35 (1 copy) / ≈0.55 (2 copies) at moderate loads,
 degrading beyond ≈10,000 total entries.
 """
 
-from conftest import scaled
-
-from repro.experiments.figures import saturation
-from repro.experiments.runner import render_table
+from repro.experiments.figures import saturation as figure
 
 
 def test_saturation_scan(benchmark, bench_seeds, bench_scale, record_table):
-    amounts = tuple(scaled(a, bench_scale, minimum=200) for a in (2500, 5000, 10000, 20000))
-
-    def run():
-        return saturation.run(
-            amounts=amounts, redundancies=(1, 2), seeds=bench_seeds
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_table(
-        "saturation",
-        render_table(
-            "§VI-B — single-round PDD (no ack) recall",
-            ["entries", "redundancy", "recall"],
-            rows,
-        ),
+    rows = benchmark.pedantic(
+        figure.reproduce, args=(bench_scale, bench_seeds), rounds=1, iterations=1
     )
+    record_table("saturation", figure.render(rows))
 
     one_copy = [r["recall"] for r in rows if r["redundancy"] == 1]
     two_copies = [r["recall"] for r in rows if r["redundancy"] == 2]

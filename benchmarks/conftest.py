@@ -1,10 +1,13 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
-Each benchmark regenerates one table/figure of the paper's evaluation at a
-configurable scale and records the rows both to stdout and to
-``benchmarks/results/<figure>.txt``.
+Each benchmark regenerates one table/figure of the paper's evaluation
+through its figure module's ``reproduce`` and ``render`` (the same entry
+point as ``python -m repro <figure>``) and records the table both to
+stdout and to ``benchmarks/results/<figure>.txt``.
 
-Environment knobs:
+Environment knobs, read here and nowhere else, and checked like the
+CLI's ``--seeds`` / ``--scale`` (a bad value fails the run instead of
+producing empty or NaN tables):
 
 * ``REPRO_SEEDS``  — number of seeds per point (default 2 here; the paper
   uses 5 — set ``REPRO_SEEDS=5`` for paper-fidelity averaging).
@@ -19,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.runner import check_scale, seed_list
+
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Benchmark-suite defaults (reduced; env vars override).
@@ -29,14 +34,13 @@ DEFAULT_BENCH_SCALE = 0.25
 @pytest.fixture(scope="session")
 def bench_seeds() -> list:
     """Seeds used per data point."""
-    count = int(os.environ.get("REPRO_SEEDS", DEFAULT_BENCH_SEEDS))
-    return list(range(1, count + 1))
+    return seed_list(os.environ.get("REPRO_SEEDS", DEFAULT_BENCH_SEEDS))
 
 
 @pytest.fixture(scope="session")
 def bench_scale() -> float:
     """Workload scale: 1.0 reproduces the paper's exact parameters."""
-    return float(os.environ.get("REPRO_SCALE", DEFAULT_BENCH_SCALE))
+    return check_scale(os.environ.get("REPRO_SCALE", DEFAULT_BENCH_SCALE))
 
 
 @pytest.fixture(scope="session")
@@ -50,8 +54,3 @@ def record_table():
         print(f"\n{table}\n[written to {path}]")
 
     return _record
-
-
-def scaled(value: int, scale: float, minimum: int = 1) -> int:
-    """Scale an integer workload parameter."""
-    return max(minimum, int(round(value * scale)))

@@ -23,11 +23,11 @@ Each result file carries:
 ``--check`` compares against the committed baseline
 (``benchmarks/baseline.json``): deterministic counters and digests must
 match *exactly* (they are machine-independent), while ``wall_s`` may
-regress by at most ``--tolerance`` (default 0.25, i.e. 25%; env override
-``REPRO_BENCH_TOLERANCE``).  Faster-than-baseline runs always pass.
+regress by at most ``--tolerance`` (default 0.25, i.e. 25%).
+Faster-than-baseline runs always pass.
 
-Benchmarks pin their own seeds/sizes and force ``REPRO_JOBS=1`` so the
-deterministic counters are reproducible regardless of environment knobs.
+Benchmarks pin their own seeds and sizes and run every sweep in this
+process (``jobs=1``), so the deterministic counters are reproducible.
 """
 
 from __future__ import annotations
@@ -35,14 +35,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
 import zlib
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 SCHEMA_VERSION = 1
 
@@ -102,20 +100,6 @@ def _calibration_wall() -> float:
         workload()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-@contextmanager
-def _single_process() -> Iterator[None]:
-    """Force sequential sweeps so event counts are reproducible."""
-    previous = os.environ.get("REPRO_JOBS")
-    os.environ["REPRO_JOBS"] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_JOBS", None)
-        else:
-            os.environ["REPRO_JOBS"] = previous
 
 
 def _peak_rss_kb(ru_maxrss: Optional[int] = None) -> int:
@@ -241,10 +225,9 @@ def _run_summary() -> Dict[str, float]:
 def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
     from repro.obs.config import active
 
-    with _single_process():
-        start = time.perf_counter()
-        rows = run()
-        wall = time.perf_counter() - start
+    start = time.perf_counter()
+    rows = run()
+    wall = time.perf_counter() - start
     summary = _run_summary()
     meta: Dict[str, object] = {
         "runs": int(summary["runs"]),
@@ -315,19 +298,18 @@ def bench_scaling(quick: bool) -> Dict[str, object]:
     for rows, cols in grids:
         nodes = rows * cols
         gc.collect()
-        with _single_process():
-            start = time.perf_counter()
-            outcome = pdd_experiment(
-                seed=1,
-                rows=rows,
-                cols=cols,
-                metadata_count=2 * nodes,
-                # Two rounds bound convergence so the curve measures
-                # kernel throughput, not per-size protocol behaviour.
-                round_config=RoundConfig(max_rounds=2),
-                sim_cap_s=120.0,
-            )
-            wall = time.perf_counter() - start
+        start = time.perf_counter()
+        outcome = pdd_experiment(
+            seed=1,
+            rows=rows,
+            cols=cols,
+            metadata_count=2 * nodes,
+            # Two rounds bound convergence so the curve measures
+            # kernel throughput, not per-size protocol behaviour.
+            round_config=RoundConfig(max_rounds=2),
+            sim_cap_s=120.0,
+        )
+        wall = time.perf_counter() - start
         summary = _run_summary()
         events = int(summary["events"])
         point_peak = int(summary["peak_queue_depth"])
@@ -541,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=None,
+        default=DEFAULT_TOLERANCE,
         help="allowed fractional wall-clock regression "
-        f"(default: REPRO_BENCH_TOLERANCE or {DEFAULT_TOLERANCE})",
+        f"(default: {DEFAULT_TOLERANCE})",
     )
     parser.add_argument(
         "--fingerprint",
@@ -572,21 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for BENCH_<name>.json files (default: cwd)",
     )
     return parser
-
-
-def _resolve_tolerance(arg: Optional[float]) -> float:
-    if arg is not None:
-        return arg
-    raw = os.environ.get("REPRO_BENCH_TOLERANCE")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            print(
-                f"ignoring invalid REPRO_BENCH_TOLERANCE={raw!r}",
-                file=sys.stderr,
-            )
-    return DEFAULT_TOLERANCE
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -621,7 +588,7 @@ def _run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    tolerance = _resolve_tolerance(args.tolerance)
+    tolerance = args.tolerance
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

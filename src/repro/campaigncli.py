@@ -11,16 +11,17 @@ Usage::
     repro campaign gc --failed --store runs/store   # also drop failure
                                                     # records
 
-``--store`` defaults to the ``REPRO_STORE`` environment variable, so a
-campaign launched with ``repro fig12 --store runs/store --jobs 8`` (then
-killed) resumes with ``repro campaign resume fig12 --store runs/store``
-— every trial already completed is served from the store and the final
-table is bit-identical to an uninterrupted run.
+Every subcommand requires ``--store``.  A campaign launched with
+``repro fig12 --store runs/store --jobs 8`` (then killed) resumes with
+``repro campaign resume fig12 --store runs/store`` — every trial already
+completed is served from the store and the final table is bit-identical
+to an uninterrupted run.
 
 ``resume`` accepts the same knobs as a figure run (``--seeds``,
 ``--scale``, ``--jobs`` and the observability flags); they are forwarded
-verbatim to the figure runner.  Keep them identical to the original
-invocation: the store key includes the observability profile, and ``--seeds``/``--scale`` shape the trial
+verbatim to the figure run, together with ``--store``.  Keep them
+identical to the original invocation: the store key includes the
+observability profile, and ``--seeds``/``--scale`` shape the trial
 parameters, so changed knobs simply miss the cache (sound, just not a
 resume).
 """
@@ -28,11 +29,8 @@ resume).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
-
-from repro.errors import ConfigurationError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument(
         "--store",
-        default=None,
-        help="campaign store directory (default: REPRO_STORE)",
+        required=True,
+        help="campaign store directory",
     )
     status.add_argument(
         "--json",
@@ -64,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("figure", help="figure id (see `repro list`)")
     resume.add_argument(
         "--store",
-        default=None,
-        help="campaign store directory (default: REPRO_STORE)",
+        required=True,
+        help="campaign store directory",
     )
 
     gc = sub.add_parser(
@@ -73,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gc.add_argument(
         "--store",
-        default=None,
-        help="campaign store directory (default: REPRO_STORE)",
+        required=True,
+        help="campaign store directory",
     )
     gc.add_argument(
         "--failed",
@@ -82,15 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also delete failure records (they re-run on resume anyway)",
     )
     return parser
-
-
-def _resolve_root(raw: Optional[str]) -> str:
-    root = raw or os.environ.get("REPRO_STORE")
-    if not root:
-        raise ConfigurationError(
-            "no campaign store named; pass --store PATH or set REPRO_STORE"
-        )
-    return root
 
 
 def _status(root: str, as_json: bool) -> int:
@@ -131,12 +120,10 @@ def _gc(root: str, failed: bool) -> int:
 
 
 def _resume(root: str, figure: str, passthrough: List[str]) -> int:
-    # Delegate to the figure runner with the store in effect; run_sweep
-    # picks it up through REPRO_STORE and skips cached trials.
+    # A figure run against the store skips its cached trials.
     from repro.cli import main as cli_main
 
-    os.environ["REPRO_STORE"] = root
-    return cli_main([figure, *passthrough])
+    return cli_main([figure, *passthrough, "--store", root])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -147,16 +134,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args, extra = parser.parse_known_args(raw_argv)
     if extra and args.command != "resume":
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    try:
-        root = _resolve_root(args.store)
-        if args.command == "status":
-            return _status(root, args.as_json)
-        if args.command == "gc":
-            return _gc(root, args.failed)
-        return _resume(root, args.figure, extra)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    if args.command == "status":
+        return _status(args.store, args.as_json)
+    if args.command == "gc":
+        return _gc(args.store, args.failed)
+    return _resume(args.store, args.figure, extra)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,12 @@ Usage::
     python -m repro fig13_14 --seeds 5 --scale 1.0
     python -m repro all --seeds 2 --scale 0.25
     python -m repro fig4 --jobs 4          # 4 worker processes per sweep
+    python -m repro all --jobs 0           # one worker per CPU core
+
+Each figure runs through its module's ``reproduce(scale, seeds, jobs,
+store)`` and ``render(rows)``; the flags are checked once here and
+passed on as arguments, so a run leaves the process environment as it
+found it.
 
 Observability::
 
@@ -87,29 +93,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds",
         type=int,
         default=None,
-        help="number of seeds per data point (paper: 5)",
+        help="number of seeds per data point (default and paper: 5)",
     )
     parser.add_argument(
         "--scale",
         type=float,
         default=None,
-        help="workload scale factor (paper: 1.0)",
+        help="workload scale factor (default and paper: 1.0)",
     )
     parser.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help="worker processes per sweep (0 = one per CPU; default: "
-        "REPRO_JOBS or 1)",
+        help="worker processes per sweep (0 = one per CPU; default: 1)",
     )
     parser.add_argument(
         "--store",
         metavar="DIR",
         default=None,
-        help="content-addressed campaign store (sets REPRO_STORE): "
-        "completed trials persist and are skipped on re-runs, so a "
-        "killed campaign resumes with `repro campaign resume <figure> "
-        "--store DIR` producing bit-identical tables",
+        help="content-addressed campaign store: completed trials persist "
+        "and are skipped on re-runs, so a killed campaign resumes with "
+        "`repro campaign resume <figure> --store DIR` producing "
+        "bit-identical tables",
     )
     parser.add_argument(
         "--metrics",
@@ -122,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record tracemalloc snapshots at phase boundaries "
         "(setup / discovery rounds / retrieval) with per-subsystem "
-        "allocator attribution (default --jobs 1: phases are per-process, "
-        "so --jobs N>1 is refused)",
+        "allocator attribution (phases are per-process, so --jobs N>1 is "
+        "refused)",
     )
     obs = parser.add_argument_group(
         "observability",
@@ -225,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_figures(args: argparse.Namespace) -> int:
-    """Run one figure (or all), honouring the observability flags and --jobs."""
+    """Run one figure (or all) with the campaign and observability flags."""
     from contextlib import ExitStack
 
-    from repro.experiments.runner import configured_jobs
+    from repro.experiments.runner import check_scale, seed_list, worker_count
     from repro.obs.config import ObsConfig
 
     if args.figure != "all" and args.figure not in REGISTRY:
@@ -238,6 +243,12 @@ def _run_figures(args: argparse.Namespace) -> int:
         )
         return 2
 
+    settings = dict(
+        scale=1.0 if args.scale is None else check_scale(args.scale),
+        seeds=None if args.seeds is None else seed_list(args.seeds),
+        jobs=1 if args.jobs is None else worker_count(args.jobs),
+        store=args.store,
+    )
     config = ObsConfig(
         trace=args.trace,
         timeline=args.timeline,
@@ -262,12 +273,13 @@ def _run_figures(args: argparse.Namespace) -> int:
         if args.figure == "all":
             for figure_id, module in REGISTRY.items():
                 print(f"== {figure_id} ==")
-                print(module.main())
+                print(module.render(module.reproduce(**settings)))
                 print()
         else:
-            print(REGISTRY[args.figure].main())
+            module = REGISTRY[args.figure]
+            print(module.render(module.reproduce(**settings)))
     for instrument, path in config.artifacts():
-        if configured_jobs() > 1:
+        if settings["jobs"] > 1:
             print(
                 f"{instrument} written to per-worker shards next to {path}",
                 file=sys.stderr,
@@ -304,18 +316,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return campaign_main(raw_argv[1:])
 
     args = build_parser().parse_args(raw_argv)
-    if args.seeds is not None:
-        os.environ["REPRO_SEEDS"] = str(args.seeds)
-    if args.scale is not None:
-        os.environ["REPRO_SCALE"] = str(args.scale)
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    elif args.memory:
-        # Phase boundaries fire in whichever process crosses them; keep
-        # the whole campaign here so the telemetry sees all of it.
-        os.environ["REPRO_JOBS"] = "1"
-    if args.store is not None:
-        os.environ["REPRO_STORE"] = args.store
 
     if args.figure == "list":
         print("Available figures:")

@@ -18,6 +18,7 @@ from repro.core.lqt import LingeringEntry, LingeringQueryTable, RecentResponses
 from repro.core.messages import ChunkResponse, MdrQuery, next_message_id
 from repro.core.retrieval import _item_key
 from repro.data.descriptor import DataDescriptor
+from repro.data.item import Chunk
 from repro.net.topology import NodeId
 
 if TYPE_CHECKING:
@@ -225,17 +226,30 @@ class MdrEngine:
             self.suppressed_frames += 1
             face.sender.cancel_frame(frame.frame_id)
 
+    def wants(self, chunk: Chunk) -> bool:
+        """Whether a live MDR query this node issued still asks for ``chunk``."""
+        for entry in self.lqt.live_entries():
+            query = entry.query
+            if (
+                entry.is_origin
+                and isinstance(query, MdrQuery)
+                and query.item == chunk.item_descriptor
+                and chunk.chunk_id not in query.have_chunk_ids
+            ):
+                return True
+        return False
+
     # ------------------------------------------------------------------
     def handle_response(self, response: ChunkResponse, addressed: bool) -> None:
-        """Cache, suppress overheard duplicates, relay along reverse paths."""
+        """Suppress overheard duplicates and relay along reverse paths.
+
+        Caching is the chunk engine's alone (the device dispatches every
+        ``ChunkResponse`` to both engines), so the ``cache_relayed_chunks``
+        and ``cache_overheard_chunks`` switches hold for MDR traffic too.
+        """
         device = self.device
         if self.recent.seen_before(response.message_id):
             return
-        # Opportunistic caching is handled by the chunk engine (the device
-        # dispatches ChunkResponse to both engines); caching here again is
-        # a no-op but keeps this engine self-contained when used alone.
-        if addressed or device.config.protocol.cache_overheard_chunks:
-            device.cache_chunk(response.chunk)
         chunk = response.chunk
         if not addressed:
             # Overhearing-based suppression: another node already put this

@@ -524,7 +524,11 @@ class ChunkEngine:
         protocol = device.config.protocol
         for_me = self._is_for_me(response)
         if addressed:
-            if protocol.cache_relayed_chunks or for_me:
+            if (
+                protocol.cache_relayed_chunks
+                or for_me
+                or device.mdr.wants(response.chunk)
+            ):
                 device.cache_chunk(response.chunk)
         elif protocol.cache_overheard_chunks:
             device.cache_chunk(response.chunk)

@@ -5,19 +5,17 @@ from repro.experiments.runner import (
     DEFAULT_SEEDS,
     SweepPoint,
     TrialTimeout,
-    configured_jobs,
-    configured_seeds,
-    configured_trial_timeout,
+    check_scale,
     point_mean,
     render_table,
     run_sweep,
-    scale_factor,
+    seed_list,
+    worker_count,
 )
 from repro.experiments.store import (
     CampaignStore,
     StoreEntry,
     canonical_params,
-    configured_store_path,
     resolve_store,
     task_digest,
 )
@@ -48,10 +46,7 @@ __all__ = [
     "build_campus_scenario",
     "build_grid_scenario",
     "canonical_params",
-    "configured_jobs",
-    "configured_seeds",
-    "configured_store_path",
-    "configured_trial_timeout",
+    "check_scale",
     "distribute_chunks",
     "distribute_metadata",
     "generate_metadata",
@@ -60,8 +55,9 @@ __all__ = [
     "render_table",
     "resolve_store",
     "run_sweep",
-    "scale_factor",
+    "seed_list",
     "task_digest",
     "sensor_descriptor",
     "simulation_device_config",
+    "worker_count",
 ]

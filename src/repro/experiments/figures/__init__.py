@@ -1,8 +1,12 @@
 """One module per figure/table of the paper's evaluation.
 
 ``REGISTRY`` maps experiment ids (as used in DESIGN.md/EXPERIMENTS.md)
-to their modules; every module exposes ``run(...) -> list[dict]`` and
-``main() -> str`` (a rendered table).
+to their modules.  Every module exposes ``run(...) -> list[dict]`` (the
+sweep, every workload knob explicit), ``reproduce(scale=1.0, seeds=None,
+jobs=1, store=None) -> list[dict]`` (the figure's one scale rule applied
+to ``run``) and ``render(rows) -> str`` (its one title and column list).
+The CLI, ``repro campaign resume`` and the benchmark suite all go
+through ``reproduce`` and ``render``.
 """
 
 from repro.experiments.figures import (

@@ -42,6 +42,15 @@ DEFAULT_SIM_CAP_S = 600.0
 MODES = ("single", "sequential", "simultaneous")
 
 
+def scaled(value: int, scale: float, minimum: int = 1) -> int:
+    """Scale an integer workload parameter, never below ``minimum``.
+
+    Every figure's ``reproduce`` derives its workload from one call per
+    scaled parameter; at ``scale=1.0`` each yields the paper's value.
+    """
+    return max(minimum, int(round(value * scale)))
+
+
 def experiment_device_config(
     ack: bool = True,
     redundancy_detection: bool = True,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures.common import retrieval_experiment
+from repro.experiments.figures.common import retrieval_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.experiments.workload import make_video_item
 
@@ -41,7 +41,8 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     rows_cols: int = 10,
     redundancy: int = 1,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per item size: recall, latency, overhead, overhead ratio."""
     points = [
@@ -53,6 +54,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: f"{p['size'] // MB} MB",
     )
     table = []
@@ -71,15 +73,25 @@ def run(
     return table
 
 
-def main() -> str:
-    """Render the figure's table."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        sizes=tuple(scaled(s, scale, minimum=MB // 2) for s in DEFAULT_SIZES),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Fig. 11 — PDR vs data item size",
         ["size_mb", "recall", "latency_s", "overhead_mb", "overhead_ratio"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures.common import retrieval_experiment
+from repro.experiments.figures.common import retrieval_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.experiments.scenario import build_campus_scenario
 from repro.experiments.workload import make_video_item
@@ -52,7 +52,7 @@ def run(
     scenario_spec: CampusScenario = STUDENT_CENTER,
     redundancy: int = 2,
     duration_s: float = 240.0,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per mobility scale: recall, latency, overhead.
@@ -61,9 +61,9 @@ def run(
     away the only copy of a chunk, which the paper's scenario avoids by
     having copies cached during prior sharing.
 
-    ``store`` (default: the ``REPRO_STORE`` env knob / ``--store``) makes
-    the sweep durable and resumable; the scenario spec dataclass is part
-    of each trial's content address, so different specs never collide.
+    ``store`` makes the sweep durable and resumable; the scenario spec
+    dataclass is part of each trial's content address, so different
+    specs never collide.
     """
     points = [
         {
@@ -97,15 +97,25 @@ def run(
     return table
 
 
-def main() -> str:
-    """Render the figure's table."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        item_size=scaled(20 * MB, scale, minimum=2 * MB),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Fig. 12 — PDR under mobility (student center, 20 MB item)",
         ["scenario", "mobility_scale", "recall", "latency_s", "overhead_mb"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures.common import retrieval_experiment
+from repro.experiments.figures.common import retrieval_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.experiments.workload import make_video_item
 
@@ -45,7 +45,8 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     item_size: int = 20 * MB,
     rows_cols: int = 10,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per consumer count: mean per-consumer recall/latency."""
     points = [
@@ -57,6 +58,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: f"{p['count']} simultaneous pdr",
     )
     table = []
@@ -72,15 +74,25 @@ def run(
     return table
 
 
-def main() -> str:
-    """Render the figure's table."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        item_size=scaled(20 * MB, scale, minimum=2 * MB),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Fig. 16 — PDR with simultaneous consumers (20 MB item)",
         ["consumers", "recall", "latency_s", "overhead_mb"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

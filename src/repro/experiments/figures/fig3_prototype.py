@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.figures.common import scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.phone.prototype import MODES, PrototypeConfig, run_prototype
 
@@ -29,7 +30,8 @@ def run(
     sender_counts: Sequence[int] = DEFAULT_SENDER_COUNTS,
     seeds: Optional[Sequence[int]] = None,
     packets_per_sender: int = 6000,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per (mode, sender count) with the mean reception rate."""
     points = [
@@ -46,6 +48,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: f"{p['mode']} x{p['n_senders']}",
     )
     rows = []
@@ -60,15 +63,27 @@ def run(
     return rows
 
 
-def main() -> str:
-    """Render the figure's table."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        # The raw-UDP overflow needs a steady-state workload several times
+        # the OS buffer (≈658 packets); don't scale below that regime.
+        packets_per_sender=scaled(6000, scale, minimum=6000),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Fig. 3 — single-hop reception rate (raw / bucket / bucket+ack)",
         ["mode", "senders", "reception"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

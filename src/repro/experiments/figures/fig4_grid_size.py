@@ -11,13 +11,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment
-from repro.experiments.runner import (
-    point_mean,
-    render_table,
-    run_sweep,
-    scale_factor,
-)
+from repro.experiments.figures.common import pdd_experiment, scaled
+from repro.experiments.runner import point_mean, render_table, run_sweep
 
 DEFAULT_GRID_SIZES = (3, 5, 7, 9, 11)
 
@@ -48,15 +43,14 @@ def run(
     grid_sizes: Sequence[int] = DEFAULT_GRID_SIZES,
     seeds: Optional[Sequence[int]] = None,
     entries_per_node: int = ENTRIES_PER_NODE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per grid size: recall, latency, overhead of one round.
 
-    ``store`` (default: the ``REPRO_STORE`` env knob / ``--store``) makes
-    the sweep durable and resumable; ``entries_per_node`` is scale-baked
-    into each point before keying, so trials at different ``--scale``
-    values never collide in the store.
+    ``store`` makes the sweep durable and resumable;
+    ``entries_per_node`` is part of each point, so trials at different
+    ``--scale`` values never collide in the store.
     """
     points = [
         {"size": size, "entries_per_node": entries_per_node}
@@ -85,16 +79,25 @@ def run(
     return table
 
 
-def main() -> str:
-    """Render the figure's table (honours ``REPRO_SCALE`` / ``--scale``)."""
-    entries = max(10, round(ENTRIES_PER_NODE * scale_factor()))
-    rows = run(entries_per_node=entries)
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        entries_per_node=scaled(ENTRIES_PER_NODE, max(scale, 0.5), minimum=20),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Fig. 4 — single-round PDD (with ack) vs grid size",
         ["grid", "max_hops", "recall", "latency_s", "overhead_mb"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

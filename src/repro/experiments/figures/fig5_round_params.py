@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment
+from repro.experiments.figures.common import pdd_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 
 DEFAULT_WINDOWS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -43,7 +43,8 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     metadata_count: int = 5000,
     rows_cols: int = 10,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per (T, T_d): recall, latency, overhead, rounds."""
     points = [
@@ -61,6 +62,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: f"T={p['window']} Td={p['td']}",
     )
     table = []
@@ -78,15 +80,25 @@ def run(
     return table
 
 
-def main() -> str:
-    """Render the figure's table."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        metadata_count=scaled(5000, scale, minimum=400),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Fig. 5 — multi-round PDD: recall vs T and T_d (T_r = 0)",
         ["T_s", "T_d", "recall", "latency_s", "overhead_mb", "rounds"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment
+from repro.experiments.figures.common import pdd_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 
 DEFAULT_AMOUNTS = (5000, 10000, 15000, 20000)
@@ -38,7 +38,8 @@ def run(
     amounts: Sequence[int] = DEFAULT_AMOUNTS,
     seeds: Optional[Sequence[int]] = None,
     rows_cols: int = 10,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per metadata amount with the best controller parameters."""
     points = [{"amount": amount, "rows_cols": rows_cols} for amount in amounts]
@@ -47,6 +48,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: f"{p['amount']} entries",
     )
     table = []
@@ -63,15 +65,25 @@ def run(
     return table
 
 
-def main() -> str:
-    """Render the figure's table."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        amounts=tuple(scaled(a, scale, minimum=300) for a in DEFAULT_AMOUNTS),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Fig. 6 — multi-round PDD vs metadata amount",
         ["entries", "recall", "latency_s", "overhead_mb", "rounds"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment
+from repro.experiments.figures.common import pdd_experiment, scaled
 from repro.experiments.runner import render_table, run_sweep
 
 
@@ -42,7 +42,8 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     metadata_count: int = 5000,
     rows_cols: int = 10,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per consumer position (1st..nth), averaged over seeds."""
     point = {
@@ -55,6 +56,7 @@ def run(
         [point],
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: f"{p['n_consumers']} sequential",
     )
     per_seed = sweep[0].results
@@ -75,15 +77,25 @@ def run(
     return table
 
 
-def main() -> str:
-    """Render the figure's table."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        metadata_count=scaled(5000, scale, minimum=400),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Fig. 7 — PDD with sequential consumers",
         ["consumer", "recall", "latency_s", "overhead_mb"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment
+from repro.experiments.figures.common import pdd_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.experiments.scenario import build_campus_scenario
 from repro.mobility.campus import CLASSROOMS, STUDENT_CENTER, CampusScenario
@@ -51,7 +51,8 @@ def run(
     metadata_count: int = 5000,
     scenario_spec: CampusScenario = STUDENT_CENTER,
     duration_s: float = 120.0,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """One row per mobility scale: recall, latency, overhead."""
     points = [
@@ -68,6 +69,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: f"{p['spec'].name} x{p['scale']}",
     )
     table = []
@@ -88,23 +90,38 @@ def run_both_locations(
     scales: Sequence[float] = DEFAULT_SCALES,
     seeds: Optional[Sequence[int]] = None,
     metadata_count: int = 5000,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """Student center (Figs. 9–10) plus the classroom variant."""
-    rows = run(scales, seeds, metadata_count, STUDENT_CENTER, jobs=jobs)
-    rows += run(scales, seeds, metadata_count, CLASSROOMS, jobs=jobs)
+    rows = run(
+        scales, seeds, metadata_count, STUDENT_CENTER, jobs=jobs, store=store
+    )
+    rows += run(
+        scales, seeds, metadata_count, CLASSROOMS, jobs=jobs, store=store
+    )
     return rows
 
 
-def main() -> str:
-    """Render the figures' table."""
-    rows = run_both_locations()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run_both_locations(
+        metadata_count=scaled(5000, scale, minimum=400),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "Figs. 9-10 — PDD under mobility (student center & classrooms)",
         ["scenario", "mobility_scale", "recall", "latency_s", "overhead_mb"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

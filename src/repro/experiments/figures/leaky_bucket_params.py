@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.figures.common import scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.net.leaky_bucket import LeakyBucketConfig
 from repro.phone.prototype import PrototypeConfig, run_prototype
@@ -48,7 +49,8 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     packets_per_sender: int = 4000,
     n_senders: int = 2,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """Two sweeps: reception vs leak rate (at 300 KB) and vs capacity
     (at 4.5 Mbps), with concurrent senders so contention matters."""
@@ -77,6 +79,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: (
             f"{p['sweep']} {p['leak_rate_bps'] / 1e6:g}Mbps"
             f"/{p['capacity_bytes'] // 1024}KB"
@@ -96,15 +99,26 @@ def run(
     return rows
 
 
-def main() -> str:
-    """Render the sweep tables."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        # Sustained pressure is needed for the leak-rate cliff to show.
+        packets_per_sender=scaled(4000, scale, minimum=4000),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "§V-4 — leaky bucket parameter exploration (reception rate)",
         ["sweep", "leak_mbps", "capacity_kb", "reception"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

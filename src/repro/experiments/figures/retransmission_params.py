@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.figures.common import scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.net.reliability import ReliabilityConfig
 from repro.phone.prototype import PrototypeConfig, run_prototype
@@ -36,7 +37,8 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     packets_per_sender: int = 4000,
     n_senders: int = 2,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """Two sweeps with the other knob held at the paper's best value."""
     points = [
@@ -64,6 +66,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: (
             f"{p['sweep']} t={p['retr_timeout_s']}"
             f" r={p['max_retransmissions']}"
@@ -83,15 +86,26 @@ def run(
     return rows
 
 
-def main() -> str:
-    """Render the sweep tables."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        # Contention losses need a sustained two-sender workload.
+        packets_per_sender=scaled(4000, scale, minimum=4000),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "§V-4 — ack/retransmission parameter exploration (reception rate)",
         ["sweep", "timeout_s", "max_retr", "reception"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment
+from repro.experiments.figures.common import pdd_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 
 DEFAULT_AMOUNTS = (2500, 5000, 10000, 20000)
@@ -38,7 +38,8 @@ def run(
     redundancies: Sequence[int] = DEFAULT_REDUNDANCIES,
     seeds: Optional[Sequence[int]] = None,
     rows_cols: int = 10,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
 ) -> List[Dict[str, object]]:
     """Recall of one round, no ack, per (amount, redundancy)."""
     points = [
@@ -51,6 +52,7 @@ def run(
         points,
         seeds=seeds,
         jobs=jobs,
+        store=store,
         label_fn=lambda p: f"{p['amount']} entries r={p['redundancy']}",
     )
     table = []
@@ -65,15 +67,25 @@ def run(
     return table
 
 
-def main() -> str:
-    """Render the saturation table."""
-    rows = run()
+def reproduce(
+    scale: float = 1.0,
+    seeds: Optional[Sequence[int]] = None,
+    jobs: int = 1,
+    store: Optional[object] = None,
+) -> List[Dict[str, object]]:
+    """The figure's rows at workload ``scale`` (1.0 = the paper's)."""
+    return run(
+        amounts=tuple(scaled(a, scale, minimum=200) for a in DEFAULT_AMOUNTS),
+        seeds=seeds,
+        jobs=jobs,
+        store=store,
+    )
+
+
+def render(rows: List[Dict[str, object]]) -> str:
+    """The figure's table."""
     return render_table(
         "§VI-B — single-round PDD (no ack): recall vs metadata amount",
         ["entries", "redundancy", "recall"],
         rows,
     )
-
-
-if __name__ == "__main__":
-    print(main())

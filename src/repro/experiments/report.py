@@ -151,12 +151,15 @@ ABLATIONS = [
 HEADER = """# EXPERIMENTS — paper vs measured
 
 Every table below is regenerated by `pytest benchmarks/ --benchmark-only`
-(tables land in `benchmarks/results/`).  The numbers shown here come from
-a paper-scale run (`REPRO_SCALE=1 REPRO_SEEDS=2`), snapshotted in
+(tables land in `benchmarks/results/`).  The suite and `python -m repro
+<figure>` run the same entry point, each figure module's
+`reproduce(scale, seeds)` and `render(rows)`.  The numbers shown here
+come from a paper-scale run (2 seeds at scale 1.0), snapshotted in
 `benchmarks/results_paper_scale/`; the benchmark suite's default is a
-reduced scale (`REPRO_SCALE=0.25`) for quick turnaround.  Rebuild this
-file with `python -m repro.experiments.report benchmarks/results_paper_scale
-EXPERIMENTS.md` after a fresh paper-scale run.
+reduced scale (2 seeds at scale 0.25, see `benchmarks/conftest.py`) for
+quick turnaround.  Rebuild this file with `python -m repro.experiments.report
+benchmarks/results_paper_scale EXPERIMENTS.md` after a fresh paper-scale
+run.
 
 **How to read this document.**  Absolute values are *not* expected to
 match the paper — the substrate is an event-driven medium model calibrated

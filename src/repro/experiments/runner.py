@@ -4,23 +4,24 @@ The paper averages each point over 5 runs (§VI-A); experiment modules
 define a per-(point, seed) trial function returning a plain JSON dict
 and hand it, with a parameter grid, to :func:`run_sweep` — the one
 campaign entry point — then average fields with :func:`point_mean`.
-Benchmarks honour ``REPRO_SEEDS`` / ``REPRO_SCALE`` environment knobs so
-full-fidelity runs and quick CI runs share the same code.
+Campaign settings (seeds, worker count, store, trial deadline) are
+arguments of :func:`run_sweep` and nothing else; :func:`seed_list`,
+:func:`check_scale` and :func:`worker_count` are the checks the CLI and
+the benchmark suite apply to them before a campaign starts.
 
 Parallelism
 -----------
 
 Trials are embarrassingly parallel — each builds its own simulator and
 RNGs from its seed — so :func:`run_sweep` takes a ``jobs`` parameter
-(default: the ``REPRO_JOBS`` env knob, itself defaulting to 1) backed by
-:class:`concurrent.futures.ProcessPoolExecutor`.  ``jobs=1`` keeps
-everything on the caller's thread.  With ``jobs>1``:
+(default 1) backed by :class:`concurrent.futures.ProcessPoolExecutor`.
+``jobs=1`` keeps everything on the caller's thread.  With ``jobs>1``:
 
 * results are reassembled in submission order, so tables are
   bit-identical to a serial run of the same seeds regardless of worker
   completion order;
-* each trial runs under a per-trial wall-clock deadline (``timeout_s`` /
-  ``REPRO_TRIAL_TIMEOUT``) enforced with ``SIGALRM`` inside the worker;
+* each trial runs under an optional per-trial wall-clock deadline
+  (``timeout_s``) enforced with ``SIGALRM`` inside the worker;
 * a trial that raises, times out, or kills its worker process is retried
   once (``retries``) and then surfaced as a structured
   :class:`~repro.experiments.metrics.TrialFailure` instead of aborting
@@ -41,11 +42,11 @@ Campaign store
 --------------
 
 :func:`run_sweep` takes ``store=`` (a path or
-:class:`~repro.experiments.store.CampaignStore`; default: the
-``REPRO_STORE`` env knob, CLI ``--store``) and ``resume=`` knobs.  With a
-store, every completed trial is durably recorded under its content
-address and — with ``resume=True``, the default — trials whose digest is
-already present are *skipped*: their cached values slot into the
+:class:`~repro.experiments.store.CampaignStore`; default: none; CLI
+``--store``) and ``resume=`` knobs.  With a store, every completed trial
+is durably recorded under its content address and — with
+``resume=True``, the default — trials whose digest is already present
+are *skipped*: their cached values slot into the
 reassembly exactly where execution would have put them, so the final
 tables are bit-identical to an uninterrupted run.  A campaign killed
 mid-flight (even ``SIGKILL``) resumes from what it finished; in-flight
@@ -75,6 +76,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import ConfigurationError, ReproError
@@ -101,111 +103,58 @@ class TrialTimeout(ReproError):
 
 
 # ----------------------------------------------------------------------
-# Environment knobs
+# Campaign settings
 # ----------------------------------------------------------------------
-def configured_seeds(default: Sequence[int] = DEFAULT_SEEDS) -> List[int]:
-    """Seeds to use, honouring the ``REPRO_SEEDS`` env var (a count).
+def seed_list(count: Union[int, str]) -> List[int]:
+    """Seeds ``1..count`` for a seed count (``--seeds``).
 
     Raises:
-        ConfigurationError: when ``REPRO_SEEDS`` is not a positive integer.
+        ConfigurationError: when ``count`` is not a positive integer.
     """
-    raw = os.environ.get("REPRO_SEEDS")
-    if not raw:
-        return list(default)
     try:
-        count = int(raw)
+        number = int(count)
     except ValueError:
+        number = 0
+    if number < 1:
         raise ConfigurationError(
-            f"REPRO_SEEDS must be a positive integer (a seed count), "
-            f"got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ConfigurationError(
-            f"REPRO_SEEDS must be a positive integer (a seed count), "
-            f"got {raw!r}"
+            f"seeds must be a positive integer (a seed count), got {count!r}"
         )
-    return list(range(1, count + 1))
+    return list(range(1, number + 1))
 
 
-def scale_factor(default: float = 1.0) -> float:
-    """Workload scale, honouring ``REPRO_SCALE`` (1.0 = paper scale).
-
-    Benchmarks default to a reduced scale so the suite completes quickly;
-    set ``REPRO_SCALE=1`` for paper-scale runs.
+def check_scale(scale: Union[float, str]) -> float:
+    """A workload scale (``--scale``; 1.0 = paper scale).
 
     Raises:
-        ConfigurationError: when ``REPRO_SCALE`` is not a positive number.
+        ConfigurationError: when ``scale`` is not a positive number.
     """
-    raw = os.environ.get("REPRO_SCALE")
-    if not raw:
-        return default
     try:
-        scale = float(raw)
+        value = float(scale)
     except ValueError:
+        value = 0.0
+    if not value > 0:
         raise ConfigurationError(
-            f"REPRO_SCALE must be a positive number, got {raw!r}"
-        ) from None
-    if scale <= 0:
-        raise ConfigurationError(
-            f"REPRO_SCALE must be a positive number, got {raw!r}"
+            f"scale must be a positive number, got {scale!r}"
         )
-    return scale
+    return value
 
 
-def configured_jobs(default: int = 1) -> int:
-    """Worker processes per campaign, honouring ``REPRO_JOBS``.
-
-    ``1`` (the default) runs everything in-process; ``0`` or ``auto``
-    means one worker per CPU core.
+def worker_count(jobs: Union[int, str]) -> int:
+    """Worker processes per campaign (``--jobs``; 0 = one per CPU core).
 
     Raises:
-        ConfigurationError: when ``REPRO_JOBS`` is not a non-negative
-            integer or ``auto``.
+        ConfigurationError: when ``jobs`` is not a non-negative integer.
     """
-    raw = os.environ.get("REPRO_JOBS")
-    if not raw:
-        return default
-    if raw.strip().lower() == "auto":
-        return os.cpu_count() or 1
     try:
-        jobs = int(raw)
+        number = int(jobs)
     except ValueError:
+        number = -1
+    if number < 0:
         raise ConfigurationError(
-            f"REPRO_JOBS must be a non-negative integer or 'auto', got {raw!r}"
-        ) from None
-    if jobs < 0:
-        raise ConfigurationError(
-            f"REPRO_JOBS must be a non-negative integer or 'auto', got {raw!r}"
+            f"jobs must be a non-negative integer (0 = one per CPU core), "
+            f"got {jobs!r}"
         )
-    return jobs if jobs > 0 else (os.cpu_count() or 1)
-
-
-def configured_trial_timeout(default: Optional[float] = None) -> Optional[float]:
-    """Per-trial wall-clock deadline in seconds (``REPRO_TRIAL_TIMEOUT``).
-
-    ``None`` (unset/empty) disables the deadline.  Only enforced for
-    parallel campaigns (``jobs > 1``) on platforms with ``SIGALRM``.
-
-    Raises:
-        ConfigurationError: when ``REPRO_TRIAL_TIMEOUT`` is not a
-            positive number.
-    """
-    raw = os.environ.get("REPRO_TRIAL_TIMEOUT")
-    if not raw:
-        return default
-    try:
-        timeout = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_TRIAL_TIMEOUT must be a positive number of seconds, "
-            f"got {raw!r}"
-        ) from None
-    if timeout <= 0:
-        raise ConfigurationError(
-            f"REPRO_TRIAL_TIMEOUT must be a positive number of seconds, "
-            f"got {raw!r}"
-        )
-    return timeout
+    return number or (os.cpu_count() or 1)
 
 
 # ----------------------------------------------------------------------
@@ -603,7 +552,7 @@ def run_sweep(
     trial: SweepTrialFn,
     points: Sequence[Any],
     seeds: Optional[Iterable[int]] = None,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     timeout_s: Optional[float] = None,
     retries: int = 1,
     label_fn: Optional[Callable[[Any], str]] = None,
@@ -633,23 +582,20 @@ def run_sweep(
     simulator runs carry that label — also for trials that ran in
     workers.
 
+    ``seeds`` defaults to :data:`DEFAULT_SEEDS`.  ``timeout_s`` (parallel
+    campaigns only) is each trial's wall-clock deadline; ``None`` disables
+    it.
+
     ``store`` (a path or :class:`~repro.experiments.store.CampaignStore`;
-    default: the ``REPRO_STORE`` env knob; ``False``: none) makes the
-    campaign durable:
+    default: none) makes the campaign durable:
     every (point, seed) trial is keyed by its content digest, completed
     trials persist across process restarts, and with ``resume=True``
     (the default) a resumed sweep skips cached trials while producing
     bit-identical :class:`SweepPoint` results; each point's
     ``cache_hits``/``executed`` fields say how much came from the store.
     """
-    if seeds is None:
-        seeds = configured_seeds()
-    seeds = list(seeds)
+    seeds = list(DEFAULT_SEEDS if seeds is None else seeds)
     points = list(points)
-    if jobs is None:
-        jobs = configured_jobs()
-    if timeout_s is None:
-        timeout_s = configured_trial_timeout()
     labels = [
         label_fn(point) if label_fn is not None else f"point {index}"
         for index, point in enumerate(points)

@@ -25,14 +25,13 @@ or whose embedded key disagrees with its filename is treated as a cache
 :attr:`CampaignStore.corrupt_seen`; ``repro campaign gc`` deletes such
 files.
 
-Wire-up: ``run_sweep(store=...)`` (or
-``--store PATH`` / ``REPRO_STORE``) write every completed trial through
-the store and, with ``resume=True`` (the default), skip trials whose
-digest is already present — reassembly stays bit-identical to an
-uninterrupted run because cached values are validated to round-trip
-through JSON exactly at ``put`` time.  In-flight trials (no entry yet)
-simply re-run.  ``repro campaign status|resume|gc`` operates on a store
-from the command line.
+Wire-up: ``run_sweep(store=...)`` (CLI ``--store PATH``) writes every
+completed trial through the store and, with ``resume=True`` (the
+default), skips trials whose digest is already present — reassembly
+stays bit-identical to an uninterrupted run because cached values are
+validated to round-trip through JSON exactly at ``put`` time.
+In-flight trials (no entry yet) simply re-run.  ``repro campaign
+status|resume|gc`` operates on a store from the command line.
 """
 
 from __future__ import annotations
@@ -461,21 +460,11 @@ class CampaignStore:
 
 
 # ----------------------------------------------------------------------
-# Resolution (knob / env)
+# Resolution
 # ----------------------------------------------------------------------
-def configured_store_path(default: Optional[str] = None) -> Optional[str]:
-    """The campaign-store path in effect (``REPRO_STORE`` env knob)."""
-    raw = os.environ.get("REPRO_STORE")
-    if not raw:
-        return default
-    return raw
-
-
 def resolve_store(store: Any) -> Optional[CampaignStore]:
-    """Normalize the ``store=`` knob: None → env, path → CampaignStore."""
+    """Normalize the ``store=`` knob: None → none, path → CampaignStore."""
     if store is None:
-        store = configured_store_path()
-    if store is None or store is False:
         return None
     if isinstance(store, CampaignStore):
         return store

@@ -125,7 +125,7 @@ class BroadcastFace:
             "sendq": self.bucket.queue_length,
             "sendq_bytes": self.bucket.queued_bytes,
             "radioq": self.radio.queue_length,
-            "retx": self.sender.pending_count,
+            "retx": self.sender.outstanding,
         }
 
     # ------------------------------------------------------------------

@@ -93,11 +93,6 @@ class ReliabilitySender:
         self.retransmitted_frames = 0
         self.abandoned_frames = 0
 
-    @property
-    def pending_count(self) -> int:
-        """Frames awaiting acknowledgement (retransmission candidates)."""
-        return len(self._pending)
-
     def _timeout_for(self, frame: Frame) -> float:
         # The airtime allowance covers the ack's own channel-access delay:
         # while chunk-sized frames saturate the channel, an ack routinely

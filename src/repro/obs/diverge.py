@@ -226,15 +226,13 @@ def run_side(
         else:
             from repro.experiments.runner import run_sweep
 
-            # Never through a campaign store: cached trials emit no
-            # fingerprint, and a perturbed side must not be cached under
-            # clean keys.
+            # No campaign store: cached trials emit no fingerprint, and
+            # a perturbed side must not be cached under clean keys.
             run_sweep(
                 _scenario_trial,
                 [scenario.to_dict()],
                 seeds=scenario.seeds,
                 jobs=spec.jobs,
-                store=False,
             )
     return SideRun(
         spec=spec,

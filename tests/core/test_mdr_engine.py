@@ -144,3 +144,52 @@ def test_chunks_outside_total_ignored():
     net.sim.run(until=30.0)
     served = {f.payload.chunk.chunk_id for f in responses}
     assert served <= {0, 1}
+
+
+def _no_caching_config():
+    from dataclasses import replace
+
+    from repro.node.config import DeviceConfig
+
+    config = DeviceConfig()
+    return replace(
+        config,
+        protocol=replace(
+            config.protocol,
+            cache_relayed_chunks=False,
+            cache_overheard_chunks=False,
+        ),
+    )
+
+
+def test_caching_switches_hold_for_pdr_relays():
+    """The MDR engine sees every ChunkResponse but never caches it."""
+    from repro.core.consumer import RetrievalSession
+
+    net = make_net(line_positions(3), device_config=_no_caching_config())
+    item = make_item_4()
+    for chunk in item.chunks():
+        net.devices[2].add_chunk(chunk)
+    session = RetrievalSession(net.devices[0], item.descriptor)
+    net.sim.schedule(0.0, session.start)
+    net.sim.run(until=120.0)
+    assert session.have == {0, 1, 2, 3}
+    assert net.devices[1].store.chunk_ids_of(item.descriptor) == []
+
+
+def test_mdr_consumer_keeps_its_chunks_with_caching_off():
+    from repro.core.consumer import MdrSession
+    from repro.core.rounds import RoundConfig
+
+    net = make_net(line_positions(3), device_config=_no_caching_config())
+    item = make_item_4()
+    for chunk in item.chunks():
+        net.devices[2].add_chunk(chunk)
+    session = MdrSession(
+        net.devices[0], item.descriptor, round_config=RoundConfig(window_s=3.0)
+    )
+    net.sim.schedule(0.0, session.start)
+    net.sim.run(until=240.0)
+    assert session.result.completed
+    assert net.devices[0].store.chunk_ids_of(item.descriptor) == [0, 1, 2, 3]
+    assert net.devices[1].store.chunk_ids_of(item.descriptor) == []

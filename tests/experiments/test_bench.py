@@ -198,12 +198,10 @@ def test_cli_dispatches_bench_subcommand(tmp_path, capsys):
     assert "bloom_ops" in capsys.readouterr().out
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_TOLERANCE", "0.9")
-    assert bench._resolve_tolerance(None) == pytest.approx(0.9)
-    assert bench._resolve_tolerance(0.1) == pytest.approx(0.1)
-    monkeypatch.setenv("REPRO_BENCH_TOLERANCE", "junk")
-    assert bench._resolve_tolerance(None) == bench.DEFAULT_TOLERANCE
+def test_tolerance_flag_defaults_to_a_quarter():
+    parser = bench.build_parser()
+    assert parser.parse_args([]).tolerance == bench.DEFAULT_TOLERANCE == 0.25
+    assert parser.parse_args(["--tolerance", "0.9"]).tolerance == 0.9
 
 
 # ----------------------------------------------------------------------

@@ -191,15 +191,10 @@ def test_timeline_flag_records_jsonl(tmp_path, capsys, scenario_fig4):
     assert records[0]["keyframe_every"] == 3
 
 
-def test_metrics_memory_flags_print_profile_and_telemetry(
-    monkeypatch, capsys, scenario_fig4
-):
-    import os
-
-    # --memory keeps the campaign in this process unless --jobs is given.
-    monkeypatch.setenv("REPRO_JOBS", "2")
+def test_metrics_memory_flags_print_profile_and_telemetry(capsys, scenario_fig4):
+    # Without --jobs the campaign runs in this process, where the
+    # telemetry sees every phase boundary.
     assert main(["fig4", "--metrics", "--memory"]) == 0
-    assert os.environ["REPRO_JOBS"] == "1"
     out = capsys.readouterr().out
     assert "profile:" in out
     assert "memory telemetry" in out
@@ -216,15 +211,12 @@ def _tiny_trial(point, seed):
 
 @pytest.fixture
 def sweep_fig4(monkeypatch):
-    """Replace fig4's run with a two-seed sweep of a tiny simulation; the
-    CLI's env knobs are restored after the test."""
+    """Replace fig4's run with a two-seed sweep of a tiny simulation,
+    under the worker count and store the CLI passes."""
     from repro.experiments.runner import run_sweep
 
-    for knob in ("REPRO_JOBS", "REPRO_STORE"):
-        monkeypatch.setenv(knob, "")  # empty: unset, restored afterwards
-
-    def run(*args, **kwargs):
-        run_sweep(_tiny_trial, [{}], seeds=[1, 2])
+    def run(*args, jobs, store, **kwargs):
+        run_sweep(_tiny_trial, [{}], seeds=[1, 2], jobs=jobs, store=store)
         return [{"grid": "1x1", "recall": 1.0}]
 
     monkeypatch.setattr(REGISTRY["fig4"], "run", run)

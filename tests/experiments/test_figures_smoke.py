@@ -32,10 +32,11 @@ def test_registry_covers_all_paper_figures():
     assert set(REGISTRY) == expected
 
 
-def test_registry_modules_expose_run_and_main():
+def test_registry_modules_expose_run_reproduce_and_render():
     for module in REGISTRY.values():
         assert callable(module.run)
-        assert callable(module.main)
+        assert callable(module.reproduce)
+        assert callable(module.render)
 
 
 def test_fig3_rows():

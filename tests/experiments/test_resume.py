@@ -62,7 +62,6 @@ def _start_campaign(store_root):
     env["PYTHONPATH"] = os.pathsep.join(
         (os.path.join(_REPO_ROOT, "src"), _REPO_ROOT)
     )
-    env.pop("REPRO_STORE", None)
     return subprocess.Popen(
         [sys.executable, "-c", _CHILD_SCRIPT, store_root],
         cwd=_REPO_ROOT,

@@ -10,13 +10,12 @@ from repro.experiments.runner import (
     DEFAULT_SEEDS,
     TrialTimeout,
     _trial_deadline,
-    configured_jobs,
-    configured_seeds,
-    configured_trial_timeout,
+    check_scale,
     point_mean,
     render_table,
     run_sweep,
-    scale_factor,
+    seed_list,
+    worker_count,
 )
 
 
@@ -25,81 +24,56 @@ def test_default_seeds_five_runs():
     assert len(DEFAULT_SEEDS) == 5
 
 
-def test_configured_seeds_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SEEDS", "3")
-    assert configured_seeds() == [1, 2, 3]
+def _echo_trial(point, seed):
+    return {"seed": seed}
 
 
-def test_configured_seeds_default(monkeypatch):
-    monkeypatch.delenv("REPRO_SEEDS", raising=False)
-    assert configured_seeds() == list(DEFAULT_SEEDS)
-
-
-def test_scale_factor_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", "0.25")
-    assert scale_factor() == 0.25
-    monkeypatch.delenv("REPRO_SCALE")
-    assert scale_factor(0.5) == 0.5
+def test_configured_seeds_default():
+    """A sweep given no seeds runs the paper's five."""
+    sweep = run_sweep(_echo_trial, [{}])
+    assert sweep[0].seeds == DEFAULT_SEEDS
 
 
 @pytest.mark.parametrize("raw", ["banana", "2.5", "0", "-3"])
-def test_configured_seeds_rejects_bad_values(monkeypatch, raw):
-    """Regression: a typo'd REPRO_SEEDS used to crash with a bare
+def test_configured_seeds_rejects_bad_values(raw):
+    """Regression: a typo'd seed count used to crash with a bare
     ValueError (or, for 0/-3, silently yield an empty campaign whose
     aggregation then divided by zero)."""
-    monkeypatch.setenv("REPRO_SEEDS", raw)
     with pytest.raises(ConfigurationError) as excinfo:
-        configured_seeds()
-    assert "REPRO_SEEDS" in str(excinfo.value)
+        seed_list(raw)
+    assert "seeds" in str(excinfo.value)
     assert repr(raw) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("raw", ["fast", "0", "-1"])
-def test_scale_factor_rejects_bad_values(monkeypatch, raw):
-    """Regression: REPRO_SCALE=0 used to produce empty workloads that
+def test_scale_factor_rejects_bad_values(raw):
+    """Regression: a zero scale used to produce empty workloads that
     looked like perfect recall; non-numeric values crashed mid-sweep."""
-    monkeypatch.setenv("REPRO_SCALE", raw)
     with pytest.raises(ConfigurationError) as excinfo:
-        scale_factor()
-    assert "REPRO_SCALE" in str(excinfo.value)
+        check_scale(raw)
+    assert "scale" in str(excinfo.value)
     assert repr(raw) in str(excinfo.value)
 
 
-def test_configured_jobs_default_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert configured_jobs() == 1
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert configured_jobs() == 3
+def test_campaign_settings_accept_flag_and_env_forms():
+    assert seed_list(3) == seed_list("3") == [1, 2, 3]
+    assert check_scale(0.25) == check_scale("0.25") == 0.25
+    assert worker_count(3) == worker_count("3") == 3
 
 
-@pytest.mark.parametrize("raw", ["0", "auto", "AUTO"])
-def test_configured_jobs_auto_means_cpu_count(monkeypatch, raw):
-    monkeypatch.setenv("REPRO_JOBS", raw)
+@pytest.mark.parametrize("raw", ["0"])
+def test_configured_jobs_auto_means_cpu_count(raw):
     import os
 
-    assert configured_jobs() == (os.cpu_count() or 1)
+    assert worker_count(raw) == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("raw", ["-2", "two", "1.5"])
-def test_configured_jobs_rejects_bad_values(monkeypatch, raw):
-    monkeypatch.setenv("REPRO_JOBS", raw)
+def test_configured_jobs_rejects_bad_values(raw):
     with pytest.raises(ConfigurationError) as excinfo:
-        configured_jobs()
-    assert "REPRO_JOBS" in str(excinfo.value)
+        worker_count(raw)
+    assert "jobs" in str(excinfo.value)
     assert repr(raw) in str(excinfo.value)
-
-
-def test_configured_trial_timeout(monkeypatch):
-    monkeypatch.delenv("REPRO_TRIAL_TIMEOUT", raising=False)
-    assert configured_trial_timeout() is None
-    monkeypatch.setenv("REPRO_TRIAL_TIMEOUT", "2.5")
-    assert configured_trial_timeout() == 2.5
-    monkeypatch.setenv("REPRO_TRIAL_TIMEOUT", "0")
-    with pytest.raises(ConfigurationError):
-        configured_trial_timeout()
-    monkeypatch.setenv("REPRO_TRIAL_TIMEOUT", "soon")
-    with pytest.raises(ConfigurationError):
-        configured_trial_timeout()
 
 
 @pytest.mark.skipif(

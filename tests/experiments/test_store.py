@@ -220,9 +220,8 @@ def test_foreign_schema_reads_as_miss(tmp_path):
     assert store.get(digest) is None
 
 
-def test_schema_1_entry_is_a_counted_miss_and_reexecutes(tmp_path, monkeypatch):
+def test_schema_1_entry_is_a_counted_miss_and_reexecutes(tmp_path):
     """Entries from before the scheduler left the key (schema 1) re-run."""
-    monkeypatch.delenv("REPRO_STORE", raising=False)
     store = CampaignStore(str(tmp_path))
     _one_point([1, 2], store=store)
     digests = [task_digest(_metrics_trial, (_POINT, seed)) for seed in (1, 2)]
@@ -242,14 +241,11 @@ def test_schema_1_entry_is_a_counted_miss_and_reexecutes(tmp_path, monkeypatch):
     assert all(store.get(digest) is not None for digest in digests)
 
 
-def test_entries_carry_no_metrics_and_older_metrics_keys_still_hit(
-    tmp_path, monkeypatch
-):
+def test_entries_carry_no_metrics_and_older_metrics_keys_still_hit(tmp_path):
     """Entries hold no registry snapshot, even under ``metrics``; an
     entry written by an earlier build with a ``metrics`` key still hits."""
     from repro.obs.config import ObsConfig
 
-    monkeypatch.delenv("REPRO_STORE", raising=False)
     store = CampaignStore(str(tmp_path))
     with ObsConfig(metrics=True).activate():
         cold = _one_point([1, 2], store=store)
@@ -270,11 +266,8 @@ def test_entries_carry_no_metrics_and_older_metrics_keys_still_hit(
 # ----------------------------------------------------------------------
 # Resolution
 # ----------------------------------------------------------------------
-def test_resolve_store_knob(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_STORE", raising=False)
+def test_resolve_store_knob(tmp_path):
     assert resolve_store(None) is None
-    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
-    assert resolve_store(None).root == str(tmp_path / "env-store")
     explicit = resolve_store(str(tmp_path / "explicit"))
     assert explicit.root == str(tmp_path / "explicit")
     assert resolve_store(explicit) is explicit
@@ -285,8 +278,7 @@ def test_resolve_store_knob(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # run_sweep integration (serial; parallel resume is test_resume.py)
 # ----------------------------------------------------------------------
-def test_run_sweep_store_hits_on_second_run(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_STORE", raising=False)
+def test_run_sweep_store_hits_on_second_run(tmp_path):
     store = CampaignStore(str(tmp_path))
     cold = _one_point([1, 2, 3], store=store)
     assert cold.cache_hits == 0 and cold.executed == 3
@@ -301,8 +293,7 @@ def test_run_sweep_store_hits_on_second_run(tmp_path, monkeypatch):
     assert plain.results == cold.results
 
 
-def test_run_sweep_resume_false_recomputes(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_STORE", raising=False)
+def test_run_sweep_resume_false_recomputes(tmp_path):
     store = CampaignStore(str(tmp_path))
     _one_point([1, 2], store=store)
     again = _one_point([1, 2], store=store, resume=False)

@@ -236,26 +236,6 @@ def test_diverge_clean_between_serial_and_two_workers(tmp_path):
     assert "no divergence" in report.render()
 
 
-def test_parallel_side_never_touches_a_campaign_store(tmp_path, monkeypatch):
-    """Cached trials emit no fingerprint: a warm ``REPRO_STORE`` must not
-    satisfy the jobs=2 side's trials, on the first run or the second."""
-    store = tmp_path / "store"
-    monkeypatch.setenv("REPRO_STORE", str(store))
-    for attempt in ("first", "second"):
-        workdir = tmp_path / attempt
-        workdir.mkdir()
-        report = diverge(
-            SideSpec.parse("a", ""),
-            SideSpec.parse("b", "jobs=2"),
-            scenario=_SMALL,
-            checkpoint_every=256,
-            workdir=str(workdir),
-        )
-        assert not report.diverged
-        assert report.clean_pairs == 1
-    assert not store.exists()
-
-
 def test_diverge_localizes_injected_draw_flip(tmp_path):
     report = diverge(
         SideSpec.parse("a", ""),
