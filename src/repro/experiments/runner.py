@@ -582,7 +582,9 @@ def run_sweep(
     simulator runs carry that label — also for trials that ran in
     workers.
 
-    ``seeds`` defaults to :data:`DEFAULT_SEEDS`.  ``timeout_s`` (parallel
+    ``seeds`` defaults to :data:`DEFAULT_SEEDS`.  ``jobs`` reads as in
+    :func:`worker_count`: 0 means one worker per CPU core, and a negative
+    value raises :class:`ConfigurationError`.  ``timeout_s`` (parallel
     campaigns only) is each trial's wall-clock deadline; ``None`` disables
     it.
 
@@ -594,6 +596,7 @@ def run_sweep(
     bit-identical :class:`SweepPoint` results; each point's
     ``cache_hits``/``executed`` fields say how much came from the store.
     """
+    jobs = worker_count(jobs)
     seeds = list(DEFAULT_SEEDS if seeds is None else seeds)
     points = list(points)
     labels = [

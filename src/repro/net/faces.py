@@ -7,7 +7,7 @@ leaky bucket (pacing), the reliability layer (per-hop ack/retransmission)
 and the radio (OS buffer + CSMA) into one send/receive interface.
 
 Send path:    protocol → ReliabilitySender → LeakyBucket → Radio → Medium
-Receive path: Medium → Radio → (ack handling / dedup) → protocol upcall
+Receive path: Medium → face (ack handling / dedup) → protocol upcall
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class BroadcastFace:
         )
         self.receiver = ReliabilityReceiver(node_id, self._send_ack)
         self._receive_callback: Optional[ReceiveCallback] = None
-        self.radio.on_receive(self._on_frame)
+        medium.attach(node_id, self._on_frame)
         self.radio.on_sent(self.sender.frame_transmitted)
 
     # ------------------------------------------------------------------
@@ -154,7 +154,12 @@ class BroadcastFace:
     def _on_frame(self, frame: Frame) -> None:
         payload = frame.payload
         if isinstance(payload, AckMessage):
-            self.sender.ack_received(payload)
+            # An ack names one receiver, the acked frame's sender.  Frame
+            # ids are fresh per logical send and retries keep their sender,
+            # so no other node holds that id pending: overheard acks stop
+            # here.
+            if self.node_id in frame.receivers:
+                self.sender.ack_received(payload)
             return
         is_new = self.receiver.accept(frame)
         if not is_new:

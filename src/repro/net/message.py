@@ -99,6 +99,8 @@ class Frame:
             histogram).
         corr: Causal correlation ids derived from the payload (stamped by
             the sending face); shared across retransmissions.
+        size: Total on-air bytes including frame headers (derived from
+            ``payload_size`` at construction).
     """
 
     sender: NodeId
@@ -111,11 +113,10 @@ class Frame:
     retransmission: int = 0
     enqueued_at: Optional[float] = None
     corr: Optional[Correlation] = None
+    size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        """Total on-air bytes including frame headers."""
-        return self.payload_size + FRAME_HEADER_BYTES
+    def __post_init__(self) -> None:
+        self.size = self.payload_size + FRAME_HEADER_BYTES
 
     def addressed_to(self, node_id: NodeId) -> bool:
         """Whether ``node_id`` is an intended receiver of this frame."""

@@ -66,19 +66,18 @@ class Radio:
         self._queue: Deque[Frame] = deque()
         self._queued_bytes = 0
         self._sending = False
-        self._receive_callback: Optional[Callable[[Frame], None]] = None
         self._sent_callback: Optional[Callable[[Frame], None]] = None
         #: Frames queued across *all* radios of the simulation: every radio
         #: shares the one registry gauge and moves it by its own changes.
         self._queue_gauge = sim.metrics.gauge("net.radio_queue_frames")
-        medium.attach(node_id, self._on_frame)
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def on_receive(self, callback: Callable[[Frame], None]) -> None:
-        """Set the upcall invoked for every frame heard on the air."""
-        self._receive_callback = callback
+        """Register with the medium the upcall for every frame heard on the
+        air (a face registers its own handler the same way)."""
+        self.medium.attach(self.node_id, callback)
 
     def on_sent(self, callback: Callable[[Frame], None]) -> None:
         """Set the upcall invoked when a frame finishes transmitting.
@@ -186,9 +185,9 @@ class Radio:
         until = self.medium.busy_until(self.node_id)
         now = self.sim.now
         if until > now:
-            backoff = self.rng.uniform(
-                self.config.backoff_min_s, self.config.backoff_max_s
-            )
+            # ``rng.uniform(lo, hi)`` spelt out: the same draw and arithmetic.
+            lo = self.config.backoff_min_s
+            backoff = lo + (self.config.backoff_max_s - lo) * self.rng.random()
             self.sim.schedule((until - now) + backoff, self._attempt)
             return
         frame = self._queue.popleft()
@@ -201,16 +200,9 @@ class Radio:
         if self._sent_callback is not None:
             self._sent_callback(frame)
         if self._queue:
-            gap = self.config.inter_frame_gap_s + self.rng.uniform(
-                0.0, self.config.backoff_max_s
-            )
+            # ``rng.uniform(0.0, max)``: the same draw, and exactly ``max * r``.
+            config = self.config
+            gap = config.inter_frame_gap_s + config.backoff_max_s * self.rng.random()
             self.sim.schedule(gap, self._attempt)
         else:
             self._sending = False
-
-    # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
-    def _on_frame(self, frame: Frame) -> None:
-        if self._receive_callback is not None:
-            self._receive_callback(frame)

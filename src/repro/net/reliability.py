@@ -256,9 +256,8 @@ class ReliabilityReceiver:
         overheard frames are never acked but are still reported (once) so
         the device can cache their content.
         """
-        if frame.needs_ack and frame.receivers is not None and frame.addressed_to(
-            self.node_id
-        ):
+        receivers = frame.receivers
+        if frame.needs_ack and receivers is not None and self.node_id in receivers:
             self.send_ack(make_ack_frame(self.node_id, frame))
         if frame.frame_id in self._seen:
             return False

@@ -84,16 +84,16 @@ class NetworkStats:
         if "response" in kind:
             self._response_sizes.observe(size)
 
-    # Hot-path helpers: the medium calls these once per delivery attempt,
-    # so they bump the backing counters directly instead of going through
-    # the property descriptors.
-    def record_delivery(self) -> None:
-        """Account one delivered frame copy."""
-        self._frames_delivered.value += 1
+    # Hot-path helpers: the medium calls these once per frame with the
+    # copies it delivered or lost, so they bump the backing counters
+    # directly instead of going through the property descriptors.
+    def record_delivery(self, count: int = 1) -> None:
+        """Account ``count`` delivered frame copies."""
+        self._frames_delivered.value += count
 
-    def record_loss(self, reason: str) -> None:
-        """Account one lost frame copy (``collision``/``random``/``busy_receiver``)."""
-        getattr(self, f"_frames_lost_{reason}").value += 1
+    def record_loss(self, reason: str, count: int = 1) -> None:
+        """Account ``count`` lost frame copies (``collision``/``random``/``busy_receiver``)."""
+        getattr(self, f"_frames_lost_{reason}").value += count
 
     def overhead_bytes(self, include_acks: bool = True) -> int:
         """Total transmitted bytes (the paper's message overhead)."""

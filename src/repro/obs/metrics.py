@@ -172,6 +172,16 @@ class Histogram:
         self.max: float = 0.0
 
     def observe(self, value: float) -> None:
+        self.observe_many(value, 1)
+
+    def observe_many(self, value: float, n: int) -> None:
+        """``n`` calls of :meth:`observe` with one value.
+
+        ``total`` gains ``value`` one addition at a time, so it stays
+        bit-identical to those calls; ``value * n`` would round differently.
+        """
+        if n <= 0:
+            return
         if self.count == 0:
             self.min = value
             self.max = value
@@ -180,9 +190,12 @@ class Histogram:
                 self.min = value
             if value > self.max:
                 self.max = value
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.total += value
-        self.count += 1
+        self.counts[bisect_left(self.buckets, value)] += n
+        total = self.total
+        for _ in range(n):
+            total += value
+        self.total = total
+        self.count += n
 
     @property
     def mean(self) -> float:

@@ -76,6 +76,21 @@ def test_configured_jobs_rejects_bad_values(raw):
     assert repr(raw) in str(excinfo.value)
 
 
+def test_sweep_jobs_zero_means_one_worker_per_core():
+    """Regression: ``run_sweep(..., jobs=0)`` died with a bare
+    ``ValueError: max_workers must be greater than 0`` from the process
+    pool; only the CLI mapped 0 to the core count."""
+    sweep = run_sweep(_echo_trial, [{}], seeds=[1, 2], jobs=0)
+    assert sweep == run_sweep(_echo_trial, [{}], seeds=[1, 2], jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [-1, -4])
+def test_sweep_rejects_negative_jobs(jobs):
+    with pytest.raises(ConfigurationError) as excinfo:
+        run_sweep(_echo_trial, [{}], seeds=[1], jobs=jobs)
+    assert "jobs" in str(excinfo.value)
+
+
 @pytest.mark.skipif(
     not hasattr(signal, "SIGALRM"), reason="deadline needs SIGALRM (Unix)"
 )

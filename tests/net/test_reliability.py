@@ -1,14 +1,26 @@
 """Unit tests for per-hop ack/retransmission (§V-1)."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.figures.common import (
+    experiment_device_config,
+    pdd_experiment,
+)
+from repro.experiments.scenario import build_grid_scenario
+from repro.net.faces import BroadcastFace
+from repro.net.medium import BroadcastMedium
 from repro.net.message import AckMessage, Frame, make_ack_frame
 from repro.net.reliability import (
     ReliabilityConfig,
     ReliabilityReceiver,
     ReliabilitySender,
 )
+from repro.net.topology import Topology
+from repro.obs.trace import ListSink
+from repro.sim.simulator import Simulator
 
 
 def frame(receivers=frozenset({2}), size=500):
@@ -275,3 +287,68 @@ def test_make_ack_frame_addressed_to_sender():
     assert ack.receivers == frozenset({1})
     assert ack.kind == "ack"
     assert not ack.needs_ack
+
+
+# ----------------------------------------------------------------------
+# Why a face may drop an overheard ack unread: only the acked frame's
+# sender can hold that frame id pending.
+# ----------------------------------------------------------------------
+def test_frame_ids_unique_per_logical_send_across_senders():
+    """In a traced discovery run every frame id belongs to one sender, and
+    its copies carry distinct retransmission numbers."""
+    scenario = build_grid_scenario(
+        rows=3, cols=3, seed=1, device_config=experiment_device_config()
+    )
+    sink = scenario.sim.trace.subscribe(ListSink())
+    pdd_experiment(1, metadata_count=200, scenario=scenario, sim_cap_s=60.0)
+    copies = {}
+    for event in sink.events:
+        if event.kind == "frame_sent":
+            copies.setdefault(event.fields["frame_id"], []).append(
+                (event.node, event.fields["retx"])
+            )
+    assert len({node for sends in copies.values() for node, _ in sends}) > 1
+    assert any(retx for sends in copies.values() for _, retx in sends)
+    for frame_id, sends in copies.items():
+        assert len({node for node, _ in sends}) == 1, frame_id
+        numbers = [retx for _, retx in sends]
+        assert len(numbers) == len(set(numbers)), frame_id
+
+
+def test_retransmission_copy_keeps_id_and_sender():
+    f = frame(receivers=frozenset({2, 3}))
+    retry = f.copy_for_retransmission(frozenset({3}))
+    again = retry.copy_for_retransmission(frozenset({3}))
+    for copy in (retry, again):
+        assert (copy.frame_id, copy.sender) == (f.frame_id, f.sender)
+    assert (retry.retransmission, again.retransmission) == (1, 2)
+
+
+def test_ack_overheard_by_third_node_leaves_its_sender_untouched():
+    """Node 0 sends to node 1; node 2 overhears the frame and node 1's ack
+    while a frame of its own is outstanding."""
+    sim = Simulator()
+    topology = Topology(40.0)
+    for node in range(3):
+        topology.add_node(node, (node * 5.0, 0.0))
+    medium = BroadcastMedium(sim, topology, random.Random(2), base_loss=0.0)
+    sink = sim.trace.subscribe(ListSink())
+    faces = [BroadcastFace(sim, medium, n, random.Random(50 + n)) for n in range(3)]
+    third = faces[2].sender
+    # Addressed to a node that is not there, so it stays pending.
+    own = faces[2].send("mine", 100, receivers=frozenset({9}))
+    heard = []
+    ack_received = third.ack_received
+    third.ack_received = lambda ack: (heard.append(ack), ack_received(ack))
+    faces[0].send("data", 500, receivers=frozenset({1}))
+    sim.run(until=0.1)  # well inside the 0.2 s RetrTimeout
+    assert faces[0].sender.outstanding == 0  # node 1's ack arrived
+    assert any(
+        event.kind == "frame_delivered"
+        and event.node == 2
+        and event.fields["frame_kind"] == "ack"
+        for event in sink.events
+    )
+    assert heard == []
+    assert list(third._pending) == [own.frame_id]
+    assert (third.retransmitted_frames, third.abandoned_frames) == (0, 0)
