@@ -1,9 +1,11 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
-Each benchmark regenerates one table/figure of the paper's evaluation
+``bench_figures.py`` regenerates every table of the paper's evaluation
 through its figure module's ``reproduce`` and ``render`` (the same entry
-point as ``python -m repro <figure>``) and records the table both to
-stdout and to ``benchmarks/results/<figure>.txt``.
+point as ``python -m repro <figure>``), records it both to stdout and to
+``benchmarks/results/<figure>.txt``, and fails on every claim of the
+module's ``CLAIMS`` that does not hold.  ``bench_ablations.py`` and
+``bench_lingering_vs_interest.py`` record the extension ablations.
 
 Environment knobs, read here and nowhere else, and checked like the
 CLI's ``--seeds`` / ``--scale`` (a bad value fails the run instead of

@@ -58,7 +58,7 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.experiments.figures import REGISTRY
+from repro.experiments.figures import REGISTRY, summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "figure",
         help="figure id (see `list`), `all`, `list`, `report` "
-        "(rebuild EXPERIMENTS.md from benchmarks/results), or "
+        "(rewrite the generated section of EXPERIMENTS.md from "
+        "benchmarks/results_paper_scale), or "
         "`inspect <trace.jsonl>` (summarize a trace file)",
     )
     parser.add_argument(
@@ -320,8 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.figure == "list":
         print("Available figures:")
         for figure_id, module in REGISTRY.items():
-            summary = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"  {figure_id:12s} {summary}")
+            print(f"  {figure_id:12s} {summary(module)}")
         return 0
 
     if args.figure == "report":

@@ -7,6 +7,12 @@ jobs=1, store=None) -> list[dict]`` (the figure's one scale rule applied
 to ``run``) and ``render(rows) -> str`` (its one title and column list).
 The CLI, ``repro campaign resume`` and the benchmark suite all go
 through ``reproduce`` and ``render``.
+
+Beside them each module states its paper contract once: ``PAPER`` (what
+the paper reports) and ``CLAIMS`` (the shape claims, each a
+:class:`~repro.experiments.figures.common.Claim` over the rows).
+``benchmarks/bench_figures.py`` checks the claims and EXPERIMENTS.md
+prints both, under the module docstring's first line.
 """
 
 from repro.experiments.figures import (
@@ -45,4 +51,10 @@ REGISTRY = {
     "fig16": fig16_simultaneous_pdr,
 }
 
-__all__ = ["REGISTRY"]
+
+def summary(module) -> str:
+    """A figure module's one-line description: its docstring's first line."""
+    return (module.__doc__ or "").strip().splitlines()[0]
+
+
+__all__ = ["REGISTRY", "summary"]

@@ -14,7 +14,7 @@ figure modules derive their rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.consumer import (
     DiscoverySession,
@@ -49,6 +49,26 @@ def scaled(value: int, scale: float, minimum: int = 1) -> int:
     scaled parameter; at ``scale=1.0`` each yields the paper's value.
     """
     return max(minimum, int(round(value * scale)))
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One shape claim of a figure, checked over its ``reproduce`` rows.
+
+    Each figure module lists its claims once, in ``CLAIMS``: the
+    benchmark suite fails on every claim whose ``holds(rows)`` is false,
+    and EXPERIMENTS.md prints ``text`` as the figure's shape contract.
+    """
+
+    text: str
+    holds: Callable[[List[Dict[str, object]]], bool]
+
+
+def failed_claims(
+    claims: Sequence[Claim], rows: List[Dict[str, object]]
+) -> List[str]:
+    """The text of every claim that does not hold on ``rows``."""
+    return [claim.text for claim in claims if not claim.holds(rows)]
 
 
 def experiment_device_config(

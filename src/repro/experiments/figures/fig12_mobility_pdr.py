@@ -1,15 +1,13 @@
 """Figure 12: PDR under real-world mobility (student center).
 
-A 20 MB item retrieved while people join, leave and move.  Paper shape:
-latency stays roughly flat (42–48 s) across 0.5×–2× mobility scaling;
-overhead 24–27 MB; recall always 100%.
+A 20 MB item retrieved while people join, leave and move.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures.common import retrieval_experiment, scaled
+from repro.experiments.figures.common import Claim, retrieval_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.experiments.scenario import build_campus_scenario
 from repro.experiments.workload import make_video_item
@@ -119,3 +117,20 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["scenario", "mobility_scale", "recall", "latency_s", "overhead_mb"],
         rows,
     )
+
+
+PAPER = (
+    "latency ≈42–48 s, roughly flat across 0.5×–2× mobility; overhead "
+    "24–27 MB; recall 100%."
+)
+
+CLAIMS = (
+    Claim(
+        "every recall > 0.9",
+        lambda rows: all(row["recall"] > 0.9 for row in rows),
+    ),
+    Claim(
+        "latency at 2× mobility < 2.5× the 0.5× latency + 10 s",
+        lambda rows: rows[-1]["latency_s"] < rows[0]["latency_s"] * 2.5 + 10.0,
+    ),
+)

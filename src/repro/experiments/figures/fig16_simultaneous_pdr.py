@@ -1,16 +1,10 @@
-"""Figure 16: PDR with multiple *simultaneous* consumers.
-
-Paper shape (20 MB item): as simultaneous consumers grow, latency and
-overhead first increase then stabilise — all consumers initially chase
-the same single copies, but consumers in the same direction share each
-transmission through overhearing and caching.
-"""
+"""Figure 16: PDR with multiple *simultaneous* consumers."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures.common import retrieval_experiment, scaled
+from repro.experiments.figures.common import Claim, retrieval_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.experiments.workload import make_video_item
 
@@ -96,3 +90,34 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["consumers", "recall", "latency_s", "overhead_mb"],
         rows,
     )
+
+
+def _stabilises(rows: List[Dict[str, object]]) -> bool:
+    """The last overhead step is much smaller than the first."""
+    step_early = rows[1]["overhead_mb"] - rows[0]["overhead_mb"]
+    step_late = rows[-1]["overhead_mb"] - rows[-2]["overhead_mb"]
+    return step_late <= max(step_early, rows[0]["overhead_mb"] * 0.6) + 1.0
+
+
+PAPER = (
+    "(20 MB item) latency and overhead first increase with the number of "
+    "simultaneous consumers, then stabilise: all consumers initially chase "
+    "the same single copies, but consumers in the same direction share "
+    "each transmission through overhearing and caching."
+)
+
+CLAIMS = (
+    Claim(
+        "every recall > 0.9",
+        lambda rows: all(row["recall"] > 0.9 for row in rows),
+    ),
+    Claim(
+        "5 simultaneous consumers' overhead < 5× one consumer's",
+        lambda rows: rows[-1]["overhead_mb"] < rows[0]["overhead_mb"] * 5,
+    ),
+    Claim(
+        "overhead growth flattens: the 4→5 step ≤ max(the 1→2 step, 0.6× "
+        "one consumer's overhead) + 1 MB",
+        _stabilises,
+    ),
+)

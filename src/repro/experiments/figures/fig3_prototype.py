@@ -1,14 +1,10 @@
-"""Figure 3: single-hop reception — raw UDP vs leaky bucket vs +ack.
-
-Paper shape: raw ≈ 10–14% (internal buffer overflow); leaky bucket alone
-40–90%, decreasing with concurrent senders; leaky bucket + ack 85–99%.
-"""
+"""Figure 3: single-hop reception — raw UDP vs leaky bucket vs +ack."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures.common import scaled
+from repro.experiments.figures.common import Claim, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.phone.prototype import MODES, PrototypeConfig, run_prototype
 
@@ -87,3 +83,42 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["mode", "senders", "reception"],
         rows,
     )
+
+
+def _reception(rows: List[Dict[str, object]], mode: str) -> List[float]:
+    return [row["reception"] for row in rows if row["mode"] == mode]
+
+
+PAPER = (
+    "raw UDP ≈10–14% (internal buffer overflow); leaky bucket alone "
+    "40–90%, falling with concurrent senders; leaky bucket + ack 85–99%."
+)
+
+CLAIMS = (
+    Claim(
+        "raw UDP overflows the OS buffer: every raw reception < 0.45",
+        lambda rows: max(_reception(rows, "raw")) < 0.45,
+    ),
+    Claim(
+        "one sender with the bucket is near perfect: reception > 0.9",
+        lambda rows: _reception(rows, "bucket")[0] > 0.9,
+    ),
+    Claim(
+        "the bucket degrades with senders: reception at the most senders "
+        "< at one sender",
+        lambda rows: _reception(rows, "bucket")[-1] < _reception(rows, "bucket")[0],
+    ),
+    Claim(
+        "ack never hurts: bucket+ack ≥ bucket − 0.05 at every sender count",
+        lambda rows: all(
+            acked >= bucket - 0.05
+            for acked, bucket in zip(
+                _reception(rows, "bucket_ack"), _reception(rows, "bucket")
+            )
+        ),
+    ),
+    Claim(
+        "ack recovers most losses: every bucket+ack reception > 0.6",
+        lambda rows: min(_reception(rows, "bucket_ack")) > 0.6,
+    ),
+)

@@ -1,16 +1,11 @@
-"""Figure 6: multi-round PDD vs metadata amount (normal → stress load).
-
-Paper shape: recall stays 100% from 5,000 to 20,000 entries; latency
-grows sublinearly 5.6 s → 11.2 s; overhead grows ≈linearly 5.13 MB →
-22.21 MB.
-"""
+"""Figure 6: multi-round PDD vs metadata amount (normal → stress load)."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment, scaled
+from repro.experiments.figures.common import Claim, pdd_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 
 DEFAULT_AMOUNTS = (5000, 10000, 15000, 20000)
@@ -87,3 +82,28 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["entries", "recall", "latency_s", "overhead_mb", "rounds"],
         rows,
     )
+
+
+PAPER = (
+    "recall 100% from 5,000 to 20,000 entries; latency grows sublinearly "
+    "5.6 → 11.2 s; overhead grows ≈linearly 5.13 → 22.21 MB."
+)
+
+CLAIMS = (
+    Claim(
+        "multi-round PDD stays complete: every recall > 0.97",
+        lambda rows: all(row["recall"] > 0.97 for row in rows),
+    ),
+    Claim(
+        "latency grows with load: at the most entries > at the fewest",
+        lambda rows: rows[-1]["latency_s"] > rows[0]["latency_s"],
+    ),
+    Claim(
+        "overhead ≈linear in load: at the most entries > 2× at the fewest",
+        lambda rows: rows[-1]["overhead_mb"] > rows[0]["overhead_mb"] * 2,
+    ),
+    Claim(
+        "latency is sublinear: at 4× the entries < 5× the latency",
+        lambda rows: rows[-1]["latency_s"] < rows[0]["latency_s"] * 5,
+    ),
+)

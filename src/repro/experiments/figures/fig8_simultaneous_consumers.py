@@ -1,16 +1,11 @@
-"""Figure 8: PDD with multiple *simultaneous* consumers.
-
-Paper shape: recall stays 100%; per-consumer latency grows sublinearly
-with the number of consumers and stabilises — one mixedcast transmission
-serves several lingering queries at once.
-"""
+"""Figure 8: PDD with multiple *simultaneous* consumers."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment, scaled
+from repro.experiments.figures.common import Claim, pdd_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 
 DEFAULT_CONSUMER_COUNTS = (1, 2, 3, 4, 5)
@@ -92,3 +87,26 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["consumers", "recall", "latency_s", "overhead_mb"],
         rows,
     )
+
+
+PAPER = (
+    "recall 100%; per-consumer latency grows sublinearly with the number of "
+    "simultaneous consumers and stabilises, because one mixedcast "
+    "transmission serves several lingering queries."
+)
+
+CLAIMS = (
+    Claim(
+        "every recall > 0.95",
+        lambda rows: all(row["recall"] > 0.95 for row in rows),
+    ),
+    Claim(
+        "latency grows sublinearly: 5 consumers' latency < 5 × 0.8 × one "
+        "consumer's",
+        lambda rows: rows[-1]["latency_s"] < rows[0]["latency_s"] * 5 * 0.8,
+    ),
+    Claim(
+        "5 consumers' overhead < 8× one consumer's",
+        lambda rows: rows[-1]["overhead_mb"] < rows[0]["overhead_mb"] * 8,
+    ),
+)

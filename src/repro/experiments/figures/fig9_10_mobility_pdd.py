@@ -1,9 +1,8 @@
-"""Figures 9–10: PDD under real-world mobility (student center).
+"""Figures 9–10: PDD under real-world mobility (student center, classrooms).
 
 Mobility traces are generated from the paper's 8-hour observations and
-the join/leave/move frequencies are scaled 0.5×–2×.  Paper shape: recall
-stays ≈100% and latency within ≈2 s (overhead within ≈3 MB) across the
-whole range; the classroom scenario behaves similarly.
+the join/leave/move frequencies are scaled 0.5×–2×; the classroom
+scenario runs alongside.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment, scaled
+from repro.experiments.figures.common import Claim, pdd_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.experiments.scenario import build_campus_scenario
 from repro.mobility.campus import CLASSROOMS, STUDENT_CENTER, CampusScenario
@@ -125,3 +124,32 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["scenario", "mobility_scale", "recall", "latency_s", "overhead_mb"],
         rows,
     )
+
+
+def _latencies(rows: List[Dict[str, object]], scenario: str) -> List[float]:
+    return [row["latency_s"] for row in rows if row["scenario"] == scenario]
+
+
+PAPER = (
+    "recall ≈100%, latency ≤2 s and overhead ≤3 MB at every churn scale "
+    "0.5×–2× of the observed join/leave/move rates, in the student center "
+    "and the classrooms alike."
+)
+
+CLAIMS = (
+    Claim(
+        "recall > 0.85 at every churn level in both places",
+        lambda rows: all(row["recall"] > 0.85 for row in rows),
+    ),
+    Claim(
+        "latency does not blow up: at 2× mobility < 4× the 0.5× latency "
+        "+ 2 s, in both places",
+        lambda rows: all(
+            series[-1] < series[0] * 4 + 2.0
+            for series in (
+                _latencies(rows, "student_center"),
+                _latencies(rows, "classrooms"),
+            )
+        ),
+    ),
+)

@@ -1,16 +1,10 @@
-"""§V-4 parameter exploration: LeakingRate and BucketCapacity.
-
-Paper shape: as LeakingRate grows 1→5 Mbps reception stays high (>97%)
-then drops once the rate exceeds what the radio can broadcast; a large
-BucketCapacity also lowers reception by overestimating the OS buffer.
-Best balance: 300 KB capacity, 4.5 Mbps leak rate.
-"""
+"""§V-4 parameter exploration: LeakingRate and BucketCapacity."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures.common import scaled
+from repro.experiments.figures.common import Claim, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.net.leaky_bucket import LeakyBucketConfig
 from repro.phone.prototype import PrototypeConfig, run_prototype
@@ -122,3 +116,38 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["sweep", "leak_mbps", "capacity_kb", "reception"],
         rows,
     )
+
+
+def _sweep(rows: List[Dict[str, object]], sweep: str) -> List[Dict[str, object]]:
+    return [row for row in rows if row["sweep"] == sweep]
+
+
+def _at_capacity(rows: List[Dict[str, object]], capacity_kb: int) -> float:
+    return next(
+        row for row in _sweep(rows, "capacity") if row["capacity_kb"] == capacity_kb
+    )["reception"]
+
+
+PAPER = (
+    "reception stays >97% as LeakingRate grows 1→5 Mbps until the rate "
+    "exceeds what the radio can broadcast, then drops; a large "
+    "BucketCapacity overestimates the OS buffer and lowers reception; best "
+    "balance 300 KB / 4.5 Mbps."
+)
+
+CLAIMS = (
+    Claim(
+        "the lowest leak rate keeps reception > 0.9",
+        lambda rows: _sweep(rows, "leak_rate")[0]["reception"] > 0.9,
+    ),
+    Claim(
+        "leak rates past the MAC budget crush reception: at the highest "
+        "rate < at the lowest − 0.1",
+        lambda rows: _sweep(rows, "leak_rate")[-1]["reception"]
+        < _sweep(rows, "leak_rate")[0]["reception"] - 0.1,
+    ),
+    Claim(
+        "a 300 KB bucket receives at least as much as a 2400 KB one",
+        lambda rows: _at_capacity(rows, 300) >= _at_capacity(rows, 2400),
+    ),
+)

@@ -1,14 +1,10 @@
-"""§V-4 parameter exploration: RetrTimeout and MaxRetrTime.
-
-Paper shape (two concurrent senders → one receiver): reception improves
-with both knobs and plateaus beyond ≈0.2 s RetrTimeout and ≈4 retries.
-"""
+"""§V-4 parameter exploration: RetrTimeout and MaxRetrTime."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures.common import scaled
+from repro.experiments.figures.common import Claim, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 from repro.net.reliability import ReliabilityConfig
 from repro.phone.prototype import PrototypeConfig, run_prototype
@@ -109,3 +105,33 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["sweep", "timeout_s", "max_retr", "reception"],
         rows,
     )
+
+
+def _by_retries(rows: List[Dict[str, object]]) -> Dict[int, float]:
+    return {
+        row["max_retr"]: row["reception"] for row in rows if row["sweep"] == "max_retr"
+    }
+
+
+PAPER = (
+    "two concurrent senders → one receiver: reception improves with both "
+    "knobs and plateaus beyond ≈0.2 s RetrTimeout and ≈4 retries."
+)
+
+CLAIMS = (
+    Claim(
+        "retries help: reception at 4 retries > at 0",
+        lambda rows: _by_retries(rows)[4] > _by_retries(rows)[0],
+    ),
+    Claim(
+        "returns diminish by 4 retries: reception at 6 ≥ at 4 − 0.05",
+        lambda rows: _by_retries(rows)[6] >= _by_retries(rows)[4] - 0.05,
+    ),
+    Claim(
+        "some RetrTimeout reaches reception > 0.75",
+        lambda rows: max(
+            row["reception"] for row in rows if row["sweep"] == "retr_timeout"
+        )
+        > 0.75,
+    ),
+)

@@ -1,16 +1,11 @@
-"""§VI-B preamble: single-round PDD saturation scan (no ack).
-
-Paper shape: without ack/retransmission, a single round's recall sits
-around 0.35 (one copy) / 0.55 (two copies) and degrades past ≈10,000
-total entries — motivating 5,000 entries as the normal load.
-"""
+"""§VI-B preamble: single-round PDD saturation scan (no ack)."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rounds import RoundConfig
-from repro.experiments.figures.common import pdd_experiment, scaled
+from repro.experiments.figures.common import Claim, pdd_experiment, scaled
 from repro.experiments.runner import point_mean, render_table, run_sweep
 
 DEFAULT_AMOUNTS = (2500, 5000, 10000, 20000)
@@ -89,3 +84,30 @@ def render(rows: List[Dict[str, object]]) -> str:
         ["entries", "redundancy", "recall"],
         rows,
     )
+
+
+def _recalls(rows: List[Dict[str, object]], redundancy: int) -> List[float]:
+    return [row["recall"] for row in rows if row["redundancy"] == redundancy]
+
+
+PAPER = (
+    "without ack/retransmission a single round's recall sits ≈0.35 (one "
+    "copy) / ≈0.55 (two copies, ≤5,000 entries) and degrades past ≈10,000 "
+    "total entries, which motivates 5,000 entries as the normal load."
+)
+
+CLAIMS = (
+    Claim(
+        "one unreliable round never completes: every one-copy recall < 0.95",
+        lambda rows: all(recall < 0.95 for recall in _recalls(rows, 1)),
+    ),
+    Claim(
+        "a second copy helps: summed two-copy recall > summed one-copy recall",
+        lambda rows: sum(_recalls(rows, 2)) > sum(_recalls(rows, 1)),
+    ),
+    Claim(
+        "recall degrades with load: one-copy recall at the most entries "
+        "≤ at the fewest + 0.05",
+        lambda rows: _recalls(rows, 1)[-1] <= _recalls(rows, 1)[0] + 0.05,
+    ),
+)

@@ -66,6 +66,19 @@ def test_scale_flag_reaches_run(monkeypatch, capsys, figure_id):
         assert list(arguments["seeds"]) == [1]
 
 
+@pytest.mark.parametrize("scale", [0.1, 0.25])
+@pytest.mark.parametrize("figure_id", sorted(REGISTRY))
+def test_reduced_scale_sweeps_have_distinct_points(monkeypatch, figure_id, scale):
+    """No scale rule's floor makes a sweep run the same point twice."""
+    calls = _capture_run(monkeypatch, REGISTRY[figure_id])
+    REGISTRY[figure_id].reproduce(scale)
+    assert calls
+    for arguments in calls:
+        for name, value in arguments.items():
+            if name != "seeds" and isinstance(value, (list, tuple)):
+                assert len(set(value)) == len(value), (name, value)
+
+
 @pytest.mark.parametrize("figure_id", sorted(REGISTRY))
 def test_scale_rule_at_paper_scale_is_run_defaults(monkeypatch, figure_id):
     module = REGISTRY[figure_id]
