@@ -13,12 +13,19 @@ controlled rate.  Property tests in ``tests/bloom`` verify both.
 
 The bit array is a ``bytearray``: bit ``i`` is byte ``i // 8`` bit
 ``i % 8``, which is exactly the wire layout of :meth:`BloomFilter.to_bytes`.
-Insert and membership test the key's ``k`` memoized probe positions
-(:func:`repro.bloom.hashing.probes`) one byte at a time; membership stops
-at the first clear bit.  ``copy`` clones the buffer and ``union_update``
-ORs two buffers, so no two filters ever share one (``tests/bloom`` checks
-each path for aliasing and proves equivalence against a bytearray
-reference).
+``copy`` clones the buffer and ``union_update`` ORs two buffers, so no two
+filters ever share one.
+
+A flooded query's filter is copied at every hop, and every hop tests its
+whole store against it.  So the first ``copy`` gives the filter and its
+copies a shared *root*: an immutable snapshot of the bits, and a memo from
+key to the key's probes (:func:`repro.bloom.hashing.probes`) that are clear
+*in the snapshot*.  Bits are only ever added (``insert``,
+``union_update``), so every buffer of the lineage is a superset of the
+snapshot, and insert and membership visit only the memoised clear probes:
+a key the snapshot holds costs one dict lookup.  ``load_bytes`` may clear
+bits, so it drops the root.  ``tests/bloom`` proves all of this against a
+bytearray reference.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ class BloomFilter:
     upper bound otherwise, since ``|A ∪ B| <= |A| + |B|``).
     """
 
-    __slots__ = ("m_bits", "k_hashes", "seed", "_buf", "count")
+    __slots__ = ("m_bits", "k_hashes", "seed", "_buf", "count", "_root")
 
     def __init__(self, m_bits: int, k_hashes: int, seed: int = 0) -> None:
         if m_bits <= 0:
@@ -60,6 +67,8 @@ class BloomFilter:
         self._buf = bytearray((m_bits + 7) // 8)
         #: Upper bound on distinct keys inserted (see class docstring).
         self.count = 0
+        #: ``(snapshot, {key: probes clear in snapshot})`` or None.
+        self._root: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -73,11 +82,6 @@ class BloomFilter:
         m_bits, k_hashes = optimal_parameters(expected_elements, false_positive_rate)
         return cls(m_bits, k_hashes, seed)
 
-    @classmethod
-    def empty(cls, seed: int = 0) -> "BloomFilter":
-        """A minimal filter representing the empty set."""
-        return cls.for_capacity(0, seed=seed)
-
     # ------------------------------------------------------------------
     def insert(self, key: bytes) -> bool:
         """Add ``key`` to the set.
@@ -86,9 +90,14 @@ class BloomFilter:
             True if the filter changed (the key was not already present);
             only such inserts bump ``count``.
         """
+        root = self._root
+        if root is None:
+            positions = probes(key, self.seed, self.k_hashes, self.m_bits)
+        elif (positions := root[1].get(key)) is None:
+            positions = self._clear_probes(key)
         buf = self._buf
         changed = False
-        for index in probes(key, self.seed, self.k_hashes, self.m_bits):
+        for index in positions:
             byte = index >> 3
             bit = 1 << (index & 7)
             if not buf[byte] & bit:
@@ -99,11 +108,26 @@ class BloomFilter:
         return changed
 
     def __contains__(self, key: bytes) -> bool:
+        root = self._root
+        if root is None:
+            positions = probes(key, self.seed, self.k_hashes, self.m_bits)
+        elif (positions := root[1].get(key)) is None:
+            positions = self._clear_probes(key)
         buf = self._buf
-        for index in probes(key, self.seed, self.k_hashes, self.m_bits):
+        for index in positions:
             if not buf[index >> 3] >> (index & 7) & 1:
                 return False
         return True
+
+    def _clear_probes(self, key: bytes) -> tuple:
+        """Memoise the probes of ``key`` clear in the root's snapshot."""
+        snapshot, memo = self._root
+        memo[key] = clear = tuple(
+            i
+            for i in probes(key, self.seed, self.k_hashes, self.m_bits)
+            if not snapshot[i >> 3] >> (i & 7) & 1
+        )
+        return clear
 
     def insert_all(self, keys: Iterable[bytes]) -> None:
         """Add every key in ``keys``."""
@@ -133,10 +157,13 @@ class BloomFilter:
         self.count += other.count
 
     def copy(self) -> "BloomFilter":
-        """An independent copy."""
+        """An independent copy sharing the root (made on the first copy)."""
+        if self._root is None:
+            self._root = (bytes(self._buf), {})
         clone = BloomFilter(self.m_bits, self.k_hashes, self.seed)
         clone._buf = bytearray(self._buf)
         clone.count = self.count
+        clone._root = self._root
         return clone
 
     # ------------------------------------------------------------------
@@ -148,7 +175,7 @@ class BloomFilter:
 
     def load_bytes(self, data: bytes) -> None:
         """Restore the bit array from :meth:`to_bytes` output (copied, so
-        the filter never aliases the caller's buffer).
+        the filter never aliases the caller's buffer); drops the root.
 
         Raises:
             ConfigurationError: if ``data`` is not ``(m_bits + 7) // 8``
@@ -159,6 +186,7 @@ class BloomFilter:
                 f"expected {len(self._buf)} filter bytes, got {len(data)}"
             )
         self._buf = bytearray(data)
+        self._root = None
 
     @property
     def _bits(self) -> bytearray:
@@ -248,10 +276,6 @@ class NullFilter:
 
     def trace_fields(self) -> dict:  # noqa: D102
         return {}
-
-
-#: Either a real Bloom filter or the null object.
-FilterLike = object
 
 
 #: Capacity headroom for en-route insertions (§III-B-2): every node on a

@@ -9,12 +9,13 @@ PDS varies hash functions across discovery rounds so Bloom-filter false
 positives decay geometrically (§V-3).
 
 Hot paths use :func:`probes`, the ``k`` probe positions of a key as one
-tuple, memoized per ``(key, seed, k, m)`` so re-probing a key costs one
-dict hit plus ``k`` byte tests on the filter's ``bytearray``.  The memo
-holds positions, not a filter-wide bitmask: a tuple of ``k`` small ints
-is ~100 bytes however wide the filter is (a mask would be up to 4 KB per
-key at ``m = 32,768``), and a tuple is immutable, so the cache can hand
-the same one to every caller.  :func:`indexes` remains as the
+tuple, memoized per ``(key, seed, k, m)``.  The memo holds positions, not
+a filter-wide bitmask: a tuple of ``k`` small ints is ~100 bytes however
+wide the filter is (a mask would be up to 4 KB per key at ``m = 32,768``),
+and a tuple is immutable, so the cache can hand the same one to every
+caller.  A filter that has been copied consults it only once per key per
+lineage, to memoise the subset of positions its root snapshot leaves
+clear (:mod:`repro.bloom.bloom_filter`).  :func:`indexes` remains as the
 one-probe-at-a-time reference; the two are definitionally identical.
 """
 

@@ -20,7 +20,7 @@ from repro.data.predicate import (
     prefix,
     within_radius,
 )
-from repro.data.store import DataStore, MetadataRecord
+from repro.data.store import DataStore
 
 __all__ = [
     "AttributeValue",
@@ -29,7 +29,6 @@ __all__ = [
     "DataItem",
     "DataStore",
     "DEFAULT_CHUNK_SIZE",
-    "MetadataRecord",
     "Predicate",
     "QuerySpec",
     "Relation",

@@ -8,14 +8,18 @@ The store holds:
   meantime (§II-C).
 * **chunk payloads** — actual data chunks held (produced or cached).
 
+Each metadata entry is one float, its expiry (``math.inf``: payload
+present, or no TTL); it is expired iff ``now >= expiry``.  A node caches
+every entry it overhears, so the table holds no object the cyclic garbage
+collector would walk.
+
 Expiration is lazy: expired entries are purged whenever the store is read,
 driven by a caller-supplied clock function so the store stays decoupled from
-the simulator.  The store keeps a lower bound on the earliest expiry of any
-payload-less entry (lowered whenever an expiry is set, recomputed after
-every scan), so a read before that bound skips the scan.  Only purges that
-would delete nothing are skipped, so purge timing — and with it the table's
-insertion order, which decides how responses are packed — is exactly that
-of a scan on every read.
+the simulator.  The store keeps a lower bound on the earliest expiry (lowered
+whenever an expiry is set, recomputed after every scan), so a read before
+that bound skips the scan.  Only purges that would delete nothing are
+skipped, so purge timing — and with it the table's insertion order, which
+decides how responses are packed — is exactly that of a scan on every read.
 
 Overheard entries arrive a response at a time, so
 :meth:`DataStore.insert_metadata` takes a batch: one clock read, and the new
@@ -25,28 +29,11 @@ descriptors back in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.data.descriptor import DataDescriptor
 from repro.data.item import Chunk
 from repro.data.predicate import QuerySpec
-
-
-@dataclass
-class MetadataRecord:
-    """Book-keeping for one cached metadata entry."""
-
-    descriptor: DataDescriptor
-    has_payload: bool
-    expires_at: Optional[float]
-
-    def expired(self, now: float) -> bool:
-        return (
-            not self.has_payload
-            and self.expires_at is not None
-            and now >= self.expires_at
-        )
 
 
 class DataStore:
@@ -66,10 +53,11 @@ class DataStore:
     ) -> None:
         self._clock = clock
         self.metadata_ttl = metadata_ttl
-        self._metadata: Dict[DataDescriptor, MetadataRecord] = {}
+        #: Descriptor -> expiry (``math.inf``: never expires).
+        self._metadata: Dict[DataDescriptor, float] = {}
         self._chunks: Dict[DataDescriptor, Chunk] = {}
-        #: Lower bound on every payload-less record's ``expires_at``; no
-        #: record can expire while the clock reads less than this.
+        #: Lower bound on every expiry; no entry can expire while the
+        #: clock reads less than this.
         self._next_expiry = math.inf
 
     # ------------------------------------------------------------------
@@ -87,7 +75,7 @@ class DataStore:
             live), in insertion order.
         """
         now = self._clock()
-        expires_at = None
+        expires_at = never = math.inf
         if not has_payload and self.metadata_ttl is not None:
             expires_at = now + self.metadata_ttl
             if expires_at < self._next_expiry:
@@ -95,28 +83,22 @@ class DataStore:
         table = self._metadata
         new: List[DataDescriptor] = []
         for descriptor in descriptors:
-            record = table.get(descriptor)
-            if record is None or record.expired(now):
-                # An expired, unpurged record is replaced in place and
-                # keeps its slot in the table's order.
-                table[descriptor] = MetadataRecord(
-                    descriptor, has_payload, expires_at
-                )
+            current = table.get(descriptor)
+            if current is None or now >= current:
+                # An expired, unpurged entry keeps its slot in the order.
+                table[descriptor] = expires_at
                 new.append(descriptor)
-            elif has_payload or record.has_payload:
-                # Upgrade: once payload is present, the entry no longer expires.
-                record.has_payload = True
-                record.expires_at = None
-            else:
-                record.expires_at = expires_at
+            elif current != never:
+                # Refresh, or upgrade: an entry with payload never expires.
+                table[descriptor] = expires_at
         return new
 
     def has_metadata(self, descriptor: DataDescriptor) -> bool:
         """Whether a live metadata entry for ``descriptor`` exists."""
-        record = self._metadata.get(descriptor)
-        if record is None:
+        expiry = self._metadata.get(descriptor)
+        if expiry is None:
             return False
-        if record.expired(self._clock()):
+        if self._clock() >= expiry:
             del self._metadata[descriptor]
             return False
         return True
@@ -146,17 +128,10 @@ class DataStore:
         now = self._clock()
         if now < self._next_expiry:
             return
-        expired = [d for d, record in self._metadata.items() if record.expired(now)]
-        for descriptor in expired:
-            del self._metadata[descriptor]
-        self._next_expiry = min(
-            (
-                record.expires_at
-                for record in self._metadata.values()
-                if not record.has_payload and record.expires_at is not None
-            ),
-            default=math.inf,
-        )
+        table = self._metadata
+        for descriptor in [d for d, expiry in table.items() if now >= expiry]:
+            del table[descriptor]
+        self._next_expiry = min(table.values(), default=math.inf)
 
     # ------------------------------------------------------------------
     # Chunks
@@ -197,10 +172,6 @@ class DataStore:
     def chunk_ids_of(self, item_descriptor: DataDescriptor) -> List[int]:
         """Sorted chunk ids stored for the given item."""
         return [chunk.chunk_id for chunk in self.chunks_of(item_descriptor)]
-
-    def chunk_count(self) -> int:
-        """Total number of stored chunks."""
-        return len(self._chunks)
 
     def match_chunks(self, spec: QuerySpec) -> List[Chunk]:
         """All stored chunks whose descriptors satisfy ``spec``."""

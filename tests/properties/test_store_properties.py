@@ -1,6 +1,9 @@
 """Property-based tests for data-store invariants."""
 
+import gc
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from repro.data.descriptor import DataDescriptor
 from repro.data.item import DataItem
 from repro.data.predicate import QuerySpec, lt
-from repro.data.store import DataStore, MetadataRecord
+from repro.data.store import DataStore
 
 
 class Clock:
@@ -92,11 +95,28 @@ def test_chunk_ids_of_sorted_regardless_of_insert_order(chunk_ids):
 
 
 # ----------------------------------------------------------------------
-# Oracle: the store with a full scan on every read and one-descriptor
-# inserts.  The expiry-bounded purge and the batch insert must reproduce
-# its return values and its table order exactly (table order decides how
-# responses are packed).
+# Oracle: the store with one record object per entry, a full scan on
+# every read and one-descriptor inserts.  The expiry-valued table, the
+# expiry-bounded purge and the batch insert must reproduce its return
+# values and its table order exactly (table order decides how responses
+# are packed).
 # ----------------------------------------------------------------------
+@dataclass
+class MetadataRecord:
+    """Book-keeping for one cached metadata entry."""
+
+    descriptor: DataDescriptor
+    has_payload: bool
+    expires_at: Optional[float]
+
+    def expired(self, now: float) -> bool:
+        return (
+            not self.has_payload
+            and self.expires_at is not None
+            and now >= self.expires_at
+        )
+
+
 class ScanEveryReadStore:
     def __init__(self, clock, metadata_ttl=None):
         self._clock = clock
@@ -180,14 +200,7 @@ operations = st.lists(
 
 
 def _earliest_expiry(store):
-    return min(
-        (
-            r.expires_at
-            for r in store._metadata.values()
-            if not r.has_payload and r.expires_at is not None
-        ),
-        default=math.inf,
-    )
+    return min(store._metadata.values(), default=math.inf)
 
 
 @given(operations, st.sampled_from([None, 0.0, 3.0, 5.0]))
@@ -231,3 +244,20 @@ def test_store_matches_scan_every_read_oracle(ops, ttl):
             assert clock.now < store._next_expiry <= _earliest_expiry(store)
         assert list(store._metadata) == list(oracle._metadata)
     assert store.all_metadata() == oracle.all_metadata()
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(descriptors, max_size=20), st.booleans()), max_size=8
+    ),
+    st.sampled_from([None, 3.0]),
+)
+@settings(max_examples=100)
+def test_no_metadata_value_is_gc_tracked(batches, ttl):
+    """The table holds no per-entry object for the cyclic collector."""
+    clock = Clock()
+    store = DataStore(clock, metadata_ttl=ttl)
+    for batch, has_payload in batches:
+        store.insert_metadata(batch, has_payload)
+        clock.now += 1.0
+    assert not any(gc.is_tracked(value) for value in store._metadata.values())
