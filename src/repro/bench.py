@@ -1,30 +1,28 @@
-"""Performance-regression harness: ``repro bench``.
+"""Deterministic regression harness: ``repro bench``.
 
 Runs a registry of named benchmarks — micro-benchmarks of the two
-mobility hot paths (Bloom-filter ops, the spatial neighbor index) and
-reduced end-to-end figure runs — and writes one ``BENCH_<name>.json``
-per benchmark::
+mobility hot paths (Bloom-filter ops, the spatial neighbor index),
+reduced end-to-end figure runs and the 30 → 1,024-node grid curve — and
+prints each one's deterministic counters and output digest::
 
-    python -m repro bench --quick                # run all, write JSON
+    python -m repro bench                        # run all, print results
     python -m repro bench bloom_ops spatial_index
-    python -m repro bench --quick --check        # gate against baseline
-    python -m repro bench --quick --update-baseline
+    python -m repro bench --check                # gate against baseline
+    python -m repro bench --update-baseline
 
-Each result file carries:
+Each benchmark reports:
 
-* ``wall_s`` / ``events_per_sec`` — machine-dependent timing,
-* ``events`` and ``peak_queue_depth`` — *deterministic* counters
+* ``events`` and ``peak_queue_depth`` — deterministic counters
   (processed simulator events, or the operation count for
   micro-benchmarks),
 * ``meta.digest`` — a checksum over the benchmark's observable output
-  (e.g. the figure's result rows), so any behaviour drift is caught even
-  when timing is unchanged.
+  (e.g. the figure's result rows), so any behaviour drift is caught.
 
 ``--check`` compares against the committed baseline
-(``benchmarks/baseline.json``): deterministic counters and digests must
-match *exactly* (they are machine-independent), while ``wall_s`` may
-regress by at most ``--tolerance`` (default 0.25, i.e. 25%).
-Faster-than-baseline runs always pass.
+(``benchmarks/baseline.json``, one entry per benchmark): counters and
+digests are machine-independent and must match *exactly*.  This harness
+times nothing; wall time and memory are perfbench's
+(``python3 perfbench/run.py``).
 
 Benchmarks pin their own seeds and sizes and run every sweep in this
 process (``jobs=1``), so the deterministic counters are reproducible.
@@ -37,34 +35,19 @@ import hashlib
 import json
 import random
 import sys
-import time
 import zlib
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-SCHEMA_VERSION = 1
-
-DEFAULT_TOLERANCE = 0.25
-
 DEFAULT_BASELINE = Path(__file__).resolve().parents[2] / "benchmarks" / "baseline.json"
 
-#: Baseline wall times below this are too noisy to gate on; deterministic
-#: counters still protect such benchmarks against behaviour drift.
-MIN_GATED_WALL_S = 0.05
-
-#: name -> fn(quick) -> result dict (wall_s, events, events_per_sec,
-#: peak_queue_depth, meta)
-_BENCHMARKS: Dict[str, Callable[[bool], Dict[str, object]]] = {}
-
-#: name -> timing repetitions (best-of-N; micro-benchmarks use N > 1 to
-#: shed scheduler noise, end-to-end figures are long enough already)
-_REPEATS: Dict[str, int] = {}
+#: name -> fn() -> result dict (events, peak_queue_depth, meta)
+_BENCHMARKS: Dict[str, Callable[[], Dict[str, object]]] = {}
 
 
-def _bench(name: str, repeats: int = 1):
-    def register(fn: Callable[[bool], Dict[str, object]]):
+def _bench(name: str):
+    def register(fn: Callable[[], Dict[str, object]]):
         _BENCHMARKS[name] = fn
-        _REPEATS[name] = repeats
         return fn
 
     return register
@@ -76,73 +59,15 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _calibration_wall() -> float:
-    """Best-of-5 timing of a fixed pure-Python workload.
-
-    Stored next to every benchmark result; ``--check`` scales the
-    baseline's wall times by ``current_cal / baseline_cal`` so the gate
-    compares *relative* engine speed and the committed baseline stays
-    meaningful on faster or slower machines.
-    """
-    import math as _math
-
-    def workload() -> float:
-        acc = 0.0
-        table = {}
-        for i in range(120_000):
-            acc += _math.hypot(i & 1023, (i * 7) & 511)
-            table[i & 4095] = acc
-        return acc + len(table)
-
-    best = _math.inf
-    for _ in range(5):
-        start = time.perf_counter()
-        workload()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _peak_rss_kb(ru_maxrss: Optional[int] = None) -> int:
-    """This process's peak RSS in KiB, normalized per platform.
-
-    ``getrusage(...).ru_maxrss`` is KiB on Linux but *bytes* on macOS
-    (both straight from each kernel's ``struct rusage``), so treating it
-    as KiB unconditionally inflates the scaling curve's memory column
-    1024x on a Mac.
-    """
-    if ru_maxrss is None:
-        import resource
-
-        ru_maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return int(ru_maxrss) // 1024
-    return int(ru_maxrss)
-
-
-def _result(
-    wall_s: float,
-    events: int,
-    peak_queue_depth: int,
-    meta: Dict[str, object],
-) -> Dict[str, object]:
-    return {
-        "wall_s": round(wall_s, 6),
-        "events": events,
-        "events_per_sec": round(events / wall_s, 1) if wall_s > 0 else 0.0,
-        "peak_queue_depth": peak_queue_depth,
-        "meta": meta,
-    }
-
-
 # ----------------------------------------------------------------------
 # Micro-benchmarks
 # ----------------------------------------------------------------------
-@_bench("bloom_ops", repeats=3)
-def bench_bloom_ops(quick: bool) -> Dict[str, object]:
+@_bench("bloom_ops")
+def bench_bloom_ops() -> Dict[str, object]:
     """Bloom insert/test/union over the key mix discovery rounds see."""
     from repro.bloom.bloom_filter import BloomFilter
 
-    n_keys = 2_000 if quick else 20_000
+    n_keys = 2_000
     rounds = 4
     rng = random.Random(1234)
     keys = [
@@ -151,7 +76,6 @@ def bench_bloom_ops(quick: bool) -> Dict[str, object]:
     ]
     ops = 0
     observed: List[object] = []
-    start = time.perf_counter()
     for round_index in range(rounds):
         issued = BloomFilter.for_capacity(n_keys, seed=round_index)
         merged = BloomFilter(issued.m_bits, issued.k_hashes, seed=round_index)
@@ -169,22 +93,20 @@ def bench_bloom_ops(quick: bool) -> Dict[str, object]:
         observed.append(
             [hits, misses, merged.count, zlib.crc32(merged.to_bytes())]
         )
-    wall = time.perf_counter() - start
-    return _result(
-        wall,
-        events=ops,
-        peak_queue_depth=0,
-        meta={"keys": n_keys, "rounds": rounds, "digest": _digest(observed)},
-    )
+    return {
+        "events": ops,
+        "peak_queue_depth": 0,
+        "meta": {"keys": n_keys, "rounds": rounds, "digest": _digest(observed)},
+    }
 
 
-@_bench("spatial_index", repeats=3)
-def bench_spatial_index(quick: bool) -> Dict[str, object]:
+@_bench("spatial_index")
+def bench_spatial_index() -> Dict[str, object]:
     """Neighbor queries interleaved with moves (random-waypoint style)."""
     from repro.net.topology import Topology
 
-    n_nodes = 150 if quick else 400
-    steps = 2_000 if quick else 12_000
+    n_nodes = 150
+    steps = 2_000
     rng = random.Random(99)
     topology = Topology(radio_range=30.0)
     width = height = 400.0
@@ -192,7 +114,6 @@ def bench_spatial_index(quick: bool) -> Dict[str, object]:
         topology.add_node(node, (rng.uniform(0, width), rng.uniform(0, height)))
     ops = 0
     checksum = 0
-    start = time.perf_counter()
     for step in range(steps):
         node = rng.randrange(n_nodes)
         if step % 3 == 0:
@@ -200,13 +121,11 @@ def bench_spatial_index(quick: bool) -> Dict[str, object]:
         neighbors = topology.neighbors(node)
         checksum = (checksum * 31 + len(neighbors)) % (1 << 61)
         ops += 1 + len(neighbors)
-    wall = time.perf_counter() - start
-    return _result(
-        wall,
-        events=ops,
-        peak_queue_depth=0,
-        meta={"nodes": n_nodes, "steps": steps, "digest": _digest(checksum)},
-    )
+    return {
+        "events": ops,
+        "peak_queue_depth": 0,
+        "meta": {"nodes": n_nodes, "steps": steps, "digest": _digest(checksum)},
+    }
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +144,7 @@ def _run_summary() -> Dict[str, float]:
 def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
     from repro.obs.config import active
 
-    start = time.perf_counter()
     rows = run()
-    wall = time.perf_counter() - start
     summary = _run_summary()
     meta: Dict[str, object] = {
         "runs": int(summary["runs"]),
@@ -239,153 +156,87 @@ def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
         # The digest is NOT exempted: result rows must stay bit-identical
         # with the recorder on (the zero-perturbation contract).
         meta["recorded"] = True
-    if active("fingerprint") is not None:
-        # Fingerprinting observes the existing event stream without adding
-        # events, so the counters stay comparable — but its wall overhead
-        # means timings belong to a different budget than an unmarked
-        # baseline.  The digest is never exempted: fingerprinted results
-        # must stay bit-identical (the zero-perturbation contract).
-        meta["fingerprinted"] = True
-    return _result(
-        wall,
-        events=int(summary["events"]),
-        peak_queue_depth=int(summary["peak_queue_depth"]),
-        meta=meta,
-    )
+    return {
+        "events": int(summary["events"]),
+        "peak_queue_depth": int(summary["peak_queue_depth"]),
+        "meta": meta,
+    }
 
 
-@_bench("mobility_pdd", repeats=2)
-def bench_mobility_pdd(quick: bool) -> Dict[str, object]:
+@_bench("mobility_pdd")
+def bench_mobility_pdd() -> Dict[str, object]:
     """Reduced fig9/10 mobility sweep — the engine's hottest workload."""
     from repro.experiments.figures.fig9_10_mobility_pdd import run_both_locations
 
-    if quick:
-        return _profiled_figure(
-            lambda: run_both_locations(
-                scales=(0.5, 1.5), seeds=[1], metadata_count=600
-            )
-        )
     return _profiled_figure(
-        lambda: run_both_locations(seeds=[1, 2], metadata_count=1250)
+        lambda: run_both_locations(scales=(0.5, 1.5), seeds=[1], metadata_count=600)
     )
 
 
-_SCALING_GRIDS_QUICK = ((5, 6), (8, 8), (11, 11))  # 30, 64, 121 nodes
-_SCALING_GRIDS_FULL = (
+_SCALING_GRIDS = (
     (5, 6),  # 30 nodes — the paper's smallest static grids
     (8, 8),  # 64
     (12, 12),  # 144
     (18, 18),  # 324
     (24, 24),  # 576
-    (32, 32),  # 1024 — the ROADMAP's city-scale target
+    (32, 32),  # 1024 — perfbench's pdd_city, apart from the seed
 )
 
 
-@_bench("scaling", repeats=1)
-def bench_scaling(quick: bool) -> Dict[str, object]:
-    """Events/s vs node count: the kernel's scaling curve."""
-    import gc
-
+@_bench("scaling")
+def bench_scaling() -> Dict[str, object]:
+    """Grid-world discovery from 30 to 1,024 nodes: the scaling curve."""
     from repro.core.rounds import RoundConfig
     from repro.experiments.figures.common import pdd_experiment
 
-    grids = _SCALING_GRIDS_QUICK if quick else _SCALING_GRIDS_FULL
-    curve: List[Dict[str, object]] = []
     deterministic: List[List[object]] = []
-    total_wall = 0.0
-    total_events = 0
-    peak_queue = 0
-    for rows, cols in grids:
+    for rows, cols in _SCALING_GRIDS:
         nodes = rows * cols
-        gc.collect()
-        start = time.perf_counter()
         outcome = pdd_experiment(
             seed=1,
             rows=rows,
             cols=cols,
             metadata_count=2 * nodes,
             # Two rounds bound convergence so the curve measures
-            # kernel throughput, not per-size protocol behaviour.
+            # kernel load, not per-size protocol behaviour.
             round_config=RoundConfig(max_rounds=2),
             sim_cap_s=120.0,
         )
-        wall = time.perf_counter() - start
         summary = _run_summary()
-        events = int(summary["events"])
-        point_peak = int(summary["peak_queue_depth"])
-        # The process-wide RSS high-water mark, so the curve is monotonic
-        # by construction: each point reports the peak up to and
-        # including its own run.
-        peak_rss_kb = _peak_rss_kb()
         first = outcome.first
-        deterministic.append(
-            [
-                nodes,
-                events,
-                point_peak,
-                round(first.recall, 6),
-                first.result.rounds,
-                outcome.total_overhead_bytes,
-            ]
-        )
-        curve.append(
-            {
-                "nodes": nodes,
-                "rows": rows,
-                "cols": cols,
-                "wall_s": round(wall, 6),
-                "events": events,
-                "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-                "peak_queue_depth": point_peak,
-                "peak_rss_kb": peak_rss_kb,
-                "recall": round(first.recall, 3),
-            }
-        )
+        point = [
+            nodes,
+            int(summary["events"]),
+            int(summary["peak_queue_depth"]),
+            round(first.recall, 6),
+            first.result.rounds,
+            outcome.total_overhead_bytes,
+        ]
+        deterministic.append(point)
         print(
-            f"    {nodes:5d} nodes  wall {wall:7.3f}s  "
-            f"{events:8d} events  {events / wall if wall > 0 else 0:9.0f} ev/s  "
-            f"rss {peak_rss_kb / 1024:.0f} MiB",
+            "    {:5d} nodes  events {}  peak queue {}  recall {}  "
+            "rounds {}  overhead {} B".format(*point),
             flush=True,
         )
-        total_wall += wall
-        total_events += events
-        peak_queue = max(peak_queue, point_peak)
-    result = _result(
-        total_wall,
-        events=total_events,
-        peak_queue_depth=peak_queue,
-        meta={"points": len(curve), "digest": _digest(deterministic)},
-    )
-    # Machine-dependent per-point data lives OUTSIDE meta: the repeat
-    # loop and the baseline check treat meta as deterministic, while the
-    # curve's wall times are gated per point with the speed-normalized
-    # tolerance (see _check_one).
-    result["curve"] = curve
-    return result
+    return {
+        "events": sum(point[1] for point in deterministic),
+        "peak_queue_depth": max(point[2] for point in deterministic),
+        "meta": {"points": len(deterministic), "digest": _digest(deterministic)},
+    }
 
 
-@_bench("round_params", repeats=2)
-def bench_round_params(quick: bool) -> Dict[str, object]:
+@_bench("round_params")
+def bench_round_params() -> Dict[str, object]:
     """Reduced fig5 round-parameter sweep (static grid, heavy discovery)."""
     from repro.experiments.figures.fig5_round_params import run
 
-    if quick:
-        return _profiled_figure(
-            lambda: run(
-                windows=(0.4, 1.0),
-                tds=(0.0,),
-                seeds=[1],
-                metadata_count=1200,
-                rows_cols=6,
-            )
-        )
     return _profiled_figure(
         lambda: run(
-            windows=(0.2, 0.6, 1.0),
-            tds=(0.0, 0.3),
-            seeds=[1, 2],
-            metadata_count=2500,
-            rows_cols=8,
+            windows=(0.4, 1.0),
+            tds=(0.0,),
+            seeds=[1],
+            metadata_count=1200,
+            rows_cols=6,
         )
     )
 
@@ -394,10 +245,7 @@ def bench_round_params(quick: bool) -> Dict[str, object]:
 # Baseline check
 # ----------------------------------------------------------------------
 def _check_one(
-    name: str,
-    current: Dict[str, object],
-    baseline: Dict[str, object],
-    tolerance: float,
+    name: str, current: Dict[str, object], baseline: Dict[str, object]
 ) -> List[str]:
     """Failure messages for one benchmark vs its baseline entry."""
     failures: List[str] = []
@@ -407,8 +255,7 @@ def _check_one(
     if not recorder_mismatch:
         # With the flight recorder enabled on only one side, its sampling
         # events make the raw counters incomparable; the digest below
-        # still gates bit-identical results, and wall time still gates
-        # the recorder's overhead budget.
+        # still gates bit-identical results.
         for field in ("events", "peak_queue_depth"):
             if current[field] != baseline.get(field):
                 failures.append(
@@ -428,65 +275,7 @@ def _check_one(
             "side for jobs=2 / perturb=stream:index to "
             "compare configurations)"
         )
-    # Normalize for machine speed: scale the baseline by the ratio of
-    # calibration-loop timings taken on each machine.
-    base_cal = baseline.get("calibration_s")
-    cur_cal = current.get("calibration_s")
-    speed_ratio = 1.0
-    if (
-        isinstance(base_cal, (int, float))
-        and isinstance(cur_cal, (int, float))
-        and base_cal > 0
-    ):
-        speed_ratio = float(cur_cal) / float(base_cal)
-    base_wall = baseline.get("wall_s")
-    if isinstance(base_wall, (int, float)) and base_wall >= MIN_GATED_WALL_S:
-        limit = base_wall * speed_ratio * (1.0 + tolerance)
-        if float(current["wall_s"]) > limit:
-            failures.append(
-                f"{name}: wall-clock regression: {current['wall_s']:.3f}s > "
-                f"{limit:.3f}s (baseline {base_wall:.3f}s × speed ratio "
-                f"{speed_ratio:.2f} + {tolerance:.0%})"
-            )
-    # Scaling-curve benchmarks gate per point too, so a regression that
-    # only bites at large node counts cannot hide inside the total.
-    base_curve = baseline.get("curve")
-    cur_curve = current.get("curve")
-    if isinstance(base_curve, list) and isinstance(cur_curve, list):
-        cur_by_nodes = {
-            point.get("nodes"): point
-            for point in cur_curve
-            if isinstance(point, dict)
-        }
-        for base_point in base_curve:
-            if not isinstance(base_point, dict):
-                continue
-            label = f"{base_point.get('nodes')} nodes"
-            point = cur_by_nodes.get(base_point.get("nodes"))
-            if point is None:
-                failures.append(
-                    f"{name}: curve point for {label} missing "
-                    f"from current run"
-                )
-                continue
-            base_point_wall = base_point.get("wall_s")
-            if (
-                isinstance(base_point_wall, (int, float))
-                and base_point_wall >= MIN_GATED_WALL_S
-            ):
-                limit = base_point_wall * speed_ratio * (1.0 + tolerance)
-                if float(point.get("wall_s", 0.0)) > limit:
-                    failures.append(
-                        f"{name}: curve regression at {label}: "
-                        f"{point['wall_s']:.3f}s > {limit:.3f}s "
-                        f"(baseline {base_point_wall:.3f}s × speed ratio "
-                        f"{speed_ratio:.2f} + {tolerance:.0%})"
-                    )
     return failures
-
-
-def _baseline_section(quick: bool) -> str:
-    return "quick" if quick else "full"
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +284,8 @@ def _baseline_section(quick: bool) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Run performance benchmarks and write BENCH_<name>.json.",
+        description="Run the deterministic benchmarks and print their "
+        "counters and output digests.",
     )
     parser.add_argument(
         "names",
@@ -506,14 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list available benchmarks"
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced workloads (CI smoke; separate baseline section)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
-        help="compare against the baseline; exit 1 on regression",
+        help="compare against the baseline; exit 1 on any difference",
     )
     parser.add_argument(
         "--baseline",
@@ -521,19 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline JSON path (default: benchmarks/baseline.json)",
     )
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="allowed fractional wall-clock regression "
-        f"(default: {DEFAULT_TOLERANCE})",
-    )
-    parser.add_argument(
         "--fingerprint",
         metavar="FILE",
         default=None,
         help="fingerprint every simulated event into FILE while "
-        "benchmarking (results must stay bit-identical, wall time pays "
-        "the fingerprint overhead)",
+        "benchmarking (results and counters must stay bit-identical)",
     )
     parser.add_argument(
         "--timeline",
@@ -548,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write current results into the baseline file",
     )
-    parser.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory for BENCH_<name>.json files (default: cwd)",
-    )
     return parser
 
 
@@ -560,6 +332,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.obs.config import ObsConfig
 
     args = build_parser().parse_args(argv)
+    if args.update_baseline and args.timeline:
+        # A recorded baseline would exempt every later unrecorded run
+        # from the counter gate (see _check_one).
+        print(
+            "configuration error: --update-baseline cannot be combined "
+            "with --timeline (the recorder's sampling events would "
+            "become the baseline's counters)",
+            file=sys.stderr,
+        )
+        return 2
     # Scoped to this call: nothing fingerprints or records once it returns.
     # Every benchmark takes its run counters from this one profiler; a
     # nested activation would shadow the fingerprint and timeline files.
@@ -588,81 +370,48 @@ def _run(args: argparse.Namespace) -> int:
         )
         return 2
 
-    tolerance = args.tolerance
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    calibration_s = _calibration_wall()
-    print(f"calibration: {calibration_s * 1000:.1f}ms", flush=True)
-
     results: Dict[str, Dict[str, object]] = {}
     for name in names:
-        print(f"bench {name} ({'quick' if args.quick else 'full'}) ...", flush=True)
-        result = _BENCHMARKS[name](args.quick)
-        # Best-of-N timing for short benchmarks; deterministic fields
-        # must agree across repetitions or the benchmark itself is broken.
-        for _ in range(_REPEATS[name] - 1):
-            rerun = _BENCHMARKS[name](args.quick)
-            for field in ("events", "peak_queue_depth", "meta"):
-                if rerun[field] != result[field]:
-                    print(
-                        f"{name}: nondeterministic {field!r} across repeats",
-                        file=sys.stderr,
-                    )
-                    return 2
-            if rerun["wall_s"] < result["wall_s"]:
-                result = rerun
-        record = {
-            "schema": SCHEMA_VERSION,
-            "name": name,
-            "quick": args.quick,
-            "calibration_s": round(calibration_s, 6),
-            **result,
-        }
-        results[name] = record
-        out_path = out_dir / f"BENCH_{name}.json"
-        out_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print(f"bench {name} ...", flush=True)
+        result = results[name] = _BENCHMARKS[name]()
         print(
-            f"  wall {record['wall_s']:.3f}s  events {record['events']}  "
-            f"{record['events_per_sec']:.0f} ev/s  "
-            f"peak queue {record['peak_queue_depth']}  -> {out_path}"
+            f"  events {result['events']}  "
+            f"peak queue {result['peak_queue_depth']}  "
+            f"digest {result['meta']['digest']}"
         )
 
     baseline_path = Path(args.baseline)
-    section = _baseline_section(args.quick)
 
     if args.update_baseline:
-        if baseline_path.exists():
-            baseline = json.loads(baseline_path.read_text())
-        else:
-            baseline = {"schema": SCHEMA_VERSION, "tolerance": DEFAULT_TOLERANCE}
-        baseline.setdefault(section, {}).update(results)
+        baseline = (
+            json.loads(baseline_path.read_text()) if baseline_path.exists() else {}
+        )
+        baseline.update(results)
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(
             json.dumps(baseline, indent=2, sort_keys=True) + "\n"
         )
-        print(f"baseline updated: {baseline_path} [{section}]")
+        print(f"baseline updated: {baseline_path}")
         return 0
 
     if args.check:
         if not baseline_path.exists():
             print(f"no baseline at {baseline_path}", file=sys.stderr)
             return 2
-        baseline = json.loads(baseline_path.read_text()).get(section, {})
+        baseline = json.loads(baseline_path.read_text())
         failures: List[str] = []
-        for name, record in results.items():
+        for name, result in results.items():
             entry = baseline.get(name)
             if entry is None:
-                failures.append(f"{name}: no [{section}] baseline entry")
+                failures.append(f"{name}: no baseline entry")
                 continue
-            failures.extend(_check_one(name, record, entry, tolerance))
+            failures.extend(_check_one(name, result, entry))
         if failures:
-            print("\nPERF CHECK FAILED:", file=sys.stderr)
+            print("\nBENCH CHECK FAILED:", file=sys.stderr)
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             return 1
-        print(f"\nperf check passed ({len(results)} benchmarks, "
-              f"wall tolerance {tolerance:.0%})")
+        print(f"\nbench check passed ({len(results)} benchmarks)")
     return 0
 
 

@@ -21,7 +21,7 @@ Observability::
                                              # profile after the tables
     python -m repro fig5 --metrics --memory  # + tracemalloc phase deltas
     python -m repro inspect out.jsonl        # summarize a trace file
-    python -m repro bench --quick --check    # perf-regression gate
+    python -m repro bench --check            # counter/digest gate
 
 Determinism observatory::
 
