@@ -2,8 +2,9 @@
 
 Runs a registry of named benchmarks — micro-benchmarks of the two
 mobility hot paths (Bloom-filter ops, the spatial neighbor index),
-reduced end-to-end figure runs and the 30 → 1,024-node grid curve — and
-prints each one's deterministic counters and output digest::
+reduced end-to-end figure runs (PDD and, through ``redundancy``, PDR and
+MDR) and the 30 → 1,024-node grid curve — and prints each one's
+deterministic counters and output digest::
 
     python -m repro bench                        # run all, print results
     python -m repro bench bloom_ops spatial_index
@@ -239,6 +240,14 @@ def bench_round_params() -> Dict[str, object]:
             rows_cols=6,
         )
     )
+
+
+@_bench("redundancy")
+def bench_redundancy() -> Dict[str, object]:
+    """Reduced fig13/14 PDR vs MDR sweep: CDI, chunk and MDR engines."""
+    from repro.experiments.figures.fig13_14_redundancy import run
+
+    return _profiled_figure(lambda: run(redundancies=(1, 3), seeds=[1]))
 
 
 # ----------------------------------------------------------------------

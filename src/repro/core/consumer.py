@@ -8,15 +8,21 @@
   recovery until every chunk arrived.
 * :class:`MdrSession` — the multi-round data retrieval baseline (§VI-B-3).
 
-Sessions attach listeners to their device, track everything needed for the
-paper's metrics (recall set, last-new arrival for latency, round count) and
-call ``on_complete`` when done.
+All three share one life cycle, :class:`_Session`: start once, attach
+listeners to the device, seed from its store, track everything needed for
+the paper's metrics (recall set, last-new arrival for latency, round
+count), and on finishing stop the round controller, fill in the
+:class:`SessionResult`, detach and call ``on_complete``.  The two
+large-item sessions also share :class:`_ChunkSession`: the item's chunk
+count, the ``have`` set seeded from the store, ``missing`` and the
+bookkeeping of a newly arrived chunk.  Each session keeps only its own
+protocol: when to begin a round and when to stop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bloom.bloom_filter import NullFilter, make_round_filter
 from repro.core.messages import (
@@ -54,8 +60,91 @@ class SessionResult:
         return self.last_new_at - self.started_at
 
 
-class DiscoverySession:
+class _Session:
+    """The life cycle every consumer session shares.
+
+    :meth:`start` may run once: it attaches :meth:`_listeners` to the
+    device, opens the :class:`SessionResult` and hands over to
+    :meth:`_begin`.  :meth:`_finish` stops the round controller, fills in
+    the result, detaches and calls ``on_complete``.
+    """
+
+    #: Memory-telemetry phase the session's start opens.
+    _PHASE = ""
+
+    def __init__(
+        self,
+        device: Device,
+        round_config: Optional[RoundConfig],
+        on_round_end: Callable[[], None],
+        on_complete: Optional[Callable[..., None]],
+    ) -> None:
+        self.device = device
+        self.round_config = round_config if round_config is not None else RoundConfig()
+        self.on_complete = on_complete
+        self.controller = RoundController(
+            device.sim, self.round_config, on_round_end, node=device.node_id
+        )
+        self.result: Optional[SessionResult] = None
+        self._round_new = 0
+        self._running = False
+        self._started = False
+        self._finished = False
+
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Attach to the device, seed from its store and begin."""
+        if self._started:
+            raise ConfigurationError("session already started")
+        self._started = True
+        self._running = True
+        memory_phase(self._PHASE)
+        self.result = SessionResult(started_at=self.device.sim.now)
+        for listeners, callback in self._listeners():
+            listeners.append(callback)
+        self._begin()
+
+    @property
+    def done(self) -> bool:
+        """Whether the session has completed (fully or given up)."""
+        return self._finished
+
+    def _listeners(self) -> List[Tuple[list, Callable]]:
+        """(device listener list, callback) pairs, in attach order."""
+        raise NotImplementedError
+
+    def _begin(self) -> None:
+        """Seed from the local store and send the first query."""
+        raise NotImplementedError
+
+    def _received_count(self) -> int:
+        raise NotImplementedError
+
+    def _record_new(self) -> None:
+        """A new entry or chunk arrived: count it and stamp the latency."""
+        assert self.result is not None
+        self._round_new += 1
+        self.result.last_new_at = self.device.sim.now
+
+    def _finish(self, completed: bool = True) -> None:
+        assert self.result is not None
+        self._running = False
+        self._finished = True
+        self.controller.stop()
+        self.result.finished_at = self.device.sim.now
+        self.result.received = self._received_count()
+        self.result.completed = completed
+        for listeners, callback in self._listeners():
+            if callback in listeners:
+                listeners.remove(callback)
+        if self.on_complete is not None:
+            self.on_complete(self)
+
+
+class DiscoverySession(_Session):
     """Multi-round pervasive data discovery for one consumer."""
+
+    _PHASE = "discovery"
 
     def __init__(
         self,
@@ -66,38 +155,25 @@ class DiscoverySession:
         redundancy_detection: Optional[bool] = None,
         on_complete: Optional[Callable[["DiscoverySession"], None]] = None,
     ) -> None:
-        self.device = device
+        super().__init__(device, round_config, self._round_ended, on_complete)
         self.spec = spec if spec is not None else QuerySpec()
-        self.round_config = round_config if round_config is not None else RoundConfig()
         self.want_payload = want_payload
         if redundancy_detection is None:
             redundancy_detection = device.config.protocol.redundancy_detection
         self.redundancy_detection = redundancy_detection
-        self.on_complete = on_complete
-        self.controller = RoundController(
-            device.sim, self.round_config, self._round_ended, node=device.node_id
-        )
         self.received: Set[DataDescriptor] = set()
         self.received_payloads: Dict[DataDescriptor, Chunk] = {}
-        self.result: Optional[SessionResult] = None
-        self._round_new = 0
-        self._running = False
-        self._started = False
-        self._finished = False
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Seed from the local store and send the first round's query."""
-        if self._started:
-            raise ConfigurationError("session already started")
-        self._started = True
-        self._running = True
-        memory_phase("discovery")
+    def _listeners(self) -> List[Tuple[list, Callable]]:
         device = self.device
-        self.result = SessionResult(started_at=device.sim.now)
-        device.metadata_listeners.append(self._on_metadata)
-        device.chunk_listeners.append(self._on_chunk)
-        device.response_listeners.append(self._on_response)
+        return [
+            (device.metadata_listeners, self._on_metadata),
+            (device.chunk_listeners, self._on_chunk),
+            (device.response_listeners, self._on_response),
+        ]
+
+    def _begin(self) -> None:
+        device = self.device
         # Entries already held locally count as received (Fig. 7's last
         # consumer had cached >95% before sending its own query).
         if self.want_payload:
@@ -109,10 +185,8 @@ class DiscoverySession:
                 self.received.add(descriptor)
         self._begin_round()
 
-    @property
-    def done(self) -> bool:
-        """Whether the session has completed."""
-        return self._finished
+    def _received_count(self) -> int:
+        return len(self.received)
 
     # ------------------------------------------------------------------
     def _begin_round(self) -> None:
@@ -143,28 +217,6 @@ class DiscoverySession:
         else:
             self._finish()
 
-    def _finish(self) -> None:
-        assert self.result is not None
-        self._running = False
-        self._finished = True
-        self.controller.stop()
-        self.result.finished_at = self.device.sim.now
-        self.result.received = len(self.received)
-        self.result.completed = True
-        self._detach()
-        if self.on_complete is not None:
-            self.on_complete(self)
-
-    def _detach(self) -> None:
-        device = self.device
-        for listeners, cb in (
-            (device.metadata_listeners, self._on_metadata),
-            (device.chunk_listeners, self._on_chunk),
-            (device.response_listeners, self._on_response),
-        ):
-            if cb in listeners:
-                listeners.remove(cb)
-
     # ------------------------------------------------------------------
     def _on_metadata(self, descriptor: DataDescriptor) -> None:
         if self.want_payload or not self._running:
@@ -185,18 +237,97 @@ class DiscoverySession:
         self.received_payloads[chunk.descriptor] = chunk
         self._record_new()
 
-    def _record_new(self) -> None:
-        assert self.result is not None
-        self._round_new += 1
-        self.result.last_new_at = self.device.sim.now
-
     def _on_response(self, message: object) -> None:
         if self._running and isinstance(message, DiscoveryResponse):
             self.controller.record_response()
 
 
-class RetrievalSession:
-    """Two-phase PDR for one large data item."""
+class _ChunkSession(_Session):
+    """The life cycle of a large-item session (PDR and MDR).
+
+    Owns the item's chunk count, the ``have`` set seeded from the local
+    store, ``missing`` and the bookkeeping of each new chunk; a session
+    that already holds every chunk finishes at start.
+    """
+
+    def __init__(
+        self,
+        device: Device,
+        item: DataDescriptor,
+        total_chunks: Optional[int],
+        round_config: Optional[RoundConfig],
+        on_round_end: Callable[[], None],
+        on_complete: Optional[Callable[..., None]],
+    ) -> None:
+        if total_chunks is None:
+            declared = item.get(attr.TOTAL_CHUNKS)
+            if declared is None:
+                raise ConfigurationError(
+                    "total_chunks not given and item descriptor lacks the "
+                    "total_chunks attribute"
+                )
+            total_chunks = int(declared)
+        super().__init__(device, round_config, on_round_end, on_complete)
+        self.item = item.item_descriptor()
+        self.total_chunks = total_chunks
+        self.have: Set[int] = set()
+
+    def _listeners(self) -> List[Tuple[list, Callable]]:
+        device = self.device
+        return [
+            (device.chunk_listeners, self._on_chunk),
+            (device.response_listeners, self._on_response),
+        ]
+
+    def _begin(self) -> None:
+        self.have = set(
+            cid
+            for cid in self.device.store.chunk_ids_of(self.item)
+            if cid < self.total_chunks
+        )
+        if len(self.have) >= self.total_chunks:
+            self._finish(completed=True)
+        else:
+            self._request()
+
+    def _request(self) -> None:
+        """Send the first query for the missing chunks."""
+        raise NotImplementedError
+
+    def _received_count(self) -> int:
+        return len(self.have)
+
+    @property
+    def missing(self) -> Set[int]:
+        """Chunk ids not yet received."""
+        return set(range(self.total_chunks)) - self.have
+
+    def _on_chunk(self, chunk: Chunk) -> None:
+        if not self._running:
+            return
+        if chunk.item_descriptor != self.item:
+            return
+        chunk_id = chunk.chunk_id
+        if chunk_id in self.have or chunk_id >= self.total_chunks:
+            return
+        self.have.add(chunk_id)
+        self._record_new()
+        if len(self.have) >= self.total_chunks:
+            self._finish(completed=True)
+        else:
+            self._progressed()
+
+    def _progressed(self) -> None:
+        """A new chunk arrived and some are still missing."""
+
+
+class RetrievalSession(_ChunkSession):
+    """Two-phase PDR for one large data item.
+
+    Phase 1 unless CDI routes to every missing chunk are already known.
+    """
+
+    _PHASE = "retrieval"
 
     def __init__(
         self,
@@ -208,67 +339,25 @@ class RetrievalSession:
         max_attempts: int = 15,
         on_complete: Optional[Callable[["RetrievalSession"], None]] = None,
     ) -> None:
-        self.device = device
-        self.item = item.item_descriptor()
-        if total_chunks is None:
-            declared = item.get(attr.TOTAL_CHUNKS)
-            if declared is None:
-                raise ConfigurationError(
-                    "total_chunks not given and item descriptor lacks the "
-                    "total_chunks attribute"
-                )
-            total_chunks = int(declared)
-        self.total_chunks = total_chunks
-        self.round_config = round_config if round_config is not None else RoundConfig()
+        super().__init__(
+            device,
+            item,
+            total_chunks,
+            round_config,
+            self._cdi_round_ended,
+            on_complete,
+        )
         self.stall_timeout_s = stall_timeout_s
         self.max_attempts = max_attempts
-        self.on_complete = on_complete
-        self.controller = RoundController(
-            device.sim, self.round_config, self._cdi_round_ended, node=device.node_id
-        )
-        self.have: Set[int] = set()
-        self.result: Optional[SessionResult] = None
         self.phase = "idle"  # idle -> cdi -> chunks -> done
         self._attempts = 0
         self._stall_timer = Timer(device.sim, self._stalled)
-        self._running = False
-        self._started = False
-        self._finished = False
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin retrieval (phase 1 unless CDI or data already present)."""
-        if self._started:
-            raise ConfigurationError("session already started")
-        self._started = True
-        self._running = True
-        memory_phase("retrieval")
-        device = self.device
-        self.result = SessionResult(started_at=device.sim.now)
-        device.chunk_listeners.append(self._on_chunk)
-        device.response_listeners.append(self._on_response)
-        self.have = set(
-            cid
-            for cid in device.store.chunk_ids_of(self.item)
-            if cid < self.total_chunks
-        )
-        if len(self.have) >= self.total_chunks:
-            self._finish(completed=True)
-            return
+    def _request(self) -> None:
         if self._cdi_covers_missing():
             self._enter_chunk_phase()
         else:
             self._enter_cdi_phase()
-
-    @property
-    def done(self) -> bool:
-        """Whether the session has completed (fully or given up)."""
-        return self._finished
-
-    @property
-    def missing(self) -> Set[int]:
-        """Chunk ids not yet received."""
-        return set(range(self.total_chunks)) - self.have
 
     # ------------------------------------------------------------------
     # Phase 1
@@ -321,49 +410,26 @@ class RetrievalSession:
             self._enter_chunk_phase()
 
     # ------------------------------------------------------------------
-    def _on_chunk(self, chunk: Chunk) -> None:
-        if not self._running:
-            return
-        if chunk.item_descriptor != self.item:
-            return
-        chunk_id = chunk.chunk_id
-        if chunk_id in self.have or chunk_id >= self.total_chunks:
-            return
-        self.have.add(chunk_id)
-        assert self.result is not None
-        self.result.last_new_at = self.device.sim.now
-        if len(self.have) >= self.total_chunks:
-            self._finish(completed=True)
-        elif self.phase == "chunks":
+    def _progressed(self) -> None:
+        if self.phase == "chunks":
             self._stall_timer.start(self.stall_timeout_s)
 
     def _on_response(self, message: object) -> None:
         if self._running and self.phase == "cdi" and isinstance(message, CdiResponse):
             self.controller.record_response()
 
-    # ------------------------------------------------------------------
-    def _finish(self, completed: bool) -> None:
-        assert self.result is not None
-        self._running = False
-        self._finished = True
+    def _finish(self, completed: bool = True) -> None:
         self.phase = "done"
         self._stall_timer.cancel()
-        self.controller.stop()
-        self.result.finished_at = self.device.sim.now
-        self.result.received = len(self.have)
-        self.result.completed = completed
+        assert self.result is not None
         self.result.rounds = self._attempts + 1
-        device = self.device
-        if self._on_chunk in device.chunk_listeners:
-            device.chunk_listeners.remove(self._on_chunk)
-        if self._on_response in device.response_listeners:
-            device.response_listeners.remove(self._on_response)
-        if self.on_complete is not None:
-            self.on_complete(self)
+        super()._finish(completed)
 
 
-class MdrSession:
+class MdrSession(_ChunkSession):
     """Multi-round data retrieval baseline for one large data item."""
+
+    _PHASE = "mdr_retrieval"
 
     def __init__(
         self,
@@ -374,62 +440,14 @@ class MdrSession:
         max_empty_rounds: int = 3,
         on_complete: Optional[Callable[["MdrSession"], None]] = None,
     ) -> None:
-        self.device = device
-        self.item = item.item_descriptor()
-        if total_chunks is None:
-            declared = item.get(attr.TOTAL_CHUNKS)
-            if declared is None:
-                raise ConfigurationError(
-                    "total_chunks not given and item descriptor lacks the "
-                    "total_chunks attribute"
-                )
-            total_chunks = int(declared)
-        self.total_chunks = total_chunks
-        self.round_config = round_config if round_config is not None else RoundConfig()
+        super().__init__(
+            device, item, total_chunks, round_config, self._round_ended, on_complete
+        )
         self.max_empty_rounds = max_empty_rounds
-        self.on_complete = on_complete
-        self.controller = RoundController(
-            device.sim, self.round_config, self._round_ended, node=device.node_id
-        )
-        self.have: Set[int] = set()
-        self.result: Optional[SessionResult] = None
-        self._round_new = 0
         self._empty_rounds = 0
-        self._running = False
-        self._started = False
-        self._finished = False
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin the first MDR round."""
-        if self._started:
-            raise ConfigurationError("session already started")
-        self._started = True
-        self._running = True
-        memory_phase("mdr_retrieval")
-        device = self.device
-        self.result = SessionResult(started_at=device.sim.now)
-        device.chunk_listeners.append(self._on_chunk)
-        device.response_listeners.append(self._on_response)
-        self.have = set(
-            cid
-            for cid in device.store.chunk_ids_of(self.item)
-            if cid < self.total_chunks
-        )
-        if len(self.have) >= self.total_chunks:
-            self._finish(completed=True)
-            return
+    def _request(self) -> None:
         self._begin_round()
-
-    @property
-    def done(self) -> bool:
-        """Whether the session has completed (fully or given up)."""
-        return self._finished
-
-    @property
-    def missing(self) -> Set[int]:
-        """Chunk ids not yet received."""
-        return set(range(self.total_chunks)) - self.have
 
     # ------------------------------------------------------------------
     def _begin_round(self) -> None:
@@ -456,39 +474,6 @@ class MdrSession:
             return
         self._begin_round()
 
-    # ------------------------------------------------------------------
-    def _on_chunk(self, chunk: Chunk) -> None:
-        if not self._running:
-            return
-        if chunk.item_descriptor != self.item:
-            return
-        chunk_id = chunk.chunk_id
-        if chunk_id in self.have or chunk_id >= self.total_chunks:
-            return
-        self.have.add(chunk_id)
-        self._round_new += 1
-        assert self.result is not None
-        self.result.last_new_at = self.device.sim.now
-        if len(self.have) >= self.total_chunks:
-            self._finish(completed=True)
-
     def _on_response(self, message: object) -> None:
         if self._running and isinstance(message, ChunkResponse):
             self.controller.record_response()
-
-    # ------------------------------------------------------------------
-    def _finish(self, completed: bool) -> None:
-        assert self.result is not None
-        self._running = False
-        self._finished = True
-        self.controller.stop()
-        self.result.finished_at = self.device.sim.now
-        self.result.received = len(self.have)
-        self.result.completed = completed
-        device = self.device
-        if self._on_chunk in device.chunk_listeners:
-            device.chunk_listeners.remove(self._on_chunk)
-        if self._on_response in device.response_listeners:
-            device.response_listeners.remove(self._on_response)
-        if self.on_complete is not None:
-            self.on_complete(self)

@@ -21,10 +21,9 @@ responses carry the payloads.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.bloom.bloom_filter import NullFilter
-from repro.core.lqt import LingeringEntry, LingeringQueryTable, RecentResponses
+from repro.core.lqt import LingeringEngine, LingeringEntry
 from repro.core.messages import (
     DiscoveryQuery,
     DiscoveryResponse,
@@ -34,21 +33,13 @@ from repro.data.descriptor import DataDescriptor
 from repro.data.item import Chunk
 from repro.data.predicate import QuerySpec
 
-if TYPE_CHECKING:
-    from repro.node.device import Device
+
+def _chunk_key(chunk: Chunk) -> bytes:
+    return chunk.descriptor.stable_key()
 
 
-class DiscoveryEngine:
+class DiscoveryEngine(LingeringEngine):
     """Per-device PDD responder/relay."""
-
-    def __init__(self, device: "Device") -> None:
-        self.device = device
-        self.lqt = LingeringQueryTable(
-            clock=lambda: device.sim.now,
-            trace=device.sim.trace,
-            node=device.node_id,
-        )
-        self.recent = RecentResponses()
 
     # ------------------------------------------------------------------
     # Consumer side
@@ -77,16 +68,7 @@ class DiscoveryEngine:
             round_index=round_index,
             want_payload=want_payload,
         )
-        self.lqt.insert(
-            LingeringEntry(
-                query=query,
-                upstream=device.node_id,
-                expires_at=expires_at,
-                is_origin=True,
-                bloom=bloom.copy(),
-            ),
-            query.message_id,
-        )
+        self._linger(query, is_origin=True)
         trace = device.sim.trace
         if trace.enabled:
             # The issued filter's exact bits ride along so the offline
@@ -106,9 +88,7 @@ class DiscoveryEngine:
                 expires_at=expires_at,
                 **bloom_fields,
             )
-        device.face.send(
-            query, query.wire_size(), receivers=None, kind="query", reliable=True
-        )
+        self._send(query, "query")
         return query
 
     # ------------------------------------------------------------------
@@ -119,15 +99,9 @@ class DiscoveryEngine:
         device = self.device
         now = device.sim.now
         # {LQT Lookup} — drop redundant copies of the same query.
-        if self.lqt.exists(query.message_id):
+        entry = self._admit(query)
+        if entry is None:
             return
-        entry = LingeringEntry(
-            query=query,
-            upstream=query.sender_id,
-            expires_at=query.expires_at,
-            bloom=query.bloom.copy(),
-        )
-        self.lqt.insert(entry, query.message_id)
 
         # {DS Lookup} — reply matching content, pruned by the Bloom filter.
         sent_keys = self._respond_from_store(query, entry)
@@ -156,13 +130,7 @@ class DiscoveryEngine:
                 responded=sent_keys,
                 expires_at=query.expires_at,
             )
-        device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=None,
-            kind="query",
-            reliable=True,
-        )
+        self._send(forwarded, "query")
 
     def _respond_from_store(
         self, query: DiscoveryQuery, entry: LingeringEntry
@@ -170,40 +138,16 @@ class DiscoveryEngine:
         """Send response messages for matching local content; returns count."""
         device = self.device
         bloom = entry.bloom
-        trace = device.sim.trace
         if query.want_payload:
             candidates = list(device.store.match_chunks(query.spec))
-            chunks = [
-                chunk
-                for chunk in candidates
-                if chunk.descriptor.stable_key() not in bloom
-            ]
-            if trace.enabled and candidates:
-                # Prune hits = matches the query's filter already covers.
-                trace.emit(
-                    "bloom_prune",
-                    node=device.node_id,
-                    query_id=query.message_id,
-                    round=query.round_index,
-                    consumer=query.origin_id,
-                    hits=len(candidates) - len(chunks),
-                    misses=len(chunks),
-                )
-            if not chunks:
-                return 0
-            for chunk in chunks:
-                bloom.insert(chunk.descriptor.stable_key())
-            self._send_payload_responses(
-                chunks, frozenset({query.sender_id}), query.round_index, query
-            )
-            return len(chunks)
-        candidates = list(device.store.match_metadata(query.spec))
-        matches = [
-            descriptor
-            for descriptor in candidates
-            if descriptor.stable_key() not in bloom
-        ]
+            key = _chunk_key
+        else:
+            candidates = list(device.store.match_metadata(query.spec))
+            key = DataDescriptor.stable_key
+        matches = [c for c in candidates if key(c) not in bloom]
+        trace = device.sim.trace
         if trace.enabled and candidates:
+            # Prune hits = matches the query's filter already covers.
             trace.emit(
                 "bloom_prune",
                 node=device.node_id,
@@ -215,79 +159,53 @@ class DiscoveryEngine:
             )
         if not matches:
             return 0
-        for descriptor in matches:
-            bloom.insert(descriptor.stable_key())
-        self._send_entry_responses(
-            matches, frozenset({query.sender_id}), query.round_index, query
-        )
+        for match in matches:
+            bloom.insert(key(match))
+        self._send_responses(query, matches)
         return len(matches)
 
     # ------------------------------------------------------------------
     # Response packing
     # ------------------------------------------------------------------
-    def _send_entry_responses(
-        self,
-        entries: List[DataDescriptor],
-        receivers: frozenset,
-        round_index: int,
-        query: Optional[DiscoveryQuery] = None,
-    ) -> None:
-        """Pack descriptors into frames of at most the configured size."""
-        device = self.device
-        limit = device.config.protocol.max_response_payload_bytes
-        batch: List[DataDescriptor] = []
+    def _send_responses(self, query: DiscoveryQuery, matches: List) -> None:
+        """Pack descriptors (or, for a payload query, small items) into
+        frames of at most the configured size."""
+        payload = query.want_payload
+        receivers = frozenset({query.sender_id})
+        limit = self.device.config.protocol.max_response_payload_bytes
+        batch: List = []
         batch_bytes = 0
-        for descriptor in entries:
-            size = descriptor.wire_size()
+        for match in matches:
+            if payload:
+                size = match.descriptor.wire_size() + match.size
+            else:
+                size = match.wire_size()
             if batch and batch_bytes + size > limit:
-                self._emit_response(tuple(batch), (), receivers, round_index, query)
+                self._emit_response(query, tuple(batch), receivers)
                 batch = []
                 batch_bytes = 0
-            batch.append(descriptor)
+            batch.append(match)
             batch_bytes += size
         if batch:
-            self._emit_response(tuple(batch), (), receivers, round_index, query)
-
-    def _send_payload_responses(
-        self,
-        chunks: List[Chunk],
-        receivers: frozenset,
-        round_index: int,
-        query: Optional[DiscoveryQuery] = None,
-    ) -> None:
-        """Small-data responses: one or more items per frame."""
-        device = self.device
-        limit = device.config.protocol.max_response_payload_bytes
-        batch: List[Chunk] = []
-        batch_bytes = 0
-        for chunk in chunks:
-            size = chunk.descriptor.wire_size() + chunk.size
-            if batch and batch_bytes + size > limit:
-                self._emit_response((), tuple(batch), receivers, round_index, query)
-                batch = []
-                batch_bytes = 0
-            batch.append(chunk)
-            batch_bytes += size
-        if batch:
-            self._emit_response((), tuple(batch), receivers, round_index, query)
+            self._emit_response(query, tuple(batch), receivers)
 
     def _emit_response(
-        self,
-        entries: Tuple[DataDescriptor, ...],
-        payloads: Tuple[Chunk, ...],
-        receivers: frozenset,
-        round_index: int,
-        query: Optional[DiscoveryQuery] = None,
+        self, query: DiscoveryQuery, batch: Tuple, receivers: frozenset
     ) -> None:
         device = self.device
+        if query.want_payload:
+            entries: Tuple[DataDescriptor, ...] = ()
+            payloads: Tuple[Chunk, ...] = batch
+        else:
+            entries, payloads = batch, ()
         response = DiscoveryResponse(
             message_id=next_message_id(),
             sender_id=device.node_id,
             receiver_ids=receivers,
             entries=entries,
             payloads=payloads,
-            round_index=round_index,
-            query_ids=(query.message_id,) if query is not None else (),
+            round_index=query.round_index,
+            query_ids=(query.message_id,),
         )
         # Own responses are never re-processed when overheard back.
         self.recent.seen_before(response.message_id)
@@ -300,21 +218,15 @@ class DiscoveryEngine:
                 node=device.node_id,
                 response_id=response.message_id,
                 proto="pdd",
-                query_id=query.message_id if query is not None else None,
-                consumer=query.origin_id if query is not None else None,
-                round=round_index,
+                query_id=query.message_id,
+                consumer=query.origin_id,
+                round=query.round_index,
                 entries=len(entries),
                 payloads=len(payloads),
                 size=response.wire_size(),
                 keys=sent_keys,
             )
-        device.face.send(
-            response,
-            response.wire_size(),
-            receivers=receivers,
-            kind="response",
-            reliable=True,
-        )
+        self._send(response, "response")
 
     # ------------------------------------------------------------------
     # Algorithm 2: response processing
@@ -342,8 +254,6 @@ class DiscoveryEngine:
         matched_query_ids: List[int] = []
         for entry in self.lqt.live_entries():
             query = entry.query
-            if not isinstance(query, DiscoveryQuery):
-                continue
             wanted_entries = [
                 d
                 for d in response.entries
@@ -394,10 +304,4 @@ class DiscoveryEngine:
                 query_ids=matched_query_ids,
                 keys=merged_keys,
             )
-        device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=forwarded.receiver_ids,
-            kind="response",
-            reliable=True,
-        )
+        self._send(forwarded, "response")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
 
 from repro.bloom.bloom_filter import make_round_filter
-from repro.core.lqt import LingeringEntry, LingeringQueryTable, RecentResponses
+from repro.core.lqt import LingeringEngine, RecentResponses
 from repro.core.messages import next_message_id
 from repro.data.descriptor import DataDescriptor
 from repro.data.predicate import QuerySpec
@@ -98,22 +98,18 @@ class InterestData:
         return replace(self, sender_id=sender_id, receiver_ids=receiver_ids)
 
 
-class InterestEngine:
-    """Per-device PIT-based responder/relay for the baseline."""
+class InterestEngine(LingeringEngine):
+    """Per-device PIT-based responder/relay for the baseline.
+
+    ``lqt`` is the PIT: its entries are *consumed* on first matching Data.
+    """
 
     def __init__(self, device: "Device") -> None:
-        self.device = device
-        #: The PIT; entries are *consumed* on first matching Data.
-        self.pit = LingeringQueryTable(
-            clock=lambda: device.sim.now,
-            trace=device.sim.trace,
-            node=device.node_id,
-        )
+        super().__init__(device)
         #: Nonce-style dedup, separate from the PIT: a consumed entry must
         #: not make redundant flooded copies look new again (NDN keeps a
         #: dead-nonce list for exactly this).
         self.seen_interests = RecentResponses()
-        self.recent = RecentResponses()
 
     # ------------------------------------------------------------------
     def issue_interest(
@@ -137,23 +133,8 @@ class InterestEngine:
             bloom=bloom,
         )
         self.seen_interests.seen_before(interest.message_id)
-        self.pit.insert(
-            LingeringEntry(
-                query=interest,
-                upstream=device.node_id,
-                expires_at=expires_at,
-                is_origin=True,
-                bloom=bloom.copy(),
-            ),
-            interest.message_id,
-        )
-        device.face.send(
-            interest,
-            interest.wire_size(),
-            receivers=None,
-            kind="interest",
-            reliable=True,
-        )
+        self._linger(interest, is_origin=True)
+        self._send(interest, "interest")
         return interest
 
     # ------------------------------------------------------------------
@@ -163,13 +144,7 @@ class InterestEngine:
         now = device.sim.now
         if self.seen_interests.seen_before(interest.message_id):
             return
-        entry = LingeringEntry(
-            query=interest,
-            upstream=interest.sender_id,
-            expires_at=interest.expires_at,
-            bloom=interest.bloom.copy(),
-        )
-        self.pit.insert(entry, interest.message_id)
+        entry = self._linger(interest)
 
         # Answer with AT MOST ONE Data message (the one-shot semantics).
         matches = [
@@ -197,28 +172,15 @@ class InterestEngine:
                 entries=tuple(batch),
             )
             self.recent.seen_before(data.message_id)
-            device.face.send(
-                data,
-                data.wire_size(),
-                receivers=data.receiver_ids,
-                kind="interest_data",
-                reliable=True,
-            )
+            self._send(data, "interest_data")
             # Answering locally consumes this node's PIT entry: the
             # Interest is satisfied from its point of view.
-            self.pit.remove(interest.message_id)
+            self.lqt.remove(interest.message_id)
             return
 
         if not addressed or now >= interest.expires_at:
             return
-        forwarded = interest.rewritten(sender_id=device.node_id)
-        device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=None,
-            kind="interest",
-            reliable=True,
-        )
+        self._send(interest.rewritten(sender_id=device.node_id), "interest")
 
     # ------------------------------------------------------------------
     def handle_response(self, data: InterestData, addressed: bool) -> None:
@@ -229,24 +191,18 @@ class InterestEngine:
         device.cache_metadata(data.entries)
         if not addressed:
             return
-        entry = self.pit.get(data.interest_id)
+        entry = self.lqt.get(data.interest_id)
         if entry is None:
             return
         # Consume the PIT entry: one Interest, one Data (§VIII).
-        self.pit.remove(data.interest_id)
+        self.lqt.remove(data.interest_id)
         if entry.is_origin:
             return
         forwarded = data.rewritten(
             sender_id=device.node_id,
             receiver_ids=frozenset({entry.upstream}),
         )
-        device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=forwarded.receiver_ids,
-            kind="interest_data",
-            reliable=True,
-        )
+        self._send(forwarded, "interest_data")
 
 
 class InterestDiscoverySession:

@@ -12,15 +12,26 @@ used by the redundancy machinery:
   updated as entries are forwarded through (en-route rewriting, §III-B-2);
 * ``forwarded_keys`` — exact-set dedup for CDI/chunk relaying (which chunk
   ids, at which best hop count, were already sent toward this consumer).
+
+:class:`LingeringEngine` is the plumbing every protocol shares (PDD, CDI,
+chunk retrieval, the MDR baseline and the one-shot Interest baseline):
+one table, one received-response set, admission of a query copy into the
+table and the reliable send of a message to its own receivers.  Each
+engine adds only its DS lookup, its forwarding rewrite and its
+reverse-path merge rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Set
 
+from repro.net.message import Frame
 from repro.net.topology import NodeId
 from repro.obs.trace import TraceBus
+
+if TYPE_CHECKING:
+    from repro.node.device import Device
 
 
 @dataclass
@@ -151,3 +162,56 @@ class RecentResponses:
 
     def __contains__(self, response_id: int) -> bool:
         return response_id in self._seen
+
+
+class LingeringEngine:
+    """Per-device base of the protocol engines: LQT admission and sending.
+
+    ``lqt`` holds the queries this node lingers (its own with
+    ``is_origin``), ``recent`` the response ids it has already handled.
+    """
+
+    def __init__(self, device: "Device") -> None:
+        self.device = device
+        self.lqt = LingeringQueryTable(
+            clock=lambda: device.sim.now,
+            trace=device.sim.trace,
+            node=device.node_id,
+        )
+        self.recent = RecentResponses()
+
+    def observe_state(self) -> Dict[str, float]:
+        """Flight-recorder view: the live lingering queries (read-only)."""
+        return self.lqt.observe_state()
+
+    def _linger(self, query, is_origin: bool = False) -> LingeringEntry:
+        """Record ``query`` as lingering; upstream is the node that sent it.
+
+        A query carrying a Bloom filter gets this node's own working copy.
+        """
+        bloom = getattr(query, "bloom", None)
+        entry = LingeringEntry(
+            query=query,
+            upstream=query.sender_id,
+            expires_at=query.expires_at,
+            is_origin=is_origin,
+            bloom=None if bloom is None else bloom.copy(),
+        )
+        self.lqt.insert(entry, query.message_id)
+        return entry
+
+    def _admit(self, query) -> Optional[LingeringEntry]:
+        """{LQT Lookup}: None for a copy already lingering, else its entry."""
+        if self.lqt.exists(query.message_id):
+            return None
+        return self._linger(query)
+
+    def _send(self, message, kind: str) -> Frame:
+        """Reliably transmit ``message`` to its own receiver set."""
+        return self.device.face.send(
+            message,
+            message.wire_size(),
+            receivers=message.receiver_ids,
+            kind=kind,
+            reliable=True,
+        )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, FrozenSet, Optional, Set
 
-from repro.core.lqt import LingeringEntry, LingeringQueryTable, RecentResponses
+from repro.core.lqt import LingeringEngine
 from repro.core.messages import ChunkResponse, MdrQuery, next_message_id
 from repro.core.retrieval import _item_key
 from repro.data.descriptor import DataDescriptor
@@ -25,17 +25,11 @@ if TYPE_CHECKING:
     from repro.node.device import Device
 
 
-class MdrEngine:
+class MdrEngine(LingeringEngine):
     """Per-device MDR responder/relay."""
 
     def __init__(self, device: "Device") -> None:
-        self.device = device
-        self.lqt = LingeringQueryTable(
-            clock=lambda: device.sim.now,
-            trace=device.sim.trace,
-            node=device.node_id,
-        )
-        self.recent = RecentResponses()
+        super().__init__(device)
         #: Chunk frames we queued but that may still be withdrawn if a
         #: duplicate is overheard before they reach the air.
         self._pending_frames = {}
@@ -67,15 +61,7 @@ class MdrEngine:
             expires_at=expires_at,
             round_index=round_index,
         )
-        self.lqt.insert(
-            LingeringEntry(
-                query=query,
-                upstream=device.node_id,
-                expires_at=expires_at,
-                is_origin=True,
-            ),
-            query.message_id,
-        )
+        self._linger(query, is_origin=True)
         trace = device.sim.trace
         if trace.enabled:
             trace.emit(
@@ -90,9 +76,7 @@ class MdrEngine:
                 ttl=ttl,
                 expires_at=expires_at,
             )
-        device.face.send(
-            query, query.wire_size(), receivers=None, kind="mdr_query", reliable=True
-        )
+        self._send(query, "mdr_query")
         return query
 
     #: Maximum random holdoff before serving a chunk (broadcast-storm
@@ -105,12 +89,8 @@ class MdrEngine:
         """Serve requested held chunks (after holdoff) and re-flood."""
         device = self.device
         now = device.sim.now
-        if self.lqt.exists(query.message_id):
+        if self._admit(query) is None:
             return
-        entry = LingeringEntry(
-            query=query, upstream=query.sender_id, expires_at=query.expires_at
-        )
-        self.lqt.insert(entry, query.message_id)
 
         # DS lookup: reply requested chunks this node holds — after a short
         # random holdoff so copies overheard meanwhile suppress duplicates.
@@ -146,13 +126,7 @@ class MdrEngine:
                 responded=len(held),
                 expires_at=query.expires_at,
             )
-        device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=None,
-            kind="mdr_query",
-            reliable=True,
-        )
+        self._send(forwarded, "mdr_query")
 
     def _serve_chunk(self, query_id: int, chunk_id: int) -> None:
         """Deferred reply: skipped if the chunk was served meanwhile."""
@@ -191,13 +165,7 @@ class MdrEngine:
             chunk=chunk,
         )
         self.recent.seen_before(response.message_id)
-        frame = device.face.send(
-            response,
-            response.wire_size(),
-            receivers=receivers,
-            kind="chunk_response",
-            reliable=True,
-        )
+        frame = self._send(response, "chunk_response")
         if query_id is not None:
             self._register_pending(query_id, chunk.chunk_id, frame)
 
@@ -232,7 +200,6 @@ class MdrEngine:
             query = entry.query
             if (
                 entry.is_origin
-                and isinstance(query, MdrQuery)
                 and query.item == chunk.item_descriptor
                 and chunk.chunk_id not in query.have_chunk_ids
             ):
@@ -258,11 +225,7 @@ class MdrEngine:
             # queued but not yet transmitted.
             for entry in self.lqt.live_entries():
                 query = entry.query
-                if (
-                    isinstance(query, MdrQuery)
-                    and not entry.is_origin
-                    and query.item == chunk.item_descriptor
-                ):
+                if not entry.is_origin and query.item == chunk.item_descriptor:
                     entry.forwarded_keys.add(chunk.chunk_id)
                     self._withdraw_pending(query.message_id, chunk.chunk_id)
             return
@@ -270,8 +233,6 @@ class MdrEngine:
         matched_queries = []
         for entry in self.lqt.live_entries():
             query = entry.query
-            if not isinstance(query, MdrQuery):
-                continue
             if query.item != chunk.item_descriptor:
                 continue
             chunk_id = chunk.chunk_id
@@ -287,13 +248,7 @@ class MdrEngine:
         forwarded = response.rewritten(
             sender_id=device.node_id, receiver_ids=frozenset(receivers)
         )
-        frame = device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=forwarded.receiver_ids,
-            kind="chunk_response",
-            reliable=True,
-        )
+        frame = self._send(forwarded, "chunk_response")
         # Track for late suppression only when the relayed copy serves a
         # single query — withdrawing a multi-query frame could starve the
         # consumer whose duplicate was *not* overheard.

@@ -96,8 +96,9 @@ class DiscoveryQuery(PdsMessage):
             hash-family seed, §V-3).
         want_payload: False → metadata discovery; True → small-data
             retrieval, where responses carry item payloads (§IV intro).
-        hop_count: Hops travelled so far (for the optional flood-scope
-            limit of §III-A).
+        hop_count: Hops travelled so far.  No forwarding decision reads
+            it: it is encoded on the wire and stamped on trace events and
+            link-layer correlation.
     """
 
     spec: QuerySpec = QuerySpec()

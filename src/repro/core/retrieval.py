@@ -16,10 +16,10 @@ opportunistically along the way.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.assignment import assign_chunks
-from repro.core.lqt import LingeringEntry, LingeringQueryTable, RecentResponses
+from repro.core.lqt import LingeringEngine
 from repro.core.messages import (
     CdiQuery,
     CdiResponse,
@@ -30,32 +30,15 @@ from repro.core.messages import (
 from repro.data.descriptor import DataDescriptor
 from repro.net.topology import NodeId
 
-if TYPE_CHECKING:
-    from repro.node.device import Device
-
 
 def _item_key(item: DataDescriptor) -> str:
     """Compact JSON-safe identifier of an item for trace events."""
     return item.stable_key().hex()[:12]
 
 
-class CdiEngine:
+class CdiEngine(LingeringEngine):
     """Phase 1: on-demand per-chunk distance-vector construction."""
 
-    def __init__(self, device: "Device") -> None:
-        self.device = device
-        self.lqt = LingeringQueryTable(
-            clock=lambda: device.sim.now,
-            trace=device.sim.trace,
-            node=device.node_id,
-        )
-        self.recent = RecentResponses()
-
-    def observe_state(self) -> dict:
-        """Flight-recorder view: live lingering CDI queries (read-only)."""
-        return self.lqt.observe_state()
-
-    # ------------------------------------------------------------------
     def issue_query(
         self, item: DataDescriptor, ttl: Optional[float] = None
     ) -> CdiQuery:
@@ -73,15 +56,7 @@ class CdiEngine:
             origin_id=device.node_id,
             expires_at=expires_at,
         )
-        self.lqt.insert(
-            LingeringEntry(
-                query=query,
-                upstream=device.node_id,
-                expires_at=expires_at,
-                is_origin=True,
-            ),
-            query.message_id,
-        )
+        self._linger(query, is_origin=True)
         trace = device.sim.trace
         if trace.enabled:
             trace.emit(
@@ -94,9 +69,7 @@ class CdiEngine:
                 ttl=ttl,
                 expires_at=expires_at,
             )
-        device.face.send(
-            query, query.wire_size(), receivers=None, kind="cdi_query", reliable=True
-        )
+        self._send(query, "cdi_query")
         return query
 
     # ------------------------------------------------------------------
@@ -104,12 +77,9 @@ class CdiEngine:
         """Answer with local ChunkId-HopCount pairs, then flood onward."""
         device = self.device
         now = device.sim.now
-        if self.lqt.exists(query.message_id):
+        entry = self._admit(query)
+        if entry is None:
             return
-        entry = LingeringEntry(
-            query=query, upstream=query.sender_id, expires_at=query.expires_at
-        )
-        self.lqt.insert(entry, query.message_id)
 
         pairs = self._local_pairs(query.item)
         if pairs:
@@ -133,13 +103,7 @@ class CdiEngine:
                 hop=forwarded.hop_count,
                 expires_at=query.expires_at,
             )
-        device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=None,
-            kind="cdi_query",
-            reliable=True,
-        )
+        self._send(forwarded, "cdi_query")
 
     def _local_pairs(self, item: DataDescriptor) -> List[Tuple[int, int]]:
         """ChunkId–HopCount pairs this node can advertise for ``item``.
@@ -182,13 +146,7 @@ class CdiEngine:
                 pairs=len(pairs),
                 size=response.wire_size(),
             )
-        device.face.send(
-            response,
-            response.wire_size(),
-            receivers=receivers,
-            kind="cdi_response",
-            reliable=True,
-        )
+        self._send(response, "cdi_response")
 
     # ------------------------------------------------------------------
     def handle_response(self, response: CdiResponse, addressed: bool) -> None:
@@ -227,9 +185,7 @@ class CdiEngine:
         best_hops: Optional[List[Tuple[int, int]]] = None
         for entry in self.lqt.live_entries():
             query = entry.query
-            if not isinstance(query, CdiQuery) or query.item != response.item:
-                continue
-            if entry.is_origin:
+            if entry.is_origin or query.item != response.item:
                 continue
             if best_hops is None:
                 best_hops = []
@@ -258,13 +214,7 @@ class CdiEngine:
             pairs=tuple(sorted(out_pairs.items())),
             query_ids=tuple(matched_query_ids),
         )
-        device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=forwarded.receiver_ids,
-            kind="cdi_response",
-            reliable=True,
-        )
+        self._send(forwarded, "cdi_response")
 
     def _best_known_hop(self, item: DataDescriptor, chunk_id: int) -> Optional[int]:
         device = self.device
@@ -273,21 +223,8 @@ class CdiEngine:
         return device.cdi_table.best_hop(item, chunk_id)
 
 
-class ChunkEngine:
+class ChunkEngine(LingeringEngine):
     """Phase 2: recursive, load-balanced chunk retrieval."""
-
-    def __init__(self, device: "Device") -> None:
-        self.device = device
-        self.lqt = LingeringQueryTable(
-            clock=lambda: device.sim.now,
-            trace=device.sim.trace,
-            node=device.node_id,
-        )
-        self.recent = RecentResponses()
-
-    def observe_state(self) -> dict:
-        """Flight-recorder view: live lingering chunk queries (read-only)."""
-        return self.lqt.observe_state()
 
     def _emit_assignment(
         self,
@@ -360,15 +297,7 @@ class ChunkEngine:
                 expires_at=expires_at,
                 root_id=message_id,
             )
-            self.lqt.insert(
-                LingeringEntry(
-                    query=query,
-                    upstream=device.node_id,
-                    expires_at=expires_at,
-                    is_origin=True,
-                ),
-                query.message_id,
-            )
+            self._linger(query, is_origin=True)
             if trace.enabled:
                 trace.emit(
                     "chunk_request",
@@ -382,13 +311,7 @@ class ChunkEngine:
                     chunks=sorted(ids),
                     expires_at=expires_at,
                 )
-            device.face.send(
-                query,
-                query.wire_size(),
-                receivers=query.receiver_ids,
-                kind="chunk_query",
-                reliable=True,
-            )
+            self._send(query, "chunk_query")
         return assignment
 
     def _options(
@@ -418,12 +341,9 @@ class ChunkEngine:
         """Serve held chunks; recursively divide the rest per CDI (§IV-B)."""
         device = self.device
         now = device.sim.now
-        if self.lqt.exists(query.message_id):
+        entry = self._admit(query)
+        if entry is None:
             return
-        entry = LingeringEntry(
-            query=query, upstream=query.sender_id, expires_at=query.expires_at
-        )
-        self.lqt.insert(entry, query.message_id)
 
         if not addressed or now >= query.expires_at:
             # Chunk queries are directed; overhearers only remember them so
@@ -488,13 +408,7 @@ class ChunkEngine:
                     chunks=sorted(ids),
                     expires_at=sub_query.expires_at,
                 )
-            device.face.send(
-                sub_query,
-                sub_query.wire_size(),
-                receivers=sub_query.receiver_ids,
-                kind="chunk_query",
-                reliable=True,
-            )
+            self._send(sub_query, "chunk_query")
 
     def _emit_chunk(self, chunk, receivers: FrozenSet[NodeId]) -> None:
         device = self.device
@@ -505,13 +419,7 @@ class ChunkEngine:
             chunk=chunk,
         )
         self.recent.seen_before(response.message_id)
-        device.face.send(
-            response,
-            response.wire_size(),
-            receivers=receivers,
-            kind="chunk_response",
-            reliable=True,
-        )
+        self._send(response, "chunk_response")
 
     # ------------------------------------------------------------------
     # Response processing (reverse-path relay + caching)
@@ -548,8 +456,6 @@ class ChunkEngine:
         receivers: Set[NodeId] = set()
         for entry in self.lqt.live_entries():
             query = entry.query
-            if not isinstance(query, ChunkQuery):
-                continue
             if query.item != chunk.item_descriptor:
                 continue
             if chunk.chunk_id not in query.chunk_ids:
@@ -565,21 +471,14 @@ class ChunkEngine:
         forwarded = response.rewritten(
             sender_id=device.node_id, receiver_ids=frozenset(receivers)
         )
-        device.face.send(
-            forwarded,
-            forwarded.wire_size(),
-            receivers=forwarded.receiver_ids,
-            kind="chunk_response",
-            reliable=True,
-        )
+        self._send(forwarded, "chunk_response")
 
     def _is_for_me(self, response: ChunkResponse) -> bool:
         chunk = response.chunk
         for entry in self.lqt.live_entries():
             query = entry.query
             if (
-                isinstance(query, ChunkQuery)
-                and entry.is_origin
+                entry.is_origin
                 and query.item == chunk.item_descriptor
                 and chunk.chunk_id in query.chunk_ids
             ):

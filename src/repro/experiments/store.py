@@ -145,17 +145,22 @@ def task_digest(trial: Callable[..., Any], args: Tuple[Any, ...]) -> str:
     """Content address of one trial execution.
 
     Canonical digest of ``(trial qualname, args, repro version,
-    observability profile)``; ``args`` is ``(point, seed)``.
+    observability profile)``; ``args`` is ``(point, seed)``.  A set
+    ``REPRO_RNG_PERTURB`` flips one draw and so changes the value: it
+    joins the material then, and only then, so unperturbed keys are
+    those of every earlier build.
     """
-    material = _SEP.join(
-        (
-            "repro-store-v%d" % STORE_SCHEMA,
-            trial_id(trial),
-            canonical_params(tuple(args)),
-            repro_version(),
-            ",".join(observability_tags()),
-        )
+    parts = (
+        "repro-store-v%d" % STORE_SCHEMA,
+        trial_id(trial),
+        canonical_params(tuple(args)),
+        repro_version(),
+        ",".join(observability_tags()),
     )
+    perturb = os.environ.get("REPRO_RNG_PERTURB")
+    if perturb:
+        parts += ("perturb=" + perturb,)
+    material = _SEP.join(parts)
     return hashlib.blake2b(
         material.encode("utf-8"), digest_size=16
     ).hexdigest()

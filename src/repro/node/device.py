@@ -184,11 +184,11 @@ class Device:
         """
         return {
             "lqt": {
-                "disc": self.discovery.lqt.observe_state(),
+                "disc": self.discovery.observe_state(),
                 "cdi": self.cdi.observe_state(),
                 "chunk": self.chunks.observe_state(),
-                "mdr": self.mdr.lqt.observe_state(),
-                "pit": self.interest.pit.observe_state(),
+                "mdr": self.mdr.observe_state(),
+                "pit": self.interest.observe_state(),
             },
             "cdi": self.cdi_table.observe_state(),
             "store": self.store.observe_state(),

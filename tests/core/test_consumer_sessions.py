@@ -84,26 +84,6 @@ def test_discovery_session_max_rounds():
     assert session.result.rounds == 1
 
 
-def test_discovery_session_double_start_rejected():
-    net = make_net(line_positions(2))
-    session = DiscoverySession(net.devices[0])
-    net.sim.schedule(0.0, session.start)
-    net.sim.run(until=1.0)
-    with pytest.raises(ConfigurationError):
-        session.start()
-
-
-def test_discovery_session_detaches_listeners_on_finish():
-    net = make_net(line_positions(2))
-    consumer = net.devices[0]
-    session = DiscoverySession(consumer)
-    net.sim.schedule(0.0, session.start)
-    net.sim.run(until=60.0)
-    assert session.done
-    assert session._on_metadata not in consumer.metadata_listeners
-    assert session._on_response not in consumer.response_listeners
-
-
 def test_discovery_session_want_payload_collects_items():
     from repro.data.item import DataItem
 
@@ -248,3 +228,89 @@ def test_mdr_session_completes_immediately_if_local():
     net.sim.run(until=5.0)
     assert session.done
     assert session.result.completed
+
+
+# ----------------------------------------------------------------------
+# The life cycle all three sessions share
+# ----------------------------------------------------------------------
+def _pdd_session(net, held):
+    if held:
+        net.devices[1].add_metadata(sample())
+    return DiscoverySession(net.devices[0])
+
+
+def _pdr_session(net, held):
+    item = make_item("media", "video", "v", size=2 * 256 * 1024)
+    if held:
+        for chunk in item.chunks():
+            net.devices[1].add_chunk(chunk)
+    return RetrievalSession(
+        net.devices[0], item.descriptor, stall_timeout_s=0.5, max_attempts=2
+    )
+
+
+def _mdr_session(net, held):
+    item = make_item("media", "video", "v", size=2 * 256 * 1024)
+    if held:
+        for chunk in item.chunks():
+            net.devices[1].add_chunk(chunk)
+    return MdrSession(
+        net.devices[0],
+        item.descriptor,
+        round_config=RoundConfig(window_s=0.5),
+        max_empty_rounds=2,
+    )
+
+
+_SESSIONS = {"pdd": _pdd_session, "pdr": _pdr_session, "mdr": _mdr_session}
+
+
+def _attached(device, session):
+    """The session's callbacks among the device's listeners."""
+    return [
+        callback
+        for listeners in (
+            device.metadata_listeners,
+            device.chunk_listeners,
+            device.response_listeners,
+        )
+        for callback in listeners
+        if getattr(callback, "__self__", None) is session
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, held",
+    [
+        ("pdd", True),
+        ("pdr", True),
+        ("pdr", False),
+        ("mdr", True),
+        ("mdr", False),
+    ],
+    ids=["pdd", "pdr-completes", "pdr-gives-up", "mdr-completes", "mdr-gives-up"],
+)
+def test_session_detaches_listeners_on_finish(kind, held):
+    """Completing or giving up, a session leaves no listener behind."""
+    net = make_net(line_positions(2))
+    consumer = net.devices[0]
+    done = []
+    session = _SESSIONS[kind](net, held)
+    session.on_complete = done.append
+    session.start()
+    assert _attached(consumer, session)
+    net.sim.run(until=300.0)
+    assert session.done and done == [session]
+    assert session.result.completed == held
+    assert session.result.finished_at > 0.0
+    assert _attached(consumer, session) == []
+
+
+@pytest.mark.parametrize("kind", sorted(_SESSIONS))
+def test_session_double_start_rejected(kind):
+    net = make_net(line_positions(2))
+    session = _SESSIONS[kind](net, held=True)
+    net.sim.schedule(0.0, session.start)
+    net.sim.run(until=1.0)
+    with pytest.raises(ConfigurationError):
+        session.start()

@@ -300,6 +300,23 @@ def test_run_sweep_resume_false_recomputes(tmp_path):
     assert again.cache_hits == 0 and again.executed == 2
 
 
+def test_rng_perturbation_is_key_material(tmp_path, monkeypatch):
+    """A perturbed run's results must never answer a clean run (or a
+    differently perturbed one) from the store."""
+    clean = task_digest(_trial, (3,))
+    monkeypatch.setenv("REPRO_RNG_PERTURB", "workload:0")
+    perturbed = task_digest(_trial, (3,))
+    assert perturbed == task_digest(_trial, (3,))
+    store = CampaignStore(str(tmp_path))
+    assert _one_point([1, 2], store=store).executed == 2
+    monkeypatch.setenv("REPRO_RNG_PERTURB", "workload:1")
+    assert task_digest(_trial, (3,)) not in (clean, perturbed)
+    monkeypatch.delenv("REPRO_RNG_PERTURB")
+    assert task_digest(_trial, (3,)) == clean
+    again = _one_point([1, 2], store=store)
+    assert again.cache_hits == 0 and again.executed == 2
+
+
 # ----------------------------------------------------------------------
 # Pinned keys: stores written by earlier builds must keep hitting
 # ----------------------------------------------------------------------
