@@ -132,7 +132,7 @@ def bench_spatial_index() -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # End-to-end figure benchmarks
 # ----------------------------------------------------------------------
-def _run_summary() -> Dict[str, float]:
+def _run_summary() -> Dict[str, int]:
     """Totals of the runs profiled since the last call (then forgotten)."""
     from repro.obs.config import active
 
@@ -148,7 +148,7 @@ def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
     rows = run()
     summary = _run_summary()
     meta: Dict[str, object] = {
-        "runs": int(summary["runs"]),
+        "runs": summary["runs"],
         "digest": _digest(json.loads(json.dumps(rows))),
     }
     if active("timeline") is not None:
@@ -158,8 +158,8 @@ def _profiled_figure(run: Callable[[], object]) -> Dict[str, object]:
         # with the recorder on (the zero-perturbation contract).
         meta["recorded"] = True
     return {
-        "events": int(summary["events"]),
-        "peak_queue_depth": int(summary["peak_queue_depth"]),
+        "events": summary["events"],
+        "peak_queue_depth": summary["peak_queue_depth"],
         "meta": meta,
     }
 

@@ -17,9 +17,8 @@ found it.
 Observability::
 
     python -m repro fig4 --trace out.jsonl   # JSONL event trace of the run
-    python -m repro fig4 --metrics           # wall-time / events-per-second
+    python -m repro fig4 --metrics           # per-run events / queue-depth
                                              # profile after the tables
-    python -m repro fig5 --metrics --memory  # + tracemalloc phase deltas
     python -m repro inspect out.jsonl        # summarize a trace file
     python -m repro bench --check            # counter/digest gate
 
@@ -120,16 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="profile the run (wall time, events/sec, peak queue depth) and "
+        help="profile the run (events, sim time, peak queue depth) and "
         "print the merged counters, gauges and histograms of its simulators",
-    )
-    parser.add_argument(
-        "--memory",
-        action="store_true",
-        help="record tracemalloc snapshots at phase boundaries "
-        "(setup / discovery rounds / retrieval) with per-subsystem "
-        "allocator attribution (phases are per-process, so --jobs N>1 is "
-        "refused)",
     )
     obs = parser.add_argument_group(
         "observability",
@@ -158,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="sim seconds between timeline samples (default: 1.0)",
-    )
-    obs.add_argument(
-        "--keyframe-every",
-        type=int,
-        default=None,
-        metavar="K",
-        help="write a full keyframe every K timeline samples (default: 10)",
     )
     obs.add_argument(
         "--fingerprint",
@@ -254,11 +238,9 @@ def _run_figures(args: argparse.Namespace) -> int:
         trace=args.trace,
         timeline=args.timeline,
         timeline_interval=args.timeline_interval,
-        keyframe_every=args.keyframe_every,
         fingerprint=args.fingerprint,
         fingerprint_every=args.fingerprint_every,
         metrics=args.metrics,
-        memory=args.memory,
     )
     if config.timeline is True:
         raise ConfigurationError(
@@ -293,9 +275,6 @@ def _run_figures(args: argparse.Namespace) -> int:
         if obs.profiler.records:
             print()
             print(obs.profiler.registry().render())
-    if config.memory:
-        print()
-        print(obs.memory.render())
     return 0
 
 

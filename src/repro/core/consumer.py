@@ -37,7 +37,6 @@ from repro.data.item import Chunk
 from repro.data.predicate import QuerySpec
 from repro.errors import ConfigurationError
 from repro.node.device import Device
-from repro.obs.memprof import memory_phase
 from repro.sim.process import Timer
 
 
@@ -69,9 +68,6 @@ class _Session:
     the result, detaches and calls ``on_complete``.
     """
 
-    #: Memory-telemetry phase the session's start opens.
-    _PHASE = ""
-
     def __init__(
         self,
         device: Device,
@@ -98,7 +94,6 @@ class _Session:
             raise ConfigurationError("session already started")
         self._started = True
         self._running = True
-        memory_phase(self._PHASE)
         self.result = SessionResult(started_at=self.device.sim.now)
         for listeners, callback in self._listeners():
             listeners.append(callback)
@@ -143,8 +138,6 @@ class _Session:
 
 class DiscoverySession(_Session):
     """Multi-round pervasive data discovery for one consumer."""
-
-    _PHASE = "discovery"
 
     def __init__(
         self,
@@ -327,8 +320,6 @@ class RetrievalSession(_ChunkSession):
     Phase 1 unless CDI routes to every missing chunk are already known.
     """
 
-    _PHASE = "retrieval"
-
     def __init__(
         self,
         device: Device,
@@ -428,8 +419,6 @@ class RetrievalSession(_ChunkSession):
 
 class MdrSession(_ChunkSession):
     """Multi-round data retrieval baseline for one large data item."""
-
-    _PHASE = "mdr_retrieval"
 
     def __init__(
         self,

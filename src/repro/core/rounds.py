@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.memprof import memory_phase
 from repro.sim.process import PeriodicTask
 from repro.sim.simulator import Simulator
 
@@ -101,7 +100,6 @@ class RoundController:
         recorder = self.sim.recorder
         if recorder is not None:
             recorder.on_round_boundary("round_begin", self.round_index)
-        memory_phase(f"round_{self.round_index}_begin")
         return self.round_index
 
     def record_response(self) -> None:
@@ -155,5 +153,4 @@ class RoundController:
             recorder = self.sim.recorder
             if recorder is not None:
                 recorder.on_round_boundary("round_end", self.round_index)
-            memory_phase(f"round_{self.round_index}_end")
             self.on_round_end()

@@ -34,8 +34,7 @@ RNGs from its seed — so :func:`run_sweep` takes a ``jobs`` parameter
   Under ``metrics`` each trial returns its profiler snapshot (run
   records plus merged registry), which the parent folds into its own
   profiler.  What cannot cross a process boundary — an in-memory
-  timeline or fingerprint, memory telemetry, file shards without
-  ``fork`` — raises :class:`~repro.errors.ConfigurationError` telling
+  timeline or fingerprint, file shards without ``fork`` — raises :class:`~repro.errors.ConfigurationError` telling
   you to use ``jobs=1``.
 
 Campaign store
@@ -289,9 +288,8 @@ def _worker_config(context: Any) -> Optional[ObsConfig]:
 
     Refuses, with a ``jobs=1`` hint, what cannot follow trials into
     worker processes: an in-memory timeline or fingerprint (their records
-    would die with the worker), memory telemetry (phase boundaries are
-    crossed in the worker), and file shards under a start method other
-    than ``fork``.
+    would die with the worker) and file shards under a start method
+    other than ``fork``.
     """
     obs = obs_config.active()
     if obs is None:
@@ -303,12 +301,6 @@ def _worker_config(context: Any) -> Optional[ObsConfig]:
                 f"into worker processes; give it a path or run with jobs=1 "
                 f"(--jobs 1)"
             )
-    if obs.config.memory:
-        raise ConfigurationError(
-            "memory telemetry records phase boundaries in the process that "
-            "crosses them and cannot follow trials into worker processes; "
-            "run with jobs=1 (--jobs 1)"
-        )
     if obs.config.artifacts() and context.get_start_method() != "fork":
         raise ConfigurationError(
             "per-worker trace/timeline/fingerprint shards need the 'fork' "

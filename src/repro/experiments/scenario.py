@@ -34,7 +34,6 @@ from repro.net.topology import (
 from repro.node.config import DeviceConfig
 from repro.node.device import Device
 from repro.obs.config import active
-from repro.obs.memprof import memory_phase
 from repro.obs.recorder import FlightRecorder
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
@@ -93,11 +92,10 @@ def _attach_recorder(scenario: Scenario) -> Scenario:
 
     No-op (and no simulator events scheduled) otherwise — the zero-cost
     contract for unrecorded runs lives here.  Both builders funnel their
-    finished world through here, which also makes it the ``setup`` phase
-    boundary for memory telemetry — and the point where the per-run id
-    spaces (message ids, frame ids) rewind, so every run mints the same
-    deterministic id sequence regardless of what else ran in the process
-    first (the determinism fingerprint depends on this).
+    finished world through here, which also makes it the point where the
+    per-run id spaces (message ids, frame ids) rewind, so every run mints
+    the same deterministic id sequence regardless of what else ran in the
+    process first (the determinism fingerprint depends on this).
     """
     reset_message_ids()
     reset_frame_ids()
@@ -109,11 +107,9 @@ def _attach_recorder(scenario: Scenario) -> Scenario:
             scenario.medium,
             scenario.devices,
             interval_s=obs.config.interval_s,
-            keyframe_every=obs.config.keyframe_cadence,
             writer=obs.writer("timeline"),
         )
         scenario.extras["recorder"] = recorder.start()
-    memory_phase("setup")
     return scenario
 
 

@@ -130,7 +130,7 @@ def observability_tags() -> Tuple[str, ...]:
     The tags stay so that campaign stores written by those builds keep
     hitting; dropping them would re-key every traced or recorded entry.
     Both are read from the active :class:`~repro.obs.config.ObsConfig`;
-    no other instrument (fingerprint, metrics, memory) adds a tag.
+    no other instrument (fingerprint, metrics) adds a tag.
     """
     from repro.obs.config import active
 

@@ -1,6 +1,6 @@
 """Observability: structured tracing, metrics and run profiling.
 
-Four complementary views into a running simulation, all designed to cost
+Three complementary views into a running simulation, all designed to cost
 (approximately) nothing when switched off:
 
 * :mod:`repro.obs.trace` — a typed event bus the protocol layers publish
@@ -8,14 +8,13 @@ Four complementary views into a running simulation, all designed to cost
   with pluggable sinks (in-memory ring buffer, JSONL file writer);
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
   behind :class:`repro.net.stats.NetworkStats` and the round machinery;
-* :mod:`repro.obs.kernelprof` — wall-time / events-per-second / queue-depth
+* :mod:`repro.obs.kernelprof` — event-count / sim-time / queue-depth
   records of whole simulator runs plus their merged registries, surfaced
-  by the runner and ``--metrics``;
-* :mod:`repro.obs.memprof` — tracemalloc deltas at experiment phase
-  boundaries (``--memory``).
+  by the runner and ``--metrics``.
 
-Which layer of the stack the wall time goes to is answered outside the
-package, by perfbench's per-layer self time
+Host wall time and memory are answered outside the package, by
+perfbench's ``wall_s`` and ``peak_rss_mib`` per workload and its
+per-layer self time
 (``python3 perfbench/run.py --workload W --seed 1 --seconds 10 --trace 1``).
 
 :mod:`repro.obs.inspect` turns a trace file back into per-node and
@@ -31,7 +30,7 @@ per-node protocol state into a keyframe+delta JSONL timeline;
 renders per-node sparkline series.
 
 :mod:`repro.obs.config` holds :class:`ObsConfig`, the one switch for
-every instrument — trace, timeline, fingerprint, metrics and memory — and
+every instrument — trace, timeline, fingerprint and metrics — and
 its activation stack, the only process-wide observability state;
 :mod:`repro.obs.durable` owns the JSONL writer, shard naming, attempt
 markers and the record reader the three file artifacts share.

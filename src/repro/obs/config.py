@@ -7,7 +7,7 @@ campaign:
 * ``timeline`` — the flight recorder (:mod:`repro.obs.recorder`):
   ``True`` keeps the keyframe+delta records in memory on each
   :class:`~repro.obs.recorder.FlightRecorder`, a path streams them
-  there; ``timeline_interval`` and ``keyframe_every`` set its cadence;
+  there; ``timeline_interval`` sets its sampling cadence;
 * ``fingerprint`` — the determinism fingerprint
   (:mod:`repro.obs.fingerprint`): ``True`` keeps checkpoint records in
   memory, a path streams them there; ``fingerprint_every`` sets the
@@ -15,9 +15,7 @@ campaign:
   of per-event records;
 * ``metrics`` — the run profiler (:mod:`repro.obs.kernelprof`): one
   record per simulator run plus the merged metrics registry of every
-  simulator built under the activation;
-* ``memory`` — tracemalloc deltas at experiment phase boundaries
-  (:mod:`repro.obs.memprof`).
+  simulator built under the activation.
 
 Every value is validated once, when the config is built: a zero or
 negative cadence, a bad detail window, or a cadence given without its
@@ -29,13 +27,12 @@ else — no environment variable turns an instrument on.
 ``with config.activate() as obs:`` makes the config the top of one
 process-wide stack — the only process-wide observability state.  It
 shadows whatever config was active before and never merges with it.
-Scenario builders, simulators, phase hooks and the trial runner ask
-:func:`active` whether an instrument is on.  A parallel campaign hands
-the config to its workers as the pool initarg (an in-memory timeline or
-fingerprint, and memory telemetry, cannot cross, so they are refused),
-and worker ``k`` activates :meth:`ObsConfig.for_worker` — every file
-artifact re-pointed at its shard ``k``
-(:func:`repro.obs.durable.shard_path`).
+Scenario builders, simulators and the trial runner ask :func:`active`
+whether an instrument is on.  A parallel campaign hands the config to
+its workers as the pool initarg (an in-memory timeline or fingerprint
+cannot cross, so it is refused), and worker ``k`` activates
+:meth:`ObsConfig.for_worker` — every file artifact re-pointed at its
+shard ``k`` (:func:`repro.obs.durable.shard_path`).
 """
 
 from __future__ import annotations
@@ -49,14 +46,10 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 from repro.errors import ConfigurationError
 from repro.obs.durable import DurableJsonlWriter, JsonlArtifact, shard_path
 from repro.obs.kernelprof import KernelProfiler
-from repro.obs.memprof import MemoryTelemetry
 from repro.obs.trace import JsonlSink
 
 #: Default sim-time seconds between timeline samples.
 DEFAULT_INTERVAL_S = 1.0
-
-#: Default timeline keyframe cadence: every K-th sample is a full snapshot.
-DEFAULT_KEYFRAME_EVERY = 10
 
 #: Default events per fingerprint checkpoint record.
 DEFAULT_CHECKPOINT_EVERY = 512
@@ -77,8 +70,6 @@ class ObsConfig:
         timeline: ``True`` (record in memory), a JSONL path, or ``None``.
         timeline_interval: Sim seconds between timeline samples
             (``None``: :data:`DEFAULT_INTERVAL_S`).
-        keyframe_every: Full keyframe every K timeline samples
-            (``None``: :data:`DEFAULT_KEYFRAME_EVERY`).
         fingerprint: ``True`` (records in memory), a JSONL path, or
             ``None``.
         fingerprint_every: Events per checkpoint record
@@ -86,7 +77,6 @@ class ObsConfig:
         fingerprint_detail: Optional inclusive, 1-based ``(lo, hi)``
             event-index window written as full per-event records.
         metrics: Profile every simulator run and merge their registries.
-        memory: Record tracemalloc deltas at phase boundaries.
 
     Raises:
         ConfigurationError: on a non-positive cadence, a bad detail
@@ -96,12 +86,10 @@ class ObsConfig:
     trace: Optional[str] = None
     timeline: Union[bool, str, None] = None
     timeline_interval: Optional[float] = None
-    keyframe_every: Optional[int] = None
     fingerprint: Union[bool, str, None] = None
     fingerprint_every: Optional[int] = None
     fingerprint_detail: Optional[Tuple[int, int]] = None
     metrics: bool = False
-    memory: bool = False
 
     def __post_init__(self) -> None:
         for name in _FILE_INSTRUMENTS:
@@ -110,7 +98,6 @@ class ObsConfig:
                 object.__setattr__(self, name, os.fspath(value))
         for name, instrument in (
             ("timeline_interval", "timeline"),
-            ("keyframe_every", "timeline"),
             ("fingerprint_every", "fingerprint"),
             ("fingerprint_detail", "fingerprint"),
         ):
@@ -125,12 +112,11 @@ class ObsConfig:
                 f"timeline interval must be a positive number of sim "
                 f"seconds, got {self.timeline_interval!r}"
             )
-        for name in ("keyframe_every", "fingerprint_every"):
-            value = getattr(self, name)
-            if value is not None and int(value) < 1:
-                raise ConfigurationError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+        if self.fingerprint_every is not None and int(self.fingerprint_every) < 1:
+            raise ConfigurationError(
+                f"fingerprint_every must be a positive integer, "
+                f"got {self.fingerprint_every!r}"
+            )
         if self.fingerprint_detail is not None:
             lo, hi = (int(bound) for bound in self.fingerprint_detail)
             if lo < 1 or hi < lo:
@@ -146,13 +132,6 @@ class ObsConfig:
         if self.timeline_interval is None:
             return DEFAULT_INTERVAL_S
         return float(self.timeline_interval)
-
-    @property
-    def keyframe_cadence(self) -> int:
-        """Timeline keyframe cadence."""
-        if self.keyframe_every is None:
-            return DEFAULT_KEYFRAME_EVERY
-        return int(self.keyframe_every)
 
     @property
     def checkpoint_every(self) -> int:
@@ -201,8 +180,6 @@ class ActiveObs:
             (creation order — the trial order of an in-process run).
         profiler: Run records and registries of the simulators built
             under this activation (recording only when ``metrics`` is on).
-        memory: Phase-boundary memory telemetry (recording only when
-            ``memory`` is on).
     """
 
     def __init__(self, config: ObsConfig) -> None:
@@ -216,7 +193,6 @@ class ActiveObs:
         self.trace_sink: Optional[JsonlSink] = None
         self.streams: List[object] = []
         self.profiler = KernelProfiler()
-        self.memory = MemoryTelemetry()
 
     def writer(self, instrument: str) -> Optional[DurableJsonlWriter]:
         """The instrument's (lazily opened) writer; ``None`` in memory."""
@@ -231,7 +207,6 @@ class ActiveObs:
     def close(self) -> None:
         for artifact in self.artifacts.values():
             artifact.close()
-        self.memory.stop()
 
 
 _STACK: List[ActiveObs] = []
@@ -248,8 +223,6 @@ def _push(config: ObsConfig) -> ActiveObs:
         except BaseException:
             _STACK.remove(obs)
             raise
-    if config.memory:
-        obs.memory.start()
     return obs
 
 

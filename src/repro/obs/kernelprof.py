@@ -5,25 +5,27 @@ While ``ObsConfig(metrics=True)`` is active (``repro <figure>
 views of every simulator built under it:
 
 * each :meth:`Simulator.run() <repro.sim.simulator.Simulator.run>` call
-  reports a :class:`RunRecord` — wall-clock duration, processed events,
-  final virtual time and peak event-queue depth, labelled with the
-  profiler's current trial label (:meth:`KernelProfiler.labelled`) so
-  the profile reads "seed 3 → 1.2 s wall, 410k events, 340k ev/s";
+  reports a :class:`RunRecord` — processed events, final virtual time
+  and peak event-queue depth, labelled with the profiler's current trial
+  label (:meth:`KernelProfiler.labelled`) so the profile reads "seed 3 →
+  410k events, 120 s sim";
 * each simulator hands its :class:`~repro.obs.metrics.MetricsRegistry`
   to the profiler when it is built (:meth:`KernelProfiler.watch`), and
   :meth:`KernelProfiler.registry` merges them into one campaign view.
 
-That says how *fast* a run was and what it counted; which layer of the
-stack the wall went to is perfbench's question (its ``--trace 1`` mode
-reports self time per layer).
+That says how much work a run did and what it counted, all of it
+deterministic, so two runs of one campaign print the same profile.  Host
+wall time and memory are perfbench's questions (``wall_s`` and
+``peak_rss_mib`` per workload; its ``--trace 1`` mode reports self time
+per layer).
 
 Zero-cost / determinism contract
 --------------------------------
 
 Profiling does not change which dispatch loop the simulator runs: the
-only cost is one ``active("metrics")`` call and two clock reads per
-``run()``.  Event order, RNG draws and virtual time are untouched, so
-profiled runs keep exact output digests.
+only cost is one ``active("metrics")`` call per ``run()``.  Event
+order, RNG draws and virtual time are untouched, so profiled runs keep
+exact output digests.
 
 Multi-process campaigns: each worker's activation has its own profiler;
 after every trial the worker ships :meth:`KernelProfiler.drain` back with
@@ -46,15 +48,9 @@ class RunRecord:
     """One ``Simulator.run()`` call observed by the profiler."""
 
     label: str
-    wall_s: float
     events: int
     sim_time_s: float
     peak_queue_depth: int
-
-    @property
-    def events_per_s(self) -> float:
-        """Processed events per wall-clock second."""
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
 
 class KernelProfiler:
@@ -73,21 +69,11 @@ class KernelProfiler:
         self._registries: List[MetricsRegistry] = []
 
     def record_run(
-        self,
-        wall_s: float,
-        events: int,
-        sim_time_s: float,
-        peak_queue_depth: int,
+        self, events: int, sim_time_s: float, peak_queue_depth: int
     ) -> None:
         """Called by the simulator at the end of each ``run()``."""
         self.records.append(
-            RunRecord(
-                label=self.label,
-                wall_s=wall_s,
-                events=events,
-                sim_time_s=sim_time_s,
-                peak_queue_depth=peak_queue_depth,
-            )
+            RunRecord(self.label, events, sim_time_s, peak_queue_depth)
         )
 
     def watch(self, registry: MetricsRegistry) -> None:
@@ -117,7 +103,7 @@ class KernelProfiler:
         """Picklable/JSON-able form of the run records and merged registry."""
         return {
             "runs": [
-                [r.label, r.wall_s, r.events, r.sim_time_s, r.peak_queue_depth]
+                [r.label, r.events, r.sim_time_s, r.peak_queue_depth]
                 for r in self.records
             ],
             "metrics": self.registry().snapshot(),
@@ -133,8 +119,8 @@ class KernelProfiler:
     def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
         """Fold a :meth:`snapshot` dict (e.g. one a worker returned)."""
         self.records.extend(
-            RunRecord(str(label), float(wall), int(events), float(sim), int(peak))
-            for label, wall, events, sim, peak in snapshot["runs"]
+            RunRecord(str(label), int(events), float(sim), int(peak))
+            for label, events, sim, peak in snapshot["runs"]
         )
         registry = MetricsRegistry()
         registry.merge_snapshot(snapshot["metrics"])
@@ -143,15 +129,11 @@ class KernelProfiler:
     # ------------------------------------------------------------------
     # Reports
     # ------------------------------------------------------------------
-    def runs_summary(self) -> Dict[str, float]:
+    def runs_summary(self) -> Dict[str, int]:
         """Aggregate totals over all recorded runs."""
-        wall = sum(r.wall_s for r in self.records)
-        events = sum(r.events for r in self.records)
         return {
             "runs": len(self.records),
-            "wall_s": wall,
-            "events": events,
-            "events_per_s": events / wall if wall > 0 else 0.0,
+            "events": sum(r.events for r in self.records),
             "peak_queue_depth": max(
                 (r.peak_queue_depth for r in self.records), default=0
             ),
@@ -164,17 +146,13 @@ class KernelProfiler:
         lines = ["profile:"]
         for record in self.records:
             lines.append(
-                f"  {record.label:<28s} wall {record.wall_s:8.3f}s  "
-                f"events {record.events:>9d}  "
-                f"{record.events_per_s:>10.0f} ev/s  "
+                f"  {record.label:<28s} events {record.events:>9d}  "
                 f"sim {record.sim_time_s:8.1f}s  "
                 f"peak queue {record.peak_queue_depth}"
             )
         totals = self.runs_summary()
         lines.append(
-            f"  {'TOTAL':<28s} wall {totals['wall_s']:8.3f}s  "
-            f"events {int(totals['events']):>9d}  "
-            f"{totals['events_per_s']:>10.0f} ev/s  "
-            f"peak queue {int(totals['peak_queue_depth'])}"
+            f"  {'TOTAL':<28s} events {totals['events']:>9d}  "
+            f"peak queue {totals['peak_queue_depth']}"
         )
         return "\n".join(lines)

@@ -44,8 +44,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.config import DEFAULT_INTERVAL_S, DEFAULT_KEYFRAME_EVERY
+from repro.obs.config import DEFAULT_INTERVAL_S
 from repro.obs.durable import DurableJsonlWriter
+
+#: Default keyframe cadence: every K-th sample is a full snapshot.
+DEFAULT_KEYFRAME_EVERY = 10
 
 #: Path separator inside flattened state keys (ASCII unit separator: it
 #: cannot collide with node ids, query ids, or hex item keys).

@@ -9,7 +9,6 @@ with :meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.at`
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -129,7 +128,6 @@ class Simulator:
                 fingerprint = self._fingerprint = EventFingerprinter(
                     self, fp_obs
                 )
-        wall_start = perf_counter() if kernel is not None else 0.0
         queue = self._queue
         pop = queue.pop
         peek_time = queue.peek_time
@@ -199,7 +197,6 @@ class Simulator:
                 self.peak_queue_depth = peak_depth
             if kernel is not None:
                 kernel.record_run(
-                    wall_s=perf_counter() - wall_start,
                     events=processed,
                     sim_time_s=self.now,
                     peak_queue_depth=peak_depth,

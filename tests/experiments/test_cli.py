@@ -64,7 +64,7 @@ def test_jobs_flag_reaches_the_sweep_not_the_environment(capsys, fig4_calls):
     """--jobs travels as an argument; without it the sweep runs serially."""
     before = dict(os.environ)
     assert main(["fig4", "--jobs", "2"]) == 0
-    assert main(["fig4", "--memory"]) == 0
+    assert main(["fig4"]) == 0
     assert dict(os.environ) == before
     assert [call["jobs"] for call in fig4_calls] == [2, 1]
 
@@ -99,6 +99,21 @@ def test_bad_jobs_flag_reports_cleanly(capsys, fig4_calls):
 def test_bad_seeds_or_scale_exit_two(capsys, fig4_calls, flags):
     assert main(["fig4", *flags]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+    assert fig4_calls == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--memory"], ["--keyframe-every", "3"]],
+    ids=["memory", "keyframe-every"],
+)
+def test_removed_flags_exit_two(capsys, fig4_calls, flags):
+    """Host memory is perfbench's question and the timeline keyframe
+    cadence is fixed, so neither flag is accepted any more."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig4", *flags])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert fig4_calls == []
 
 

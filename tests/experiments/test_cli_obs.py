@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.figures import REGISTRY
+from repro.obs.recorder import DEFAULT_KEYFRAME_EVERY
 from repro.obs.trace import read_jsonl
 from repro.sim.simulator import Simulator
 
@@ -45,7 +46,7 @@ def test_metrics_flag_prints_profile(capsys, tiny_fig4):
     assert main(["fig4", "--metrics"]) == 0
     out = capsys.readouterr().out
     assert "profile:" in out
-    assert "ev/s" in out
+    assert "TOTAL" in out
 
 
 def test_inspect_summarizes_trace(tmp_path, capsys):
@@ -178,8 +179,7 @@ def scenario_fig4(monkeypatch):
 def test_timeline_flag_records_jsonl(tmp_path, capsys, scenario_fig4):
     path = tmp_path / "tl.jsonl"
     assert main(
-        ["fig4", "--timeline", str(path), "--timeline-interval", "0.5",
-         "--keyframe-every", "3"]
+        ["fig4", "--timeline", str(path), "--timeline-interval", "0.5"]
     ) == 0
     err = capsys.readouterr().err
     assert f"timeline written to {path}" in err
@@ -188,17 +188,21 @@ def test_timeline_flag_records_jsonl(tmp_path, capsys, scenario_fig4):
     assert kinds[0] == "meta"
     assert "key" in kinds and "delta" in kinds
     assert records[0]["interval"] == 0.5
-    assert records[0]["keyframe_every"] == 3
+    assert records[0]["keyframe_every"] == DEFAULT_KEYFRAME_EVERY
 
 
-def test_metrics_memory_flags_print_profile_and_telemetry(capsys, scenario_fig4):
-    # Without --jobs the campaign runs in this process, where the
-    # telemetry sees every phase boundary.
-    assert main(["fig4", "--metrics", "--memory"]) == 0
-    out = capsys.readouterr().out
-    assert "profile:" in out
-    assert "memory telemetry" in out
-    assert "setup" in out
+def test_metrics_profile_is_deterministic(capsys, scenario_fig4):
+    """--metrics prints only deterministic columns: two runs of the same
+    campaign print the same profile and registry, byte for byte."""
+    assert main(["fig4", "--metrics"]) == 0
+    first = capsys.readouterr().out
+    assert main(["fig4", "--metrics"]) == 0
+    assert capsys.readouterr().out == first
+    assert "profile:" in first
+    assert "TOTAL" in first
+    assert "counters:" in first
+    assert "wall" not in first
+    assert "ev/s" not in first
 
 
 def _tiny_trial(point, seed):
@@ -222,15 +226,6 @@ def sweep_fig4(monkeypatch):
     monkeypatch.setattr(REGISTRY["fig4"], "run", run)
 
 
-def test_memory_with_parallel_jobs_exits_two(capsys, sweep_fig4):
-    """Workers cross the phase boundaries, and nothing reads their
-    telemetry back: refused instead of reporting no phases."""
-    assert main(["fig4", "--memory", "--jobs", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:")
-    assert "jobs=1" in err
-
-
 def test_metrics_on_warm_store_reports_no_registry(tmp_path, capsys, sweep_fig4):
     """A cached trial runs no simulator, so a warm campaign reports
     neither run records nor a registry."""
@@ -251,18 +246,16 @@ def test_metrics_on_warm_store_reports_no_registry(tmp_path, capsys, sweep_fig4)
         ["--fingerprint", "{tmp}/fp.jsonl", "--fingerprint-every", "0"],
         ["--fingerprint", "{tmp}/fp.jsonl", "--fingerprint-every", "-4"],
         ["--timeline", "{tmp}/tl.jsonl", "--timeline-interval", "0"],
-        ["--timeline", "--keyframe-every", "0"],
+        ["--timeline", "{tmp}/tl.jsonl", "--timeline-interval", "-0.5"],
         ["--timeline-interval", "0.5"],
-        ["--keyframe-every", "3"],
         ["--fingerprint-every", "64"],
     ],
     ids=[
         "fingerprint-every-0",
         "fingerprint-every-negative",
         "timeline-interval-0",
-        "keyframe-every-0",
+        "timeline-interval-negative",
         "timeline-interval-without-timeline",
-        "keyframe-every-without-timeline",
         "fingerprint-every-without-fingerprint",
     ],
 )
@@ -301,7 +294,7 @@ def _record_small_timeline(tmp_path):
     from repro.obs.config import ObsConfig
 
     path = tmp_path / "tl.jsonl"
-    config = ObsConfig(timeline=str(path), timeline_interval=0.5, keyframe_every=4)
+    config = ObsConfig(timeline=str(path), timeline_interval=0.5)
     with config.activate():
         scenario = build_grid_scenario(
             rows=3, cols=3, seed=1, device_config=experiment_device_config()

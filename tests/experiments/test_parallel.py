@@ -281,14 +281,6 @@ def test_parallel_trace_shards(tmp_path):
     assert seeds == [1, 2, 3, 4]
 
 
-def test_parallel_rejects_memory_telemetry():
-    """Phase boundaries are crossed in the workers, where no telemetry
-    is read back: refused with a jobs=1 hint instead of dropped."""
-    with ObsConfig(memory=True).activate():
-        with pytest.raises(ConfigurationError, match="jobs=1"):
-            _one_point(_ok_trial, [1, 2], jobs=2)
-
-
 # ----------------------------------------------------------------------
 # Timeline recording (flight recorder) through ObsConfig
 # ----------------------------------------------------------------------

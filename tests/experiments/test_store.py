@@ -335,7 +335,7 @@ def _observability_profile(name, directory):
         "fingerprint": ObsConfig(
             fingerprint=os.path.join(directory, "fp.jsonl")
         ),
-        "metrics+memory": ObsConfig(metrics=True, memory=True),
+        "metrics": ObsConfig(metrics=True),
     }
     with ExitStack() as stack:
         if name in configs:
@@ -351,8 +351,8 @@ _PINNED_DIGESTS = {
     "trace+timeline": "9c4ab3798e01e935dc628488a2e4fe9a",
     # Fingerprinting never changes a result, so it adds no tag.
     "fingerprint": "49db894da529f5fcb426cbc7b3acfbc9",
-    # Nor do the run profiler and memory telemetry.
-    "metrics+memory": "49db894da529f5fcb426cbc7b3acfbc9",
+    # Nor does the run profiler.
+    "metrics": "49db894da529f5fcb426cbc7b3acfbc9",
 }
 
 

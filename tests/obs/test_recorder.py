@@ -20,12 +20,7 @@ from repro.experiments.figures.common import (
     pdd_experiment,
 )
 from repro.experiments.scenario import build_grid_scenario
-from repro.obs.config import (
-    DEFAULT_INTERVAL_S,
-    DEFAULT_KEYFRAME_EVERY,
-    ObsConfig,
-    active,
-)
+from repro.obs.config import DEFAULT_INTERVAL_S, ObsConfig, active
 from repro.obs.durable import DurableJsonlWriter
 from repro.obs.recorder import (
     SEP,
@@ -65,33 +60,34 @@ def test_flatten_drops_empty_subdicts():
 def test_recording_config_validates():
     with pytest.raises(ConfigurationError):
         ObsConfig(timeline=True, timeline_interval=0)
-    with pytest.raises(ConfigurationError):
-        ObsConfig(timeline=True, keyframe_every=0)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_flight_recorder_rejects_bad_keyframe_every(value):
+    with pytest.raises(ConfigurationError, match="keyframe_every"):
+        _recorded_grid(keyframe_every=value)
 
 
 def test_recording_context_scopes_config():
     assert active("timeline") is None
-    config = ObsConfig(timeline=True, timeline_interval=0.5, keyframe_every=3)
+    config = ObsConfig(timeline=True, timeline_interval=0.5)
     with config.activate() as obs:
         assert active("timeline") is obs
         assert obs.config.interval_s == 0.5
-        assert obs.config.keyframe_cadence == 3
     assert active("timeline") is None
 
 
 def test_obs_config_resolves_timeline_cadence(tmp_path):
     path = str(tmp_path / "tl.jsonl")
-    config = ObsConfig(timeline=path, timeline_interval=0.25, keyframe_every=5)
+    config = ObsConfig(timeline=path, timeline_interval=0.25)
     assert config.artifacts() == [("timeline", path)]
     assert config.interval_s == 0.25
-    assert config.keyframe_cadence == 5
     # Path-like values are stored as plain strings.
     assert ObsConfig(timeline=tmp_path / "tl.jsonl") == ObsConfig(timeline=path)
-    # Unset cadences resolve to the documented defaults.
+    # An unset interval resolves to the documented default.
     memory = ObsConfig(timeline=True)
     assert memory.artifacts() == []
     assert memory.interval_s == DEFAULT_INTERVAL_S
-    assert memory.keyframe_cadence == DEFAULT_KEYFRAME_EVERY
 
 
 @pytest.mark.parametrize(
@@ -99,8 +95,6 @@ def test_obs_config_resolves_timeline_cadence(tmp_path):
     [
         ("timeline_interval", 0),
         ("timeline_interval", -1.0),
-        ("keyframe_every", 0),
-        ("keyframe_every", -3),
     ],
 )
 def test_obs_config_rejects_bad_timeline_values(field, value):
@@ -108,7 +102,7 @@ def test_obs_config_rejects_bad_timeline_values(field, value):
         ObsConfig(timeline=True, **{field: value})
 
 
-@pytest.mark.parametrize("field", ["timeline_interval", "keyframe_every"])
+@pytest.mark.parametrize("field", ["timeline_interval"])
 def test_obs_config_rejects_timeline_cadence_without_timeline(field):
     with pytest.raises(ConfigurationError, match="needs --timeline"):
         ObsConfig(**{field: 2})
@@ -182,9 +176,28 @@ def _memory_recorded_run(**kwargs):
     return scenario, recorder
 
 
+def _recorded_grid(keyframe_every, writer=None):
+    """A 3x3 grid with a recorder at a non-default keyframe cadence."""
+    scenario = build_grid_scenario(
+        rows=3, cols=3, seed=1, device_config=experiment_device_config()
+    )
+    recorder = FlightRecorder(
+        scenario.sim,
+        scenario.topology,
+        scenario.medium,
+        scenario.devices,
+        interval_s=0.5,
+        keyframe_every=keyframe_every,
+        writer=writer,
+    ).start()
+    return scenario, recorder
+
+
 def test_keyframe_cadence_and_delta_shape():
-    _, recorder = _memory_recorded_run(timeline_interval=0.5, keyframe_every=4)
+    scenario, recorder = _recorded_grid(keyframe_every=4)
+    pdd_experiment(1, metadata_count=150, scenario=scenario, sim_cap_s=40.0)
     records = recorder.records
+    assert records[0]["keyframe_every"] == 4
     assert records[0]["rec"] == "meta"
     samples = records[1:]
     assert samples, "a recorded run must produce samples"
@@ -274,12 +287,8 @@ def test_recorded_run_results_are_bit_identical():
 def test_reconstruction_matches_live_state_at_every_sample(tmp_path):
     path = tmp_path / "tl.jsonl"
     live = []
-    config = ObsConfig(timeline=str(path), timeline_interval=0.5, keyframe_every=4)
-    with config.activate():
-        scenario = build_grid_scenario(
-            rows=3, cols=3, seed=1, device_config=experiment_device_config()
-        )
-        recorder = scenario.extras["recorder"]
+    with DurableJsonlWriter(str(path)) as writer:
+        scenario, recorder = _recorded_grid(keyframe_every=4, writer=writer)
         original = recorder.sample
 
         def spy(by="manual", round_index=None):
