@@ -34,10 +34,10 @@ Determinism observatory::
 
 Campaign store::
 
-    python -m repro fig12 --store runs/store --jobs 8   # durable campaign
-    python -m repro campaign resume fig12 --store runs/store   # pick up a
-                                                # killed campaign where it
-                                                # stopped (bit-identical)
+    python -m repro fig12 --store runs/store --jobs 8   # durable campaign;
+                                                # the same command again
+                                                # resumes a killed or failed
+                                                # one (bit-identical)
     python -m repro campaign status --store runs/store  # what's cached
     python -m repro campaign gc --store runs/store      # sweep tmp litter
 
@@ -112,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="content-addressed campaign store: completed trials persist "
-        "and are skipped on re-runs, so a killed campaign resumes with "
-        "`repro campaign resume <figure> --store DIR` producing "
-        "bit-identical tables",
+        "and are skipped on re-runs, so re-running the same command "
+        "resumes a killed or failed campaign with bit-identical tables",
     )
     parser.add_argument(
         "--metrics",

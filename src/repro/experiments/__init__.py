@@ -1,10 +1,8 @@
-"""Experiment harness: scenarios, workloads, metrics, figure modules."""
+"""Experiment harness: scenarios, workloads, sweeps, figure modules."""
 
-from repro.experiments.metrics import TrialFailure
 from repro.experiments.runner import (
     DEFAULT_SEEDS,
     SweepPoint,
-    TrialTimeout,
     check_scale,
     point_mean,
     render_table,
@@ -41,8 +39,6 @@ __all__ = [
     "Scenario",
     "StoreEntry",
     "SweepPoint",
-    "TrialFailure",
-    "TrialTimeout",
     "build_campus_scenario",
     "build_grid_scenario",
     "canonical_params",

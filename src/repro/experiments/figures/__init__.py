@@ -5,8 +5,8 @@ to their modules.  Every module exposes ``run(...) -> list[dict]`` (the
 sweep, every workload knob explicit), ``reproduce(scale=1.0, seeds=None,
 jobs=1, store=None) -> list[dict]`` (the figure's one scale rule applied
 to ``run``) and ``render(rows) -> str`` (its one title and column list).
-The CLI, ``repro campaign resume`` and the benchmark suite all go
-through ``reproduce`` and ``render``.
+The CLI and the benchmark suite both go through ``reproduce`` and
+``render``.
 
 Beside them each module states its paper contract once: ``PAPER`` (what
 the paper reports) and ``CLAIMS`` (the shape claims, each a

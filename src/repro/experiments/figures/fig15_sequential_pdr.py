@@ -67,9 +67,9 @@ def run(
         table.append(
             {
                 "consumer": index + 1,
-                "recall": round(sum(recalls) / n, 3) if n else float("nan"),
-                "latency_s": round(sum(latencies) / n, 2) if n else float("nan"),
-                "overhead_mb": round(sum(overheads) / n, 2) if n else float("nan"),
+                "recall": round(sum(recalls) / n, 3),
+                "latency_s": round(sum(latencies) / n, 2),
+                "overhead_mb": round(sum(overheads) / n, 2),
             }
         )
     return table

@@ -4,10 +4,15 @@ The paper averages each point over 5 runs (§VI-A); experiment modules
 define a per-(point, seed) trial function returning a plain JSON dict
 and hand it, with a parameter grid, to :func:`run_sweep` — the one
 campaign entry point — then average fields with :func:`point_mean`.
-Campaign settings (seeds, worker count, store, trial deadline) are
-arguments of :func:`run_sweep` and nothing else; :func:`seed_list`,
+Campaign settings (seeds, worker count, store) are arguments of
+:func:`run_sweep` and nothing else; :func:`seed_list`,
 :func:`check_scale` and :func:`worker_count` are the checks the CLI and
 the benchmark suite apply to them before a campaign starts.
+
+One failure rule, at every ``jobs``: a trial that raises, or whose
+worker process dies, stops the campaign with that error.  Trials that
+finished before it stay in the campaign store (when there is one), so
+re-running the same command resumes from them.
 
 Parallelism
 -----------
@@ -15,53 +20,44 @@ Parallelism
 Trials are embarrassingly parallel — each builds its own simulator and
 RNGs from its seed — so :func:`run_sweep` takes a ``jobs`` parameter
 (default 1) backed by :class:`concurrent.futures.ProcessPoolExecutor`.
-``jobs=1`` keeps everything on the caller's thread.  With ``jobs>1``:
+``jobs=1`` keeps everything on the caller's thread.  With ``jobs>1``
+one pool runs every task, and its futures are read in submission order:
 
-* results are reassembled in submission order, so tables are
-  bit-identical to a serial run of the same seeds regardless of worker
-  completion order;
-* each trial runs under an optional per-trial wall-clock deadline
-  (``timeout_s``) enforced with ``SIGALRM`` inside the worker;
-* a trial that raises, times out, or kills its worker process is retried
-  once (``retries``) and then surfaced as a structured
-  :class:`~repro.experiments.metrics.TrialFailure` instead of aborting
-  the campaign.  After a worker *process* death the retry round runs
-  each remaining trial in its own single-worker pool, so a
-  deterministically crashing trial only takes itself down;
+* a trial's value is stored, and its profile merged, as soon as it and
+  every earlier task are done, so tables and ``--metrics`` output are
+  bit-identical to a serial run regardless of worker completion order;
+* the first error in that order cancels the tasks not yet started and
+  is re-raised;
 * the active :class:`~repro.obs.config.ObsConfig` is the pool initarg:
-  worker ``k`` activates it with every trace/timeline/fingerprint file
-  moved to its shard ``k`` (``trace.jsonl`` -> ``trace.k.jsonl``).
-  Under ``metrics`` each trial returns its profiler snapshot (run
-  records plus merged registry), which the parent folds into its own
-  profiler.  What cannot cross a process boundary — an in-memory
-  timeline or fingerprint, file shards without ``fork`` — raises :class:`~repro.errors.ConfigurationError` telling
-  you to use ``jobs=1``.
+  each worker activates it with every trace/timeline/fingerprint file
+  moved to its own shard (``trace.jsonl`` -> ``trace.k.jsonl``), ``k``
+  drawn from the activation's shard counter, so the pools of successive
+  sweeps never reuse a shard.  Under ``metrics`` each trial returns its
+  profiler snapshot (run records plus merged registry), which the parent
+  folds into its own profiler.  What cannot cross a process boundary —
+  an in-memory timeline or fingerprint, file shards without ``fork`` —
+  raises :class:`~repro.errors.ConfigurationError` telling you to use
+  ``jobs=1``.
 
 Campaign store
 --------------
 
 :func:`run_sweep` takes ``store=`` (a path or
 :class:`~repro.experiments.store.CampaignStore`; default: none; CLI
-``--store``) and ``resume=`` knobs.  With a store, every completed trial
-is durably recorded under its content address and — with
-``resume=True``, the default — trials whose digest is already present
-are *skipped*: their cached values slot into the
-reassembly exactly where execution would have put them, so the final
-tables are bit-identical to an uninterrupted run.  A campaign killed
-mid-flight (even ``SIGKILL``) resumes from what it finished; in-flight
-trials simply re-run.  Worker-shard hygiene rides along: each trial
-attempt ends with a commit/abort marker on the worker's JSONL shards,
-and after the campaign the shards are sanitized so events from failed or
-abandoned attempts never double-count in merged spans/timelines.
+``--store``).  With a store, every completed trial is durably recorded
+under its content address, and trials whose digest is already present
+are *skipped*: their cached values slot into the reassembly exactly
+where execution would have put them, so the final tables are
+bit-identical to an uninterrupted run.  A campaign killed mid-flight
+(even ``SIGKILL``) resumes from what it recorded; in-flight trials
+simply re-run.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -78,8 +74,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import ConfigurationError, ReproError
-from repro.experiments.metrics import TrialFailure
+from repro.errors import ConfigurationError
 from repro.experiments.store import (
     CampaignStore,
     resolve_store,
@@ -88,17 +83,12 @@ from repro.experiments.store import (
 )
 from repro.obs import config as obs_config
 from repro.obs.config import ObsConfig
-from repro.obs.durable import sanitize_shards
 from repro.obs.kernelprof import KernelProfiler
 
 #: Per the paper: "results are averaged over 5 runs".
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 SweepTrialFn = Callable[[Any, int], Any]
-
-
-class TrialTimeout(ReproError):
-    """A trial exceeded its per-trial wall-clock deadline."""
 
 
 # ----------------------------------------------------------------------
@@ -170,59 +160,6 @@ def _worker_init(config: Optional[ObsConfig], shard_counter: Any) -> None:
     obs_config.enter_worker(config, index)
 
 
-def _mark_attempt(outcome: str, label: str) -> None:
-    """End one trial attempt on every open JSONL artifact of this worker.
-
-    Post-campaign sanitization (:func:`repro.obs.durable.sanitize_shards`)
-    keeps exactly the committed segments: aborted attempts, duplicate
-    commits of the same label, and the unterminated tail a killed worker
-    leaves are all dropped, which is what stops a retried trial's
-    abandoned first attempt from double-counting in merged spans and
-    timelines.
-    """
-    obs = obs_config.active()
-    if obs is not None:
-        obs.mark_attempt(outcome, label)
-
-
-@contextmanager
-def _trial_deadline(timeout_s: Optional[float], label: str) -> Iterator[None]:
-    """Raise :class:`TrialTimeout` if the block runs longer than allowed.
-
-    Armed with ``signal.setitimer`` (not the integer-only
-    ``signal.alarm``), so sub-second deadlines like ``timeout_s=0.5``
-    fire at 0.5s instead of being truncated to "never".  ``None``
-    disables the deadline; a non-positive value is a configuration error,
-    never a silent no-op (``alarm(0)``-style "0 disarms the timer"
-    semantics would make a mistyped timeout vanish without a trace).
-
-    Uses ``SIGALRM``, which only exists on Unix and only works on the
-    main thread — both true inside a ProcessPoolExecutor worker.  On
-    platforms without it the deadline is silently unenforced.
-    """
-    if timeout_s is not None and timeout_s <= 0:
-        raise ConfigurationError(
-            f"trial timeout must be a positive number of seconds "
-            f"(or None to disable), got {timeout_s!r}"
-        )
-    if timeout_s is None or not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def _on_alarm(signum: int, frame: Any) -> None:
-        raise TrialTimeout(
-            f"trial {label!r} exceeded its {timeout_s:g}s deadline"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @contextmanager
 def _profiled(label: str) -> Iterator[Optional[KernelProfiler]]:
     """Yield the active profiler (``None`` without ``metrics``), labelled."""
@@ -235,32 +172,18 @@ def _profiled(label: str) -> Iterator[Optional[KernelProfiler]]:
 
 
 def _run_task_in_worker(
-    trial: Callable[..., Any],
-    args: Tuple[Any, ...],
-    label: str,
-    timeout_s: Optional[float],
+    trial: Callable[..., Any], args: Tuple[Any, ...], label: str
 ) -> Tuple[Any, Optional[Dict[str, object]]]:
     """Execute one trial out-of-process.
 
     Returns ``(value, profile)``: ``profile`` is the worker profiler's
     :meth:`~repro.obs.kernelprof.KernelProfiler.drain` — this trial's
     labelled run records and merged registry — under ``metrics``, else
-    ``None``.  A failed attempt's records are drained and dropped.
+    ``None``.
     """
     with _profiled(label) as profiler:
-        try:
-            with _trial_deadline(timeout_s, label):
-                value = trial(*args)
-        except BaseException:
-            # The attempt's partial shard events must not survive the
-            # merge; a killed worker writes no marker, leaving an
-            # unterminated tail that sanitization drops the same way.
-            _mark_attempt("abort", label)
-            raise
-        finally:
-            profile = profiler.drain() if profiler is not None else None
-    _mark_attempt("commit", label)
-    return value, profile
+        value = trial(*args)
+    return value, profiler.drain() if profiler is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -310,153 +233,69 @@ def _worker_config(context: Any) -> Optional[ObsConfig]:
     return obs.config
 
 
-def _failure_kind(error: BaseException) -> str:
-    if isinstance(error, TrialTimeout):
-        return "timeout"
-    if isinstance(error, BrokenProcessPool):
-        return "crash"
-    return "error"
-
-
 def _execute_parallel(
     trial: Callable[..., Any],
     tasks: Sequence[_Task],
     jobs: int,
-    timeout_s: Optional[float],
-    retries: int,
-) -> Tuple[Dict[int, Any], Dict[int, TrialFailure]]:
-    """Fan tasks out over worker processes with retry and crash isolation.
+    record: Callable[[_Task, Any], None],
+) -> None:
+    """Run ``tasks`` on one worker pool, recording values in task order.
 
-    Returns ``(values_by_key, failures_by_key)``.  Each successful
-    trial's profile (under ``metrics``) is folded into the parent's
-    active profiler.
-
-    Failure accounting is per-task: an attempt is only charged when the
-    task itself raised, timed out, or was the lone task in a pool whose
-    worker died.  When a worker death breaks a pool with several tasks in
-    flight, ``BrokenProcessPool`` is raised on *every* pending future —
-    including siblings that never ran on the dead worker — so those tasks
-    are requeued attempt-free; the retry round runs one task per pool
-    (crash isolation), where blame is unambiguous.
+    A task's value goes to ``record`` (and its profile, under
+    ``metrics``, into the active profiler) once it and every earlier task
+    are done.  The first error in that order — the trial's own exception,
+    or ``BrokenProcessPool`` when a worker died — cancels the tasks not
+    yet started and is re-raised.
     """
     context = _pool_context()
     config = _worker_config(context)
-    artifacts = config.artifacts() if config is not None else []
-    shard_counter = context.Value("i", 0) if artifacts else None
-
-    values: Dict[int, Any] = {}
-    failures: Dict[int, TrialFailure] = {}
-    attempts: Dict[int, int] = {task.key: 0 for task in tasks}
-    queue: List[_Task] = list(tasks)
-    isolate = False  # after a worker death, retry one task per pool
-
-    def charge(task: _Task, error: BaseException) -> None:
-        """Record one genuine execution of ``task`` that ended in ``error``."""
-        attempts[task.key] += 1
-        if attempts[task.key] <= retries:
-            queue.append(task)
-        else:
-            failures[task.key] = TrialFailure(
-                label=task.label,
-                seed=task.seed,
-                kind=_failure_kind(error),
-                error=f"{type(error).__name__}: {error}",
-                attempts=attempts[task.key],
-            )
-
-    while queue:
-        batch, queue = queue, []
-        groups = [[task] for task in batch] if isolate else [batch]
-        saw_crash = False
-        for group in groups:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(group)),
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(config, shard_counter),
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _run_task_in_worker, trial, task.args, task.label, timeout_s
-                    ): task
-                    for task in group
-                }
-                broken: List[Tuple[_Task, BaseException]] = []
-                for future, task in futures.items():
-                    try:
-                        value, profile = future.result()
-                    except BaseException as error:  # noqa: BLE001 — recorded
-                        if isinstance(error, BrokenProcessPool):
-                            # A worker death poisons every pending future
-                            # in the pool; which task actually ran on the
-                            # dead worker is only knowable from the pool's
-                            # composition, so attribution is deferred
-                            # until the whole group has drained.
-                            saw_crash = True
-                            broken.append((task, error))
-                        else:
-                            # The exception was pickled back from the
-                            # worker: this task genuinely executed (and
-                            # raised or timed out), so the attempt is its
-                            # own.
-                            charge(task, error)
-                    else:
-                        values[task.key] = value
-                        if profile is not None:
-                            obs_config.active().profiler.merge_snapshot(profile)
-            if len(broken) == 1:
-                # Exactly one task was in flight when the pool broke, so
-                # the dead worker was running it: the crash is its own.
-                charge(broken[0][0], broken[0][1])
-            elif broken:
-                # Several tasks were poisoned by one worker death; the
-                # innocent siblings must not be charged (a healthy trial
-                # could otherwise exhaust its retries — and be recorded
-                # as a "crash" — without ever failing itself).  Requeue
-                # everyone attempt-free; the isolated retry round pins
-                # the blame.
-                queue.extend(task for task, _ in broken)
-        if saw_crash:
-            isolate = True
-
-    for _, base in artifacts:
-        sanitize_shards(base, shard_counter.value)
-
-    return values, failures
+    obs = obs_config.active()
+    shard_counter = (
+        obs.shard_counter(context)
+        if config is not None and config.artifacts()
+        else None
+    )
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        mp_context=context,
+        initializer=_worker_init,
+        initargs=(config, shard_counter),
+    ) as pool:
+        futures = [
+            pool.submit(_run_task_in_worker, trial, task.args, task.label)
+            for task in tasks
+        ]
+        try:
+            for task, future in zip(tasks, futures):
+                value, profile = future.result()
+                if profile is not None:
+                    obs.profiler.merge_snapshot(profile)
+                record(task, value)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 # ----------------------------------------------------------------------
 # One campaign: optional store, serial loop or worker pool
 # ----------------------------------------------------------------------
-
-
 def _run_campaign(
     trial: Callable[..., Any],
     tasks: Sequence[_Task],
     store: Optional[CampaignStore],
-    resume: bool,
     jobs: int,
-    timeout_s: Optional[float],
-    retries: int,
-) -> Tuple[Dict[int, Any], Dict[int, TrialFailure], Set[int]]:
+) -> Tuple[Dict[int, Any], Set[int]]:
     """Run a keyed campaign, against a content-addressed store if given.
 
-    Returns ``(values_by_key, failures_by_key, hit_keys)``.  With
-    ``jobs=1`` tasks run in order on this thread and exceptions
-    propagate; with a store, completed trials are already durably stored,
-    so a crashed serial campaign resumes from the trial it died in.  With
-    ``jobs>1`` tasks fan out over :func:`_execute_parallel`.
-
-    With a store and ``resume`` on, tasks whose digest already has a
-    successful entry are satisfied from the store (they run no simulator,
-    so an active profiler sees nothing of them); everything else executes
-    and is written through — values on success, failure records when a
-    task permanently fails.  Stored *failures* never count as hits: crashes and timeouts are environment-dependent,
-    so a resumed campaign re-runs them (a deterministic error just fails
-    identically again, keeping the resumed table bit-identical).
+    Returns ``(values_by_key, hit_keys)``.  Tasks whose digest already
+    has an entry are satisfied from the store (they run no simulator, so
+    an active profiler sees nothing of them); every other task executes —
+    in order on this thread with ``jobs=1``, else through
+    :func:`_execute_parallel` — and is written through as it completes,
+    so a campaign stopped by an error or a kill resumes from the trials
+    it finished.
     """
     values: Dict[int, Any] = {}
-    failures: Dict[int, TrialFailure] = {}
     hit_keys: Set[int] = set()
     if store is not None:
         name = trial_id(trial)
@@ -468,7 +307,7 @@ def _run_campaign(
         obs = obs_config.active()
         artifacts = dict(obs.config.artifacts()) if obs is not None else {}
         for task in tasks:
-            entry = store.get(digests[task.key]) if resume else None
+            entry = store.get(digests[task.key])
             if entry is not None:
                 values[task.key] = entry.value
                 hit_keys.add(task.key)
@@ -492,18 +331,8 @@ def _run_campaign(
                 value = trial(*task.args)
             record(task, value)
     elif misses:
-        executed, failures = _execute_parallel(
-            trial, misses, jobs, timeout_s, retries
-        )
-        for task in misses:
-            if task.key in executed:
-                record(task, executed[task.key])
-            elif store is not None:
-                failure = failures[task.key]
-                store.put_failure(
-                    digests[task.key], name, failure, artifacts=artifacts
-                )
-    return values, failures, hit_keys
+        _execute_parallel(trial, misses, jobs, record)
+    return values, hit_keys
 
 
 # ----------------------------------------------------------------------
@@ -515,29 +344,21 @@ class SweepPoint:
 
     Attributes:
         point: The parameter-point object handed to :func:`run_sweep`.
-        label: Human label used in profiles and failure records.
-        results: Per-seed trial return values, in seed order, for the
-            seeds that succeeded.
+        label: Human label used in profiles.
+        results: Per-seed trial return values, in seed order.
         seeds: The seeds behind ``results`` (same order).
-        failures: Seeds that kept failing (parallel campaigns only).
         cache_hits: Seeds satisfied from a campaign store instead of
             being executed (``None`` when the sweep ran without a store).
         executed: Seeds actually executed this campaign (store sweeps
-            only): ``cache_hits + executed == len(seeds-swept)``.
+            only): ``cache_hits + executed == len(seeds)``.
     """
 
     point: Any
     label: str
     results: Tuple[Any, ...]
     seeds: Tuple[int, ...]
-    failures: Tuple[TrialFailure, ...] = ()
     cache_hits: Optional[int] = None
     executed: Optional[int] = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether at least one seed produced a result."""
-        return bool(self.results)
 
 
 def run_sweep(
@@ -545,11 +366,8 @@ def run_sweep(
     points: Sequence[Any],
     seeds: Optional[Iterable[int]] = None,
     jobs: int = 1,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
     label_fn: Optional[Callable[[Any], str]] = None,
     store: Optional[Any] = None,
-    resume: bool = True,
 ) -> List[SweepPoint]:
     """Run ``trial(point, seed)`` over a whole (point × seed) grid.
 
@@ -562,34 +380,34 @@ def run_sweep(
 
     ``trial`` must be picklable for parallel runs (a module-level
     function) and ``point`` must be a picklable value; figure modules
-    pass plain dicts of scalars and return plain JSON dicts.  With
-    ``jobs=1`` everything runs in-process and exceptions propagate.  With
-    ``jobs>1`` a trial that keeps failing after ``retries`` extra
-    attempts becomes a :class:`~repro.experiments.metrics.TrialFailure`
-    on its point and the campaign continues.
+    pass plain dicts of scalars and return plain JSON dicts.  At every
+    ``jobs`` a trial that raises, or whose worker dies, stops the sweep
+    with that error.
 
-    ``label_fn(point)`` names each point in profiles and failure records
-    (trials are labelled ``"<point-label> seed <seed>"``).  Under an
-    active ``ObsConfig(metrics=True)`` (CLI ``--metrics``), each trial's
+    ``label_fn(point)`` names each point in profiles (trials are
+    labelled ``"<point-label> seed <seed>"``).  Under an active
+    ``ObsConfig(metrics=True)`` (CLI ``--metrics``), each trial's
     simulator runs carry that label — also for trials that ran in
     workers.
 
-    ``seeds`` defaults to :data:`DEFAULT_SEEDS`.  ``jobs`` reads as in
+    ``seeds`` defaults to :data:`DEFAULT_SEEDS`; an empty list raises
+    :class:`ConfigurationError`.  ``jobs`` reads as in
     :func:`worker_count`: 0 means one worker per CPU core, and a negative
-    value raises :class:`ConfigurationError`.  ``timeout_s`` (parallel
-    campaigns only) is each trial's wall-clock deadline; ``None`` disables
-    it.
+    value raises :class:`ConfigurationError`.
 
     ``store`` (a path or :class:`~repro.experiments.store.CampaignStore`;
-    default: none) makes the campaign durable:
-    every (point, seed) trial is keyed by its content digest, completed
-    trials persist across process restarts, and with ``resume=True``
-    (the default) a resumed sweep skips cached trials while producing
-    bit-identical :class:`SweepPoint` results; each point's
+    default: none) makes the campaign durable: every (point, seed) trial
+    is keyed by its content digest, completed trials persist across
+    process restarts, and a re-run sweep skips cached trials while
+    producing bit-identical :class:`SweepPoint` results; each point's
     ``cache_hits``/``executed`` fields say how much came from the store.
     """
     jobs = worker_count(jobs)
     seeds = list(DEFAULT_SEEDS if seeds is None else seeds)
+    if not seeds:
+        raise ConfigurationError(
+            "seeds must name at least one seed, got an empty list"
+        )
     points = list(points)
     labels = [
         label_fn(point) if label_fn is not None else f"point {index}"
@@ -608,37 +426,21 @@ def run_sweep(
                     args=(point, seed),
                 )
             )
-    values, failures_by_key, hit_keys = _run_campaign(
-        trial, tasks, campaign_store, resume, jobs, timeout_s, retries
-    )
+    values, hit_keys = _run_campaign(trial, tasks, campaign_store, jobs)
 
     sweep = []
     for point_index, point in enumerate(points):
-        point_results = []
-        point_seeds = []
-        point_failures = []
-        point_hits = 0
-        for seed_index, seed in enumerate(seeds):
-            key = point_index * len(seeds) + seed_index
-            if key in values:
-                point_results.append(values[key])
-                point_seeds.append(seed)
-            elif key in failures_by_key:
-                point_failures.append(failures_by_key[key])
-            if key in hit_keys:
-                point_hits += 1
+        keys = range(point_index * len(seeds), (point_index + 1) * len(seeds))
+        hits = len(hit_keys.intersection(keys))
         sweep.append(
             SweepPoint(
                 point=point,
                 label=labels[point_index],
-                results=tuple(point_results),
-                seeds=tuple(point_seeds),
-                failures=tuple(point_failures),
-                cache_hits=point_hits if campaign_store is not None else None,
+                results=tuple(values[key] for key in keys),
+                seeds=tuple(seeds),
+                cache_hits=hits if campaign_store is not None else None,
                 executed=(
-                    len(seeds) - point_hits
-                    if campaign_store is not None
-                    else None
+                    len(seeds) - hits if campaign_store is not None else None
                 ),
             )
         )
@@ -648,14 +450,8 @@ def run_sweep(
 def point_mean(
     sweep_point: SweepPoint, key: str, ndigits: Optional[int] = None
 ) -> float:
-    """Mean of one field over a point's surviving per-seed result dicts.
-
-    ``nan`` when every seed of the point failed, so a crashed point shows
-    up in a rendered table as a visible hole rather than a silent zero.
-    """
+    """Mean of one field over a point's per-seed result dicts."""
     values = [result[key] for result in sweep_point.results]
-    if not values:
-        return float("nan")
     mean = sum(values) / len(values)
     return round(mean, ndigits) if ndigits is not None else mean
 

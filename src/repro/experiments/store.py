@@ -20,18 +20,18 @@ Entries are published crash-safely (temp file + ``fsync`` + ``os.replace``
 via :func:`repro.obs.durable.write_json_atomic`): a killed campaign
 leaves either a complete entry or an ignorable ``*.tmp`` — never a
 half-written result.  An entry that is missing, truncated, unparseable,
-or whose embedded key disagrees with its filename is treated as a cache
+of another schema, whose embedded key disagrees with its filename, or
+that is a failure record an earlier build wrote is treated as a cache
 *miss* (the trial re-runs) and counted on
 :attr:`CampaignStore.corrupt_seen`; ``repro campaign gc`` deletes such
 files.
 
 Wire-up: ``run_sweep(store=...)`` (CLI ``--store PATH``) writes every
-completed trial through the store and, with ``resume=True`` (the
-default), skips trials whose digest is already present — reassembly
-stays bit-identical to an uninterrupted run because cached values are
-validated to round-trip through JSON exactly at ``put`` time.
-In-flight trials (no entry yet) simply re-run.  ``repro campaign
-status|resume|gc`` operates on a store from the command line.
+completed trial through the store and skips trials whose digest is
+already present — reassembly stays bit-identical to an uninterrupted run
+because cached values are validated to round-trip through JSON exactly
+at ``put`` time.  In-flight trials (no entry yet) simply re-run.
+``repro campaign status|gc`` operates on a store from the command line.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.metrics import TrialFailure
 from repro.obs.durable import provenance_doc, repro_version, write_json_atomic
 
 #: Bump when the entry document schema changes incompatibly; entries
@@ -171,17 +170,14 @@ def task_digest(trial: Callable[..., Any], args: Tuple[Any, ...]) -> str:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class StoreEntry:
-    """One trial's durable outcome.
+    """One completed trial.
 
     Attributes:
         key: The content address (hex digest of the trial inputs).
         trial: ``module.qualname`` of the trial function.
         label: The campaign label (e.g. ``"5x5 seed 3"``).
         seed: The trial's seed.
-        kind: ``"ok"`` or a failure kind (``"error"``/``"timeout"``/
-            ``"crash"``).
-        value: The trial's return value (``kind == "ok"`` only).
-        failure: The :class:`TrialFailure` record (failed entries only).
+        value: The trial's return value.
         artifacts: Paths of the JSONL artifact streams (trace/timeline/
             fingerprint bases) the trial's events were written to.
     """
@@ -190,14 +186,8 @@ class StoreEntry:
     trial: str
     label: str
     seed: int
-    kind: str
-    value: Any = None
-    failure: Optional[TrialFailure] = None
+    value: Any
     artifacts: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.kind == "ok"
 
 
 def _check_roundtrip(value: Any, label: str) -> None:
@@ -230,8 +220,8 @@ class CampaignStore:
 
     Attributes:
         root: The store directory (created on first use).
-        corrupt_seen: Corrupt entries encountered by ``get``/``entries``
-            since this handle was created (each read as a miss).
+        corrupt_seen: Corrupt entries encountered by ``get`` since this
+            handle was created (each read as a miss).
     """
 
     def __init__(self, root: str) -> None:
@@ -252,16 +242,8 @@ class CampaignStore:
     def __contains__(self, digest: str) -> bool:
         return os.path.exists(self._entry_path(digest))
 
-    def get(
-        self, digest: str, include_failures: bool = False
-    ) -> Optional[StoreEntry]:
-        """The entry at ``digest``, or None (missing / corrupt / failed).
-
-        Failure records are kept for ``campaign status`` forensics but
-        are not returned as cache hits by default: a crash or timeout is
-        environment-dependent, so a resumed campaign re-runs the trial
-        (a deterministic error just fails identically again).
-        """
+    def get(self, digest: str) -> Optional[StoreEntry]:
+        """The entry at ``digest``, or None (missing or corrupt)."""
         path = self._entry_path(digest)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -274,9 +256,6 @@ class CampaignStore:
         entry = self._parse_entry(doc, digest)
         if entry is None:
             self.corrupt_seen += 1
-            return None
-        if not include_failures and not entry.ok:
-            return None
         return entry
 
     def _parse_entry(self, doc: Any, digest: str) -> Optional[StoreEntry]:
@@ -288,32 +267,16 @@ class CampaignStore:
             # Digest mismatch: tampered, renamed, or bit-rotted — never
             # trust it, just re-run the trial.
             return None
-        kind = doc.get("kind")
-        if kind not in ("ok", "error", "timeout", "crash"):
+        if doc.get("kind") != "ok" or "value" not in doc:
+            # Earlier builds also stored failure records; they re-run.
             return None
-        if kind == "ok" and "value" not in doc:
-            return None
-        failure = None
-        if kind != "ok":
-            failure_doc = doc.get("failure")
-            if not isinstance(failure_doc, dict):
-                return None
-            failure = TrialFailure(
-                label=str(failure_doc.get("label", "")),
-                seed=int(failure_doc.get("seed", -1)),
-                kind=str(failure_doc.get("kind", kind)),
-                error=str(failure_doc.get("error", "")),
-                attempts=int(failure_doc.get("attempts", 0)),
-            )
         try:
             return StoreEntry(
                 key=str(doc["key"]),
                 trial=str(doc.get("trial", "?")),
                 label=str(doc.get("label", "")),
                 seed=int(doc.get("seed", -1)),
-                kind=str(kind),
-                value=doc.get("value"),
-                failure=failure,
+                value=doc["value"],
                 artifacts=dict(doc.get("artifacts", {})),
             )
         except (KeyError, TypeError, ValueError):
@@ -342,48 +305,11 @@ class CampaignStore:
             "value": value,
             "artifacts": dict(artifacts or {}),
         }
-        self._publish(digest, doc)
-
-    def put_failure(
-        self,
-        digest: str,
-        trial: str,
-        failure: TrialFailure,
-        artifacts: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Record a permanent failure (status/forensics; never a hit)."""
-        doc = {
-            "store": STORE_SCHEMA,
-            "provenance": provenance_doc(),
-            "key": digest,
-            "trial": trial,
-            "label": failure.label,
-            "seed": failure.seed,
-            "kind": failure.kind,
-            "failure": {
-                "label": failure.label,
-                "seed": failure.seed,
-                "kind": failure.kind,
-                "error": failure.error,
-                "attempts": failure.attempts,
-            },
-            "artifacts": dict(artifacts or {}),
-        }
-        self._publish(digest, doc)
-
-    def _publish(self, digest: str, doc: Dict[str, Any]) -> None:
         path = self._entry_path(digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         write_json_atomic(path, doc)
 
     # ------------------------------------------------------------------
-    def entries(self) -> Iterator[StoreEntry]:
-        """All parseable entries (corrupt files counted, not yielded)."""
-        for digest, path in self._entry_files():
-            entry = self.get(digest, include_failures=True)
-            if entry is not None:
-                yield entry
-
     def _entry_files(self) -> Iterator[Tuple[str, str]]:
         if not os.path.isdir(self._objects):
             return
@@ -405,7 +331,6 @@ class CampaignStore:
 
     def status(self) -> Dict[str, Any]:
         """Counts and sizes for ``repro campaign status``."""
-        by_kind: Dict[str, int] = {}
         by_trial: Dict[str, int] = {}
         total_bytes = 0
         corrupt = 0
@@ -416,30 +341,27 @@ class CampaignStore:
             except OSError:
                 pass
             before = self.corrupt_seen
-            entry = self.get(digest, include_failures=True)
+            entry = self.get(digest)
             if entry is None:
                 corrupt += self.corrupt_seen - before
                 continue
             count += 1
-            by_kind[entry.kind] = by_kind.get(entry.kind, 0) + 1
             by_trial[entry.trial] = by_trial.get(entry.trial, 0) + 1
         return {
             "root": self.root,
             "entries": count,
-            "ok": by_kind.get("ok", 0),
-            "failed": count - by_kind.get("ok", 0),
-            "by_kind": dict(sorted(by_kind.items())),
             "by_trial": dict(sorted(by_trial.items())),
             "corrupt": corrupt,
             "tmp": len(self._tmp_files()),
             "bytes": total_bytes,
         }
 
-    def gc(self, failed: bool = False) -> Dict[str, int]:
-        """Remove junk: ``*.tmp`` leftovers and corrupt entries always,
-        failure records too with ``failed=True``.  Returns removal counts.
+    def gc(self) -> Dict[str, int]:
+        """Remove junk: ``*.tmp`` leftovers and every entry that reads
+        as corrupt (failure records of earlier builds included).
+        Returns removal counts.
         """
-        removed = {"tmp": 0, "corrupt": 0, "failed": 0}
+        removed = {"tmp": 0, "corrupt": 0}
         for path in self._tmp_files():
             try:
                 os.unlink(path)
@@ -448,17 +370,10 @@ class CampaignStore:
                 pass
         for digest, path in list(self._entry_files()):
             before = self.corrupt_seen
-            entry = self.get(digest, include_failures=True)
-            if entry is None and self.corrupt_seen > before:
+            if self.get(digest) is None and self.corrupt_seen > before:
                 try:
                     os.unlink(path)
                     removed["corrupt"] += 1
-                except OSError:
-                    pass
-            elif failed and entry is not None and not entry.ok:
-                try:
-                    os.unlink(path)
-                    removed["failed"] += 1
                 except OSError:
                     pass
         return removed

@@ -26,13 +26,18 @@ else — no environment variable turns an instrument on.
 
 ``with config.activate() as obs:`` makes the config the top of one
 process-wide stack — the only process-wide observability state.  It
-shadows whatever config was active before and never merges with it.
+shadows whatever config was active before and never merges with it, and
+it first deletes every file artifact it names together with that
+file's worker shards, so nothing of an earlier run merges into this
+one.
 Scenario builders, simulators and the trial runner ask :func:`active`
 whether an instrument is on.  A parallel campaign hands the config to
 its workers as the pool initarg (an in-memory timeline or fingerprint
 cannot cross, so it is refused), and worker ``k`` activates
 :meth:`ObsConfig.for_worker` — every file artifact re-pointed at its
-shard ``k`` (:func:`repro.obs.durable.shard_path`).
+shard ``k`` (:func:`repro.obs.durable.shard_path`).  The activation
+owns the shard counter ``k`` is drawn from, so the pools of successive
+sweeps under one activation never reuse a shard.
 """
 
 from __future__ import annotations
@@ -41,10 +46,15 @@ import dataclasses
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.durable import DurableJsonlWriter, JsonlArtifact, shard_path
+from repro.obs.durable import (
+    DurableJsonlWriter,
+    JsonlArtifact,
+    remove_artifact,
+    shard_path,
+)
 from repro.obs.kernelprof import KernelProfiler
 from repro.obs.trace import JsonlSink
 
@@ -158,7 +168,14 @@ class ObsConfig:
 
     @contextmanager
     def activate(self) -> Iterator["ActiveObs"]:
-        """Make this config the process's active one for the block."""
+        """Make this config the process's active one for the block.
+
+        Every file artifact and its worker shards are deleted first, so a
+        rerun to the same paths — serial or parallel — never reads back
+        an earlier run's events.
+        """
+        for _, path in self.artifacts():
+            remove_artifact(path)
         obs = _push(self)
         try:
             yield obs
@@ -193,16 +210,24 @@ class ActiveObs:
         self.trace_sink: Optional[JsonlSink] = None
         self.streams: List[object] = []
         self.profiler = KernelProfiler()
+        self._shard_counter: Any = None
 
     def writer(self, instrument: str) -> Optional[DurableJsonlWriter]:
         """The instrument's (lazily opened) writer; ``None`` in memory."""
         artifact = self.artifacts.get(instrument)
         return artifact.writer() if artifact is not None else None
 
-    def mark_attempt(self, outcome: str, label: str) -> None:
-        """End one trial attempt on every artifact this process has open."""
-        for artifact in self.artifacts.values():
-            artifact.mark_attempt(outcome, label)
+    def shard_counter(self, context: Any) -> Any:
+        """The next worker shard index, shared with worker processes.
+
+        Created by the first worker pool (in its multiprocessing
+        ``context``) and kept for the whole activation: each worker of
+        every pool takes the next index, so a second sweep never reopens
+        (and truncates) a shard the first one wrote.
+        """
+        if self._shard_counter is None:
+            self._shard_counter = context.Value("i", 0)
+        return self._shard_counter
 
     def close(self) -> None:
         for artifact in self.artifacts.values():

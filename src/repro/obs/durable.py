@@ -16,12 +16,13 @@ those streams share, so the three cannot drift apart:
 * :func:`shard_path` names worker ``k``'s shard of a base path
   (``trace.jsonl`` -> ``trace.k.jsonl``); :func:`resolve_trace_paths`
   finds shards by the same rule.
+* :func:`remove_artifact` deletes an artifact and its shards, so a new
+  activation never merges with a previous run's.
 * :class:`JsonlArtifact` is one process's lazily opened handle on one
-  artifact, including the attempt commit/abort marker the parallel
-  runner ends every trial attempt with; :func:`sanitize_shards` keeps
-  only committed attempts once a campaign is over.
+  artifact.
 * :class:`JsonlRecords` reads artifacts back: it skips blank lines,
-  provenance headers and attempt markers, and counts bad lines.
+  provenance headers and the attempt markers earlier builds wrote, and
+  counts bad lines.
 """
 
 from __future__ import annotations
@@ -75,26 +76,6 @@ def provenance_doc() -> Dict[str, Any]:
     return doc
 
 
-def _replace_atomic(path: str, write: Callable[[Any], None]) -> None:
-    """Write a temp file next to ``path`` with ``write``, fsync, rename."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            write(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 def write_json_atomic(path: str, doc: Dict[str, Any]) -> None:
     """Crash-safely publish one JSON document at ``path``.
 
@@ -106,12 +87,23 @@ def write_json_atomic(path: str, doc: Dict[str, Any]) -> None:
     killed mid-write leaves only a ``*.tmp`` file that readers ignore
     (the campaign store's ``gc`` sweeps them up).
     """
-
-    def write(handle: Any) -> None:
-        json.dump(doc, handle, separators=(",", ":"), sort_keys=True)
-        handle.write("\n")
-
-    _replace_atomic(path, write)
+    directory = os.path.dirname(path) or "."
+    fd, tmp_path = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, separators=(",", ":"), sort_keys=True)
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 class DurableJsonlWriter:
@@ -203,6 +195,15 @@ def _shard_indexes(base: str) -> List[Tuple[int, str]]:
     return sorted(found)
 
 
+def remove_artifact(base: str) -> None:
+    """Delete ``base`` and every existing shard of it."""
+    for path in [base] + [shard for _, shard in _shard_indexes(base)]:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+
 def resolve_trace_paths(path: str) -> List[str]:
     """Expand ``path`` into the concrete JSONL files it names.
 
@@ -246,8 +247,8 @@ class JsonlRecords:
 
     Iterating yields ``(shard, record)`` pairs, where ``shard`` is the
     source file's basename (run and message ids are only unique within
-    one shard).  Blank lines, provenance headers and attempt markers are
-    bookkeeping and skipped silently.  Unparseable lines — including the
+    one shard).  Blank lines, provenance headers and the attempt markers
+    earlier builds wrote are bookkeeping and skipped silently.  Unparseable lines — including the
     truncated final line a killed worker leaves — and lines that are not
     JSON objects are skipped and counted in :attr:`skipped`.  With
     ``dedupe``, an exact repeat of an earlier line of the same shard is
@@ -288,7 +289,7 @@ class JsonlRecords:
 
 
 # ----------------------------------------------------------------------
-# Writing: one artifact per process, attempt markers, sanitization
+# Writing: one artifact per process
 # ----------------------------------------------------------------------
 class JsonlArtifact:
     """One process's handle on one JSONL artifact.
@@ -322,86 +323,7 @@ class JsonlArtifact:
             )
         return self._writer
 
-    def mark_attempt(self, outcome: str, label: str) -> None:
-        """End one trial attempt with a ``commit``/``abort`` marker.
-
-        Flushed, so once an attempt commits its records survive the
-        worker being killed during a later trial.  Never opens the file:
-        a marker must not force an idle shard into existence.
-        """
-        if self._writer is not None:
-            self._writer.write_doc({"attempt": outcome, "label": label})
-            self._writer.flush()
-
     def close(self) -> None:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-
-
-def _sanitize_shard(path: str, committed_labels: set) -> None:
-    """Keep only committed attempt segments of one worker JSONL shard.
-
-    A shard is a sequence of segments, each terminated by an attempt
-    marker.  Aborted segments, the unterminated tail a killed worker
-    leaves, truncated lines, and duplicate commits of a label already
-    committed on an earlier shard (a worker killed between finishing a
-    trial and delivering its result forces a re-run of an
-    already-committed trial) are all dropped; markers themselves are
-    stripped.  Provenance headers always survive.  The rewrite is atomic,
-    and a shard with nothing to drop is left byte-untouched.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return
-    kept: List[str] = []
-    segment: List[str] = []
-    dirty = False
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            doc = json.loads(stripped)
-        except ValueError:
-            # Truncated tail of a killed writer: part of the unterminated
-            # (dead) attempt — dropped with the rest of its segment.
-            segment.append(line)
-            continue
-        if isinstance(doc, dict) and "provenance" in doc:
-            kept.append(line)
-            continue
-        if isinstance(doc, dict) and "attempt" in doc:
-            label = doc.get("label")
-            if doc.get("attempt") == "commit" and label not in committed_labels:
-                committed_labels.add(label)
-                kept.extend(segment)
-            dirty = True
-            segment = []
-            continue
-        segment.append(line)
-    if segment:
-        dirty = True  # unterminated tail: the attempt died mid-write
-    if dirty:
-        _replace_atomic(path, lambda out: out.writelines(kept))
-
-
-def sanitize_shards(base: str, count: int) -> None:
-    """Post-campaign hygiene for one sharded artifact of ``count`` workers.
-
-    Sanitizes shards ``0 .. count-1`` in index order — so a trial
-    committed on two shards keeps only its first copy — and deletes
-    shards with index >= ``count``: leftovers of an earlier, wider (or
-    killed) campaign that a merged load would otherwise double-count.
-    """
-    committed_labels: set = set()
-    for index, path in _shard_indexes(base):
-        if index < count:
-            _sanitize_shard(path, committed_labels)
-        else:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass

@@ -19,7 +19,13 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.audit import audit_events, render_report
-from repro.obs.spans import build_spans, load_trace, render_spans
+from repro.obs.spans import (
+    ScopeKey,
+    build_spans,
+    load_trace,
+    render_spans,
+    scope_of,
+)
 
 Event = Dict[str, object]
 
@@ -29,7 +35,9 @@ def summarize(events: Sequence[Event]) -> Dict[str, object]:
 
     Returns a dict with:
         ``total`` — event count;
-        ``runs`` — per-run event counts and time spans;
+        ``runs`` — event counts and time spans per ``(shard, run)``
+        scope (:func:`repro.obs.spans.scope_of`: run ids restart in
+        every worker shard);
         ``by_kind`` — events per event kind;
         ``by_node`` — events per node id;
         ``frames`` — per frame-kind ``{"frames": n, "bytes": n}`` from
@@ -41,7 +49,7 @@ def summarize(events: Sequence[Event]) -> Dict[str, object]:
     by_node: Counter = Counter()
     losses: Counter = Counter()
     frames: Dict[str, Dict[str, int]] = {}
-    runs: Dict[int, Dict[str, object]] = {}
+    runs: Dict[ScopeKey, Dict[str, object]] = {}
     retransmits = 0
     abandons = 0
     for event in events:
@@ -50,9 +58,10 @@ def summarize(events: Sequence[Event]) -> Dict[str, object]:
         node = event.get("node")
         if node is not None:
             by_node[node] += 1
-        run = int(event.get("run", 0))
         time = float(event.get("t", 0.0))
-        span = runs.setdefault(run, {"events": 0, "t_min": time, "t_max": time})
+        span = runs.setdefault(
+            scope_of(event), {"events": 0, "t_min": time, "t_max": time}
+        )
         span["events"] = int(span["events"]) + 1
         span["t_min"] = min(float(span["t_min"]), time)
         span["t_max"] = max(float(span["t_max"]), time)
@@ -89,10 +98,12 @@ def render(events: Sequence[Event], top_nodes: int = 10) -> str:
     lines.append(
         f"trace: {summary['total']} events across {len(runs)} simulation run(s)"
     )
-    for run_id in sorted(runs):
-        span = runs[run_id]
+    one_shard = len({shard for shard, _ in runs}) == 1
+    for shard, run_id in sorted(runs):
+        span = runs[(shard, run_id)]
+        name = f"run {run_id}" if one_shard else f"{shard} run {run_id}"
         lines.append(
-            f"  run {run_id}: {span['events']} events, "
+            f"  {name}: {span['events']} events, "
             f"t = {span['t_min']:.3f}s .. {span['t_max']:.3f}s"
         )
 
@@ -161,11 +172,16 @@ def inspect_path(
     report = audit_events(load.events) if audit else None
 
     if as_json:
+        summary = summarize(load.events)
+        summary["runs"] = [
+            {"shard": shard, "run": run, **span}
+            for (shard, run), span in sorted(summary["runs"].items())
+        ]
         doc: Dict[str, object] = {
             "paths": load.paths,
             "skipped_lines": load.skipped_lines,
             "duplicates_dropped": load.duplicates_dropped,
-            "summary": summarize(load.events),
+            "summary": summary,
         }
         if spans:
             forest = build_spans(load.events)

@@ -123,20 +123,22 @@ def test_jobs_zero_means_one_worker_per_core(capsys, fig4_calls):
 
 
 def test_campaign_subcommands_require_store(capsys):
-    for command in (["status"], ["gc"], ["resume", "fig4"]):
+    for command in (["status"], ["gc"]):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", *command])
         assert excinfo.value.code == 2
         assert "--store" in capsys.readouterr().err
 
 
-def test_campaign_resume_runs_the_figure_against_the_store(
-    tmp_path, capsys, fig4_calls
-):
-    store = str(tmp_path / "store")
-    argv = ["campaign", "resume", "fig4", "--store", store, "--seeds", "2"]
-    assert main(argv) == 0
-    assert fig4_calls == [
-        {"entries_per_node": 50, "seeds": [1, 2], "jobs": 1, "store": store}
-    ]
-    assert "3x3" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "command",
+    [["resume", "fig4"], ["gc", "--failed"]],
+    ids=["resume", "gc-failed"],
+)
+def test_removed_campaign_commands_exit_two(tmp_path, capsys, command):
+    """Re-running the figure command resumes a campaign, and failure
+    records are no longer written, so neither command remains."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", *command, "--store", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err

@@ -1,22 +1,29 @@
-"""Parallel campaign tests: determinism, crash isolation, observability.
+"""Parallel campaign tests: determinism, the failure rule, observability.
 
 The trial functions live at module level so forked workers can resolve
 them by reference.  Each is deterministic in its seed, which is what
 makes the bit-identity assertions meaningful.  Most campaigns here are
-one-point sweeps (:func:`_one_point`), so failures and results read per
-seed.
+one-point sweeps (:func:`_one_point`), so results read per seed.
 """
 
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_sweep
+from repro.experiments.store import CampaignStore
 from repro.obs import trace as obs_trace
-from repro.obs.config import ObsConfig, active
+from repro.obs.config import ObsConfig
+from repro.obs.durable import resolve_trace_paths
 from repro.sim.simulator import Simulator
+
+_NEEDS_FORK = pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="worker shards need fork",
+)
 
 
 def _one_point(trial, seeds, **kwargs):
@@ -29,22 +36,35 @@ def _ok_trial(point, seed):
     return {"recall": 1.0, "latency_s": float(seed), "overhead_bytes": 1000 * seed}
 
 
-def _raises_on_seed_2(point, seed):
-    if seed == 2:
+def _raises_on_seed_3(point, seed):
+    if seed == 3:
         raise RuntimeError("injected failure")
-    return _ok_trial(point, seed)
-
-
-def _sleeps_on_seed_2(point, seed):
-    if seed == 2:
-        time.sleep(30.0)
     return _ok_trial(point, seed)
 
 
 def _dies_on_seed_2(point, seed):
     if seed == 2:
+        # Count executions in a file: a retry would append a second line.
+        with open(os.environ["REPRO_TEST_DEATH_LOG"], "a") as log:
+            log.write("died\n")
         os._exit(17)  # hard worker death, not an exception
     return _ok_trial(point, seed)
+
+
+def _waits_for_earlier_entries(point, seed):
+    """The last seed waits (up to 10 s) until the store holds an entry
+    for every earlier seed, and reports how many it saw."""
+    if seed < 3:
+        return {"seed": seed, "seen": 0}
+    store = CampaignStore(point["store"])
+    deadline = time.monotonic() + 10.0
+    seen = 0
+    while time.monotonic() < deadline:
+        seen = store.status()["entries"]
+        if seen == 2:
+            break
+        time.sleep(0.02)
+    return {"seed": seed, "seen": seen}
 
 
 def _traced_trial(point, seed):
@@ -58,10 +78,6 @@ def _sweep_trial(point, seed):
     return {"score": point["base"] * 100 + seed}
 
 
-def _sweep_raises_everywhere(point, seed):
-    raise ValueError(f"bad point {point['base']}")
-
-
 def test_parallel_matches_serial_aggregate():
     """Same seeds, any worker count → the same SweepPoint."""
     serial = _one_point(_ok_trial, [1, 2, 3, 4, 5], jobs=1)
@@ -70,167 +86,45 @@ def test_parallel_matches_serial_aggregate():
     assert serial.seeds == (1, 2, 3, 4, 5)
 
 
-def test_parallel_failure_becomes_structured_row():
-    sweep_point = _one_point(_raises_on_seed_2, [1, 2, 3], jobs=2)
-    assert sweep_point.seeds == (1, 3)  # seeds 1 and 3 still returned
-    assert len(sweep_point.failures) == 1
-    failure = sweep_point.failures[0]
-    assert failure.seed == 2
-    assert failure.kind == "error"
-    assert failure.attempts == 2  # first try + one retry
-    assert "injected failure" in failure.error
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_trial_stops_the_sweep_at_any_jobs(jobs):
+    """One failure rule: the trial's own exception escapes run_sweep."""
+    with pytest.raises(RuntimeError, match="injected failure"):
+        _one_point(_raises_on_seed_3, [1, 2, 3, 4], jobs=jobs)
 
 
-def test_serial_path_still_propagates():
-    """jobs=1 keeps the historical contract: exceptions escape."""
-    with pytest.raises(RuntimeError):
-        _one_point(_raises_on_seed_2, [1, 2, 3], jobs=1)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_campaign_keeps_finished_trials_in_the_store(tmp_path, jobs):
+    """The trials before the failing one are stored, so re-running the
+    same command resumes from them."""
+    store = CampaignStore(str(tmp_path))
+    with pytest.raises(RuntimeError, match="injected failure"):
+        _one_point(_raises_on_seed_3, [1, 2, 3], jobs=jobs, store=store)
+    assert store.status()["entries"] == 2
+    again = _one_point(_raises_on_seed_3, [1, 2], jobs=jobs, store=store)
+    assert (again.cache_hits, again.executed) == (2, 0)
 
 
-@pytest.mark.skipif(
-    not hasattr(__import__("signal"), "SIGALRM"), reason="needs SIGALRM"
-)
-def test_parallel_timeout_becomes_failure():
-    sweep_point = _one_point(
-        _sleeps_on_seed_2, [1, 2, 3], jobs=2, timeout_s=0.5, retries=0
+def test_worker_death_fails_the_sweep_without_retry(tmp_path, monkeypatch):
+    log = tmp_path / "deaths"
+    monkeypatch.setenv("REPRO_TEST_DEATH_LOG", str(log))
+    with pytest.raises(BrokenProcessPool):
+        _one_point(_dies_on_seed_2, [1, 2, 3], jobs=2)
+    assert log.read_text().splitlines() == ["died"]
+
+
+def test_store_campaign_publishes_entries_before_its_last_trial_ends(tmp_path):
+    """Each finished trial is stored as soon as every earlier one is, not
+    when the pool drains: the last trial sees both earlier entries."""
+    store = str(tmp_path / "store")
+    (sweep_point,) = run_sweep(
+        _waits_for_earlier_entries,
+        [{"store": store}],
+        seeds=[1, 2, 3],
+        jobs=2,
+        store=store,
     )
-    assert sweep_point.seeds == (1, 3)
-    assert [f.kind for f in sweep_point.failures] == ["timeout"]
-    assert sweep_point.failures[0].seed == 2
-
-
-def test_parallel_worker_crash_is_isolated():
-    """A worker that dies mid-trial surfaces as kind='crash'; the other
-    seeds — possibly collateral damage of the shared pool breaking —
-    still complete via the isolated retry round."""
-    sweep_point = _one_point(_dies_on_seed_2, [1, 2, 3], jobs=2)
-    assert sweep_point.seeds == (1, 3)
-    assert [f.kind for f in sweep_point.failures] == ["crash"]
-    assert sweep_point.failures[0].seed == 2
-
-
-def test_crash_does_not_fail_innocent_siblings():
-    """One worker's death poisons every pending future in the pool with
-    BrokenProcessPool; with retries=0 the old accounting turned healthy
-    sibling trials into permanent kind='crash' failures after a single
-    genuine attempt.  Only the task that ran on the dead worker may fail."""
-    sweep_point = _one_point(_dies_on_seed_2, [1, 2, 3], jobs=2, retries=0)
-    # Seeds 1 and 3 complete despite the shared pool.
-    assert sweep_point.seeds == (1, 3)
-    assert [f.seed for f in sweep_point.failures] == [2]
-    assert [f.kind for f in sweep_point.failures] == ["crash"]
-    # One *charged* execution: the isolated retry where blame is
-    # unambiguous.  Pool-wide fallout is never charged to anyone.
-    assert sweep_point.failures[0].attempts == 1
-
-
-def test_crash_attempts_reflect_charged_executions():
-    """TrialFailure.attempts counts executions attributable to the task
-    itself — never inflated by sibling crashes sharing its pool."""
-    sweep_point = _one_point(_dies_on_seed_2, [1, 2, 3], jobs=2, retries=1)
-    assert sweep_point.seeds == (1, 3)
-    failure = sweep_point.failures[0]
-    assert failure.seed == 2 and failure.kind == "crash"
-    assert failure.attempts == 2  # isolated first charge + one retry
-
-
-def test_failure_kinds_only_for_exhibiting_task():
-    """After the spillover fix, 'crash' appears only on the crashing
-    trial; an erroring sibling keeps its own kind."""
-
-    sweep_point = _one_point(_dies_or_raises, [1, 2, 3, 4], jobs=2, retries=0)
-    kinds = {f.seed: f.kind for f in sweep_point.failures}
-    assert kinds == {2: "crash", 3: "error"}
-    assert sweep_point.seeds == (1, 4)  # seeds 1 and 4 survive
-
-
-def _dies_or_raises(point, seed):
-    if seed == 2:
-        os._exit(17)
-    if seed == 3:
-        raise RuntimeError("injected failure")
-    return _ok_trial(point, seed)
-
-
-def _traced_dies_once_on_seed_2(point, seed):
-    """Emits a trace event, then dies on seed 2's *first* attempt only.
-
-    The flag file (path via env, inherited across fork) makes the death
-    one-shot, so the retry succeeds — leaving the aborted attempt's
-    partial shard events for sanitization to drop.
-    """
-    Simulator().trace.emit("trial.ran", seed=seed)
-    if seed == 2:
-        flag = os.environ["REPRO_TEST_DIE_ONCE_FLAG"]
-        if not os.path.exists(flag):
-            with open(flag, "w"):
-                pass
-            # Land the partial event on disk before dying, like a
-            # buffer flush mid-trial would.
-            active("trace").trace_sink.flush()
-            os._exit(23)
-    return _ok_trial(point, seed)
-
-
-@pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
-    reason="trace shards need fork",
-)
-def test_crashed_attempt_shard_events_are_dropped(tmp_path, monkeypatch):
-    """A killed attempt's partial trace shard events must not
-    double-count next to the successful retry's events."""
-    monkeypatch.setenv(
-        "REPRO_TEST_DIE_ONCE_FLAG", str(tmp_path / "died-once")
-    )
-    path = str(tmp_path / "trace.jsonl")
-    with ObsConfig(trace=path).activate():
-        sweep_point = _one_point(_traced_dies_once_on_seed_2, [1, 2, 3], jobs=2)
-    # The retry succeeded.
-    assert sweep_point.seeds == (1, 2, 3) and not sweep_point.failures
-    events = []
-    for name in sorted(os.listdir(tmp_path)):
-        if name.startswith("trace.") and name != "trace.jsonl":
-            events += obs_trace.read_jsonl(str(tmp_path / name))
-    seeds = sorted(e["seed"] for e in events if e["kind"] == "trial.ran")
-    # Without sanitization this reads [1, 2, 2, 3]: the dead first
-    # attempt's event plus the retry's.
-    assert seeds == [1, 2, 3]
-
-
-def _profiled_fails_once(point, seed):
-    """Runs a tiny simulation, then fails the first attempt of seed 1
-    (raises at once) and of seed 6 (kills its worker).  Every other
-    attempt takes 0.2 s, so both workers run several trials and the one
-    that failed seed 1 runs another trial next."""
-    sim = Simulator()
-    sim.metrics.counter("trials").inc()
-    sim.schedule(0.1, lambda: None)
-    sim.run()
-    flag = os.path.join(os.environ["REPRO_TEST_FAIL_ONCE_DIR"], str(seed))
-    first_attempt = not os.path.exists(flag)
-    if first_attempt:
-        with open(flag, "w"):
-            pass
-    if seed == 1 and first_attempt:
-        raise RuntimeError("injected failure")
-    time.sleep(0.2)
-    if seed == 6 and first_attempt:
-        os._exit(17)
-    return _ok_trial(point, seed)
-
-
-def test_crash_and_error_retries_profile_each_trial_once(tmp_path, monkeypatch):
-    """A failed attempt's run records and registry are dropped with it:
-    the next trial on the same worker must not ship them, so every seed
-    is profiled exactly once however often it was attempted."""
-    monkeypatch.setenv("REPRO_TEST_FAIL_ONCE_DIR", str(tmp_path))
-    seeds = [1, 2, 3, 4, 5, 6]
-    with ObsConfig(metrics=True).activate() as obs:
-        sweep_point = _one_point(_profiled_fails_once, seeds, jobs=2)
-    assert sweep_point.seeds == tuple(seeds) and not sweep_point.failures
-    labels = sorted(record.label for record in obs.profiler.records)
-    assert labels == sorted(f"point 0 seed {seed}" for seed in seeds)
-    assert obs.profiler.registry().counter("trials").value == len(seeds)
+    assert sweep_point.results[-1] == {"seed": 3, "seen": 2}
 
 
 def test_run_sweep_parallel_matches_serial():
@@ -239,33 +133,9 @@ def test_run_sweep_parallel_matches_serial():
     parallel = run_sweep(_sweep_trial, points, seeds=[1, 2], jobs=3)
     assert [sp.results for sp in parallel] == [sp.results for sp in serial]
     assert [sp.point for sp in parallel] == points
-    assert all(sp.ok for sp in parallel)
 
 
-def test_run_sweep_all_seeds_failing_marks_point():
-    sweep = run_sweep(
-        _sweep_raises_everywhere, [{"base": 9}], seeds=[1, 2], jobs=2
-    )
-    assert not sweep[0].ok
-    assert sweep[0].results == ()
-    assert len(sweep[0].failures) == 2
-
-
-def test_run_sweep_labels_failures(tmp_path):
-    sweep = run_sweep(
-        _sweep_raises_everywhere,
-        [{"base": 7}],
-        seeds=[1],
-        jobs=2,
-        label_fn=lambda p: f"base {p['base']}",
-    )
-    assert sweep[0].failures[0].label == "base 7 seed 1"
-
-
-@pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
-    reason="trace shards need fork",
-)
+@_NEEDS_FORK
 def test_parallel_trace_shards(tmp_path):
     """Workers write per-worker JSONL shards next to the parent file."""
     path = str(tmp_path / "trace.jsonl")
@@ -279,6 +149,40 @@ def test_parallel_trace_shards(tmp_path):
         events += obs_trace.read_jsonl(str(tmp_path / shard))
     seeds = sorted(e["seed"] for e in events if e["kind"] == "trial.ran")
     assert seeds == [1, 2, 3, 4]
+
+
+def _traced_seeds(path):
+    """Seeds of every ``trial.ran`` event in ``path`` and its shards."""
+    return sorted(
+        event["seed"]
+        for file in resolve_trace_paths(path)
+        for event in obs_trace.read_jsonl(file)
+        if event["kind"] == "trial.ran"
+    )
+
+
+@_NEEDS_FORK
+def test_successive_sweeps_under_one_activation_keep_every_shard(tmp_path):
+    """The second pool numbers its shards after the first pool's, so it
+    never reopens (and truncates) a shard the first sweep wrote."""
+    path = str(tmp_path / "trace.jsonl")
+    with ObsConfig(trace=path).activate():
+        _one_point(_traced_trial, [1, 2], jobs=2)
+        _one_point(_traced_trial, [3, 4], jobs=2)
+    assert _traced_seeds(path) == [1, 2, 3, 4]
+
+
+@_NEEDS_FORK
+def test_rerun_to_the_same_path_drops_stale_worker_shards(tmp_path):
+    """Activation deletes the shards of an earlier parallel run, so a
+    serial rerun reads back only its own events."""
+    path = str(tmp_path / "trace.jsonl")
+    with ObsConfig(trace=path).activate():
+        _one_point(_traced_trial, [1, 2, 3, 4], jobs=2)
+    with ObsConfig(trace=path).activate():
+        _one_point(_traced_trial, [1, 2], jobs=1)
+    assert resolve_trace_paths(path) == [path]
+    assert _traced_seeds(path) == [1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -304,10 +208,7 @@ def test_timeline_knob_does_not_perturb_results():
     assert recorded == plain
 
 
-@pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
-    reason="timeline shards need fork",
-)
+@_NEEDS_FORK
 def test_timeline_knob_shards_per_worker(tmp_path):
     path = str(tmp_path / "tl.jsonl")
     with ObsConfig(timeline=path).activate():

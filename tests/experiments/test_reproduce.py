@@ -92,6 +92,14 @@ def test_scale_rule_at_paper_scale_is_run_defaults(monkeypatch, figure_id):
         assert arguments["jobs"] == 1 and arguments["store"] is None
 
 
+class _AnyResult(dict):
+    """A stand-in trial value: every field reads 0.0, every per-consumer
+    entry (an int index) another stand-in."""
+
+    def __missing__(self, key):
+        return _AnyResult() if isinstance(key, int) else 0.0
+
+
 @pytest.mark.parametrize("figure_id", sorted(REGISTRY))
 def test_sweep_point_keys_differ_between_scales(monkeypatch, figure_id):
     """Every scaled value is a sweep-point field, so a store shared by
@@ -105,7 +113,7 @@ def test_sweep_point_keys_differ_between_scales(monkeypatch, figure_id):
         for point in points:
             keys[task_digest(trial, (point, 1))] = canonical_params(point)
         return [
-            SweepPoint(point=point, label="", results=(), seeds=())
+            SweepPoint(point=point, label="", results=(_AnyResult(),), seeds=(1,))
             for point in points
         ]
 

@@ -44,15 +44,9 @@ run_sweep(slow_sweep_trial, POINTS, seeds=SEEDS, jobs=2, store=sys.argv[1])
 
 
 def _shape(sweep):
-    """The bit-comparable payload of a sweep (results + failures)."""
+    """The bit-comparable payload of a sweep."""
     return [
-        (
-            point.point,
-            point.label,
-            point.results,
-            point.seeds,
-            tuple((f.seed, f.kind) for f in point.failures),
-        )
+        (point.point, point.label, point.results, point.seeds)
         for point in sweep
     ]
 

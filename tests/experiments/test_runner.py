@@ -1,15 +1,10 @@
 """Unit tests for the trial runner and table rendering."""
 
-import signal
-import time
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     DEFAULT_SEEDS,
-    TrialTimeout,
-    _trial_deadline,
     check_scale,
     point_mean,
     render_table,
@@ -91,42 +86,12 @@ def test_sweep_rejects_negative_jobs(jobs):
     assert "jobs" in str(excinfo.value)
 
 
-@pytest.mark.skipif(
-    not hasattr(signal, "SIGALRM"), reason="deadline needs SIGALRM (Unix)"
-)
-def test_trial_deadline_fires_on_subsecond_timeout():
-    """Regression: an integer ``signal.alarm`` would truncate 0.5s to 0
-    ("never"); ``setitimer`` must fire the deadline at ~0.5s."""
-    start = time.monotonic()
-    with pytest.raises(TrialTimeout, match="0.5s deadline"):
-        with _trial_deadline(0.5, "sleepy-trial"):
-            time.sleep(5.0)
-    assert time.monotonic() - start < 2.0
-
-
-@pytest.mark.parametrize("bad", [0, 0.0, -1.5])
-def test_trial_deadline_rejects_non_positive_timeout(bad):
-    """A non-positive timeout must be a loud error, not an ``alarm(0)``
-    style silent disarm."""
-    with pytest.raises(ConfigurationError, match="positive"):
-        with _trial_deadline(bad, "x"):
-            pass  # pragma: no cover - never entered
-
-
-@pytest.mark.skipif(
-    not hasattr(signal, "SIGALRM"), reason="deadline needs SIGALRM (Unix)"
-)
-def test_trial_deadline_disarms_and_restores_handler():
-    previous = signal.getsignal(signal.SIGALRM)
-    with _trial_deadline(0.2, "quick"):
-        pass
-    assert signal.getsignal(signal.SIGALRM) is previous
-    time.sleep(0.3)  # would blow up here if the timer were left armed
-
-
-def test_trial_deadline_none_disables():
-    with _trial_deadline(None, "x"):
-        pass
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_rejects_an_empty_seed_list(jobs):
+    """Regression: ``seeds=[]`` used to return empty points, which
+    ``point_mean`` turned into ``nan`` rows without an error."""
+    with pytest.raises(ConfigurationError, match="seed"):
+        run_sweep(_echo_trial, [{}], seeds=[], jobs=jobs)
 
 
 def test_run_sweep_aggregates():

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.metrics import TrialFailure
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import (
     CampaignStore,
@@ -116,7 +115,7 @@ def test_put_get_roundtrip_dict(tmp_path):
     digest = task_digest(_trial, (3,))
     store.put_value(digest, "t", "seed 3", 3, {"score": 30})
     entry = store.get(digest)
-    assert entry is not None and entry.ok
+    assert entry is not None
     assert entry.value == {"score": 30}
     assert entry.seed == 3
     assert digest in store
@@ -149,19 +148,32 @@ def test_digest_mismatch_never_trusted(tmp_path):
     assert store.corrupt_seen == 1
 
 
-def test_failures_are_recorded_but_never_hits(tmp_path):
+def _write_failure_record(store, digest, seed):
+    """A failure record as earlier builds stored one for a failed trial."""
+    path = store._entry_path(digest)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    label = f"seed {seed}"
+    failure = {
+        "label": label, "seed": seed, "kind": "crash", "error": "died",
+        "attempts": 1,
+    }
+    doc = {
+        "store": 2, "provenance": {"provenance": 1}, "key": digest,
+        "trial": "t", "label": label, "seed": seed, "kind": "crash",
+        "failure": failure, "artifacts": {},
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+
+
+def test_earlier_failure_records_read_as_misses(tmp_path):
     store = CampaignStore(str(tmp_path))
     digest = task_digest(_trial, (2,))
-    failure = TrialFailure(
-        label="seed 2", seed=2, kind="crash", error="died", attempts=1
-    )
-    store.put_failure(digest, "t", failure)
-    assert store.get(digest) is None  # resume re-runs the trial
-    entry = store.get(digest, include_failures=True)
-    assert entry is not None and not entry.ok
-    assert entry.failure.kind == "crash"
+    _write_failure_record(store, digest, 2)
+    assert store.get(digest) is None  # a re-run executes the trial
+    assert store.corrupt_seen == 1
     status = store.status()
-    assert status["failed"] == 1 and status["ok"] == 0
+    assert (status["entries"], status["corrupt"]) == (0, 1)
 
 
 def test_lossy_values_are_refused():
@@ -175,7 +187,7 @@ def test_lossy_values_are_refused():
         _check_roundtrip({"raw": b"bytes"}, "t")  # not JSON at all
 
 
-def test_gc_removes_tmp_corrupt_and_optionally_failed(tmp_path):
+def test_gc_removes_tmp_corrupt_and_failure_records(tmp_path):
     store = CampaignStore(str(tmp_path))
     ok_digest = task_digest(_trial, (1,))
     store.put_value(ok_digest, "t", "seed 1", 1, {"score": 10})
@@ -185,26 +197,15 @@ def test_gc_removes_tmp_corrupt_and_optionally_failed(tmp_path):
     with open(bad_path, "w", encoding="utf-8") as handle:
         handle.write("{not json")
     fail_digest = task_digest(_trial, (3,))
-    store.put_failure(
-        fail_digest,
-        "t",
-        TrialFailure(
-            label="seed 3", seed=3, kind="error", error="x", attempts=2
-        ),
-    )
+    _write_failure_record(store, fail_digest, 3)
     tmp_leftover = os.path.join(tmp_path, "objects", "stale.tmp")
     with open(tmp_leftover, "w", encoding="utf-8"):
         pass
 
     removed = store.gc()
-    assert removed == {"tmp": 1, "corrupt": 1, "failed": 0}
+    assert removed == {"tmp": 1, "corrupt": 2}
+    assert not os.path.exists(store._entry_path(fail_digest))
     assert store.get(ok_digest) is not None  # survivors untouched
-    assert store.get(fail_digest, include_failures=True) is not None
-
-    removed = store.gc(failed=True)
-    assert removed["failed"] == 1
-    assert store.get(fail_digest, include_failures=True) is None
-    assert store.get(ok_digest) is not None
 
 
 def test_foreign_schema_reads_as_miss(tmp_path):
@@ -291,13 +292,6 @@ def test_run_sweep_store_hits_on_second_run(tmp_path):
     # Store-less sweeps carry no cache accounting.
     assert plain.cache_hits is None and plain.executed is None
     assert plain.results == cold.results
-
-
-def test_run_sweep_resume_false_recomputes(tmp_path):
-    store = CampaignStore(str(tmp_path))
-    _one_point([1, 2], store=store)
-    again = _one_point([1, 2], store=store, resume=False)
-    assert again.cache_hits == 0 and again.executed == 2
 
 
 def test_rng_perturbation_is_key_material(tmp_path, monkeypatch):

@@ -30,9 +30,10 @@ def test_summarize_aggregates():
     assert summary["losses"] == {"collision": 1}
     assert summary["retransmits"] == 1
     assert summary["abandons"] == 1
-    assert summary["runs"][1]["events"] == 4
-    assert summary["runs"][2]["t_min"] == 0.4
-    assert summary["runs"][2]["t_max"] == 0.5
+    # Runs are keyed by (shard, run) scope; these events carry no shard.
+    assert summary["runs"][("", 1)]["events"] == 4
+    assert summary["runs"][("", 2)]["t_min"] == 0.4
+    assert summary["runs"][("", 2)]["t_max"] == 0.5
 
 
 def test_render_report_sections():
@@ -45,6 +46,20 @@ def test_render_report_sections():
     assert "busiest nodes (top 2):" in text
     # top-2 cut: node 1 (1 event) ties node 3 but only two rows print
     assert text.count("node ") == 2
+
+
+def test_runs_are_counted_per_shard():
+    """Every worker shard numbers its runs from 1, so run 1 of two shards
+    is two simulation runs."""
+    events = [
+        {"t": 0.0, "kind": "x", "run": 1, "shard": "t.0.jsonl"},
+        {"t": 0.1, "kind": "x", "run": 1, "shard": "t.1.jsonl"},
+        {"t": 0.2, "kind": "x", "run": 2, "shard": "t.1.jsonl"},
+    ]
+    assert len(summarize(events)["runs"]) == 3
+    text = render(events)
+    assert "3 events across 3 simulation run(s)" in text
+    assert "  t.1.jsonl run 2: 1 events" in text
 
 
 def test_render_empty_trace():
