@@ -23,9 +23,15 @@ key to the key's probes (:func:`repro.bloom.hashing.probes`) that are clear
 *in the snapshot*.  Bits are only ever added (``insert``,
 ``union_update``), so every buffer of the lineage is a superset of the
 snapshot, and insert and membership visit only the memoised clear probes:
-a key the snapshot holds costs one dict lookup.  ``load_bytes`` may clear
-bits, so it drops the root.  ``tests/bloom`` proves all of this against a
-bytearray reference.
+a key the snapshot holds costs one dict lookup.
+
+The memo is seeded at that first copy.  Until then a filter keeps the keys
+inserted into it, and every probe of those keys is set in the snapshot, so
+the copy maps each of them to ``()``: the consumer's own received keys are
+never hashed again in the lineage.  ``load_bytes`` may clear bits, so it
+drops the root and forgets the inserted keys.  The memo is the only one in
+this package: it lives as long as the lineage's filters and no longer.
+``tests/bloom`` proves all of this against a bytearray reference.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ class BloomFilter:
     upper bound otherwise, since ``|A ∪ B| <= |A| + |B|``).
     """
 
-    __slots__ = ("m_bits", "k_hashes", "seed", "_buf", "count", "_root")
+    __slots__ = ("m_bits", "k_hashes", "seed", "_buf", "count", "_root", "_inserted")
 
     def __init__(self, m_bits: int, k_hashes: int, seed: int = 0) -> None:
         if m_bits <= 0:
@@ -69,6 +75,8 @@ class BloomFilter:
         self.count = 0
         #: ``(snapshot, {key: probes clear in snapshot})`` or None.
         self._root: Optional[tuple] = None
+        #: Keys inserted while there is no root; seeds the root's memo.
+        self._inserted: Optional[list] = []
 
     # ------------------------------------------------------------------
     @classmethod
@@ -93,6 +101,7 @@ class BloomFilter:
         root = self._root
         if root is None:
             positions = probes(key, self.seed, self.k_hashes, self.m_bits)
+            self._inserted.append(key)
         elif (positions := root[1].get(key)) is None:
             positions = self._clear_probes(key)
         buf = self._buf
@@ -157,13 +166,19 @@ class BloomFilter:
         self.count += other.count
 
     def copy(self) -> "BloomFilter":
-        """An independent copy sharing the root (made on the first copy)."""
+        """An independent copy sharing the root.
+
+        The first copy makes the root, its memo seeded with every key
+        inserted so far: all their probes are set in the snapshot.
+        """
         if self._root is None:
-            self._root = (bytes(self._buf), {})
+            self._root = (bytes(self._buf), dict.fromkeys(self._inserted, ()))
+            self._inserted = None
         clone = BloomFilter(self.m_bits, self.k_hashes, self.seed)
         clone._buf = bytearray(self._buf)
         clone.count = self.count
         clone._root = self._root
+        clone._inserted = None
         return clone
 
     # ------------------------------------------------------------------
@@ -175,7 +190,8 @@ class BloomFilter:
 
     def load_bytes(self, data: bytes) -> None:
         """Restore the bit array from :meth:`to_bytes` output (copied, so
-        the filter never aliases the caller's buffer); drops the root.
+        the filter never aliases the caller's buffer); drops the root and
+        forgets the keys inserted so far, since their bits may be gone.
 
         Raises:
             ConfigurationError: if ``data`` is not ``(m_bits + 7) // 8``
@@ -187,6 +203,7 @@ class BloomFilter:
             )
         self._buf = bytearray(data)
         self._root = None
+        self._inserted = []
 
     @property
     def _bits(self) -> bytearray:

@@ -9,20 +9,17 @@ PDS varies hash functions across discovery rounds so Bloom-filter false
 positives decay geometrically (§V-3).
 
 Hot paths use :func:`probes`, the ``k`` probe positions of a key as one
-tuple, memoized per ``(key, seed, k, m)``.  The memo holds positions, not
-a filter-wide bitmask: a tuple of ``k`` small ints is ~100 bytes however
-wide the filter is (a mask would be up to 4 KB per key at ``m = 32,768``),
-and a tuple is immutable, so the cache can hand the same one to every
-caller.  A filter that has been copied consults it only once per key per
-lineage, to memoise the subset of positions its root snapshot leaves
-clear (:mod:`repro.bloom.bloom_filter`).  :func:`indexes` remains as the
-one-probe-at-a-time reference; the two are definitionally identical.
+tuple; :func:`indexes` is the one-probe-at-a-time reference, and the two
+are definitionally identical.  Nothing here is memoised: a process-wide
+cache would hold every key it ever saw for the life of the process, long
+after the filters that probed it are gone.  Memos live in the filters
+instead, one per query lineage, seeded at the lineage's first copy and
+dropped with its last filter (:mod:`repro.bloom.bloom_filter`).
 """
 
 from __future__ import annotations
 
 import zlib
-from functools import lru_cache
 from typing import Iterator
 
 #: Golden-ratio odd constants for seed dispersion.
@@ -30,7 +27,6 @@ _SEED_MIX_1 = 0x9E3779B1
 _SEED_MIX_2 = 0x85EBCA77
 
 
-@lru_cache(maxsize=1 << 17)
 def _base_hashes(data: bytes, seed: int) -> tuple:
     """Two seed-dependent 32-bit hashes of ``data``."""
     s1 = (seed * _SEED_MIX_1 + 1) & 0xFFFFFFFF
@@ -50,10 +46,9 @@ def indexes(data: bytes, seed: int, k: int, m: int) -> Iterator[int]:
         yield (h1 + i * h2) % m
 
 
-@lru_cache(maxsize=1 << 17)
 def probes(data: bytes, seed: int, k: int, m: int) -> tuple:
     """The ``k`` bit positions of ``data`` as a tuple.
 
-    Exactly ``tuple(indexes(data, seed, k, m))``, memoized.
+    Exactly ``tuple(indexes(data, seed, k, m))``.
     """
     return tuple(indexes(data, seed, k, m))

@@ -219,6 +219,7 @@ def _run_figures(args: argparse.Namespace) -> int:
 
     from repro.experiments.runner import check_scale, seed_list, worker_count
     from repro.obs.config import ObsConfig
+    from repro.obs.durable import artifact_files
 
     if args.figure != "all" and args.figure not in REGISTRY:
         print(
@@ -261,13 +262,21 @@ def _run_figures(args: argparse.Namespace) -> int:
             module = REGISTRY[args.figure]
             print(module.render(module.reproduce(**settings)))
     for instrument, path in config.artifacts():
-        if settings["jobs"] > 1:
+        written = artifact_files(path)
+        if written == [path]:
+            print(f"{instrument} written to {path}", file=sys.stderr)
+        elif written:
             print(
                 f"{instrument} written to per-worker shards next to {path}",
                 file=sys.stderr,
             )
         else:
-            print(f"{instrument} written to {path}", file=sys.stderr)
+            reason = (
+                "every trial came from the store" if args.store else "nothing recorded"
+            )
+            print(
+                f"{instrument}: nothing written to {path} ({reason})", file=sys.stderr
+            )
     if config.metrics:
         print()
         print(obs.profiler.render_runs())

@@ -361,6 +361,8 @@ def decode_bloom(data: bytes, offset: int = 0):
     if m_bits == 0:
         return NullFilter(), offset
     k_hashes, offset = decode_varint(data, offset)
+    if k_hashes < 1:
+        raise DataModelError("bloom filter with no hash functions")
     seed, offset = decode_varint(data, offset)
     n_bytes = (m_bits + 7) // 8
     if offset + n_bytes > len(data):

@@ -17,9 +17,11 @@ those streams share, so the three cannot drift apart:
   (``trace.jsonl`` -> ``trace.k.jsonl``); :func:`resolve_trace_paths`
   finds shards by the same rule.
 * :func:`remove_artifact` deletes an artifact and its shards, so a new
-  activation never merges with a previous run's.
+  activation never merges with a previous run's; :func:`artifact_files`
+  lists the ones that exist.
 * :class:`JsonlArtifact` is one process's lazily opened handle on one
-  artifact.
+  artifact.  Closing a handle that recorded nothing deletes its file, so
+  an artifact on disk always holds records.
 * :class:`JsonlRecords` reads artifacts back: it skips blank lines,
   provenance headers and the attempt markers earlier builds wrote, and
   counts bad lines.
@@ -204,15 +206,20 @@ def remove_artifact(base: str) -> None:
             pass
 
 
+def artifact_files(base: str) -> List[str]:
+    """``base`` if it exists, then every existing shard of it by index."""
+    files = [base] if os.path.isfile(base) else []
+    return files + [shard for _, shard in _shard_indexes(base)]
+
+
 def resolve_trace_paths(path: str) -> List[str]:
     """Expand ``path`` into the concrete JSONL files it names.
 
     Accepts a plain file, a directory (all ``*.jsonl`` inside), or a glob
-    pattern.  A plain file with per-worker shards (:func:`shard_path`)
-    next to it resolves to the file plus its shards in index order —
-    after a ``--jobs N`` run the parent's own file exists but holds no
-    events (workers write the shards), so ``repro inspect trace.jsonl``
-    keeps working unchanged.
+    pattern.  A plain path resolves to the file, if it exists, plus its
+    per-worker shards (:func:`shard_path`) in index order — after a
+    ``--jobs N`` run the workers wrote only shards, so ``repro inspect
+    trace.jsonl`` keeps working unchanged.
 
     Raises:
         FileNotFoundError: when nothing matches.
@@ -231,11 +238,9 @@ def resolve_trace_paths(path: str) -> List[str]:
         if not matches:
             raise FileNotFoundError(f"no *.jsonl trace files in {path!r}")
         return matches
-    shards = [shard for _, shard in _shard_indexes(path)]
-    if os.path.isfile(path):
-        return [path] + shards
-    if shards:
-        return shards
+    files = artifact_files(path)
+    if files:
+        return files
     raise FileNotFoundError(f"no such trace file: {path}")
 
 
@@ -300,7 +305,9 @@ class JsonlArtifact:
             or a subclass such as the trace bus's ``JsonlSink``).
 
     The file opens on the first :meth:`writer` call, so a worker that
-    never records leaves no shard behind.
+    never records leaves no shard behind; one opened early (the trace,
+    so an unwritable path fails up front) is deleted on :meth:`close`
+    if it recorded nothing.
     """
 
     def __init__(
@@ -324,6 +331,12 @@ class JsonlArtifact:
         return self._writer
 
     def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
+        writer = self._writer
+        if writer is not None:
+            writer.close()
             self._writer = None
+            if not writer.written and writer._pid == os.getpid():
+                try:
+                    os.unlink(writer.path)
+                except OSError:
+                    pass

@@ -193,6 +193,14 @@ def test_bloom_round_trip_preserves_membership():
     assert all(key in decoded for key in keys)
 
 
+def test_bloom_without_hash_functions_is_malformed():
+    """A zero hash count on the wire is malformed input like any other,
+    not a filter-configuration error."""
+    data = encode_varint(64) + encode_varint(0) + encode_varint(3) + bytes(8)
+    with pytest.raises(DataModelError, match="no hash functions"):
+        decode_bloom(data)
+
+
 def test_null_filter_round_trip():
     from repro.bloom.bloom_filter import NullFilter
 

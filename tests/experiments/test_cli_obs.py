@@ -129,7 +129,7 @@ def test_inspect_json_document(tmp_path, capsys):
 
 def test_inspect_merges_worker_shards_from_base_path(tmp_path, capsys):
     base = tmp_path / "t.jsonl"
-    base.write_text("")  # parent file of a --jobs N run: exists, empty
+    base.write_text("")  # a base file with no events of its own
     _write_events(tmp_path / "t.0.jsonl", [_SPAN_EVENTS[0]])
     _write_events(tmp_path / "t.1.jsonl", [_SPAN_EVENTS[1]])
     assert main(["inspect", str(base)]) == 0
@@ -238,6 +238,29 @@ def test_metrics_on_warm_store_reports_no_registry(tmp_path, capsys, sweep_fig4)
     warm = capsys.readouterr().out
     assert "profile: no simulator runs recorded" in warm
     assert "counters:" not in warm
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_warm_store_writes_and_claims_no_artifact(tmp_path, capsys, sweep_fig4, jobs):
+    """On a fully warm store no trial runs, so no trace or fingerprint
+    file or shard exists, and the CLI says so instead of naming one."""
+    trace, fingerprint = tmp_path / "t.jsonl", tmp_path / "fp.jsonl"
+    argv = [
+        "fig4", "--jobs", jobs, "--store", str(tmp_path / "store"),
+        "--trace", str(trace), "--fingerprint", str(fingerprint),
+    ]
+    assert main(argv) == 0
+    cold = capsys.readouterr().err
+    written = "written to per-worker shards next to" if jobs == "2" else "written to"
+    assert f"trace {written} {trace}" in cold
+    assert f"fingerprint {written} {fingerprint}" in cold
+    assert main(argv) == 0
+    warm = capsys.readouterr().err
+    assert "written to" not in warm.replace("nothing written to", "")
+    reason = "(every trial came from the store)"
+    assert f"trace: nothing written to {trace} {reason}" in warm
+    assert f"fingerprint: nothing written to {fingerprint} {reason}" in warm
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
 
 
 @pytest.mark.parametrize(
