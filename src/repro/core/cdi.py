@@ -6,24 +6,32 @@ entries at the current minimum hop count — multiple entries when several
 neighbors offer the same least distance.  Entries expire so obsolete
 routing state does not linger after copies move away.
 
+A node learns a whole CDI response in one :meth:`CdiTable.update`: the
+item's chunk map, the clock and the new expiry are resolved once, and
+each advertised ChunkId–HopCount pair is stored one hop further, exactly
+as if the pairs had been applied one by one at the same instant.  Slots
+hold no entry objects: an (item, chunk) slot is its least hop count, a
+``{neighbor: expires_at}`` dict in arrival order and a lower bound on
+those expiries.  :class:`CdiEntry` is only the read view that
+:meth:`CdiTable.best_entries` and :meth:`CdiTable.live_entries` build.
+
 Expiry is lazy: :meth:`CdiTable.update`, :meth:`CdiTable.best_entries`
-and the calls built on them filter expired entries out of the slot they
+and the calls built on them filter expired neighbors out of the slot they
 touch, and a read that finds nothing live deletes the chunk's key.  Each
-(item, chunk) slot keeps a lower bound on its entries' earliest expiry: an
-append lowers it, a replacement resets it, and a refresh only raises an
-expiry, so it stays a bound.  A call before that bound skips the filter,
-which then could drop nothing; live-entry order and key deletion timing —
-and with them the order :meth:`CdiTable.observe_state` reports in — are
-exactly those of filtering on every call.  Observers
-(:meth:`CdiTable.live_entries`, :meth:`CdiTable.observe_state`) never
-purge.
+slot's expiry bound is lowered by an append, reset by a replacement, and
+left alone by a refresh, which only raises an expiry, so it stays a
+bound.  A call before that bound skips the filter, which then could drop
+nothing; live-entry order and key deletion timing — and with them the
+order :meth:`CdiTable.observe_state` reports in — are exactly those of
+filtering on every call.  Observers (:meth:`CdiTable.live_entries`,
+:meth:`CdiTable.observe_state`) never purge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.data.descriptor import DataDescriptor
 from repro.net.topology import NodeId
@@ -31,7 +39,7 @@ from repro.net.topology import NodeId
 
 @dataclass
 class CdiEntry:
-    """One routing entry for a chunk."""
+    """Read view of one routing entry for a chunk."""
 
     chunk_id: int
     hop_count: int
@@ -43,31 +51,36 @@ class CdiEntry:
 
 
 class _Slot:
-    """One chunk's best-hop entries and a lower bound on their earliest expiry."""
+    """One chunk's least hop, its neighbors' expiries and a bound on the earliest."""
 
-    __slots__ = ("entries", "bound")
+    __slots__ = ("hop", "neighbors", "bound")
 
-    def __init__(self, entry: CdiEntry) -> None:
-        self.reset(entry)
+    def __init__(self, hop: int, neighbor: NodeId, expires_at: float) -> None:
+        self.reset(hop, neighbor, expires_at)
 
-    def reset(self, entry: CdiEntry) -> None:
-        """Hold ``entry`` alone (a new chunk or a smaller distance)."""
-        self.entries = [entry]
-        self.bound = entry.expires_at
+    def reset(self, hop: int, neighbor: NodeId, expires_at: float) -> None:
+        """Hold ``neighbor`` alone at ``hop`` (a new chunk or a smaller distance)."""
+        self.hop = hop
+        self.neighbors = {neighbor: expires_at}
+        self.bound = expires_at
 
-    def live(self, now: float) -> List[CdiEntry]:
-        """The unexpired entries, dropping expired ones once the bound is reached."""
+    def live(self, now: float) -> Dict[NodeId, float]:
+        """The unexpired neighbors, dropping expired ones once the bound is reached."""
         if now >= self.bound:
-            entries = [e for e in self.entries if not e.expired(now)]
-            self.entries = entries
-            self.bound = min((e.expires_at for e in entries), default=math.inf)
-        return self.entries
+            neighbors = {n: t for n, t in self.neighbors.items() if now < t}
+            self.neighbors = neighbors
+            self.bound = min(neighbors.values(), default=math.inf)
+        return self.neighbors
 
-    def peek(self, now: float) -> List[CdiEntry]:
-        """The unexpired entries, leaving the slot as it is."""
+    def peek(self, now: float) -> Dict[NodeId, float]:
+        """The unexpired neighbors, leaving the slot as it is."""
         if now < self.bound:
-            return self.entries
-        return [e for e in self.entries if not e.expired(now)]
+            return self.neighbors
+        return {n: t for n, t in self.neighbors.items() if now < t}
+
+    def view(self, chunk_id: int, neighbors: Dict[NodeId, float]) -> List[CdiEntry]:
+        hop = self.hop
+        return [CdiEntry(chunk_id, hop, n, t) for n, t in neighbors.items()]
 
 
 class CdiTable:
@@ -75,28 +88,28 @@ class CdiTable:
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        # item -> chunk_id -> slot of best-hop entries
+        # item -> chunk_id -> slot of best-hop neighbors
         self._entries: Dict[DataDescriptor, Dict[int, _Slot]] = {}
 
     # ------------------------------------------------------------------
     def update(
         self,
         item: DataDescriptor,
-        chunk_id: int,
-        hop_count: int,
+        pairs: Iterable[Tuple[int, int]],
         neighbor: NodeId,
         ttl: float,
-    ) -> bool:
-        """Learn that ``chunk_id`` is reachable via ``neighbor``.
+    ) -> int:
+        """Learn the ChunkId–HopCount ``pairs`` that ``neighbor`` advertised.
 
-        Implements §IV-A's replacement rule: a smaller distance replaces
-        existing entries; an equal distance adds the neighbor; a larger
-        distance is ignored (but refreshes an existing entry for the same
-        neighbor at the same distance).
+        Each chunk is stored one hop further than advertised, by §IV-A's
+        replacement rule: a smaller distance replaces existing entries; an
+        equal distance adds the neighbor (or refreshes its expiry if it is
+        already there); a larger distance is ignored.  Pairs apply in
+        order, so a repeated chunk id sees the earlier pairs' effect.
 
         Returns:
-            True if the table improved (new chunk, smaller hop, or new
-            equal-distance neighbor).
+            How many pairs improved the table (new chunk, smaller hop, or
+            new equal-distance neighbor).
         """
         item = item.item_descriptor()
         now = self._clock()
@@ -104,46 +117,54 @@ class CdiTable:
         chunk_map = self._entries.get(item)
         if chunk_map is None:
             chunk_map = self._entries[item] = {}
-        slot = chunk_map.get(chunk_id)
-        if slot is None:
-            chunk_map[chunk_id] = _Slot(CdiEntry(chunk_id, hop_count, neighbor, expires_at))
-            return True
-        entries = slot.live(now)
-        if not entries or hop_count < entries[0].hop_count:
-            slot.reset(CdiEntry(chunk_id, hop_count, neighbor, expires_at))
-            return True
-        if hop_count == entries[0].hop_count:
-            for entry in entries:
-                if entry.neighbor == neighbor:
-                    entry.expires_at = max(entry.expires_at, expires_at)
-                    return False
-            entries.append(CdiEntry(chunk_id, hop_count, neighbor, expires_at))
-            slot.bound = min(slot.bound, expires_at)
-            return True
-        return False
+        improved = 0
+        for chunk_id, advertised in pairs:
+            hop = advertised + 1
+            slot = chunk_map.get(chunk_id)
+            if slot is None:
+                chunk_map[chunk_id] = _Slot(hop, neighbor, expires_at)
+                improved += 1
+                continue
+            neighbors = slot.neighbors if now < slot.bound else slot.live(now)
+            if not neighbors or hop < slot.hop:
+                slot.reset(hop, neighbor, expires_at)
+                improved += 1
+            elif hop == slot.hop:
+                known = neighbors.get(neighbor)
+                if known is None:
+                    neighbors[neighbor] = expires_at
+                    if expires_at < slot.bound:
+                        slot.bound = expires_at
+                    improved += 1
+                elif expires_at > known:
+                    neighbors[neighbor] = expires_at
+        return improved
 
     # ------------------------------------------------------------------
-    def best_entries(self, item: DataDescriptor, chunk_id: int) -> List[CdiEntry]:
-        """Unexpired least-hop entries for a chunk (possibly empty).
-
-        The list is the table's own: read it, do not keep or mutate it.
-        """
-        item = item.item_descriptor()
-        chunk_map = self._entries.get(item)
+    def _live_slot(self, item: DataDescriptor, chunk_id: int) -> Optional[_Slot]:
+        """The chunk's slot if it has a live neighbor; deletes a dead key."""
+        chunk_map = self._entries.get(item.item_descriptor())
         if not chunk_map:
-            return []
+            return None
         slot = chunk_map.get(chunk_id)
         if slot is None:
-            return []
-        entries = slot.live(self._clock())
-        if not entries:
+            return None
+        if not slot.live(self._clock()):
             del chunk_map[chunk_id]
-        return entries
+            return None
+        return slot
+
+    def best_entries(self, item: DataDescriptor, chunk_id: int) -> List[CdiEntry]:
+        """Unexpired least-hop entries for a chunk (possibly empty)."""
+        slot = self._live_slot(item, chunk_id)
+        if slot is None:
+            return []
+        return slot.view(chunk_id, slot.neighbors)
 
     def best_hop(self, item: DataDescriptor, chunk_id: int) -> Optional[int]:
         """The least known hop count for a chunk, or None."""
-        entries = self.best_entries(item, chunk_id)
-        return entries[0].hop_count if entries else None
+        slot = self._live_slot(item, chunk_id)
+        return None if slot is None else slot.hop
 
     def best_hops(self, item: DataDescriptor) -> Dict[int, int]:
         """Chunk id → least live hop count for every chunk known for ``item``.
@@ -158,9 +179,8 @@ class CdiTable:
         now = self._clock()
         hops: Dict[int, int] = {}
         for chunk_id, slot in list(chunk_map.items()):
-            entries = slot.live(now)
-            if entries:
-                hops[chunk_id] = entries[0].hop_count
+            if slot.live(now):
+                hops[chunk_id] = slot.hop
             else:
                 del chunk_map[chunk_id]
         return hops
@@ -173,12 +193,10 @@ class CdiTable:
         """Drop all entries via a neighbor known to have left."""
         for chunk_map in self._entries.values():
             for chunk_id in list(chunk_map):
-                slot = chunk_map[chunk_id]
-                remaining = [e for e in slot.entries if e.neighbor != neighbor]
-                if remaining:
-                    # A subset keeps the slot's expiry bound valid.
-                    slot.entries = remaining
-                else:
+                neighbors = chunk_map[chunk_id].neighbors
+                # Dropping a neighbor keeps the slot's expiry bound valid.
+                neighbors.pop(neighbor, None)
+                if not neighbors:
                     del chunk_map[chunk_id]
 
     def clear(self) -> None:
@@ -195,9 +213,9 @@ class CdiTable:
         now = self._clock()
         for item, chunk_map in self._entries.items():
             for chunk_id, slot in chunk_map.items():
-                entries = slot.peek(now)
-                if entries:
-                    yield item, chunk_id, entries
+                neighbors = slot.peek(now)
+                if neighbors:
+                    yield item, chunk_id, slot.view(chunk_id, neighbors)
 
     def observe_state(self) -> Dict[str, object]:
         """Flight-recorder view: live entry count + per-chunk best hop.

@@ -19,10 +19,21 @@ one table, one received-response set, admission of a query copy into the
 table and the reliable send of a message to its own receivers.  Each
 engine adds only its DS lookup, its forwarding rewrite and its
 reverse-path merge rule.
+
+Expiry is lazy.  :meth:`LingeringQueryTable.purge` — run by
+``live_entries`` and ``len`` and, for an overheard chunk response, by the
+chunk engine — drops every aged-out entry and reports it as
+``lqt_expire``.  The table keeps a lower bound on its entries' earliest
+``expires_at``: ``insert`` lowers it, a scan recomputes it, and deleting
+an entry leaves it a bound.  Nothing changes an entry's ``expires_at``
+after insertion, so a purge before the bound skips the scan, which then
+would have dropped nothing; ``lqt_expire`` events keep exactly the
+instants and order of scanning on every purge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Set
 
@@ -68,6 +79,8 @@ class LingeringQueryTable:
         self._trace = trace
         self._node = node
         self._entries: Dict[int, LingeringEntry] = {}
+        # Lower bound on the entries' earliest expires_at.
+        self._bound = math.inf
 
     def _emit(self, kind: str, query_id: int, entry: LingeringEntry) -> None:
         trace = self._trace
@@ -83,7 +96,7 @@ class LingeringQueryTable:
             )
 
     def __len__(self) -> int:
-        self._purge()
+        self.purge()
         return len(self._entries)
 
     def exists(self, query_id: int) -> bool:
@@ -100,6 +113,8 @@ class LingeringQueryTable:
     def insert(self, entry: LingeringEntry, query_id: int) -> None:
         """Insert a new lingering query (replaces an expired duplicate)."""
         self._entries[query_id] = entry
+        if entry.expires_at < self._bound:
+            self._bound = entry.expires_at
         self._emit("lqt_linger", query_id, entry)
 
     def get(self, query_id: int) -> Optional[LingeringEntry]:
@@ -114,12 +129,22 @@ class LingeringQueryTable:
 
     def live_entries(self) -> Iterator[LingeringEntry]:
         """Iterate all unexpired entries."""
-        self._purge()
+        self.purge()
         return iter(list(self._entries.values()))
 
-    def _purge(self) -> None:
+    def purge(self) -> None:
+        """Drop every expired entry, scanning only once one can have expired."""
         now = self._clock()
-        dead = [qid for qid, entry in self._entries.items() if entry.expired(now)]
+        if now < self._bound:
+            return
+        dead = []
+        bound = math.inf
+        for qid, entry in self._entries.items():
+            if now >= entry.expires_at:
+                dead.append(qid)
+            elif entry.expires_at < bound:
+                bound = entry.expires_at
+        self._bound = bound
         for qid in dead:
             self._emit("lqt_expire", qid, self._entries[qid])
             del self._entries[qid]

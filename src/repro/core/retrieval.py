@@ -156,13 +156,12 @@ class CdiEngine(LingeringEngine):
             return
         # DS lookup: learn routes (hop+1 via the transmitting neighbor),
         # also from overheard responses.
-        ttl = device.config.protocol.cdi_ttl_s
-        improved = 0
-        for chunk_id, hop_count in response.pairs:
-            if device.cdi_table.update(
-                response.item, chunk_id, hop_count + 1, response.sender_id, ttl
-            ):
-                improved += 1
+        improved = device.cdi_table.update(
+            response.item,
+            response.pairs,
+            response.sender_id,
+            device.config.protocol.cdi_ttl_s,
+        )
         trace = device.sim.trace
         if trace.enabled and improved:
             trace.emit(
@@ -430,29 +429,28 @@ class ChunkEngine(LingeringEngine):
         if self.recent.seen_before(response.message_id):
             return
         protocol = device.config.protocol
+        chunk = response.chunk
+        if not addressed:
+            # Nothing is routed, but a lingering entry that has lapsed
+            # still expires at this instant.
+            self.lqt.purge()
+            if protocol.cache_overheard_chunks:
+                device.cache_chunk(chunk)
+            return
         for_me = self._is_for_me(response)
-        if addressed:
-            if (
-                protocol.cache_relayed_chunks
-                or for_me
-                or device.mdr.wants(response.chunk)
-            ):
-                device.cache_chunk(response.chunk)
-        elif protocol.cache_overheard_chunks:
-            device.cache_chunk(response.chunk)
-        if for_me and addressed:
+        if protocol.cache_relayed_chunks or for_me or device.mdr.wants(chunk):
+            device.cache_chunk(chunk)
+        if for_me:
             trace = device.sim.trace
             if trace.enabled:
                 trace.emit(
                     "chunk_received",
                     node=device.node_id,
                     response_id=response.message_id,
-                    item=_item_key(response.chunk.item_descriptor),
-                    chunk_id=response.chunk.chunk_id,
+                    item=_item_key(chunk.item_descriptor),
+                    chunk_id=chunk.chunk_id,
                 )
-        if not addressed:
-            return
-        chunk = response.chunk
+        # Cache listeners may have changed the table: walk it again.
         receivers: Set[NodeId] = set()
         for entry in self.lqt.live_entries():
             query = entry.query

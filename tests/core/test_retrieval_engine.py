@@ -1,7 +1,14 @@
 """Behavioural tests for the PDR engines (CDI + recursive chunks)."""
 
-from repro.core.messages import CdiQuery, CdiResponse, ChunkQuery, next_message_id
+from repro.core.messages import (
+    CdiQuery,
+    CdiResponse,
+    ChunkQuery,
+    ChunkResponse,
+    next_message_id,
+)
 from repro.data.item import make_item
+from repro.obs.trace import ListSink
 
 import sys
 
@@ -214,8 +221,6 @@ def test_chunk_response_forwarded_once_per_query():
     # but towards nobody — no CDI entries).
     relay.chunks.handle_query(query, addressed=True)
     chunk_frames = spy(net, {"chunk_response"})
-    from repro.core.messages import ChunkResponse
-
     chunk = item.chunks()[0]
     for response_id in (91_001, 91_002):
         response = ChunkResponse(
@@ -228,6 +233,39 @@ def test_chunk_response_forwarded_once_per_query():
         net.sim.run(until=net.sim.now + 5.0)
     forwarded = [f for f in chunk_frames if f.sender == 1]
     assert len(forwarded) == 1
+
+
+def test_lapsed_chunk_query_expires_when_a_chunk_is_overheard():
+    """An overheard chunk response routes nothing, yet purges the LQT then."""
+    net = make_net(line_positions(3))
+    item = make_item_4()
+    overhearer = net.devices[1]
+    sink = net.sim.trace.subscribe(ListSink())
+    query = ChunkQuery(
+        message_id=next_message_id(),
+        sender_id=0,
+        receiver_ids=frozenset({2}),
+        item=item.descriptor.item_descriptor(),
+        chunk_ids=frozenset({0}),
+        origin_id=0,
+        expires_at=10.0,
+    )
+    overhearer.chunks.handle_query(query, addressed=False)
+    net.sim.run(until=12.0)
+    assert not [e for e in sink.events if e.kind == "lqt_expire"]
+    response = ChunkResponse(
+        message_id=91_101,
+        sender_id=2,
+        receiver_ids=frozenset({0}),
+        chunk=item.chunks()[1],
+    )
+    overhearer.chunks.handle_response(response, addressed=False)
+    expired = [
+        (event.time, event.fields["query_id"])
+        for event in sink.events
+        if event.kind == "lqt_expire"
+    ]
+    assert expired == [(12.0, query.message_id)]
 
 
 def test_unreachable_chunks_absent_from_assignment():

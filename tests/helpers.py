@@ -52,3 +52,12 @@ def line_positions(count: int, spacing: float = 30.0) -> Dict[NodeId, Position]:
 def clique_positions(count: int) -> Dict[NodeId, Position]:
     """``count`` nodes all within one hop of each other."""
     return {index: (float(index), 0.0) for index in range(count)}
+
+
+def cdi_learn(table, item, chunk_id: int, hop: int, neighbor: NodeId, ttl: float) -> bool:
+    """Store ``chunk_id`` at ``hop`` via ``neighbor`` as a one-pair CDI update.
+
+    The neighbor advertises one hop less than the table stores.  True if
+    the table improved.
+    """
+    return table.update(item, [(chunk_id, hop - 1)], neighbor, ttl) == 1

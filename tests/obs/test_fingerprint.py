@@ -10,7 +10,10 @@ including when a killed worker leaves a truncated final line.
 
 import json
 import multiprocessing
+import os
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +272,21 @@ def _fp_trial(point, seed):
     return {"seed": seed}
 
 
+def _rendezvous_trial(point, seed):
+    """``_fp_trial`` once a second worker has started one too.
+
+    Each call leaves its process id in ``point["pids"]`` and polls, for at
+    most 30 s, until two distinct ids are there, so the pool cannot run
+    every trial in one worker and write a single shard.
+    """
+    pids = Path(point["pids"])
+    (pids / str(os.getpid())).touch()
+    deadline = time.monotonic() + 30.0
+    while len(list(pids.iterdir())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _fp_trial(point, seed)
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fingerprint shards need fork",
@@ -284,8 +302,10 @@ def test_parallel_shards_reconstruct_serial_combined_digest(tmp_path):
 
     parallel_path = tmp_path / "parallel.jsonl"
     config = ObsConfig(fingerprint=str(parallel_path), fingerprint_every=16)
+    pids = tmp_path / "pids"
+    pids.mkdir()
     with config.activate():
-        run_sweep(_fp_trial, [{}], seeds=[1, 2, 3, 4], jobs=2)
+        run_sweep(_rendezvous_trial, [{"pids": str(pids)}], seeds=[1, 2, 3, 4], jobs=2)
     assert active("fingerprint") is None
 
     merged = load_fingerprints(str(parallel_path))

@@ -1,21 +1,24 @@
 """Differential test: the CDI table against a list-rebuild reference model.
 
 :class:`ReferenceCdiTable` is the table as it was before slots carried an
-expiry bound: every call rebuilds the list of unexpired entries.  Random
-sequences of updates, reads, neighbor removals and clock advances must
-give identical return values, entry order, chunk-key order (which records
-when a dead chunk's key was deleted) and ``observe_state()``.
+expiry bound and before a response was learnt in one call: every call
+rebuilds the list of unexpired entries, and each pair is a call of its
+own.  Random sequences of one-pair and whole-response updates, reads,
+neighbor removals and clock advances must give identical return values,
+entry order, chunk-key order (which records when a dead chunk's key was
+deleted) and ``observe_state()``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cdi import CdiEntry, CdiTable
 from repro.data.descriptor import DataDescriptor, make_descriptor
+from tests.helpers import cdi_learn
 
 ITEMS = (
     make_descriptor("media", "video", name="a"),
@@ -126,10 +129,22 @@ def _key_order(table) -> list:
 def _raw(table) -> list:
     """Every slot as stored, expired entries included."""
     return [
-        (item, chunk_id, _rows(slot.entries))
+        (item, chunk_id, [(chunk_id, slot.hop, n, t) for n, t in slot.neighbors.items()])
         for item, chunk_map in table._entries.items()
         for chunk_id, slot in chunk_map.items()
     ]
+
+
+def _reference_live(reference: ReferenceCdiTable) -> list:
+    """What ``live_entries()`` yields, read off the reference without purging."""
+    now = reference._clock()
+    rows = []
+    for item, chunk_map in reference._entries.items():
+        for chunk_id, entries in chunk_map.items():
+            live = [e for e in entries if not e.expired(now)]
+            if live:
+                rows.append((item, chunk_id, _rows(live)))
+    return rows
 
 
 def _state(table) -> tuple:
@@ -146,6 +161,13 @@ chunk_ids = st.integers(0, 2)
 operations = st.one_of(
     st.tuples(
         st.just("update"), items, chunk_ids, st.integers(0, 2),
+        st.integers(0, 2), st.integers(0, 6),
+    ),
+    # A whole response: advertised (chunk, hop) pairs, repeats allowed,
+    # from one neighbor with one TTL.
+    st.tuples(
+        st.just("batch"), items,
+        st.lists(st.tuples(chunk_ids, st.integers(0, 2)), min_size=1, max_size=6),
         st.integers(0, 2), st.integers(0, 6),
     ),
     st.tuples(st.just("best_entries"), items, chunk_ids),
@@ -171,6 +193,40 @@ def _reference_best_hops(reference: ReferenceCdiTable, item) -> Dict[int, int]:
     }
 
 
+def _check_batch(table, reference, item, pairs, neighbor, ttl) -> None:
+    """One ``update`` for the response against its pairs one by one."""
+    improved = sum(
+        reference.update(item, chunk_id, hop + 1, neighbor, ttl)
+        for chunk_id, hop in pairs
+    )
+    assert table.update(item, pairs, neighbor, ttl) == improved
+    assert [
+        (entry_item, chunk_id, _rows(entries))
+        for entry_item, chunk_id, entries in table.live_entries()
+    ] == _reference_live(reference)
+    for chunk_id in dict.fromkeys(chunk_id for chunk_id, _ in pairs):
+        assert _rows(table.best_entries(item, chunk_id)) == _rows(
+            reference.best_entries(item, chunk_id)
+        )
+    assert table.best_hops(item) == _reference_best_hops(reference, item)
+
+
+# Pins every batch path: a repeated chunk id and a better hop inside one
+# response, equal-hop neighbor growth, a refresh with a shorter TTL (which
+# must not lower the expiry), expiry between responses, and a reset.
+@example(
+    [
+        ("batch", (0, False), [(0, 1), (0, 1), (1, 2), (0, 0)], 0, 5),
+        ("batch", (0, False), [(0, 0), (1, 2)], 1, 3),
+        ("batch", (0, True), [(0, 0), (0, 0)], 0, 1),
+        ("advance", 2),
+        ("batch", (0, False), [(0, 0)], 2, 2),
+        ("advance", 2),
+        ("batch", (0, False), [(1, 1), (0, 0), (1, 2)], 2, 4),
+        ("advance", 3),
+        ("batch", (0, False), [(0, 1), (1, 0)], 1, 1),
+    ]
+)
 @given(st.lists(operations, min_size=20, max_size=100))
 @settings(max_examples=150)
 def test_table_matches_list_rebuild_reference(ops):
@@ -182,9 +238,12 @@ def test_table_matches_list_rebuild_reference(ops):
         if name == "update":
             _, spec, chunk_id, hop, neighbor, ttl = op
             item = _item(spec)
-            assert table.update(item, chunk_id, hop, neighbor, ttl) == (
+            assert cdi_learn(table, item, chunk_id, hop, neighbor, ttl) == (
                 reference.update(item, chunk_id, hop, neighbor, ttl)
             )
+        elif name == "batch":
+            _, spec, pairs, neighbor, ttl = op
+            _check_batch(table, reference, _item(spec), pairs, neighbor, ttl)
         elif name == "best_entries":
             item = _item(op[1])
             assert _rows(table.best_entries(item, op[2])) == _rows(
@@ -217,7 +276,10 @@ def test_observers_never_purge(ops):
     for op in ops:
         if op[0] == "update":
             _, spec, chunk_id, hop, neighbor, ttl = op
-            table.update(_item(spec), chunk_id, hop, neighbor, ttl)
+            cdi_learn(table, _item(spec), chunk_id, hop, neighbor, ttl)
+        elif op[0] == "batch":
+            _, spec, pairs, neighbor, ttl = op
+            table.update(_item(spec), pairs, neighbor, ttl)
         elif op[0] == "advance":
             clock.now += op[1]
     before = _raw(table)

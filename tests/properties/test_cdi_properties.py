@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.cdi import CdiTable
 from repro.data.descriptor import make_descriptor
+from tests.helpers import cdi_learn
 
 ITEM = make_descriptor("media", "video", name="prop-item")
 
@@ -34,7 +35,7 @@ def test_best_hop_is_min_of_applied_updates(sequence):
     table = CdiTable(Clock())
     best = {}
     for chunk_id, hop, neighbor in sequence:
-        table.update(ITEM, chunk_id, hop, neighbor, ttl=1000.0)
+        cdi_learn(table, ITEM, chunk_id, hop, neighbor, ttl=1000.0)
         best[chunk_id] = min(best.get(chunk_id, hop), hop)
     for chunk_id, expected in best.items():
         assert table.best_hop(ITEM, chunk_id) == expected
@@ -45,7 +46,7 @@ def test_best_hop_is_min_of_applied_updates(sequence):
 def test_best_entries_all_share_the_best_hop(sequence):
     table = CdiTable(Clock())
     for chunk_id, hop, neighbor in sequence:
-        table.update(ITEM, chunk_id, hop, neighbor, ttl=1000.0)
+        cdi_learn(table, ITEM, chunk_id, hop, neighbor, ttl=1000.0)
     for chunk_id in {c for c, _, _ in sequence}:
         entries = table.best_entries(ITEM, chunk_id)
         assert entries
@@ -60,7 +61,7 @@ def test_best_entries_all_share_the_best_hop(sequence):
 def test_known_chunks_matches_updates(sequence):
     table = CdiTable(Clock())
     for chunk_id, hop, neighbor in sequence:
-        table.update(ITEM, chunk_id, hop, neighbor, ttl=1000.0)
+        cdi_learn(table, ITEM, chunk_id, hop, neighbor, ttl=1000.0)
     assert table.known_chunks(ITEM) == {c for c, _, _ in sequence}
 
 
@@ -70,6 +71,6 @@ def test_everything_expires(sequence, ttl):
     clock = Clock()
     table = CdiTable(clock)
     for chunk_id, hop, neighbor in sequence:
-        table.update(ITEM, chunk_id, hop, neighbor, ttl=ttl)
+        cdi_learn(table, ITEM, chunk_id, hop, neighbor, ttl=ttl)
     clock.now = ttl + 1.0
     assert table.known_chunks(ITEM) == set()
