@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Set
 
 from repro.net.message import Frame
+from repro.net.recent import RecentIds
 from repro.net.topology import NodeId
 from repro.obs.trace import TraceBus
 
@@ -164,29 +165,18 @@ class LingeringQueryTable:
         }
 
 
-class RecentResponses:
+class RecentResponses(RecentIds):
     """The received-response-id set of Algorithm 2's RR Lookup.
 
-    Bounded: oldest ids are evicted once the history limit is exceeded
-    (insertion-ordered dict doubles as an LRU-by-arrival structure).
+    A :class:`~repro.net.recent.RecentIds` history of response ids: once
+    it holds more than ``limit`` (the constructor's ``history_limit``) it
+    forgets the oldest half.
     """
 
+    __slots__ = ()
+
     def __init__(self, history_limit: int = 8192) -> None:
-        self.history_limit = history_limit
-        self._seen: Dict[int, None] = {}
-
-    def seen_before(self, response_id: int) -> bool:
-        """Record ``response_id``; True if it was already present."""
-        if response_id in self._seen:
-            return True
-        self._seen[response_id] = None
-        if len(self._seen) > self.history_limit:
-            for key in list(self._seen)[: self.history_limit // 2]:
-                del self._seen[key]
-        return False
-
-    def __contains__(self, response_id: int) -> bool:
-        return response_id in self._seen
+        super().__init__(history_limit)
 
 
 class LingeringEngine:

@@ -14,6 +14,7 @@ from repro.net.medium import (
 )
 from repro.net.message import ACK_PAYLOAD_BYTES, FRAME_HEADER_BYTES, AckMessage, Frame
 from repro.net.radio import Radio, RadioConfig
+from repro.net.recent import RecentIds
 from repro.net.reliability import (
     DEFAULT_MAX_RETRANSMISSIONS,
     DEFAULT_RETR_TIMEOUT_S,
@@ -50,6 +51,7 @@ __all__ = [
     "NodeId",
     "Radio",
     "RadioConfig",
+    "RecentIds",
     "ReliabilityConfig",
     "ReliabilityReceiver",
     "ReliabilitySender",

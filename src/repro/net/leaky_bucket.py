@@ -155,9 +155,11 @@ class LeakyBucket:
         Returns:
             True if the frame was still queued and has been removed.
         """
-        for queued in self._queue:
+        # By index: ``deque.remove`` compares with ``==``, and frames are
+        # value-equal dataclasses, so it could withdraw an equal twin.
+        for index, queued in enumerate(self._queue):
             if queued is frame:
-                self._queue.remove(queued)
+                del self._queue[index]
                 self._queued_bytes -= frame.size
                 return True
         return False

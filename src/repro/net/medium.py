@@ -27,15 +27,19 @@ Cost model.  Carrier sense is *pushed* at transmission time, not
 scanned at query time: :meth:`transmit` raises a ``node → latest airtime
 end of any sender within sense range, itself included`` entry for the
 sender and its memoised sense-range neighbours, so :meth:`busy_until`
-(one per CSMA attempt) is one dict lookup.  That map is valid for one
-``Topology.version``; after a mutation the next query rebuilds it from
-the senders on the air at their current positions.  A ``sender → latest
-airtime end`` map answers :meth:`node_transmitting` and the half-duplex
-test by comparing ends with ``now``, so nothing is pruned.  Receptions
-cost no objects: a transmission keeps the memoised neighbour list as its
-receivers and a ``ruined`` map that stays ``None`` until a receiver is
-marked, and each node remembers the transmission it hears (an
-``_Overlap`` list only while two are on the air at once).  A reception
+(one per CSMA attempt) is one dict lookup.  The medium also keeps the
+largest end pushed since the map was built: no entry exceeds it, so a
+push whose end is at or above it stores ``end`` for every node without
+comparing, and only a push below it keeps the per-node max.  That map
+is valid for one ``Topology.version``; after a mutation the next query
+rebuilds it (and resets the bound) from the senders on the air at their
+current positions.  A ``sender → latest airtime end`` map answers
+:meth:`node_transmitting` and the half-duplex test by comparing ends
+with ``now``, so nothing is pruned.  Receptions cost no objects: a
+transmission keeps the memoised neighbour list as its receivers and a
+``ruined`` map that stays ``None`` until a receiver is marked, and each
+node remembers the transmission it hears (an ``_Overlap`` list only
+while two are on the air at once).  A reception
 is in progress exactly while its ``end > now``, so delivery removes
 nothing.  Delivery bumps each counter and the per-hop latency histogram
 once per frame, and re-checks a receiver's range only when the topology
@@ -144,6 +148,9 @@ class BroadcastMedium:
         #: ``now`` are stale but harmless: queries floor them at ``now``.
         self._sensed: Dict[NodeId, float] = {}
         self._sensed_version: int = -1
+        #: The largest end pushed into ``_sensed`` since its last rebuild:
+        #: no entry exceeds it, so an end at or above it only overwrites.
+        self._sensed_bound: float = -math.inf
         #: Node -> the transmission it last started hearing, or the
         #: ``_Overlap`` of those it hears at once.  A reception is in
         #: progress while its ``end > now``; ``detach`` forgets the node.
@@ -195,6 +202,7 @@ class BroadcastMedium:
         topology = self.topology
         now = self.sim.now
         sensed: Dict[NodeId, float] = {}
+        self._sensed_bound = -math.inf
         for sender, end in self._on_air.items():
             if end > now and sender in topology:
                 self._push_sensed(sensed, sender, end)
@@ -203,12 +211,21 @@ class BroadcastMedium:
 
     def _push_sensed(self, sensed: Dict[NodeId, float], sender: NodeId, end: float) -> None:
         """Raise ``sender``'s and its sense-range neighbours' entries to ``end``."""
+        topology = self.topology
+        nodes = topology.nodes_within_memo(
+            sender, topology.radio_range * self.carrier_sense_factor
+        )
+        if end >= self._sensed_bound:
+            # No entry exceeds the bound, so raising each to ``end`` is a
+            # plain store (an equal entry keeps its value).
+            self._sensed_bound = end
+            sensed[sender] = end
+            for node in nodes:
+                sensed[node] = end
+            return
         if end > sensed.get(sender, -math.inf):
             sensed[sender] = end
-        topology = self.topology
-        for node in topology.nodes_within_memo(
-            sender, topology.radio_range * self.carrier_sense_factor
-        ):
+        for node in nodes:
             if end > sensed.get(node, -math.inf):
                 sensed[node] = end
 

@@ -175,7 +175,7 @@ class Radio:
         if not self._queue:
             self._sending = False
             return
-        if self.node_id not in self.medium.topology:
+        if self.node_id not in self.medium.topology.positions:
             # Node left the area; discard outstanding traffic.
             self._drop_queue()
             self._sending = False

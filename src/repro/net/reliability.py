@@ -15,6 +15,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.net.message import AckMessage, Frame, frame_corr_fields, make_ack_frame
+from repro.net.recent import RecentIds
 from repro.net.topology import NodeId
 from repro.sim.event import Event
 from repro.sim.simulator import Simulator
@@ -246,8 +247,13 @@ class ReliabilityReceiver:
     ) -> None:
         self.node_id = node_id
         self.send_ack = send_ack
-        self.history_limit = history_limit
-        self._seen: Dict[int, None] = {}
+        self._seen = RecentIds(history_limit)
+
+    @property
+    def history_limit(self) -> int:
+        """How many frame ids the duplicate check keeps before it forgets
+        the oldest half."""
+        return self._seen.limit
 
     def accept(self, frame: Frame) -> bool:
         """Handle link-level duties; returns True if payload is new.
@@ -259,11 +265,4 @@ class ReliabilityReceiver:
         receivers = frame.receivers
         if frame.needs_ack and receivers is not None and self.node_id in receivers:
             self.send_ack(make_ack_frame(self.node_id, frame))
-        if frame.frame_id in self._seen:
-            return False
-        self._seen[frame.frame_id] = None
-        if len(self._seen) > self.history_limit:
-            # Drop the oldest half; dict preserves insertion order.
-            for key in list(self._seen)[: self.history_limit // 2]:
-                del self._seen[key]
-        return True
+        return not self._seen.seen_before(frame.frame_id)

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 
@@ -49,6 +50,10 @@ class Topology:
             raise TopologyError(f"radio range must be positive, got {radio_range}")
         self.radio_range = radio_range
         self._positions: Dict[NodeId, Position] = {}
+        #: Live read-only view of ``node -> position``: ``node in
+        #: topology.positions`` tests presence in C, without the Python
+        #: call that ``node in topology`` costs.
+        self.positions: Mapping[NodeId, Position] = MappingProxyType(self._positions)
         #: Bumped on every mutation; range-query caches key off it.
         self.version = 0
         #: Uniform grid: cell -> ids of nodes inside it.

@@ -191,10 +191,13 @@ class Histogram:
             if value > self.max:
                 self.max = value
         self.counts[bisect_left(self.buckets, value)] += n
-        total = self.total
-        for _ in range(n):
-            total += value
-        self.total = total
+        if n == 1:
+            self.total += value
+        else:
+            total = self.total
+            for _ in range(n):
+                total += value
+            self.total = total
         self.count += n
 
     @property

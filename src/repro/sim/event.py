@@ -21,8 +21,9 @@ free of cancelled-but-unpopped ghosts.
 from __future__ import annotations
 
 import itertools
+import math
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import SimulationError
 
@@ -99,13 +100,19 @@ class EventQueue:
       the heap until popped, but ``len()`` counts only live events.
       :meth:`Event.cancel` decrements ``_active`` directly (a plain
       attribute, not a method, to keep the timer-heavy cancel path cheap).
-    * **Back-reference severing.** :meth:`pop`, :meth:`peek_time` and
-      :meth:`clear` set ``event._queue = None`` for every event they
-      remove, so a later ``event.cancel()`` on a stale handle is a no-op
-      and cannot deflate the live count of a refilled queue.
+    * **Back-reference severing.** :meth:`drain` (and so :meth:`pop`),
+      :meth:`peek_time` and :meth:`clear` set ``event._queue = None`` for
+      every event they remove, so a later ``event.cancel()`` on a stale
+      handle is a no-op and cannot deflate the live count of a refilled
+      queue.
     * ``pop()`` on a queue with no live events raises
       :class:`~repro.errors.SimulationError`; ``peek_time()`` returns
       ``None`` instead.
+
+    :meth:`drain` is the one pop; :meth:`pop` and the simulator's run loop
+    both take events from it.  :meth:`Simulator.schedule
+    <repro.sim.simulator.Simulator.schedule>` builds the same heap entry as
+    :meth:`push` inline, the hottest call in the kernel.
     """
 
     def __init__(self) -> None:
@@ -134,19 +141,39 @@ class EventQueue:
         self._active += 1
         return event
 
+    def drain(self, until: float = math.inf) -> Iterator[Event]:
+        """Remove and yield active events in order while they are due.
+
+        Stops at the first active event after ``until``, which stays
+        queued, or when none is left; events pushed between two yields
+        take their place in the order.  Cancelled entries met on the way
+        are discarded.  This is the queue's one pop: :meth:`pop` takes
+        the first event of it, and :meth:`Simulator.run
+        <repro.sim.simulator.Simulator.run>` fires every event it yields,
+        one ``heappop`` and one generator resume per event.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if event.cancelled:
+                heappop(heap)
+                event._queue = None
+                continue
+            if entry[0] > until:
+                return
+            heappop(heap)
+            event._queue = None
+            self._active -= 1
+            yield event
+
     def pop(self) -> Event:
         """Remove and return the earliest active event.
 
         Raises:
             SimulationError: if the queue holds no active events.
         """
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            event._queue = None
-            if event.cancelled:
-                continue
-            self._active -= 1
+        for event in self.drain():
             return event
         raise SimulationError("pop() from an empty event queue")
 

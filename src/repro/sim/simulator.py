@@ -9,6 +9,7 @@ with :meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.at`
 from __future__ import annotations
 
 import math
+from heapq import heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -17,6 +18,10 @@ from repro.obs.fingerprint import EventFingerprinter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceBus
 from repro.sim.event import DEFAULT_PRIORITY, Event, EventQueue
+
+#: Allocates an :class:`Event` without running ``__init__``;
+#: :meth:`Simulator.schedule` sets every slot itself.
+_new_event = object.__new__
 
 
 class Simulator:
@@ -74,7 +79,24 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(self.now + delay, callback, args, priority)
+        # ``EventQueue.push`` spelt out, ``Event.__init__`` included: about
+        # one schedule per fired event, so one Python frame here instead
+        # of three is measurable (EXPERIMENTS.md).  ``at`` is rare and
+        # goes through ``push``; the kernel differential test holds both.
+        queue = self._queue
+        time = self.now + delay
+        sequence = next(queue._counter)
+        event = _new_event(Event)
+        event.time = time
+        event.priority = priority
+        event.sequence = sequence
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event._queue = queue
+        heappush(queue._heap, (time, priority, sequence, event))
+        queue._active += 1
+        return event
 
     def at(
         self,
@@ -129,65 +151,39 @@ class Simulator:
                     self, fp_obs
                 )
         queue = self._queue
-        pop = queue.pop
         peek_time = queue.peek_time
         # Plain bounds: the loop tests no ``None`` per event.
         limit = math.inf if until is None else until
         cap = math.inf if max_events is None else max_events
+        # The fingerprinter never touches event order, the clock, or RNG
+        # draws, so fingerprinted runs keep exact output digests.  It folds
+        # the event in BEFORE the callback, so a handler that raises still
+        # leaves the divergent event on the stream.
+        note = fingerprint.note if fingerprint is not None else None
         peak_depth = queue._active
         try:
-            if fingerprint is None:
-                while queue._active and not self._stopped:
-                    if peek_time() > limit:
-                        break
-                    if processed >= cap:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(processed={processed}, now={self.now}); "
-                            f"runaway simulation?"
-                        )
-                    event = pop()
-                    if event.time < self.now:
-                        raise SimulationError(
-                            f"event queue yielded past event (t={event.time} < now={self.now})"
-                        )
-                    self.now = event.time
-                    event.callback(*event.args)
-                    processed += 1
-                    depth = queue._active
-                    if depth > peak_depth:
-                        peak_depth = depth
-            else:
-                # Fingerprinted variant of the loop above.  Kept as a
-                # separate branch (not per-event checks in the plain loop)
-                # so fingerprint-off runs execute exactly the plain loop.
-                # The fingerprinter never touches event order, the clock,
-                # or RNG draws, so fingerprinted runs keep exact output
-                # digests.  It folds the event in BEFORE the callback, so
-                # a handler that raises still leaves the divergent event
-                # on the stream.
-                note = fingerprint.note
-                while queue._active and not self._stopped:
-                    if peek_time() > limit:
-                        break
-                    if processed >= cap:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(processed={processed}, now={self.now}); "
-                            f"runaway simulation?"
-                        )
-                    event = pop()
-                    if event.time < self.now:
-                        raise SimulationError(
-                            f"event queue yielded past event (t={event.time} < now={self.now})"
-                        )
-                    self.now = event.time
+            # ``max_events`` counts fired events: the run fails only when a
+            # due event is still queued once that many have fired.
+            if processed >= cap and queue._active and peek_time() <= limit:
+                raise self._runaway(max_events, processed)
+            for event in queue.drain(limit):
+                time = event.time
+                if time < self.now:
+                    raise SimulationError(
+                        f"event queue yielded past event (t={time} < now={self.now})"
+                    )
+                self.now = time
+                if note is not None:
                     note(event)
-                    event.callback(*event.args)
-                    processed += 1
-                    depth = queue._active
-                    if depth > peak_depth:
-                        peak_depth = depth
+                event.callback(*event.args)
+                processed += 1
+                depth = queue._active
+                if depth > peak_depth:
+                    peak_depth = depth
+                if self._stopped:
+                    break
+                if processed >= cap and queue._active and peek_time() <= limit:
+                    raise self._runaway(max_events, processed)
         finally:
             self._running = False
             if fingerprint is not None:
@@ -211,6 +207,13 @@ class Simulator:
                 peak_queue_depth=peak_depth,
             )
         return processed
+
+    def _runaway(self, max_events: Optional[int], processed: int) -> SimulationError:
+        return SimulationError(
+            f"exceeded max_events={max_events} "
+            f"(processed={processed}, now={self.now}); "
+            f"runaway simulation?"
+        )
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the active event.

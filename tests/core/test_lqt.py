@@ -107,6 +107,6 @@ def test_rr_history_bounded():
     rr = RecentResponses(history_limit=10)
     for i in range(100):
         rr.seen_before(i)
-    assert len(rr._seen) <= 11
+    assert len(rr) <= 11
     # The most recent ids are retained.
     assert 99 in rr

@@ -112,6 +112,23 @@ def test_remove_withdraws_queued_frame(sim):
     assert all(f.payload != "victim" for _, f in released)
 
 
+def test_remove_is_by_identity_not_equality(sim):
+    bucket, released = make_bucket(sim, capacity=1000, rate=800.0)
+    bucket.offer(frame(1000, "airing"))
+    twin = Frame(sender=1, payload="twin", payload_size=500, frame_id=7)
+    victim = Frame(sender=1, payload="twin", payload_size=500, frame_id=7)
+    assert twin == victim and twin is not victim
+    bucket.offer(twin)
+    bucket.offer(victim)
+    assert bucket.remove(victim) is True
+    assert bucket.queued_frames() == [twin]
+    assert bucket.queued_frames()[0] is twin
+    assert bucket.remove(victim) is False
+    sim.run()
+    assert [f.payload for _, f in released] == ["airing", "twin"]
+    assert released[1][1] is twin
+
+
 def test_flush_clears_queue(sim):
     bucket, _ = make_bucket(sim, capacity=1000, rate=80.0)
     for _ in range(5):

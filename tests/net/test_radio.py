@@ -218,3 +218,21 @@ def test_queue_gauge_follows_remove_and_shutdown():
     assert gauge.value == 0
     sim.run()
     assert gauge.value == 0
+
+
+def test_node_that_left_the_topology_drops_its_queue_at_the_next_attempt():
+    sim, medium, tx, rx = make_pair(os_buffer=100_000)
+    received = []
+    rx.on_receive(received.append)
+    tx.send(frame(1000))
+    tx.send(frame(1000))
+    tx.send(frame(1000))
+    # The first frame is on the air; the node walks away during it, so
+    # that copy is not delivered either (a sender that left is out of
+    # range), and the two queued frames never air.
+    medium.topology.remove_node(1)
+    sim.run()
+    assert received == []
+    assert tx.queue_length == 0
+    assert tx.queued_bytes == 0
+    assert medium.stats.frames_sent == 1

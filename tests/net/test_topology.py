@@ -22,6 +22,19 @@ def test_add_and_remove_node():
     assert 1 not in topo
 
 
+def test_positions_is_a_live_read_only_view():
+    topo = Topology(10.0)
+    view = topo.positions
+    topo.add_node(1, (0, 0))
+    topo.add_node(2, (3, 4))
+    topo.move(2, (5, 5))
+    topo.remove_node(1)
+    assert dict(view) == {2: (5, 5)}
+    assert (2 in view) == (2 in topo) and (1 in view) == (1 in topo)
+    with pytest.raises(TypeError):
+        view[3] = (0, 0)
+
+
 def test_duplicate_add_rejected():
     topo = Topology(10.0)
     topo.add_node(1, (0, 0))

@@ -143,3 +143,35 @@ def test_interleaved_push_pop_stays_sorted(queue):
     while queue:
         tail.append(queue.pop().time)
     assert tail == sorted(tail) == [0.5, 2.5, 3.0, 7.0, 9.0]
+
+
+def test_drain_stops_at_the_first_event_after_until_and_leaves_it(queue):
+    for t in (1.0, 2.0, 2.0, 3.0):
+        queue.push(t, lambda: None)
+    assert [e.time for e in queue.drain(2.0)] == [1.0, 2.0, 2.0]
+    assert len(queue) == 1
+    assert queue.peek_time() == 3.0
+
+
+def test_drain_skips_cancelled_entries_and_counts_nothing_for_them(queue):
+    first = queue.push(1.0, lambda: None)
+    kept = queue.push(2.0, lambda: None)
+    late = queue.push(3.0, lambda: None)
+    first.cancel()
+    late.cancel()
+    assert list(queue.drain()) == [kept]
+    assert len(queue) == 0
+    assert not queue._heap  # the cancelled tail was discarded too
+
+
+def test_drain_yields_events_pushed_while_it_runs(queue):
+    queue.push(1.0, lambda: None)
+    queue.push(5.0, lambda: None)
+    times = []
+    for event in queue.drain(4.0):
+        times.append(event.time)
+        if event.time == 1.0:
+            queue.push(2.0, lambda: None)
+            queue.push(4.5, lambda: None)
+    assert times == [1.0, 2.0]
+    assert [queue.pop().time, queue.pop().time] == [4.5, 5.0]
