@@ -4,12 +4,23 @@ Metadata entries model crowdsensed samples (data type, time, location —
 ≈30 bytes each in the compact wire coding); large data items are chunked
 videos (256 KB chunks).  Entries and chunks are distributed uniformly at
 random, with configurable *redundancy* (copies per entry/chunk).
+
+Every trial of a figure row uses the same metadata set, so a process builds
+it once: :func:`generate_metadata` hands each caller a fresh list of the
+descriptors built for the most recent count.  Descriptors are immutable and
+their memos (:meth:`~repro.data.descriptor.DataDescriptor.stable_key`,
+:meth:`~repro.data.descriptor.DataDescriptor.wire_size`, ...) are pure, so
+trials sharing them cannot tell; only one count's set is kept.
+:func:`distribute_metadata` draws holders entry by entry, exactly as a
+per-entry placement would, and then fills each holder's store with one
+batch in entry order.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.data import attributes as attr
 from repro.data.descriptor import DataDescriptor
@@ -34,9 +45,18 @@ def sensor_descriptor(index: int) -> DataDescriptor:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _metadata_set(count: int) -> Tuple[DataDescriptor, ...]:
+    return tuple(sensor_descriptor(index) for index in range(count))
+
+
 def generate_metadata(count: int) -> List[DataDescriptor]:
-    """``count`` distinct sample descriptors."""
-    return [sensor_descriptor(index) for index in range(count)]
+    """``count`` distinct sample descriptors, as a new list.
+
+    The descriptors themselves are shared with every other call for the
+    same count since the last call for a different one.
+    """
+    return list(_metadata_set(count))
 
 
 def distribute_metadata(
@@ -59,12 +79,19 @@ def distribute_metadata(
     if not candidates:
         raise ValueError("no nodes left to hold data after exclusions")
     placement: Dict[DataDescriptor, List[NodeId]] = {}
+    batches: Dict[NodeId, List[DataDescriptor]] = {}
     copies = min(redundancy, len(candidates))
     for entry in entries:
-        holders = rng.sample(candidates, copies)
-        for node_id in holders:
-            devices[node_id].add_metadata(entry)
+        if copies == 1:
+            # The same single draw as ``rng.sample(candidates, 1)``.
+            holders = [rng.choice(candidates)]
+        else:
+            holders = rng.sample(candidates, copies)
         placement[entry] = holders
+        for node_id in holders:
+            batches.setdefault(node_id, []).append(entry)
+    for node_id, batch in batches.items():
+        devices[node_id].store.insert_metadata(batch, has_payload=True)
     return placement
 
 

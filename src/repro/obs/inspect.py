@@ -42,6 +42,11 @@ def summarize(events: Sequence[Event]) -> Dict[str, object]:
         ``by_node`` — events per node id;
         ``frames`` — per frame-kind ``{"frames": n, "bytes": n}`` from
         ``frame_sent`` events (sums to ``NetworkStats.bytes_sent``);
+        ``resends`` — per frame-kind first sends and retransmissions
+        (``frame_sent``'s ``retx``: frames and bytes of each) and
+        ``frame_delivered`` receptions, of which ``duplicates`` repeat a
+        ``(scope, node, frame_id)`` already delivered (frame ids restart
+        per run);
         ``losses`` — ``frame_lost`` events per reason;
         ``retransmits`` / ``abandons`` — reliability-layer tallies.
     """
@@ -49,6 +54,8 @@ def summarize(events: Sequence[Event]) -> Dict[str, object]:
     by_node: Counter = Counter()
     losses: Counter = Counter()
     frames: Dict[str, Dict[str, int]] = {}
+    resends: Dict[str, Dict[str, int]] = {}
+    delivered = set()
     runs: Dict[ScopeKey, Dict[str, object]] = {}
     retransmits = 0
     abandons = 0
@@ -67,9 +74,22 @@ def summarize(events: Sequence[Event]) -> Dict[str, object]:
         span["t_max"] = max(float(span["t_max"]), time)
         if kind == "frame_sent":
             frame_kind = str(event.get("frame_kind", "data"))
+            size = int(event.get("size", 0))
             bucket = frames.setdefault(frame_kind, {"frames": 0, "bytes": 0})
             bucket["frames"] += 1
-            bucket["bytes"] += int(event.get("size", 0))
+            bucket["bytes"] += size
+            split = _resend_bucket(resends, frame_kind)
+            sent = "retx" if event.get("retx") else "first"
+            split[f"{sent}_frames"] += 1
+            split[f"{sent}_bytes"] += size
+        elif kind == "frame_delivered":
+            split = _resend_bucket(resends, str(event.get("frame_kind", "data")))
+            split["receptions"] += 1
+            reception = (scope_of(event), node, event.get("frame_id"))
+            if reception in delivered:
+                split["duplicates"] += 1
+            else:
+                delivered.add(reception)
         elif kind == "frame_lost":
             losses[str(event.get("reason", "?"))] += 1
         elif kind == "retransmit":
@@ -82,10 +102,22 @@ def summarize(events: Sequence[Event]) -> Dict[str, object]:
         "by_kind": dict(by_kind),
         "by_node": dict(by_node),
         "frames": frames,
+        "resends": resends,
         "losses": dict(losses),
         "retransmits": retransmits,
         "abandons": abandons,
     }
+
+
+def _resend_bucket(resends: Dict[str, Dict[str, int]], frame_kind: str) -> Dict[str, int]:
+    bucket = resends.get(frame_kind)
+    if bucket is None:
+        bucket = resends[frame_kind] = dict.fromkeys(
+            ("first_frames", "first_bytes", "retx_frames", "retx_bytes",
+             "receptions", "duplicates"),
+            0,
+        )
+    return bucket
 
 
 def render(events: Sequence[Event], top_nodes: int = 10) -> str:
@@ -130,6 +162,23 @@ def render(events: Sequence[Event], top_nodes: int = 10) -> str:
         lines.append(
             f"  {'TOTAL':<20s} {total_frames:>8d} frames {total_bytes:>12d} bytes"
         )
+
+    resends = summary["resends"]
+    if resends:
+        lines.append("")
+        lines.append("first sends, retransmissions and duplicate receptions by message kind:")
+        lines.append(
+            f"  {'kind':<12s} {'first':>8s} {'first_bytes':>12s} {'retx':>8s} "
+            f"{'retx_bytes':>12s} {'received':>10s} {'duplicates':>10s}"
+        )
+        for frame_kind in sorted(resends):
+            split = resends[frame_kind]
+            lines.append(
+                f"  {frame_kind:<12s} {split['first_frames']:>8d} "
+                f"{split['first_bytes']:>12d} {split['retx_frames']:>8d} "
+                f"{split['retx_bytes']:>12d} {split['receptions']:>10d} "
+                f"{split['duplicates']:>10d}"
+            )
 
     losses = summary["losses"]
     if losses or summary["retransmits"] or summary["abandons"]:

@@ -20,6 +20,26 @@ def test_sensor_descriptors_distinct():
     assert len(set(entries)) == 500
 
 
+def test_generate_metadata_shares_one_count_set():
+    """Calls for one count share descriptors, never the list; a new count
+    replaces the kept set."""
+    first = generate_metadata(40)
+    second = generate_metadata(40)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    assert first == [sensor_descriptor(i) for i in range(40)]
+    first.clear()
+    first.append(sensor_descriptor(99))
+    third = generate_metadata(40)
+    assert len(third) == 40 and all(a is b for a, b in zip(second, third))
+    other = generate_metadata(41)
+    assert other == [sensor_descriptor(i) for i in range(41)]
+    assert other[0] is not second[0]
+    again = generate_metadata(40)
+    assert again == second
+    assert again[0] is not second[0]
+
+
 def test_sensor_descriptor_is_compact():
     """≈30 B per entry, as in §VI-A."""
     entry = sensor_descriptor(3)

@@ -1,7 +1,9 @@
 """Unit tests for trace inspection (`repro inspect`)."""
 
+from repro.experiments.figures.common import experiment_device_config, pdd_experiment
+from repro.experiments.scenario import build_grid_scenario
 from repro.obs.inspect import inspect_file, render, summarize
-from repro.obs.trace import JsonlSink, TraceBus
+from repro.obs.trace import JsonlSink, ListSink, TraceBus
 
 
 def _sample_events():
@@ -76,3 +78,62 @@ def test_inspect_file_round_trip(tmp_path):
     assert "1 events across 1 simulation run(s)" in report
     assert "ack" in report
     assert "48 bytes" in report
+
+
+def test_resends_split_first_sends_retransmissions_and_duplicates():
+    events = [
+        {"t": 0.0, "kind": "frame_sent", "run": 1, "node": 1, "frame_id": 7,
+         "frame_kind": "query", "size": 100, "retx": 0},
+        {"t": 0.1, "kind": "frame_delivered", "run": 1, "node": 2, "frame_id": 7,
+         "frame_kind": "query", "size": 100},
+        {"t": 0.2, "kind": "frame_sent", "run": 1, "node": 1, "frame_id": 7,
+         "frame_kind": "query", "size": 100, "retx": 1},
+        {"t": 0.3, "kind": "frame_delivered", "run": 1, "node": 2, "frame_id": 7,
+         "frame_kind": "query", "size": 100},
+        {"t": 0.3, "kind": "frame_delivered", "run": 1, "node": 3, "frame_id": 7,
+         "frame_kind": "query", "size": 100},
+        # Frame ids restart per run: run 2's frame 7 is a new frame.
+        {"t": 0.0, "kind": "frame_delivered", "run": 2, "node": 2, "frame_id": 7,
+         "frame_kind": "query", "size": 100},
+    ]
+    summary = summarize(events)
+    assert summary["frames"] == {"query": {"frames": 2, "bytes": 200}}
+    assert summary["resends"] == {
+        "query": {
+            "first_frames": 1,
+            "first_bytes": 100,
+            "retx_frames": 1,
+            "retx_bytes": 100,
+            "receptions": 4,
+            "duplicates": 1,
+        }
+    }
+    text = render(events)
+    assert "first sends, retransmissions and duplicate receptions" in text
+
+
+def test_resends_reconcile_with_a_lossy_traced_run():
+    scenario = build_grid_scenario(
+        rows=3, cols=3, seed=1, device_config=experiment_device_config()
+    )
+    sink = scenario.sim.trace.subscribe(ListSink())
+    pdd_experiment(1, metadata_count=200, scenario=scenario, sim_cap_s=60.0)
+    events = [event.to_json_dict() for event in sink.events]
+    summary = summarize(events)
+    stats = scenario.stats
+    assert stats.frames_lost_random > 0, "the run must lose frames"
+    resends = summary["resends"]
+    for frame_kind, bucket in summary["frames"].items():
+        split = resends[frame_kind]
+        assert split["first_frames"] + split["retx_frames"] == bucket["frames"]
+        assert split["first_bytes"] + split["retx_bytes"] == bucket["bytes"]
+    sent = [e for e in events if e["kind"] == "frame_sent"]
+    assert sum(s["retx_frames"] for s in resends.values()) == sum(
+        1 for e in sent if e["retx"] > 0
+    )
+    assert sum(s["retx_frames"] for s in resends.values()) > 0
+    delivered = [e for e in events if e["kind"] == "frame_delivered"]
+    assert sum(s["receptions"] for s in resends.values()) == stats.frames_delivered
+    distinct = {(e["node"], e["frame_id"]) for e in delivered}
+    duplicates = sum(s["duplicates"] for s in resends.values())
+    assert duplicates == len(delivered) - len(distinct) > 0
